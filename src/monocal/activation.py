@@ -82,12 +82,14 @@ def _paired(computed, measured):
 def misfit(computed, measured) -> float:
     """Quadratic misfit F = sum of 0.5 |tau_computed - tau_measured|^2 (ms^2).
 
-    Pairs with a non-activated (NaN) computed time are skipped; callers
-    that care about the count should check the extraction output.
+    A non-activated (NaN) computed time makes F infinite: a map that
+    leaves a point unactivated is never a better fit than one that
+    activates it.
     """
     c, m = _paired(computed, measured)
-    ok = np.isfinite(c)
-    d = c[ok] - m[ok]
+    if np.isnan(c).any():
+        return float("inf")
+    d = c - m
     return float(0.5 * (d @ d))
 
 

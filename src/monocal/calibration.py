@@ -161,10 +161,12 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
               ) -> CalibrationResult:
     """Estimate conductivities from calibration samples by direct search.
 
-    Stops when the mean per-point signed error falls below tol_ms
-    (converged) or on misfit stagnation / iteration budget (converged
-    False, best-misfit iterate kept). A final simulation at the estimate
-    produces the validation report when val_samples are given.
+    Stops when the mean per-point signed error falls below tol_ms and
+    every calibration point activated (converged), or on misfit
+    stagnation / iteration budget (converged False, best-misfit iterate
+    kept; an iterate with unactivated points has infinite misfit). A
+    final simulation at the estimate produces the validation report when
+    val_samples are given.
     """
     config = config or CalibrationConfig()
     if not cal_samples:
@@ -200,7 +202,7 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
                     "eI=%.3f%%", it, *sigma, e_mean, misfit,
                     100.0 * report.mean_rel)
 
-        if abs(e_mean) < config.tol_ms:
+        if abs(e_mean) < config.tol_ms and report.n_not_activated == 0:
             converged = True
             break
         if len(records) >= 3:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -540,6 +539,9 @@ def cmd_gen_twin(args, tracker: _OutputTracker) -> None:
           f"({data.mesh.n_nodes} nodes, {len(data.vein_nodes)} vein points)")
 
 
+_SOLVER_KEYS = ("solver keys: sigma, chi, c_m, dt, t_end, stimulus_amplitude, "
+                "stimulus_radius, stimulus_duration, stop_when_activated")
+
 _COMMANDS = {
     "gen-mesh": (cmd_gen_mesh, "Generate a slab or truncated-ellipsoid mesh",
                  "config keys: kind (slab|ventricle), h, extents, endo_axes, "
@@ -552,11 +554,12 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "Run a paced monodomain simulation",
                  "config keys: mesh, fibers, fiber_angles, solver (dict of "
                  "solver parameters), stimulus_points, stimulus_onsets, "
-                 "snapshot_times, out"),
+                 "snapshot_times, out; " + _SOLVER_KEYS),
     "calibrate": (cmd_calibrate, "Estimate conductivities from measurements",
                   "config keys: mesh, fibers, fiber_angles, measurements, "
                   "references, solver, box, beta, initial_sigma, tol_ms, "
-                  "max_iters, stagnation_rel, isotropic, max_cal_points, out"),
+                  "max_iters, stagnation_rel, isotropic, max_cal_points, out; "
+                  + _SOLVER_KEYS),
     "report": (cmd_report, "Summarize a calibration result directory",
                "config keys: results, out"),
     "gen-twin": (cmd_gen_twin, "Generate the synthetic twin fixture",
@@ -575,10 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config file (a bare name falls back to the "
                             "bundled scenarios directory)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="thread cap for the linear algebra kernels")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized fixture parts")
         if name in ("gen-fibers", "register", "simulate", "calibrate"):
             p.add_argument("--mesh", help="volume mesh file (VTK)")
         if name == "gen-mesh":
@@ -606,17 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--results", help="calibration output directory")
         if name == "gen-twin":
             p.add_argument("--h", type=float, help="target element size (cm)")
+            p.add_argument("--seed", type=int,
+                           help="seed for the perturbed landmark references")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise _fail("--workers must be a positive integer")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.workers)
     handler = _COMMANDS[args.command][0]
     tracker = _OutputTracker()
     try:

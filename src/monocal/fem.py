@@ -1,9 +1,11 @@
-"""Trilinear (Q1) finite element assembly and linear solvers.
+"""Trilinear (Q1) finite element assembly and the linear solver.
 
 Assembly is fully vectorized over elements. A precomputed AssemblyPlan
-maps element-local 8x8 blocks straight into CSR data, so matrices that
-change every time step (reaction mass) can be rebuilt cheaply on a fixed
-sparsity pattern.
+maps element-local 8x8 blocks straight into CSR data and knows where
+each diagonal entry lives, so a matrix whose diagonal changes every time
+step can be updated in place on a fixed sparsity pattern. Every system
+this package builds is symmetric positive definite, and one
+Jacobi-preconditioned conjugate-gradient solver handles them all.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 from . import _hex
 from .errors import AssemblyError, InvalidArgumentError, NonConvergenceError
@@ -95,12 +96,14 @@ class AssemblyPlan:
         self.nnz = int(slot_of_sorted[-1]) + 1
         n = mesh.n_nodes
         unique_rows = rs[new_pair]
-        self.indices = cs[new_pair].astype(np.int32)
+        unique_cols = cs[new_pair]
+        self.indices = unique_cols.astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.add.at(self.indptr, unique_rows + 1, 1)
         self.indptr = np.cumsum(self.indptr, dtype=np.int32)
         self.shape = (n, n)
-        self.diag_slots = None
+        # pairs are sorted by row, so the diagonal slots come in node order
+        self.diag_slots = np.nonzero(unique_rows == unique_cols)[0]
 
     def assemble(self, element_blocks: np.ndarray) -> csr_matrix:
         data = np.bincount(self.entry_slots, weights=element_blocks.ravel(),
@@ -113,19 +116,10 @@ class AssemblyPlan:
                            minlength=self.nnz)
 
 
-def mass_blocks(geo: ElementGeometry, nodal_weight: np.ndarray | None = None,
-                elems: np.ndarray | None = None) -> np.ndarray:
-    """Element mass blocks, optionally weighted by an interpolated nodal field.
-
-    With nodal_weight given (shape (n_nodes,)), computes the blocks of
-    int w_h phi_i phi_j using the same interpolation for w_h as for the
-    solution, which is the nodal-interpolation treatment of reaction terms.
-    """
+def mass_blocks(geo: ElementGeometry) -> np.ndarray:
+    """Element blocks of the consistent mass matrix int phi_i phi_j."""
     N = geo.shapes
-    if nodal_weight is None:
-        return np.einsum("eq,qi,qj->eij", geo.wdet, N, N, optimize=True)
-    wq = nodal_weight[elems] @ N.T
-    return np.einsum("eq,qi,qj->eij", geo.wdet * wq, N, N, optimize=True)
+    return np.einsum("eq,qi,qj->eij", geo.wdet, N, N, optimize=True)
 
 
 def assemble_mass(mesh: Mesh, lumped: bool = False,
@@ -188,95 +182,66 @@ class SolveReport:
 
 
 def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
-                rel_tol: float = 1e-10, abs_tol: float = 0.0,
-                restart: int = 200, max_iter: int = 2000,
-                preconditioner: str | np.ndarray | None = "jacobi") -> SolveReport:
-    """Restarted GMRES with optional Jacobi (diagonal) preconditioning.
+                rel_tol: float = 1e-10, max_iter: int = 2000) -> SolveReport:
+    """Jacobi-preconditioned conjugate gradients for an SPD system A x = b.
 
-    Right preconditioning is used, so the convergence test applies to the
-    true residual: ||b - A x|| <= max(rel_tol * ||b||, abs_tol). Raises
-    NonConvergenceError carrying the best iterate when the budget of
-    max_iter inner iterations is exhausted.
+    The name is kept because perfbench/spans.py hooks this attribute.
+    Converged means the true residual ||b - A x|| <= rel_tol * ||b||,
+    recomputed from A when the recursive residual says so. Raises
+    InvalidArgumentError when A is not SPD, as shown by a non-positive
+    diagonal entry or a search direction with p^T A p <= 0, and
+    NonConvergenceError carrying the last iterate when max_iter
+    iterations do not suffice.
     """
-    n = len(b)
-    if isinstance(preconditioner, str):
-        if preconditioner != "jacobi":
-            raise InvalidArgumentError(f"unknown preconditioner {preconditioner!r}")
-        diag = A.diagonal()
-        if np.any(diag == 0.0):
-            raise InvalidArgumentError("Jacobi preconditioner needs a nonzero diagonal")
-        minv = 1.0 / diag
-    elif preconditioner is None:
-        minv = None
-    else:
-        minv = np.asarray(preconditioner, dtype=float)
-
-    def precond(v):
-        return v if minv is None else minv * v
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    diag = A.diagonal()
+    if not np.all(diag > 0.0):
+        raise InvalidArgumentError("CG needs a positive diagonal (SPD matrix)")
+    minv = 1.0 / diag
     norm_b = np.linalg.norm(b)
-    tol = max(rel_tol * norm_b, abs_tol)
     if norm_b == 0.0:
-        return SolveReport(x=np.zeros(n), iterations=0, residual=0.0, converged=True)
-
+        return SolveReport(x=np.zeros(len(b)), iterations=0, residual=0.0,
+                           converged=True)
+    tol = rel_tol * norm_b
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
     iterations = 0
-    m = max(1, restart)
-    V = np.empty((m + 1, n))
-    H = np.zeros((m + 1, m))
     while True:
         r = b - A @ x
-        beta = np.linalg.norm(r)
-        if beta <= tol:
-            return SolveReport(x=x, iterations=iterations, residual=float(beta),
+        residual = float(np.linalg.norm(r))
+        if residual <= tol:
+            return SolveReport(x=x, iterations=iterations, residual=residual,
                                converged=True)
         if iterations >= max_iter:
             raise NonConvergenceError(
-                f"GMRES did not reach {tol:.3e} in {max_iter} iterations "
-                f"(residual {beta:.3e})", best=x, residual=float(beta),
+                f"CG did not reach {tol:.3e} in {max_iter} iterations "
+                f"(residual {residual:.3e})", best=x, residual=residual,
                 iterations=iterations)
-        V[0] = r / beta
-        g = np.zeros(m + 1)
-        g[0] = beta
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        j_used = 0
-        for j in range(m):
-            w = A @ precond(V[j])
-            # modified Gram-Schmidt
-            for i in range(j + 1):
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
+        z = minv * r
+        p = z
+        rz = r @ z
+        while iterations < max_iter:
+            q = A @ p
+            pq = p @ q
+            if pq <= 0.0:
+                raise InvalidArgumentError(
+                    f"CG found p^T A p = {pq:.3e} <= 0: the matrix is not SPD")
+            step = rz / pq
+            x += step * p
+            r -= step * q
             iterations += 1
-            j_used = j + 1
-            if H[j + 1, j] > 1e-300:
-                V[j + 1] = w / H[j + 1, j]
-            # Givens rotations keep the least-squares problem triangular
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            if abs(g[j + 1]) <= tol or iterations >= max_iter:
+            if np.linalg.norm(r) <= tol:
                 break
-        y = np.zeros(j_used)
-        for i in range(j_used - 1, -1, -1):
-            y[i] = (g[i] - H[i, i + 1:j_used] @ y[i + 1:j_used]) / H[i, i]
-        x = x + precond(V[:j_used].T @ y)
+            z = minv * r
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
 
 
 def solve_dirichlet(A: csr_matrix, b: np.ndarray, fixed_ids: np.ndarray,
-                    fixed_values: np.ndarray, method: str = "direct") -> np.ndarray:
+                    fixed_values: np.ndarray) -> np.ndarray:
     """Solve A x = b with prescribed values on a set of nodes.
 
-    The constrained rows and columns are eliminated; the reduced system is
-    solved directly (sparse LU) or with gmres_solve when method="gmres".
+    The constrained rows and columns are eliminated and the reduced
+    system, SPD for a stiffness matrix with at least one fixed node per
+    connected part, is solved by conjugate gradients (gmres_solve).
     """
     n = A.shape[0]
     fixed_ids = np.asarray(fixed_ids, dtype=int)
@@ -292,11 +257,5 @@ def solve_dirichlet(A: csr_matrix, b: np.ndarray, fixed_ids: np.ndarray,
     x = np.zeros(n)
     x[fixed_ids] = fixed_values
     rhs = b[free] - A[free][:, fixed_ids] @ fixed_values
-    A_ff = A[free][:, free].tocsc()
-    if method == "direct":
-        x[free] = splu(A_ff).solve(rhs)
-    elif method == "gmres":
-        x[free] = gmres_solve(A_ff.tocsr(), rhs).x
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
+    x[free] = gmres_solve(A[free][:, free], rhs).x
     return x

@@ -5,19 +5,20 @@ ionic current about the known potential as I_ion ~= alpha u_new + beta, and
 solves one linear system per step. Working in rate form (dividing the
 balance by chi C_m) the system reads
 
-    (M/dt + K/(chi C_m) + M_alpha) u_new = M u/dt - M beta + M i_app,
+    (K/(chi C_m) + diag(m (1/dt + alpha))) u_new = m (u/dt - beta + i_app),
 
-with i_app the applied current converted to a potential rate. Reaction
-terms use nodal ionic-current interpolation: alpha and beta are evaluated
-at nodes and interpolated with the trilinear basis inside the weighted
-mass integrals. With mass_lumping=True both the time-derivative and the
-reaction couplings collapse to the diagonal, which makes every node evolve
-exactly like the single-cell integrator when the conductivities vanish.
+with m the lumped (row-sum) mass vector and i_app the applied current
+converted to a potential rate. Lumping collapses the time-derivative and
+reaction couplings to the diagonal, which makes every node evolve exactly
+like the single-cell integrator when the conductivities vanish, and
+keeps the consistent mass from smearing the sharp upstroke across
+neighbours. The matrix is assembled once; each step rewrites only its
+diagonal. It is symmetric positive definite as long as that diagonal
+stays positive, and the conjugate-gradient solver checks that it does.
 """
 
 from __future__ import annotations
 
-import datetime
 import logging
 import warnings
 from dataclasses import dataclass, field
@@ -39,6 +40,10 @@ logger = logging.getLogger(__name__)
 # that never reach this floor (midway between the fast-current threshold
 # and the plateau) saw no wavefront and are reported as not activated.
 ACTIVATION_PEAK_FLOOR = 0.5
+# Relative true-residual tolerance of each time step's linear solve.
+LINEAR_REL_TOL = 1e-10
+# Log one progress line every this many steps.
+PROGRESS_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,8 @@ class SolverParams:
     5 ms: at the default amplitude the local potential climbs at about
     0.086 per ms against the outward leak, so reaching the fast-current
     threshold of 0.3 takes roughly 3.5 ms and shorter pulses die out.
-
-    mass_lumping defaults to True: a lumped reaction/time block makes a
-    node with zero diffusion reproduce the membrane-model trajectory
-    exactly and is the common choice for excitable tissue, where the
-    consistent mass matrix smears the sharp upstroke across neighbours.
+    stop_when_activated ends the run once every node has seen its
+    upstroke and no activation time can move any more.
     """
 
     sigma: tuple[float, float, float] = (1.325, 0.293, 0.0675)
@@ -65,12 +67,6 @@ class SolverParams:
     stimulus_amplitude: float = 112500.0
     stimulus_radius: float = 0.15
     stimulus_duration: float = 5.0
-    mass_lumping: bool = True
-    explicit_reaction: bool = False
-    gmres_rel_tol: float = 1e-10
-    gmres_restart: int = 200
-    gmres_max_iter: int = 2000
-    progress_every: int = 100
     stop_when_activated: bool = False
 
     def __post_init__(self):
@@ -258,28 +254,16 @@ class MonodomainSolver:
         self.fiber_field = fiber_field
 
         geo = fem.precompute_geometry(mesh)
-        self.geo = geo
-        self.plan = fem.AssemblyPlan(mesh)
+        plan = self.plan = fem.AssemblyPlan(mesh)
         tensors = build_conductivity_tensors(mesh, fiber_field, params.sigma)
         scale = 1.0 / (params.chi * params.c_m)
-        k_data = self.plan.assemble_data(fem.stiffness_blocks(geo, tensors)) * scale
+        data = plan.assemble_data(fem.stiffness_blocks(geo, tensors)) * scale
         self.m_lump = fem.lumped_mass_vector(mesh, geo=geo)
-
-        indptr, indices = self.plan.indptr, self.plan.indices
-        self.diag_slots = np.fromiter(
-            (indptr[i] + np.searchsorted(indices[indptr[i]:indptr[i + 1]], i)
-             for i in range(mesh.n_nodes)), dtype=np.int64, count=mesh.n_nodes)
-
-        if params.mass_lumping:
-            self.base_data = k_data
-            self.base_data[self.diag_slots] += self.m_lump / params.dt
-            self.mass = None
-        else:
-            m_data = self.plan.assemble_data(fem.mass_blocks(geo))
-            self.base_data = k_data + m_data / params.dt
-            self.mass = csr_matrix((m_data, indices, indptr), shape=self.plan.shape)
-        self.matrix = csr_matrix((self.base_data.copy(), indices, indptr),
-                                 shape=self.plan.shape)
+        data[plan.diag_slots] += self.m_lump / params.dt
+        # the diagonal without the reaction term, which changes every step
+        self.base_diag = data[plan.diag_slots]
+        self.matrix = csr_matrix((data, plan.indices, plan.indptr),
+                                 shape=plan.shape)
         # Applied current to potential rate: amplitude/(chi c_m) is in mV/ms
         # for these units, and the dimensionless potential spans the action
         # potential on the volt scale, hence the extra 1e-3. The default
@@ -288,25 +272,11 @@ class MonodomainSolver:
         self.rate_scale = 1e-3 * scale
 
     def _system(self, u, alpha, beta, stim_rate):
-        """Matrix data and right-hand side for one implicit solve."""
-        p = self.params
-        if p.explicit_reaction:
-            data = self.base_data
-            reaction = alpha * u + beta
-            if p.mass_lumping:
-                rhs = self.m_lump * (u / p.dt - reaction + stim_rate)
-            else:
-                rhs = self.mass @ (u / p.dt - reaction + stim_rate)
-            return data, rhs
-        if p.mass_lumping:
-            data = self.base_data.copy()
-            data[self.diag_slots] += self.m_lump * alpha
-            rhs = self.m_lump * (u / p.dt - beta + stim_rate)
-        else:
-            blocks = fem.mass_blocks(self.geo, alpha, self.mesh.elems)
-            data = self.base_data + self.plan.assemble_data(blocks)
-            rhs = self.mass @ (u / p.dt - beta + stim_rate)
-        return data, rhs
+        """Write this step's reaction term into the matrix diagonal in
+        place and return the right-hand side of the implicit solve."""
+        self.matrix.data[self.plan.diag_slots] = \
+            self.base_diag + self.m_lump * alpha
+        return self.m_lump * (u / self.params.dt - beta + stim_rate)
 
     def step(self, u: np.ndarray, w: np.ndarray, stim_rate: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, fem.SolveReport]:
@@ -318,13 +288,9 @@ class MonodomainSolver:
         p = self.params
         w_next = ionic.step_gating(u, w, p.dt, self.ionic_params)
         alpha, beta = ionic.reaction_coefficients(u, w_next, self.ionic_params)
-        data, rhs = self._system(u, alpha, beta, stim_rate)
-        self.matrix.data[:] = data
+        rhs = self._system(u, alpha, beta, stim_rate)
         report = fem.gmres_solve(self.matrix, rhs, x0=u,
-                                 rel_tol=p.gmres_rel_tol,
-                                 restart=p.gmres_restart,
-                                 max_iter=p.gmres_max_iter,
-                                 preconditioner=1.0 / data[self.diag_slots])
+                                 rel_tol=LINEAR_REL_TOL)
         return report.x, w_next, report
 
     def simulate(self, stim_plan: StimulusPlan,
@@ -384,8 +350,8 @@ class MonodomainSolver:
             u = u_new
             if k in snap_steps:
                 snapshots[snap_steps[k]] = u.copy()
-            if p.progress_every and k % p.progress_every == 0:
-                logger.info("step %d/%d  t=%.3f ms  max u=%.4f  gmres iters=%d",
+            if k % PROGRESS_EVERY == 0:
+                logger.info("step %d/%d  t=%.3f ms  max u=%.4f  cg iters=%d",
                             k, n_steps, t, float(u.max()), int(report.iterations))
             if (p.stop_when_activated and k < n_steps
                     and np.all(peak >= ACTIVATION_PEAK_FLOOR)
@@ -412,12 +378,9 @@ class MonodomainSolver:
                 "stimulus_amplitude": p.stimulus_amplitude,
                 "stimulus_radius": p.stimulus_radius,
                 "stimulus_duration": p.stimulus_duration,
-                "mass_lumping": p.mass_lumping,
-                "explicit_reaction": p.explicit_reaction,
             },
             "ionic": self.ionic_params.manifest(),
             "stimulus_sites": int(len(stim_plan.points)),
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         return SimulationOutput(
             activation=activation, activated=activated, peak_u=peak,

@@ -62,8 +62,10 @@ class TestMisfit:
         perm = rng.permutation(20)
         assert np.isclose(misfit(c, m), misfit(c[perm], m[perm]), rtol=1e-14)
 
-    def test_nan_pairs_are_skipped(self):
-        assert misfit([10.0, np.nan], [0.0, 50.0]) == 50.0
+    def test_nan_computed_time_makes_misfit_infinite(self):
+        assert misfit([10.0, np.nan], [0.0, 50.0]) == np.inf
+        # an unactivated point never beats an activated one
+        assert misfit([np.nan, 5.0], [5.0, 5.0]) > misfit([6.0, 5.0], [5.0, 5.0])
 
     def test_length_mismatch_is_rejected(self):
         with pytest.raises(InvalidArgumentError):

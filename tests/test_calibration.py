@@ -256,6 +256,25 @@ def test_calibrate_keeps_best_misfit_iterate_when_not_converged(
     np.testing.assert_array_equal(result.sigma_hat, best.sigma)
 
 
+def test_calibrate_never_converges_with_unactivated_points(
+        bar, bar_plan, monkeypatch):
+    # every activated point matches exactly, so the signed error is zero;
+    # the one point that never activated must still block convergence
+    taus = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    computed = np.array([np.nan, 20.0, 30.0, 40.0, 50.0])
+    monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cal.act, "extract_activation_at",
+                        lambda output, points: computed.copy())
+    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+                           bar_config(max_iters=3))
+    assert not result.converged
+    assert len(result.iterations) == 3
+    for record in result.iterations:
+        assert record.error_mean_ms == 0.0
+        assert record.n_not_activated == 1
+        assert record.misfit_ms2 == np.inf
+
+
 def test_calibrate_truncates_to_earliest_activation_times(
         bar, bar_plan, midpoint_taus):
     samples = bar_samples(midpoint_taus)

@@ -16,6 +16,7 @@ from monocal import cli
 from monocal import vtkio
 from monocal.calibration import TRACE_HEADER
 from monocal.fibers import FiberAngles, generate_fibers
+from monocal.solver import SolverParams
 from monocal.twin import TRUE_SIGMA
 
 
@@ -165,21 +166,11 @@ def test_report_requires_a_trace_file(tmp_path, capsys):
     assert "trace.csv" in capsys.readouterr().err
 
 
-def test_workers_must_be_positive(capsys):
+def test_seed_is_only_a_gen_twin_flag(capsys):
     with pytest.raises(SystemExit) as err:
-        cli.main(["gen-mesh", "--h", "0.5", "--workers", "0",
-                  "--out", "ignored"])
-    assert err.value.code == 1
-    assert "--workers" in capsys.readouterr().err
-
-
-def test_workers_caps_linear_algebra_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "sentinel")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "sentinel")
-    assert cli.main(["gen-mesh", "--kind", "slab", "--h", "0.5",
-                     "--workers", "2", "--out", str(tmp_path)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        cli.main(["simulate", "--seed", "1"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_calibrate_requires_fiber_information(pipeline, tmp_path, capsys):
@@ -240,6 +231,27 @@ def test_simulate_cli_writes_activation_and_snapshots(tmp_path):
     assert manifest["n_not_activated"] == 0
 
 
+def test_simulate_rerun_writes_identical_manifest(tmp_path):
+    mesh_config = tmp_path / "mesh.json"
+    mesh_config.write_text(json.dumps({
+        "kind": "slab", "h": 0.05, "extents": [0.2, 0.1, 0.05],
+        "out": str(tmp_path)}))
+    assert cli.main(["gen-mesh", "--config", str(mesh_config)]) == 0
+    sim_config = tmp_path / "sim.json"
+    sim_config.write_text(json.dumps({
+        "mesh": str(tmp_path / "mesh.vtk"),
+        "solver": {"t_end": 1.0, "stop_when_activated": False},
+        "stimulus_points": [[0.0, 0.0, 0.0]],
+        "stimulus_onsets": [0.0]}))
+    manifests = []
+    for run in ("a", "b"):
+        assert cli.main(["simulate", "--config", str(sim_config),
+                         "--out", str(tmp_path / run)]) == 0
+        manifests.append((tmp_path / run / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert "timestamp" not in json.loads(manifests[0])
+
+
 def test_gen_fibers_matches_library_field(tmp_path):
     mesh_config = tmp_path / "mesh.json"
     mesh_config.write_text(json.dumps({
@@ -266,6 +278,8 @@ def test_help_lists_config_keys(capsys):
     text = capsys.readouterr().out
     assert "config keys:" in text
     assert "max_cal_points" in text
+    for key in SolverParams.__dataclass_fields__:
+        assert key in text
 
 
 def test_unknown_command_is_rejected():
