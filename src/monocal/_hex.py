@@ -34,14 +34,6 @@ FACES = np.array([
     [0, 4, 7, 3],   # xi   = -1
 ])
 
-# Edges of the reference cell as corner pairs.
-EDGES = np.array([
-    [0, 1], [1, 2], [2, 3], [3, 0],
-    [4, 5], [5, 6], [6, 7], [7, 4],
-    [0, 4], [1, 5], [2, 6], [3, 7],
-])
-
-
 def shape_values(points: np.ndarray) -> np.ndarray:
     """Trilinear shape functions at reference points.
 

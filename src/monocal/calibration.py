@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_BETA = (0.45, 0.10, 0.05)
 TRACE_HEADER = ("iter", "sigma_f", "sigma_s", "sigma_n", "E_ms", "F_ms2",
                 "eI_pct")
+# The search stops when the misfit of each of the last two steps changed
+# by less than this fraction of the latest misfit.
+STAGNATION_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ class CalibrationConfig:
     initial_sigma: tuple[float, float, float] | None = None
     tol_ms: float = 1.0
     max_iters: int = 20
-    stagnation_rel: float = 1e-3
     isotropic: bool = False
     max_cal_points: int | None = None
 
@@ -208,8 +210,8 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
         if len(records) >= 3:
             f0, f1, f2 = (r.misfit_ms2 for r in records[-3:])
             scale = max(abs(f2), 1e-300)
-            if (abs(f2 - f1) < config.stagnation_rel * scale
-                    and abs(f1 - f0) < config.stagnation_rel * scale):
+            if (abs(f2 - f1) < STAGNATION_REL * scale
+                    and abs(f1 - f0) < STAGNATION_REL * scale):
                 logger.info("misfit stagnated; stopping")
                 break
         sigma, clamped = update_sigma(sigma, e_sum, config.box, config.beta,

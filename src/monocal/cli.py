@@ -4,8 +4,9 @@ One binary with subcommands covering the whole workflow: mesh and fiber
 generation, measurement registration, forward simulation, conductivity
 calibration, result reporting and synthetic fixture generation. Every
 subcommand reads an optional JSON config whose keys can be overridden by
-flags (flags win), rejects unknown config keys, and removes partially
-written outputs when it fails so reruns start clean.
+flags (flags win), rejects unknown config keys and values of the wrong
+type, and removes partially written outputs when it fails so reruns
+start clean.
 
 Relative paths inside a config are resolved against the current working
 directory, which keeps bundled scenario configs usable from any checkout
@@ -46,12 +47,14 @@ class _OutputTracker:
                 pass
 
 
-def _load_config(path: str | None, allowed: dict[str, type | tuple],
+def _load_config(path: str | None, allowed: dict[str, type],
                  command: str) -> dict:
     """Read a JSON config and reject keys the subcommand does not consume.
 
-    A name that does not exist on disk but matches a bundled scenario
-    file resolves to the copy shipped inside the package.
+    Each value must have its key's declared type; an integer counts as a
+    float, a boolean never counts as a number, and null means unset. A
+    name that does not exist on disk but matches a bundled scenario file
+    resolves to the copy shipped inside the package.
     """
     if path is None:
         return {}
@@ -71,6 +74,14 @@ def _load_config(path: str | None, allowed: dict[str, type | tuple],
         raise InvalidArgumentError(
             f"unknown config key(s) for {command}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}")
+    for key, value in raw.items():
+        expected = allowed[key]
+        accepted = (int, float) if expected is float else expected
+        wrong_bool = isinstance(value, bool) and expected is not bool
+        if value is not None and (wrong_bool or not isinstance(value, accepted)):
+            raise InvalidArgumentError(
+                f"config key '{key}' for {command} must be of type "
+                f"{expected.__name__}, got {type(value).__name__}")
     return raw
 
 
@@ -119,9 +130,14 @@ def _solver_params(config: dict):
             f"allowed: {', '.join(sorted(fields))}")
     raw.setdefault("t_end", 150.0)
     raw.setdefault("stop_when_activated", True)
-    if "sigma" in raw:
-        raw["sigma"] = tuple(raw["sigma"])
-    return slv.SolverParams(**raw)
+    try:
+        if "sigma" in raw:
+            raw["sigma"] = tuple(raw["sigma"])
+        return slv.SolverParams(**raw)
+    except InvalidArgumentError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"invalid solver parameters: {exc}") from exc
 
 
 def _fiber_angles(spec: dict):
@@ -344,8 +360,7 @@ def _calibration_config(config: dict):
     box = cal.ConductivityBox(**{k: tuple(v) for k, v in
                                  dict(config.get("box") or {}).items()})
     kwargs = {}
-    for key in ("tol_ms", "max_iters", "stagnation_rel", "isotropic",
-                "max_cal_points"):
+    for key in ("tol_ms", "max_iters", "isotropic", "max_cal_points"):
         if config.get(key) is not None:
             kwargs[key] = config[key]
     if config.get("initial_sigma") is not None:
@@ -366,8 +381,8 @@ def cmd_calibrate(args, tracker: _OutputTracker) -> None:
     allowed = {"mesh": str, "fibers": str, "fiber_angles": dict,
                "measurements": str, "references": str, "solver": dict,
                "box": dict, "beta": list, "initial_sigma": list,
-               "tol_ms": float, "max_iters": int, "stagnation_rel": float,
-               "isotropic": bool, "max_cal_points": int, "out": str}
+               "tol_ms": float, "max_iters": int, "isotropic": bool,
+               "max_cal_points": int, "out": str}
     config = _merge_flags(_load_config(args.config, allowed, "calibrate"),
                           args, ("mesh", "fibers", "measurements",
                                  "references", "out", "max_cal_points"))
@@ -558,7 +573,7 @@ _COMMANDS = {
     "calibrate": (cmd_calibrate, "Estimate conductivities from measurements",
                   "config keys: mesh, fibers, fiber_angles, measurements, "
                   "references, solver, box, beta, initial_sigma, tol_ms, "
-                  "max_iters, stagnation_rel, isotropic, max_cal_points, out; "
+                  "max_iters, isotropic, max_cal_points, out; "
                   + _SOLVER_KEYS),
     "report": (cmd_report, "Summarize a calibration result directory",
                "config keys: results, out"),

@@ -47,10 +47,6 @@ class RefinementRequiredError(MonocalError):
     """The requested mesh resolution cannot represent the geometry."""
 
 
-class UnreachableSurfaceError(MonocalError):
-    """No surface path exists between two boundary node sets."""
-
-
 class DegenerateConfigurationError(MonocalError):
     """Input points are collinear or otherwise do not pin down a transform."""
 

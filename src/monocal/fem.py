@@ -27,10 +27,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return len(self.weights)
-
 
 def gauss2() -> QuadratureRule:
     """Tensor-product 2x2x2 Gauss rule, exact through degree 3 per axis."""
@@ -54,12 +50,12 @@ class ElementGeometry:
     shapes: np.ndarray
 
 
-def precompute_geometry(mesh: Mesh, rule: QuadratureRule | None = None) -> ElementGeometry:
-    """Evaluate Jacobians and physical gradients at the quadrature points.
+def precompute_geometry(mesh: Mesh) -> ElementGeometry:
+    """Evaluate Jacobians and physical gradients at the 2x2x2 Gauss points.
 
     Raises AssemblyError naming the first inverted element, if any.
     """
-    rule = rule or gauss2()
+    rule = gauss2()
     corner_coords = mesh.nodes[mesh.elems]
     jac = _hex.jacobians(corner_coords, rule.points)
     det = np.linalg.det(jac)
@@ -122,19 +118,13 @@ def mass_blocks(geo: ElementGeometry) -> np.ndarray:
     return np.einsum("eq,qi,qj->eij", geo.wdet, N, N, optimize=True)
 
 
-def assemble_mass(mesh: Mesh, lumped: bool = False,
-                  geo: ElementGeometry | None = None) -> csr_matrix:
-    """Mass matrix; row-sum lumped to a diagonal when lumped=True."""
-    geo = geo or precompute_geometry(mesh)
-    blocks = mass_blocks(geo)
-    plan = AssemblyPlan(mesh)
-    M = plan.assemble(blocks)
-    if not lumped:
-        return M
-    diag = np.asarray(M.sum(axis=1)).ravel()
-    n = mesh.n_nodes
-    return csr_matrix((diag, np.arange(n, dtype=np.int32),
-                       np.arange(n + 1, dtype=np.int32)), shape=(n, n))
+def assemble_mass(mesh: Mesh) -> csr_matrix:
+    """Consistent mass matrix.
+
+    The stepper uses only its row sums (lumped_mass_vector); the full
+    matrix is the reference those row sums are checked against.
+    """
+    return AssemblyPlan(mesh).assemble(mass_blocks(precompute_geometry(mesh)))
 
 
 def lumped_mass_vector(mesh: Mesh, geo: ElementGeometry | None = None) -> np.ndarray:
@@ -157,10 +147,8 @@ def stiffness_blocks(geo: ElementGeometry, tensors: np.ndarray) -> np.ndarray:
                      geo.grads, optimize=True)
 
 
-def assemble_stiffness(mesh: Mesh, tensors: np.ndarray,
-                       geo: ElementGeometry | None = None) -> csr_matrix:
+def assemble_stiffness(mesh: Mesh, tensors: np.ndarray) -> csr_matrix:
     """Stiffness matrix int (D grad phi_j) . grad phi_i with D per element."""
-    geo = geo or precompute_geometry(mesh)
     tensors = np.asarray(tensors, dtype=float)
     if tensors.shape == (3, 3):
         tensors = np.broadcast_to(tensors, (len(mesh.elems), 3, 3))
@@ -168,7 +156,7 @@ def assemble_stiffness(mesh: Mesh, tensors: np.ndarray,
         raise InvalidArgumentError(
             f"tensors must have shape (n_elems, 3, 3), got {tensors.shape}")
     plan = AssemblyPlan(mesh)
-    return plan.assemble(stiffness_blocks(geo, tensors))
+    return plan.assemble(stiffness_blocks(precompute_geometry(mesh), tensors))
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from . import _hex, fem
@@ -84,22 +85,18 @@ class FiberField:
                    singular=np.zeros(n_nodes, dtype=bool))
 
 
-def solve_laplace(mesh: Mesh, fixed_ids: np.ndarray, fixed_values: np.ndarray,
-                  geo: fem.ElementGeometry | None = None) -> np.ndarray:
-    """Harmonic interpolation of boundary data over the mesh."""
-    K = fem.assemble_stiffness(mesh, np.eye(3), geo=geo)
-    return fem.solve_dirichlet(K, np.zeros(mesh.n_nodes), fixed_ids, fixed_values)
+def solve_transmural(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
+    """Wall-depth coordinate: 1 on the endocardium, 0 on the epicardium.
 
-
-def solve_transmural(mesh: Mesh, geo: fem.ElementGeometry | None = None) -> np.ndarray:
-    """Wall-depth coordinate: 1 on the endocardium, 0 on the epicardium."""
+    laplace is the unit-conductivity stiffness matrix of the mesh.
+    """
     endo = mesh.boundary_node_ids(SurfaceTag.ENDO)
     epi = mesh.boundary_node_ids(SurfaceTag.EPI)
     if endo.size == 0 or epi.size == 0:
         raise InvalidArgumentError("mesh lacks tagged ENDO/EPI surfaces")
     ids = np.concatenate([endo, epi])
     vals = np.concatenate([np.ones(endo.size), np.zeros(epi.size)])
-    return solve_laplace(mesh, ids, vals, geo=geo)
+    return fem.solve_dirichlet(laplace, np.zeros(mesh.n_nodes), ids, vals)
 
 
 def apex_node_set(mesh: Mesh) -> np.ndarray:
@@ -111,11 +108,12 @@ def apex_node_set(mesh: Mesh) -> np.ndarray:
     return surf[d <= 1.5 * mesh.characteristic_size]
 
 
-def solve_apicobasal(mesh: Mesh, geo: fem.ElementGeometry | None = None) -> np.ndarray:
+def solve_apicobasal(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
     """Apex-to-base coordinate: 0 at the apex set, 1 on the base.
 
-    Slabs carry no BASE tag; the coordinate then falls back to the
-    normalized first axis x/Lx (documented slab convention).
+    laplace is the unit-conductivity stiffness matrix of the mesh. Slabs
+    carry no BASE tag; the coordinate then falls back to the normalized
+    first axis x/Lx (documented slab convention).
     """
     base = mesh.boundary_node_ids(SurfaceTag.BASE)
     if base.size == 0:
@@ -127,7 +125,7 @@ def solve_apicobasal(mesh: Mesh, geo: fem.ElementGeometry | None = None) -> np.n
     apex = np.setdiff1d(apex_node_set(mesh), base)
     ids = np.concatenate([apex, base])
     vals = np.concatenate([np.zeros(apex.size), np.ones(base.size)])
-    return solve_laplace(mesh, ids, vals, geo=geo)
+    return fem.solve_dirichlet(laplace, np.zeros(mesh.n_nodes), ids, vals)
 
 
 def nodal_gradient(mesh: Mesh, field: np.ndarray) -> np.ndarray:
@@ -153,9 +151,7 @@ def nodal_gradient(mesh: Mesh, field: np.ndarray) -> np.ndarray:
     return out / wsum[:, None]
 
 
-def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None,
-                    phi: np.ndarray | None = None,
-                    psi: np.ndarray | None = None) -> FiberField:
+def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField:
     """Build the orthonormal fiber frame at every node.
 
     Nodes where the frame degenerates (vanishing transmural gradient, or
@@ -163,11 +159,9 @@ def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None,
     flagged singular and inherit the frame of the nearest regular node.
     """
     angles = angles or FiberAngles()
-    geo = fem.precompute_geometry(mesh)
-    if phi is None:
-        phi = solve_transmural(mesh, geo=geo)
-    if psi is None:
-        psi = solve_apicobasal(mesh, geo=geo)
+    laplace = fem.assemble_stiffness(mesh, np.eye(3))
+    phi = solve_transmural(mesh, laplace)
+    psi = solve_apicobasal(mesh, laplace)
 
     g_t = nodal_gradient(mesh, phi)
     g_l = nodal_gradient(mesh, psi)

@@ -13,15 +13,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from . import _hex
-from .errors import (
-    InvalidArgumentError,
-    RefinementRequiredError,
-    UnreachableSurfaceError,
-)
+from .errors import InvalidArgumentError, RefinementRequiredError
 
 
 class SurfaceTag(IntEnum):
@@ -377,38 +371,3 @@ def build_lv_mesh(endo_axes, epi_axes, truncation_height: float, h: float) -> Me
                           "n_layers": n_layers, "square_frac": square_frac})
     mesh.validate()
     return mesh
-
-
-def surface_geodesic_distance(mesh: Mesh, source_ids, target_ids) -> float:
-    """Shortest on-surface distance between two sets of boundary nodes.
-
-    The path graph uses the boundary quads' edges plus both diagonals of
-    each quad, weighted by Euclidean length. Raises UnreachableSurfaceError
-    when no path exists.
-    """
-    source = np.unique(np.asarray(source_ids, dtype=int))
-    target = np.unique(np.asarray(target_ids, dtype=int))
-    if source.size == 0 or target.size == 0:
-        raise InvalidArgumentError("geodesic queries need non-empty node sets")
-    surf = mesh.boundary_node_ids()
-    for name, ids in (("source", source), ("target", target)):
-        missing = np.setdiff1d(ids, surf)
-        if missing.size:
-            raise InvalidArgumentError(
-                f"{name} nodes {missing.tolist()} are not boundary nodes")
-
-    quads = mesh.boundary_faces
-    pairs = np.concatenate([
-        quads[:, [0, 1]], quads[:, [1, 2]], quads[:, [2, 3]], quads[:, [3, 0]],
-        quads[:, [0, 2]], quads[:, [1, 3]],
-    ])
-    weights = np.linalg.norm(mesh.nodes[pairs[:, 0]] - mesh.nodes[pairs[:, 1]], axis=1)
-    n = mesh.n_nodes
-    graph = coo_matrix((weights, (pairs[:, 0], pairs[:, 1])), shape=(n, n)).tocsr()
-
-    dist = dijkstra(graph, directed=False, indices=source, min_only=True)
-    best = float(np.min(dist[target]))
-    if not np.isfinite(best):
-        raise UnreachableSurfaceError(
-            "no surface path connects the two node sets")
-    return best

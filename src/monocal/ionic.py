@@ -5,18 +5,14 @@ plateau, overshooting toward v_overshoot during the upstroke. All currents
 are returned as potential rates in 1/ms; the monodomain solver multiplies
 by chi * C_m where a physical current density is needed.
 
-Two algebraic variants of the outward current are supported. The default
-("standard") form vanishes at rest and uses a smooth tanh crossover of the
-plateau time constant. The "legacy" form reproduces a commonly circulated
-transcription with a hard switch; it carries a constant outward leak at
-rest and is kept only for comparison studies.
+The outward current vanishes at rest and uses a smooth tanh crossover of
+the plateau time constant (Bueno-Orovio, Cherry & Fenton, J. Theor. Biol.
+253 (2008) 544).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -68,19 +64,13 @@ class IonicParams:
     tau_out_plateau_fast: float = 0.2
     k_plateau: float = 2.0458          # steepness of the plateau tanh crossover
     u_plateau: float = 0.65            # centre of the plateau tanh crossover
-    form: str = "standard"             # "standard" or "legacy" outward current
     gating: GatingParams = field(default_factory=GatingParams)
-
-    def __post_init__(self):
-        if self.form not in ("standard", "legacy"):
-            raise InvalidArgumentError(f"unknown ionic form {self.form!r}")
 
     def manifest(self) -> dict:
         """All adopted constants as a flat, unit-annotated dictionary."""
-        out = {"form": self.form, "units": {"time": "ms", "potential": "dimensionless"}}
+        out = {"units": {"time": "ms", "potential": "dimensionless"}}
         d = asdict(self)
         gating = d.pop("gating")
-        d.pop("form")
         out["currents"] = d
         out["gating"] = gating
         return out
@@ -127,14 +117,8 @@ def ionic_currents(u, w, p: IonicParams | None = None):
     h_slow = _heav(u - p.v_slow_threshold)
 
     i_fast = -h_fast * (u - p.v_fast_threshold) * (p.v_overshoot - u) * w1 / p.tau_fast
-    if p.form == "standard":
-        i_out = (u * (1.0 - h_slow) / _tau_out_rest(u, p)
-                 + h_slow / _tau_out_plateau(u, p))
-    else:
-        tau2 = p.tau_out_plateau_slow + h_slow * (
-            p.tau_out_plateau_fast - p.tau_out_plateau_slow)
-        i_out = ((1.0 - h_slow * (u - p.v_open_threshold)) / _tau_out_rest(u, p)
-                 + h_slow / tau2)
+    i_out = (u * (1.0 - h_slow) / _tau_out_rest(u, p)
+             + h_slow / _tau_out_plateau(u, p))
     i_slow = -h_slow * w2 * w3 / p.tau_slow_inward
     return i_fast, i_out, i_slow
 
@@ -177,7 +161,7 @@ def reaction_coefficients(u, w_next, p: IonicParams | None = None):
 
     Evaluated at the known potential u (previous step) and the freshly
     updated gates. The fast current's (u - threshold) factor and the
-    standard outward current's linear-in-u rest branch are the implicit
+    outward current's linear-in-u rest branch are the implicit
     parts; everything else lands in beta.
     """
     p = p or IonicParams()
@@ -192,15 +176,8 @@ def reaction_coefficients(u, w_next, p: IonicParams | None = None):
     alpha = -fast_gain
     beta = p.v_fast_threshold * fast_gain
 
-    if p.form == "standard":
-        alpha = alpha + (1.0 - h_slow) / _tau_out_rest(u, p)
-        beta = beta + h_slow / _tau_out_plateau(u, p)
-    else:
-        tau2 = p.tau_out_plateau_slow + h_slow * (
-            p.tau_out_plateau_fast - p.tau_out_plateau_slow)
-        alpha = alpha - h_slow / _tau_out_rest(u, p)
-        beta = beta + (1.0 + h_slow * p.v_open_threshold) / _tau_out_rest(u, p) \
-            + h_slow / tau2
+    alpha = alpha + (1.0 - h_slow) / _tau_out_rest(u, p)
+    beta = beta + h_slow / _tau_out_plateau(u, p)
     beta = beta - h_slow * w2 * w3 / p.tau_slow_inward
     return alpha, beta
 
@@ -265,13 +242,3 @@ def run_single_cell(p: IonicParams | None = None, dt: float = 0.025,
         u = (u / dt - beta + rate) / (1.0 / dt + alpha)
         ts[n + 1], us[n + 1], ws[n + 1] = t_next, u, w
     return CellTrace(t=ts, u=us, w=ws)
-
-
-def write_cell_trace(path, trace: CellTrace) -> None:
-    """Write a single-cell trace as CSV with header t_ms,u,w1,w2,w3."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ms", "u", "w1", "w2", "w3"])
-        for t, u, w in zip(trace.t, trace.u, trace.w):
-            writer.writerow([f"{t:.9g}", f"{u:.9g}", f"{w[0]:.9g}",
-                             f"{w[1]:.9g}", f"{w[2]:.9g}"])

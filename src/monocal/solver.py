@@ -211,13 +211,6 @@ class _StimulusSets:
         return out
 
 
-def apply_stimulus(t: float, plan: StimulusPlan, params: SolverParams,
-                   mesh: Mesh) -> np.ndarray:
-    """Nodal applied-current vector at time t (convenience wrapper that
-    rebuilds the membership sets; the stepper caches them)."""
-    return _StimulusSets(mesh, plan, params).current(t)
-
-
 @dataclass
 class SimulationOutput:
     """Activation map plus bookkeeping from one monodomain run."""
@@ -244,11 +237,10 @@ class MonodomainSolver:
     """Owns the assembled operators and advances the coupled system."""
 
     def __init__(self, mesh: Mesh, fiber_field: FiberField | None,
-                 params: SolverParams,
-                 ionic_params: ionic.IonicParams | None = None):
+                 params: SolverParams):
         self.mesh = mesh
         self.params = params
-        self.ionic_params = ionic_params or ionic.IonicParams()
+        self.ionic_params = ionic.IonicParams()
         if fiber_field is None:
             fiber_field = FiberField.uniform(mesh.n_nodes)
         self.fiber_field = fiber_field

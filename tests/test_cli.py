@@ -16,6 +16,7 @@ from monocal import cli
 from monocal import vtkio
 from monocal.calibration import TRACE_HEADER
 from monocal.fibers import FiberAngles, generate_fibers
+from monocal.geometry import build_slab_mesh
 from monocal.solver import SolverParams
 from monocal.twin import TRUE_SIGMA
 
@@ -143,6 +144,35 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "bogus" in message
     assert "allowed:" in message
+
+    # a key that was once accepted and is now a module constant
+    config.write_text(json.dumps({"stagnation_rel": 1e-3}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["calibrate", "--config", str(config)])
+    assert err.value.code == 1
+    assert "stagnation_rel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,named", [
+    ("gen-mesh", {"h": "abc"}, "'h'"),
+    ("simulate", {"solver": {"dt": "fast"}}, "solver"),
+    ("simulate", {"snapshot_times": 5}, "'snapshot_times'"),
+], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times"])
+def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
+                                           named):
+    if command == "simulate":
+        mesh_path = tmp_path / "mesh.vtk"
+        vtkio.write_mesh(mesh_path, build_slab_mesh((0.1, 0.1, 0.1), 0.05))
+        config = {"mesh": str(mesh_path), "stimulus_points": [[0.0, 0.0, 0.0]],
+                  "stimulus_onsets": [0.0], **config}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--config", str(path)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert named in message
 
 
 def test_missing_required_key_is_reported(tmp_path, capsys):

@@ -1,15 +1,12 @@
-"""Mesh generation, structural audit and surface geodesics."""
+"""Mesh generation and structural audit."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from monocal import geometry
-from monocal.errors import (InvalidArgumentError, RefinementRequiredError,
-                            UnreachableSurfaceError)
-from monocal.geometry import (Mesh, SurfaceTag, build_lv_mesh,
-                              build_slab_mesh, surface_geodesic_distance)
+from monocal.errors import InvalidArgumentError, RefinementRequiredError
+from monocal.geometry import Mesh, SurfaceTag, build_lv_mesh, build_slab_mesh
 
 
 class TestBuildSlabMesh:
@@ -142,66 +139,3 @@ class TestContentHash:
                      boundary_tags=small_slab.boundary_tags,
                      characteristic_size=small_slab.characteristic_size)
         assert moved.content_hash() != small_slab.content_hash()
-
-
-class TestSurfaceGeodesic:
-    def test_same_node_is_zero(self, unit_cube):
-        assert surface_geodesic_distance(unit_cube, [0], [0]) == 0.0
-
-    def test_straight_edge_path(self):
-        mesh = build_slab_mesh((0.5, 0.1, 0.1), 0.1)
-        start = int(np.nonzero(np.all(mesh.nodes == 0.0, axis=1))[0][0])
-        end = int(np.nonzero(np.all(
-            mesh.nodes == (0.5, 0.0, 0.0), axis=1))[0][0])
-        d = surface_geodesic_distance(mesh, [start], [end])
-        assert np.isclose(d, 0.5, rtol=1e-12)
-
-    def test_face_diagonal_is_direct(self, unit_cube):
-        a = int(np.nonzero(np.all(unit_cube.nodes == 0.0, axis=1))[0][0])
-        b = int(np.nonzero(np.all(
-            unit_cube.nodes == (1.0, 1.0, 0.0), axis=1))[0][0])
-        d = surface_geodesic_distance(unit_cube, [a], [b])
-        assert np.isclose(d, np.sqrt(2.0), rtol=1e-12)
-
-    def test_symmetry_and_euclidean_lower_bound(self):
-        mesh = build_slab_mesh((0.4, 0.2, 0.1), 0.05)
-        rng = np.random.default_rng(3)
-        boundary = mesh.boundary_node_ids()
-        for a, b in rng.choice(boundary, size=(10, 2)):
-            forward = surface_geodesic_distance(mesh, [int(a)], [int(b)])
-            backward = surface_geodesic_distance(mesh, [int(b)], [int(a)])
-            assert np.isclose(forward, backward, rtol=1e-12)
-            euclid = np.linalg.norm(mesh.nodes[a] - mesh.nodes[b])
-            assert forward >= euclid - 1e-12
-
-    def test_triangle_inequality(self):
-        mesh = build_slab_mesh((0.4, 0.2, 0.1), 0.05)
-        boundary = mesh.boundary_node_ids()
-        rng = np.random.default_rng(5)
-        for a, b, c in rng.choice(boundary, size=(10, 3)):
-            ab = surface_geodesic_distance(mesh, [int(a)], [int(b)])
-            bc = surface_geodesic_distance(mesh, [int(b)], [int(c)])
-            ac = surface_geodesic_distance(mesh, [int(a)], [int(c)])
-            assert ac <= ab + bc + 1e-12
-
-    def test_interior_node_is_rejected(self):
-        mesh = build_slab_mesh((0.2, 0.2, 0.2), 0.1)
-        interior = 13  # center node of the 3 x 3 x 3 lattice
-        assert interior not in mesh.boundary_node_ids()
-        with pytest.raises(InvalidArgumentError):
-            surface_geodesic_distance(mesh, [interior], [0])
-
-    def test_empty_set_is_rejected(self, unit_cube):
-        with pytest.raises(InvalidArgumentError):
-            surface_geodesic_distance(unit_cube, [], [0])
-
-    def test_disconnected_shells_are_unreachable(self, unit_cube):
-        nodes = np.vstack([unit_cube.nodes, unit_cube.nodes + (5.0, 0.0, 0.0)])
-        elems = np.vstack([unit_cube.elems, unit_cube.elems + 8])
-        faces = geometry._extract_boundary(elems)
-        mesh = Mesh(nodes=nodes, elems=elems, boundary_faces=faces,
-                    boundary_tags=np.zeros(len(faces), dtype=int),
-                    characteristic_size=1.0)
-        mesh.validate()
-        with pytest.raises(UnreachableSurfaceError):
-            surface_geodesic_distance(mesh, [0], [8])

@@ -8,7 +8,7 @@ import pytest
 from monocal.errors import InvalidArgumentError
 from monocal.ionic import (CellTrace, GatingParams, IonicParams, gating_rhs,
                            ionic_currents, reaction_coefficients, rest_state,
-                           run_single_cell, step_gating, write_cell_trace)
+                           run_single_cell, step_gating)
 
 S_INF_AT_REST = 0.5 * (1.0 + np.tanh(2.0994 * (0.0 - 0.9087)))
 
@@ -45,14 +45,6 @@ class TestCurrents:
             for a, b in zip(vec, one):
                 assert np.isclose(a[i], b, rtol=1e-14)
 
-    def test_legacy_form_keeps_rest_leak(self):
-        p = IonicParams(form="legacy")
-        _, i_out, _ = ionic_currents(0.0, np.array([1.0, 1.0, 0.0]), p)
-        assert np.isclose(i_out, 1.0 / 6.0, rtol=1e-14)
-
-    def test_unknown_form_is_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="form"):
-            IonicParams(form="bogus")
 
 
 class TestReactionSplit:
@@ -150,19 +142,11 @@ class TestCellTrace:
         trace = CellTrace(t=t, u=t.copy(), w=np.zeros((len(t), 3)))
         assert np.isclose(trace.activation_time(), 0.025, atol=1e-12)
 
-    def test_write_trace_header_and_rows(self, tmp_path):
-        trace = run_single_cell(stim_rate=1.0, stim_duration=1.0, t_end=2.0)
-        path = tmp_path / "trace.csv"
-        write_cell_trace(path, trace)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_ms,u,w1,w2,w3"
-        assert len(lines) == len(trace.t) + 1
 
 
 class TestManifest:
     def test_manifest_names_the_form_and_units(self):
         manifest = IonicParams().manifest()
-        assert manifest["form"] == "standard"
         assert "units" in manifest
         assert "currents" in manifest
         assert "gating" in manifest

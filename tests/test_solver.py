@@ -11,7 +11,7 @@ from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
 from monocal.ionic import run_single_cell
 from monocal.solver import (SimulationOutput, SolverParams, StimulusPlan,
-                            apply_stimulus, build_conductivity_tensors,
+                            _StimulusSets, build_conductivity_tensors,
                             measure_planar_cv, simulate)
 
 # face-stimulus launcher that reliably ignites planar waves at the
@@ -72,17 +72,16 @@ class TestApplyStimulus:
     def test_silent_before_onset_and_after_offset(self, small_slab):
         params = SolverParams()
         plan = StimulusPlan.single((0.0, 0.0, 0.0), onset=10.0)
-        assert np.all(apply_stimulus(9.99, plan, params, small_slab) == 0.0)
-        active = apply_stimulus(10.0, plan, params, small_slab)
-        assert active.max() == params.stimulus_amplitude
-        after = apply_stimulus(10.0 + params.stimulus_duration + 1e-9,
-                               plan, params, small_slab)
+        stim = _StimulusSets(small_slab, plan, params)
+        assert np.all(stim.current(9.99) == 0.0)
+        assert stim.current(10.0).max() == params.stimulus_amplitude
+        after = stim.current(10.0 + params.stimulus_duration + 1e-9)
         assert np.all(after == 0.0)
 
     def test_ball_membership(self, small_slab):
         params = SolverParams(stimulus_radius=0.06)
         plan = StimulusPlan.single((0.0, 0.0, 0.0))
-        rate = apply_stimulus(0.0, plan, params, small_slab)
+        rate = _StimulusSets(small_slab, plan, params).current(0.0)
         dist = np.linalg.norm(small_slab.nodes, axis=1)
         assert np.all(rate[dist <= 0.06] == params.stimulus_amplitude)
         assert np.all(rate[dist > 0.06] == 0.0)
@@ -90,13 +89,13 @@ class TestApplyStimulus:
     def test_subgrid_radius_hits_only_the_nearest_node(self, small_slab):
         params = SolverParams(stimulus_radius=0.01)
         plan = StimulusPlan.single((0.05, 0.05, 0.0))
-        rate = apply_stimulus(0.0, plan, params, small_slab)
+        rate = _StimulusSets(small_slab, plan, params).current(0.0)
         assert np.count_nonzero(rate) == 1
 
     def test_distant_stimulus_point_warns(self, small_slab):
         plan = StimulusPlan.single((5.0, 5.0, 5.0))
         with pytest.warns(UserWarning, match="stimulus point"):
-            apply_stimulus(0.0, plan, SolverParams(), small_slab)
+            _StimulusSets(small_slab, plan, SolverParams())
 
 
 class TestSimulate:
