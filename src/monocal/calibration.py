@@ -108,13 +108,20 @@ class IterationRecord:
 
 @dataclass
 class CalibrationResult:
+    """The estimate and the activation times simulated at it.
+
+    calibration_computed and validation_computed follow the order of
+    calibration_samples and of the validation samples given; the latter
+    is empty, and validation None, when there were none.
+    """
+
     sigma_hat: np.ndarray
     iterations: list[IterationRecord]
     converged: bool
     validation: act.ErrorReport | None
-    validation_computed: np.ndarray | None = None
-    calibration_computed: np.ndarray | None = None
-    calibration_samples: list[act.ActivationSample] | None = None
+    validation_computed: np.ndarray
+    calibration_computed: np.ndarray
+    calibration_samples: list[act.ActivationSample]
 
 
 def mean_signed_error(computed, measured) -> tuple[float, float]:
@@ -166,9 +173,14 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
     Stops when the mean per-point signed error falls below tol_ms and
     every calibration point activated (converged), or on misfit
     stagnation / iteration budget (converged False, best-misfit iterate
-    kept; an iterate with unactivated points has infinite misfit). A
-    final simulation at the estimate produces the validation report when
-    val_samples are given.
+    kept; an iterate with unactivated points has infinite misfit).
+
+    Every iteration reads the calibration and validation times from the
+    same simulation, so the estimate needs no run of its own: its times
+    are those stored for the last iterate when converged, otherwise for
+    the first iterate of lowest misfit. calibration_computed is always
+    set; the validation report is computed from the estimate's times
+    alone when val_samples are given.
     """
     config = config or CalibrationConfig()
     if not cal_samples:
@@ -176,11 +188,15 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
     cal_samples = sorted(cal_samples, key=lambda s: (s.tau, s.order))
     if config.max_cal_points is not None:
         cal_samples = cal_samples[:config.max_cal_points]
-    cal_points = np.array([s.location for s in cal_samples])
     cal_taus = np.array([s.tau for s in cal_samples])
+    val_samples = val_samples or []
+    # one lookup per iteration gives both groups' times
+    points = np.array([s.location for s in cal_samples + val_samples])
+    n_cal = len(cal_samples)
 
     sigma = config.start_sigma()
     records: list[IterationRecord] = []
+    times: list[np.ndarray] = []
     converged = False
 
     for it in range(config.max_iters):
@@ -191,7 +207,8 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
             logger.error("simulation failed at iteration %d, sigma=%s",
                          it, sigma)
             raise
-        computed = act.extract_activation_at(output, cal_points)
+        times.append(act.extract_activation_at(output, points))
+        computed = times[-1][:n_cal]
         e_sum, e_mean = mean_signed_error(computed, cal_taus)
         misfit = act.misfit(computed, cal_taus)
         report = act.error_stats(computed, cal_taus)
@@ -219,25 +236,19 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
         record.clamped = clamped
 
     if converged:
-        sigma_hat = records[-1].sigma
+        best = len(records) - 1
     else:
-        sigma_hat = min(records, key=lambda r: r.misfit_ms2).sigma
-
+        best = min(range(len(records)), key=lambda i: records[i].misfit_ms2)
+    val_computed = times[best][n_cal:]
     validation = None
-    val_computed = None
-    cal_computed = None
     if val_samples:
-        params = replace(config.solver, sigma=tuple(sigma_hat))
-        output = slv.simulate(mesh, fiber_field, params, stim_plan)
-        val_points = np.array([s.location for s in val_samples])
-        val_computed = act.extract_activation_at(output, val_points)
-        cal_computed = act.extract_activation_at(output, cal_points)
         validation = act.error_stats(val_computed,
                                      [s.tau for s in val_samples])
-    return CalibrationResult(sigma_hat=sigma_hat, iterations=records,
-                             converged=converged, validation=validation,
+    return CalibrationResult(sigma_hat=records[best].sigma,
+                             iterations=records, converged=converged,
+                             validation=validation,
                              validation_computed=val_computed,
-                             calibration_computed=cal_computed,
+                             calibration_computed=times[best][:n_cal],
                              calibration_samples=cal_samples)
 
 

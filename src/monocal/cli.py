@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InvalidArgumentError, MonocalError
@@ -118,38 +119,47 @@ def _merge_flags(config: dict, args: argparse.Namespace, keys) -> dict:
     return merged
 
 
-def _solver_params(config: dict):
-    from . import solver as slv
-
-    fields = {f for f in slv.SolverParams.__dataclass_fields__}
-    raw = dict(config.get("solver") or {})
-    unknown = sorted(set(raw) - fields)
+def _check_keys(spec: dict, cls, what: str) -> None:
+    """Reject keys of a nested config dict that cls has no field for."""
+    fields = set(cls.__dataclass_fields__)
+    unknown = sorted(set(spec) - fields)
     if unknown:
         raise InvalidArgumentError(
-            f"unknown solver key(s): {', '.join(unknown)}; "
+            f"unknown {what} key(s): {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(fields))}")
-    raw.setdefault("t_end", 150.0)
-    raw.setdefault("stop_when_activated", True)
+
+
+@contextmanager
+def _reported_as_invalid(what: str):
+    """Turn a TypeError/ValueError from a mistyped value into an
+    InvalidArgumentError naming what was being built."""
     try:
-        if "sigma" in raw:
-            raw["sigma"] = tuple(raw["sigma"])
-        return slv.SolverParams(**raw)
+        yield
     except InvalidArgumentError:
         raise
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"invalid solver parameters: {exc}") from exc
+        raise InvalidArgumentError(f"invalid {what}: {exc}") from exc
+
+
+def _solver_params(config: dict):
+    from . import solver as slv
+
+    raw = dict(config.get("solver") or {})
+    _check_keys(raw, slv.SolverParams, "solver")
+    raw.setdefault("t_end", 150.0)
+    raw.setdefault("stop_when_activated", True)
+    with _reported_as_invalid("solver parameters"):
+        if "sigma" in raw:
+            raw["sigma"] = tuple(raw["sigma"])
+        return slv.SolverParams(**raw)
 
 
 def _fiber_angles(spec: dict):
     from .fibers import FiberAngles
 
-    fields = {f for f in FiberAngles.__dataclass_fields__}
-    unknown = sorted(set(spec) - fields)
-    if unknown:
-        raise InvalidArgumentError(
-            f"unknown fiber_angles key(s): {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(fields))}")
-    return FiberAngles(**spec)
+    _check_keys(spec, FiberAngles, "fiber_angles")
+    with _reported_as_invalid("fiber_angles"):
+        return FiberAngles(**spec)
 
 
 def _load_fiber_field(config: dict, mesh):
@@ -357,18 +367,20 @@ def cmd_simulate(args, tracker: _OutputTracker) -> None:
 def _calibration_config(config: dict):
     from . import calibration as cal
 
-    box = cal.ConductivityBox(**{k: tuple(v) for k, v in
-                                 dict(config.get("box") or {}).items()})
+    spec = dict(config.get("box") or {})
+    _check_keys(spec, cal.ConductivityBox, "box")
+    with _reported_as_invalid("box"):
+        box = cal.ConductivityBox(**{k: tuple(v) for k, v in spec.items()})
     kwargs = {}
     for key in ("tol_ms", "max_iters", "isotropic", "max_cal_points"):
         if config.get(key) is not None:
             kwargs[key] = config[key]
-    if config.get("initial_sigma") is not None:
-        kwargs["initial_sigma"] = tuple(config["initial_sigma"])
-    if config.get("beta") is not None:
-        kwargs["beta"] = tuple(config["beta"])
-    return cal.CalibrationConfig(solver=_solver_params(config), box=box,
-                                 **kwargs)
+    with _reported_as_invalid("calibration parameters"):
+        for key in ("initial_sigma", "beta"):
+            if config.get(key) is not None:
+                kwargs[key] = tuple(config[key])
+        return cal.CalibrationConfig(solver=_solver_params(config), box=box,
+                                     **kwargs)
 
 
 def cmd_calibrate(args, tracker: _OutputTracker) -> None:
@@ -431,10 +443,8 @@ def cmd_calibrate(args, tracker: _OutputTracker) -> None:
     with open(correlation_path, "w", newline="") as handle:
         writer = csv_mod.writer(handle)
         writer.writerow(("group", "tau_measured_ms", "tau_computed_ms"))
-        rows = []
-        if result.calibration_samples is not None:
-            rows += [("I", s.tau, c) for s, c in
-                     zip(result.calibration_samples, result.calibration_computed)]
+        rows = [("I", s.tau, c) for s, c in
+                zip(result.calibration_samples, result.calibration_computed)]
         rows += [("II", s.tau, c) for s, c in
                  zip(val_samples, result.validation_computed)]
         for group, tau, computed in rows:

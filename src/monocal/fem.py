@@ -170,18 +170,21 @@ class SolveReport:
 
 
 def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
-                rel_tol: float = 1e-10, max_iter: int = 2000) -> SolveReport:
+                rel_tol: float = 1e-10, max_iter: int = 2000,
+                diag: np.ndarray | None = None) -> SolveReport:
     """Jacobi-preconditioned conjugate gradients for an SPD system A x = b.
 
     The name is kept because perfbench/spans.py hooks this attribute.
-    Converged means the true residual ||b - A x|| <= rel_tol * ||b||,
-    recomputed from A when the recursive residual says so. Raises
-    InvalidArgumentError when A is not SPD, as shown by a non-positive
-    diagonal entry or a search direction with p^T A p <= 0, and
-    NonConvergenceError carrying the last iterate when max_iter
-    iterations do not suffice.
+    diag, when given, must be A's diagonal; a caller that has just
+    written it passes it to save its extraction. Converged means the
+    true residual ||b - A x|| <= rel_tol * ||b||, recomputed from A when
+    the recursive residual says so. Raises InvalidArgumentError when A is
+    not SPD, as shown by a non-positive diagonal entry or a search
+    direction with p^T A p <= 0, and NonConvergenceError carrying the
+    last iterate when max_iter iterations do not suffice.
     """
-    diag = A.diagonal()
+    if diag is None:
+        diag = A.diagonal()
     if not np.all(diag > 0.0):
         raise InvalidArgumentError("CG needs a positive diagonal (SPD matrix)")
     minv = 1.0 / diag

@@ -265,10 +265,11 @@ class MonodomainSolver:
 
     def _system(self, u, alpha, beta, stim_rate):
         """Write this step's reaction term into the matrix diagonal in
-        place and return the right-hand side of the implicit solve."""
-        self.matrix.data[self.plan.diag_slots] = \
-            self.base_diag + self.m_lump * alpha
-        return self.m_lump * (u / self.params.dt - beta + stim_rate)
+        place; return the right-hand side of the implicit solve and the
+        diagonal written, which the solve's preconditioner reuses."""
+        diag = self.base_diag + self.m_lump * alpha
+        self.matrix.data[self.plan.diag_slots] = diag
+        return self.m_lump * (u / self.params.dt - beta + stim_rate), diag
 
     def step(self, u: np.ndarray, w: np.ndarray, stim_rate: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, fem.SolveReport]:
@@ -280,9 +281,9 @@ class MonodomainSolver:
         p = self.params
         w_next = ionic.step_gating(u, w, p.dt, self.ionic_params)
         alpha, beta = ionic.reaction_coefficients(u, w_next, self.ionic_params)
-        rhs = self._system(u, alpha, beta, stim_rate)
+        rhs, diag = self._system(u, alpha, beta, stim_rate)
         report = fem.gmres_solve(self.matrix, rhs, x0=u,
-                                 rel_tol=LINEAR_REL_TOL)
+                                 rel_tol=LINEAR_REL_TOL, diag=diag)
         return report.x, w_next, report
 
     def simulate(self, stim_plan: StimulusPlan,

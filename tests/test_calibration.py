@@ -275,6 +275,86 @@ def test_calibrate_never_converges_with_unactivated_points(
         assert record.misfit_ms2 == np.inf
 
 
+@pytest.mark.parametrize("case", ["converged", "stagnated"])
+def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
+                                                   midpoint_taus, monkeypatch,
+                                                   case):
+    if case == "converged":
+        mid = cal.ConductivityBox().midpoint()
+        taus = bar_taus(bar, bar_plan,
+                        mid + np.array(cal.DEFAULT_BETA) * (-0.55))
+    else:
+        taus = midpoint_taus + 500.0
+    val = [ActivationSample(location=tuple(p), tau=float(t),
+                            site=Site.EPI_VEIN, group=Group.VAL_II, order=i)
+           for i, (p, t) in enumerate(zip(BAR_POINTS[[0, 2, 4]],
+                                          taus[[0, 2, 4]] + 1.0))]
+    simulated = []
+    original = cal.slv.simulate
+
+    def counted(mesh, fiber_field, params, plan):
+        simulated.append(params.sigma)
+        return original(mesh, fiber_field, params, plan)
+
+    monkeypatch.setattr(cal.slv, "simulate", counted)
+    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+                           bar_config(max_iters=8), val_samples=val)
+    monkeypatch.undo()
+    assert result.converged == (case == "converged")
+    assert len(result.iterations) >= 2
+    assert simulated == [tuple(r.sigma) for r in result.iterations]
+    # the stagnating search pins at the box lows from iteration 1 on; the
+    # first of those equal misfits is the estimate, not the last iterate
+    chosen = [r.sigma is result.sigma_hat for r in result.iterations]
+    assert chosen.index(True) == (len(chosen) - 1 if case == "converged"
+                                  else 1)
+
+    # oracle: a fresh run at the estimate
+    output = slv.simulate(bar, None, bar_params(result.sigma_hat), bar_plan)
+    np.testing.assert_array_equal(
+        result.calibration_computed,
+        act.extract_activation_at(
+            output, [s.location for s in result.calibration_samples]))
+    np.testing.assert_array_equal(
+        result.validation_computed,
+        act.extract_activation_at(output, [s.location for s in val]))
+    assert result.validation.n_used == 3
+
+
+def test_calibrate_tolerates_an_iterate_without_validation_times(
+        bar, bar_plan, monkeypatch):
+    # the first iterate misses every calibration time by 10 ms and leaves
+    # every validation point unactivated; the second matches exactly
+    taus = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    val_taus = np.array([15.0, 25.0])
+    times = [np.concatenate([taus + 10.0, [np.nan, np.nan]]),
+             np.concatenate([taus, val_taus + 1.0])]
+    outputs = iter(range(len(times)))
+    monkeypatch.setattr(cal.slv, "simulate",
+                        lambda *args, **kwargs: next(outputs))
+    monkeypatch.setattr(cal.act, "extract_activation_at",
+                        lambda output, points: times[output].copy())
+    val = [ActivationSample(location=tuple(BAR_POINTS[i]), tau=t,
+                            site=Site.EPI_VEIN, group=Group.VAL_II, order=i)
+           for i, t in enumerate(val_taus)]
+    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+                           bar_config(), val_samples=val)
+    assert result.converged
+    assert len(result.iterations) == 2
+    np.testing.assert_array_equal(result.calibration_computed, taus)
+    np.testing.assert_array_equal(result.validation_computed, val_taus + 1.0)
+    assert result.validation.n_not_activated == 0
+
+
+def test_calibrate_without_validation_samples_has_no_report(
+        bar, bar_plan, midpoint_taus):
+    result = cal.calibrate(bar, None, bar_plan, bar_samples(midpoint_taus),
+                           bar_config(tol_ms=1.0))
+    assert result.validation is None
+    assert result.validation_computed.shape == (0,)
+    np.testing.assert_array_equal(result.calibration_computed, midpoint_taus)
+
+
 def test_calibrate_truncates_to_earliest_activation_times(
         bar, bar_plan, midpoint_taus):
     samples = bar_samples(midpoint_taus)

@@ -157,13 +157,23 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("gen-mesh", {"h": "abc"}, "'h'"),
     ("simulate", {"solver": {"dt": "fast"}}, "solver"),
     ("simulate", {"snapshot_times": 5}, "'snapshot_times'"),
-], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times"])
+    ("simulate", {"fiber_angles": {"alpha_endo": "x"}}, "fiber_angles"),
+    ("calibrate", {"box": {"f": 5}}, "box"),
+    ("calibrate", {"box": {"f": ["a", 2]}}, "box"),
+    ("calibrate", {"box": {"x": [1, 2]}}, "allowed: f, n, s"),
+    ("calibrate", {"initial_sigma": ["a", 0.3, 0.06]}, "calibration"),
+], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times",
+        "simulate_fiber_angle", "calibrate_box_scalar",
+        "calibrate_box_string_bound", "calibrate_box_unknown_key",
+        "calibrate_initial_sigma"])
 def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
                                            named):
-    if command == "simulate":
+    if command != "gen-mesh":
         mesh_path = tmp_path / "mesh.vtk"
         vtkio.write_mesh(mesh_path, build_slab_mesh((0.1, 0.1, 0.1), 0.05))
-        config = {"mesh": str(mesh_path), "stimulus_points": [[0.0, 0.0, 0.0]],
+        config = {"mesh": str(mesh_path), **config}
+    if command == "simulate":
+        config = {"stimulus_points": [[0.0, 0.0, 0.0]],
                   "stimulus_onsets": [0.0], **config}
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))

@@ -181,6 +181,15 @@ class TestGmres:
             with pytest.raises(InvalidArgumentError, match="diagonal"):
                 gmres_solve(A, np.ones(2))
 
+    def test_supplied_diagonal_is_checked_and_used(self):
+        with pytest.raises(InvalidArgumentError, match="diagonal"):
+            gmres_solve(np.eye(2), np.ones(2), diag=np.array([1.0, -1.0]))
+        rng = np.random.default_rng(5)
+        A = _random_spd(rng, 30)
+        b = rng.normal(size=30)
+        given = gmres_solve(A, b, diag=np.diag(A).copy())
+        assert np.array_equal(given.x, gmres_solve(A, b).x)
+
     def test_indefinite_matrix_is_rejected(self):
         # positive diagonal, eigenvalues 3 and -1: the first search
         # direction (1, -1) has p^T A p = -2

@@ -3,7 +3,9 @@
 perfbench/spans.py wraps every call listed in TRACED_CALLS, and
 perfbench/worker.py also wraps build_lv_mesh in geometry and twin and
 times MonodomainSolver.step. A deleted or renamed target would otherwise
-surface only when `perfbench/run.py --trace 1` runs.
+surface only when `perfbench/run.py --trace 1` runs. The spans a traced
+calibration leaves must also count what calibrate does: one simulation
+per iteration.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -53,3 +56,42 @@ def test_worker_hooks_exist():
     assert callable(geometry.build_lv_mesh)
     assert twin.build_lv_mesh is geometry.build_lv_mesh
     assert callable(solver.MonodomainSolver.step)
+
+
+def test_traced_calibration_runs_one_simulation_per_iteration(spans):
+    from monocal import activation as act
+    from monocal import calibration as cal
+    from monocal import geometry
+    from monocal import solver as slv
+
+    mesh = geometry.build_slab_mesh((0.6, 0.1, 0.05), 0.05)
+    plan = slv.StimulusPlan(points=np.array([[0.0, 0.0, 0.0]]),
+                            onsets=np.array([0.0]))
+    params = slv.SolverParams(sigma=(1.0, 1.0, 1.0), dt=0.025, t_end=40.0,
+                              stop_when_activated=True, stimulus_radius=0.08,
+                              stimulus_amplitude=225000.0)
+    points = np.array([[0.2, 0.05, 0.05], [0.3, 0.0, 0.0], [0.4, 0.1, 0.05],
+                       [0.5, 0.05, 0.0], [0.55, 0.0, 0.05]])
+    # data 0.5 ms later than the start's own times: the search takes
+    # both of its iterations without converging
+    output = slv.simulate(mesh, None, params, plan)
+    taus = act.extract_activation_at(output, points) + 0.5
+    groups = [act.Group.CAL_I] * 3 + [act.Group.VAL_II] * 2
+    samples = [act.ActivationSample(location=tuple(p), tau=float(t),
+                                    site=act.Site.EPI_VEIN, group=group,
+                                    order=i)
+               for i, (p, t, group) in enumerate(zip(points, taus, groups))]
+    config = cal.CalibrationConfig(solver=params, beta=(9.0, 2.0, 1.0),
+                                   max_iters=2, tol_ms=0.01)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cal.calibrate(mesh, None, plan, samples[:3], config,
+                      val_samples=samples[3:])
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["calibration.iterations"] == 2
+    assert metrics["calibration.simulations"] == 2
+    assert metrics["calibration.useful_ratio"] == 1.0

@@ -10,9 +10,10 @@ from monocal.errors import (InsufficientDataError, InvalidArgumentError,
 from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
 from monocal.ionic import run_single_cell
-from monocal.solver import (SimulationOutput, SolverParams, StimulusPlan,
-                            _StimulusSets, build_conductivity_tensors,
-                            measure_planar_cv, simulate)
+from monocal.solver import (MonodomainSolver, SimulationOutput, SolverParams,
+                            StimulusPlan, _StimulusSets,
+                            build_conductivity_tensors, measure_planar_cv,
+                            simulate)
 
 # face-stimulus launcher that reliably ignites planar waves at the
 # resolutions used below: two node planes, twice the default strength
@@ -125,6 +126,14 @@ class TestSimulate:
         for t, u in out.snapshots.items():
             expected = trace.u[int(round(t / params.dt))]
             assert np.max(np.abs(u - expected)) <= 1e-10
+
+    def test_system_returns_the_diagonal_it_writes(self, small_slab):
+        solver = MonodomainSolver(small_slab, None, SolverParams())
+        n = small_slab.n_nodes
+        alpha = np.random.default_rng(3).uniform(0.0, 5.0, n)
+        _, diag = solver._system(np.zeros(n), alpha, np.zeros(n),
+                                 np.zeros(n))
+        assert np.array_equal(diag, solver.matrix.diagonal())
 
     def test_early_stop_does_not_change_activation_times(self):
         bar = build_slab_mesh((0.35, 0.07, 0.035), 0.035)
