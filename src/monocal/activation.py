@@ -144,21 +144,6 @@ class ErrorReport:
     n_used: int
     n_not_activated: int
 
-    def rows(self, group: str) -> list[tuple[str, str, float]]:
-        """Flat (group, metric, value) triples for CSV emission."""
-        out = [(group, "mean_rel", self.mean_rel),
-               (group, "mean_rel_pointwise", self.mean_rel_pointwise),
-               (group, "std_rel", self.std_rel),
-               (group, "std_rel_pointwise", self.std_rel_pointwise),
-               (group, "slope", self.slope),
-               (group, "r_squared", self.r_squared),
-               (group, "n_used", float(self.n_used)),
-               (group, "n_not_activated", float(self.n_not_activated))]
-        for name, value in zip(("min", "q1", "median", "q3", "max"),
-                               self.summary):
-            out.append((group, f"rel_{name}", value))
-        return out
-
 
 def error_stats(computed, measured) -> ErrorReport:
     """Error metrics of computed against measured activation times.

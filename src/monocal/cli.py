@@ -2,11 +2,14 @@
 
 One binary with subcommands covering the whole workflow: mesh and fiber
 generation, measurement registration, forward simulation, conductivity
-calibration, result reporting and synthetic fixture generation. Every
-subcommand reads an optional JSON config whose keys can be overridden by
-flags (flags win), rejects unknown config keys and values of the wrong
-type, and removes partially written outputs when it fails so reruns
-start clean.
+calibration, result reporting and synthetic fixture generation. Each
+subcommand is one `_COMMANDS` entry: handler, help line, config keys
+with their types, and the keys that are also flags (`--max-cal-points`
+sets `max_cal_points`, typed like the key). The parser, the `--help`
+epilog, the config check and the flag-over-config merge all derive from
+that table; handlers receive the merged config. A subcommand rejects
+unknown config keys and values of the wrong type, and removes partially
+written outputs when it fails so reruns start clean.
 
 Relative paths inside a config are resolved against the current working
 directory, which keeps bundled scenario configs usable from any checkout
@@ -18,8 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError, MonocalError
 
@@ -42,10 +46,8 @@ class _OutputTracker:
 
     def discard_all(self) -> None:
         for p in self.paths:
-            try:
+            with suppress(OSError):
                 p.unlink(missing_ok=True)
-            except OSError:
-                pass
 
 
 def _load_config(path: str | None, allowed: dict[str, type],
@@ -110,15 +112,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _merge_flags(config: dict, args: argparse.Namespace, keys) -> dict:
-    merged = dict(config)
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _check_keys(spec: dict, cls, what: str) -> None:
     """Reject keys of a nested config dict that cls has no field for."""
     fields = set(cls.__dataclass_fields__)
@@ -139,6 +132,15 @@ def _reported_as_invalid(what: str):
         raise
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"invalid {what}: {exc}") from exc
+
+
+def _numbers(config: dict, key: str, default=None):
+    """A list-valued config key as a float array (default when unset)."""
+    import numpy as np
+
+    value = config.get(key)
+    with _reported_as_invalid(f"config key '{key}'"):
+        return np.asarray(default if value is None else value, dtype=float)
 
 
 def _solver_params(config: dict):
@@ -194,85 +196,21 @@ def _read_mesh(config: dict, command: str):
     return vtkio.read_mesh(_existing_path(config, "mesh", command))
 
 
-def _register_pipeline(mesh, measurements_path, references_path):
-    """Shared register + project + group stage; returns samples and stats."""
-    import numpy as np
-
-    from . import registration as reg
-    from .geometry import SurfaceTag
-
-    cloud = reg.read_measurements(measurements_path)
-    source, target = reg.read_reference_pairs(references_path)
-    transform = reg.rigid_from_three_pairs(source, target)
-    moved = reg.RawCloud(points=transform.apply(cloud.points),
-                         taus=cloud.taus, sites=cloud.sites, order=cloud.order)
-    is_vein = np.array([s.value == "vein" for s in cloud.sites])
-    if not is_vein.any() or is_vein.all():
-        raise InvalidArgumentError(
-            "measurements must contain both septum and vein sites")
-    vein_cloud, vein_rep = reg.nns_project(moved.subset(is_vein), mesh,
-                                           int(SurfaceTag.EPI))
-    sept_cloud, sept_rep = reg.nns_project(moved.subset(~is_vein), mesh,
-                                           int(SurfaceTag.ENDO))
-    merged = reg.RawCloud(
-        points=np.vstack([sept_cloud.points, vein_cloud.points]),
-        taus=np.concatenate([sept_cloud.taus, vein_cloud.taus]),
-        sites=list(sept_cloud.sites) + list(vein_cloud.sites),
-        order=np.concatenate([sept_cloud.order, vein_cloud.order]))
-    samples = reg.build_samples(merged)
-    stats = {
-        "rotation": transform.rotation.tolist(),
-        "translation_cm": transform.translation.tolist(),
-        "landmark_rms_cm": float(np.sqrt(np.mean(
-            np.sum((transform.apply(source) - target) ** 2, axis=1)))),
-        "septum": {"max_displacement_cm": sept_rep.max,
-                   "mean_displacement_cm": sept_rep.mean},
-        "vein": {"max_displacement_cm": vein_rep.max,
-                 "mean_displacement_cm": vein_rep.mean},
-    }
-    return merged, samples, stats
-
-
-def _split_samples(samples):
-    from .activation import Group
-
-    inputs = [s for s in samples if s.group is Group.INPUT]
-    cal = [s for s in samples if s.group is Group.CAL_I]
-    val = [s for s in samples if s.group is Group.VAL_II]
-    if not inputs:
-        raise InvalidArgumentError("no septum sites to pace from")
-    return inputs, cal, val
-
-
-def _stimulus_plan(inputs):
-    import numpy as np
-
-    from . import solver as slv
-
-    return slv.StimulusPlan(
-        points=np.array([s.location for s in inputs]),
-        onsets=np.array([s.tau for s in inputs]))
-
-
-def cmd_gen_mesh(args, tracker: _OutputTracker) -> None:
+def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
     from . import vtkio
     from .geometry import build_lv_mesh, build_slab_mesh
 
-    allowed = {"kind": str, "h": float, "extents": list, "endo_axes": list,
-               "epi_axes": list, "truncation_height": float, "out": str}
-    config = _merge_flags(_load_config(args.config, allowed, "gen-mesh"),
-                          args, ("kind", "h", "out"))
     kind = config.get("kind", "slab")
-    h = float(_require(config, "h", "gen-mesh"))
-    if kind == "slab":
-        mesh = build_slab_mesh(config.get("extents", (1.0, 1.0, 0.5)), h)
-    elif kind == "ventricle":
-        mesh = build_lv_mesh(config.get("endo_axes", (0.45, 0.45, 1.05)),
-                             config.get("epi_axes", (0.6, 0.6, 1.2)),
-                             config.get("truncation_height", 0.3), h)
-    else:
+    if kind not in ("slab", "ventricle"):
         raise InvalidArgumentError(
             f"kind must be 'slab' or 'ventricle', got {kind!r}")
+    h = float(_require(config, "h", "gen-mesh"))
+    if kind == "slab":
+        mesh = build_slab_mesh(_numbers(config, "extents", (1.0, 1.0, 0.5)), h)
+    else:
+        mesh = build_lv_mesh(_numbers(config, "endo_axes", (0.45, 0.45, 1.05)),
+                             _numbers(config, "epi_axes", (0.6, 0.6, 1.2)),
+                             config.get("truncation_height", 0.3), h)
     out = _out_dir(config, "gen-mesh")
     mesh_path = out / "mesh.vtk"
     tracker.add(mesh_path, vtkio.surface_path(mesh_path))
@@ -280,22 +218,16 @@ def cmd_gen_mesh(args, tracker: _OutputTracker) -> None:
     print(f"wrote {mesh_path} ({mesh.n_nodes} nodes, {mesh.n_elems} cells)")
 
 
-def cmd_gen_fibers(args, tracker: _OutputTracker) -> None:
+def cmd_gen_fibers(config: dict, tracker: _OutputTracker) -> None:
     from . import vtkio
     from .fibers import generate_fibers
 
-    allowed = {"mesh": str, "alpha_endo": float, "alpha_epi": float,
-               "beta_endo": float, "beta_epi": float, "out": str}
-    config = _merge_flags(_load_config(args.config, allowed, "gen-fibers"),
-                          args, ("mesh", "alpha_endo", "alpha_epi",
-                                 "beta_endo", "beta_epi", "out"))
     mesh = _read_mesh(config, "gen-fibers")
     angles = _fiber_angles({k: float(config[k]) for k in
                             ("alpha_endo", "alpha_epi", "beta_endo", "beta_epi")
                             if config.get(k) is not None})
     field = generate_fibers(mesh, angles)
-    out = _out_dir(config, "gen-fibers")
-    path = out / "fibers.vtk"
+    path = _out_dir(config, "gen-fibers") / "fibers.vtk"
     tracker.add(path)
     vtkio.write_fields(path, mesh, {
         "fiber": field.f, "sheet": field.s, "normal": field.n,
@@ -303,14 +235,11 @@ def cmd_gen_fibers(args, tracker: _OutputTracker) -> None:
     print(f"wrote {path} ({int(field.singular.sum())} singular nodes)")
 
 
-def cmd_register(args, tracker: _OutputTracker) -> None:
+def cmd_register(config: dict, tracker: _OutputTracker) -> None:
     from . import registration as reg
 
-    allowed = {"mesh": str, "measurements": str, "references": str, "out": str}
-    config = _merge_flags(_load_config(args.config, allowed, "register"),
-                          args, ("mesh", "measurements", "references", "out"))
     mesh = _read_mesh(config, "register")
-    merged, samples, stats = _register_pipeline(
+    merged, samples, stats = reg.register(
         mesh, _existing_path(config, "measurements", "register"),
         _existing_path(config, "references", "register"))
     out = _out_dir(config, "register")
@@ -323,26 +252,18 @@ def cmd_register(args, tracker: _OutputTracker) -> None:
     print(f"wrote {csv_path} and {json_path}")
 
 
-def cmd_simulate(args, tracker: _OutputTracker) -> None:
-    import numpy as np
-
+def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
     from . import solver as slv
     from . import vtkio
 
-    allowed = {"mesh": str, "fibers": str, "fiber_angles": dict,
-               "solver": dict, "stimulus_points": list,
-               "stimulus_onsets": list, "snapshot_times": list, "out": str}
-    config = _merge_flags(_load_config(args.config, allowed, "simulate"),
-                          args, ("mesh", "fibers", "out"))
     mesh = _read_mesh(config, "simulate")
     fiber_field = _load_fiber_field(config, mesh)
     params = _solver_params(config)
-    points = np.asarray(_require(config, "stimulus_points", "simulate"),
-                        dtype=float)
-    onsets = np.asarray(_require(config, "stimulus_onsets", "simulate"),
-                        dtype=float)
-    plan = slv.StimulusPlan(points=np.atleast_2d(points), onsets=onsets)
-    snapshot_times = [float(t) for t in config.get("snapshot_times", ())]
+    for key in ("stimulus_points", "stimulus_onsets"):
+        _require(config, key, "simulate")
+    plan = slv.StimulusPlan(points=_numbers(config, "stimulus_points"),
+                            onsets=_numbers(config, "stimulus_onsets"))
+    snapshot_times = _numbers(config, "snapshot_times", ()).tolist()
 
     output = slv.simulate(mesh, fiber_field, params, plan,
                           snapshot_times=snapshot_times)
@@ -371,10 +292,9 @@ def _calibration_config(config: dict):
     _check_keys(spec, cal.ConductivityBox, "box")
     with _reported_as_invalid("box"):
         box = cal.ConductivityBox(**{k: tuple(v) for k, v in spec.items()})
-    kwargs = {}
-    for key in ("tol_ms", "max_iters", "isotropic", "max_cal_points"):
-        if config.get(key) is not None:
-            kwargs[key] = config[key]
+    kwargs = {k: config[k] for k in ("tol_ms", "max_iters", "isotropic",
+                                     "max_cal_points")
+              if config.get(k) is not None}
     with _reported_as_invalid("calibration parameters"):
         for key in ("initial_sigma", "beta"):
             if config.get(key) is not None:
@@ -383,32 +303,24 @@ def _calibration_config(config: dict):
                                      **kwargs)
 
 
-def cmd_calibrate(args, tracker: _OutputTracker) -> None:
+def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     import csv as csv_mod
 
     import numpy as np
 
     from . import calibration as cal
+    from . import registration as reg
 
-    allowed = {"mesh": str, "fibers": str, "fiber_angles": dict,
-               "measurements": str, "references": str, "solver": dict,
-               "box": dict, "beta": list, "initial_sigma": list,
-               "tol_ms": float, "max_iters": int, "isotropic": bool,
-               "max_cal_points": int, "out": str}
-    config = _merge_flags(_load_config(args.config, allowed, "calibrate"),
-                          args, ("mesh", "fibers", "measurements",
-                                 "references", "out", "max_cal_points"))
     mesh = _read_mesh(config, "calibrate")
     fiber_field = _load_fiber_field(config, mesh)
     cal_config = _calibration_config(config)
     if fiber_field is None and not cal_config.isotropic:
         raise InvalidArgumentError(
             "calibrate needs 'fibers' or 'fiber_angles' unless isotropic")
-    _, samples, reg_stats = _register_pipeline(
+    _, samples, reg_stats = reg.register(
         mesh, _existing_path(config, "measurements", "calibrate"),
         _existing_path(config, "references", "calibrate"))
-    inputs, cal_samples, val_samples = _split_samples(samples)
-    plan = _stimulus_plan(inputs)
+    inputs, cal_samples, val_samples, plan = reg.split_samples(samples)
 
     result = cal.calibrate(mesh, fiber_field, plan, cal_samples, cal_config,
                            val_samples)
@@ -463,16 +375,13 @@ def cmd_calibrate(args, tracker: _OutputTracker) -> None:
     print(f"wrote {trace_path}, {validation_path}, {correlation_path}")
 
 
-def cmd_report(args, tracker: _OutputTracker) -> None:
+def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     import csv as csv_mod
 
     import numpy as np
 
     from .activation import five_number_summary, regression_stats
 
-    allowed = {"results": str, "out": str}
-    config = _merge_flags(_load_config(args.config, allowed, "report"),
-                          args, ("results", "out"))
     results = Path(_require(config, "results", "report"))
     trace_path = results / "trace.csv"
     if not trace_path.exists():
@@ -485,8 +394,8 @@ def cmd_report(args, tracker: _OutputTracker) -> None:
     validation = json.loads(validation_path.read_text()) \
         if validation_path.exists() else {}
 
-    lines = ["calibration report", "==================", ""]
-    lines.append("iteration trace (sigma in mS/cm, E in ms, F in ms^2):")
+    lines = ["calibration report", "==================", "",
+             "iteration trace (sigma in mS/cm, E in ms, F in ms^2):"]
     for row in trace:
         lines.append(
             f"  {row['iter']:>3}  sigma=({float(row['sigma_f']):.4f}, "
@@ -494,24 +403,22 @@ def cmd_report(args, tracker: _OutputTracker) -> None:
             f"E={float(row['E_ms']):+9.3f}  F={float(row['F_ms2']):10.3f}  "
             f"eI={float(row['eI_pct']):6.3f}%")
     if validation:
-        sig = validation.get("sigma_hat", [])
-        lines.append("")
-        lines.append("estimated conductivities (mS/cm): "
-                     + ", ".join(f"{v:.4f}" for v in sig))
-        lines.append(f"converged: {validation.get('converged')} "
-                     f"after {validation.get('iterations')} iterations")
+        sig = ", ".join(f"{v:.4f}" for v in validation.get("sigma_hat", []))
+        lines += ["", f"estimated conductivities (mS/cm): {sig}",
+                  f"converged: {validation.get('converged')} "
+                  f"after {validation.get('iterations')} iterations"]
         rep = validation.get("validation")
         if rep:
-            lines.append("")
-            lines.append("validation (group II):")
-            lines.append(f"  mean relative error: {100 * rep['mean_rel']:.3f}%")
-            lines.append("  mean pointwise relative error: "
-                         f"{100 * rep['mean_rel_pointwise']:.3f}%")
-            lines.append(f"  std of relative errors: {100 * rep['std_rel']:.3f}%")
             five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
-            lines.append(f"  five-number summary of relative errors (%): {five}")
-            lines.append(f"  regression slope {rep['slope']:.4f}, "
-                         f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points")
+            lines += [
+                "", "validation (group II):",
+                f"  mean relative error: {100 * rep['mean_rel']:.3f}%",
+                "  mean pointwise relative error: "
+                f"{100 * rep['mean_rel_pointwise']:.3f}%",
+                f"  std of relative errors: {100 * rep['std_rel']:.3f}%",
+                f"  five-number summary of relative errors (%): {five}",
+                f"  regression slope {rep['slope']:.4f}, "
+                f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
 
     correlation_path = results / "correlation.csv"
     if correlation_path.exists():
@@ -522,15 +429,13 @@ def cmd_report(args, tracker: _OutputTracker) -> None:
             pairs = [(float(r["tau_measured_ms"]), float(r["tau_computed_ms"]))
                      for r in rows if r["group"] in keep]
             if len(pairs) >= 3:
-                measured = np.array([p[0] for p in pairs])
-                computed = np.array([p[1] for p in pairs])
+                measured, computed = map(np.array, zip(*pairs))
                 slope, r2 = regression_stats(computed, measured)
                 errors = np.abs(computed - measured)
                 five = ", ".join(f"{v:.2f}" for v in five_number_summary(errors))
-                lines.append("")
-                lines.append(f"{label} ({len(pairs)} points): "
-                             f"slope {slope:.4f}, R^2 {r2:.4f}")
-                lines.append(f"  five-number summary of |error| (ms): {five}")
+                lines += ["", f"{label} ({len(pairs)} points): "
+                          f"slope {slope:.4f}, R^2 {r2:.4f}",
+                          f"  five-number summary of |error| (ms): {five}"]
 
     text = "\n".join(lines) + "\n"
     print(text, end="")
@@ -542,109 +447,120 @@ def cmd_report(args, tracker: _OutputTracker) -> None:
         print(f"wrote {report_path}")
 
 
-def cmd_gen_twin(args, tracker: _OutputTracker) -> None:
-    from . import twin
+def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
+    from . import twin, vtkio
 
-    allowed = {"h": float, "sigma": list, "perturb_cm": float, "seed": int,
-               "out": str}
-    config = _merge_flags(_load_config(args.config, allowed, "gen-twin"),
-                          args, ("h", "seed", "out"))
-    sigma = tuple(config.get("sigma", twin.TRUE_SIGMA))
     data = twin.build_twin(h=float(config.get("h", twin.DEFAULT_H)),
-                           sigma=sigma)
+                           sigma=_numbers(config, "sigma", twin.TRUE_SIGMA))
     out = _out_dir(config, "gen-twin")
     paths = twin.write_twin(data, out,
                             perturb_cm=float(config.get("perturb_cm", 0.015)),
                             seed=int(config.get("seed", 7)))
-    tracker.add(*paths.values())
-    from . import vtkio
-
-    tracker.add(vtkio.surface_path(paths["mesh"]))
+    tracker.add(*paths.values(), vtkio.surface_path(paths["mesh"]))
     print(f"wrote twin fixture to {out} "
           f"({data.mesh.n_nodes} nodes, {len(data.vein_nodes)} vein points)")
 
 
-_SOLVER_KEYS = ("solver keys: sigma, chi, c_m, dt, t_end, stimulus_amplitude, "
-                "stimulus_radius, stimulus_duration, stop_when_activated")
+class _Command(NamedTuple):
+    """A subcommand's handler, help line, typed config keys, flag keys."""
+
+    handler: Callable[[dict, _OutputTracker], None]
+    help: str
+    keys: dict[str, type]
+    flags: tuple[str, ...]
+
 
 _COMMANDS = {
-    "gen-mesh": (cmd_gen_mesh, "Generate a slab or truncated-ellipsoid mesh",
-                 "config keys: kind (slab|ventricle), h, extents, endo_axes, "
-                 "epi_axes, truncation_height, out"),
-    "gen-fibers": (cmd_gen_fibers, "Generate a rule-based fiber field",
-                   "config keys: mesh, alpha_endo, alpha_epi, beta_endo, "
-                   "beta_epi, out"),
-    "register": (cmd_register, "Register measurements onto a mesh",
-                 "config keys: mesh, measurements, references, out"),
-    "simulate": (cmd_simulate, "Run a paced monodomain simulation",
-                 "config keys: mesh, fibers, fiber_angles, solver (dict of "
-                 "solver parameters), stimulus_points, stimulus_onsets, "
-                 "snapshot_times, out; " + _SOLVER_KEYS),
-    "calibrate": (cmd_calibrate, "Estimate conductivities from measurements",
-                  "config keys: mesh, fibers, fiber_angles, measurements, "
-                  "references, solver, box, beta, initial_sigma, tol_ms, "
-                  "max_iters, isotropic, max_cal_points, out; "
-                  + _SOLVER_KEYS),
-    "report": (cmd_report, "Summarize a calibration result directory",
-               "config keys: results, out"),
-    "gen-twin": (cmd_gen_twin, "Generate the synthetic twin fixture",
-                 "config keys: h, sigma, perturb_cm, seed, out"),
+    "gen-mesh": _Command(
+        cmd_gen_mesh, "Generate a slab or truncated-ellipsoid mesh",
+        {"kind": str, "h": float, "extents": list, "endo_axes": list,
+         "epi_axes": list, "truncation_height": float, "out": str},
+        ("kind", "h", "out")),
+    "gen-fibers": _Command(
+        cmd_gen_fibers, "Generate a rule-based fiber field",
+        {"mesh": str, "alpha_endo": float, "alpha_epi": float,
+         "beta_endo": float, "beta_epi": float, "out": str},
+        ("mesh", "alpha_endo", "alpha_epi", "beta_endo", "beta_epi", "out")),
+    "register": _Command(
+        cmd_register, "Register measurements onto a mesh",
+        {"mesh": str, "measurements": str, "references": str, "out": str},
+        ("mesh", "measurements", "references", "out")),
+    "simulate": _Command(
+        cmd_simulate, "Run a paced monodomain simulation",
+        {"mesh": str, "fibers": str, "fiber_angles": dict, "solver": dict,
+         "stimulus_points": list, "stimulus_onsets": list,
+         "snapshot_times": list, "out": str},
+        ("mesh", "fibers", "out")),
+    "calibrate": _Command(
+        cmd_calibrate, "Estimate conductivities from measurements",
+        {"mesh": str, "fibers": str, "fiber_angles": dict,
+         "measurements": str, "references": str, "solver": dict,
+         "box": dict, "beta": list, "initial_sigma": list, "tol_ms": float,
+         "max_iters": int, "isotropic": bool, "max_cal_points": int,
+         "out": str},
+        ("mesh", "fibers", "measurements", "references", "max_cal_points",
+         "out")),
+    "report": _Command(
+        cmd_report, "Summarize a calibration result directory",
+        {"results": str, "out": str}, ("results", "out")),
+    "gen-twin": _Command(
+        cmd_gen_twin, "Generate the synthetic twin fixture",
+        {"h": float, "sigma": list, "perturb_cm": float, "seed": int,
+         "out": str},
+        ("h", "seed", "out")),
+}
+
+# Help text of each key that is a flag of some subcommand.
+_FLAG_HELP = {
+    "alpha_endo": "fiber helix angle on the endocardium (deg)",
+    "alpha_epi": "fiber helix angle on the epicardium (deg)",
+    "beta_endo": "sheet transverse angle, endocardium (deg)",
+    "beta_epi": "sheet transverse angle, epicardium (deg)",
+    "fibers": "fiber field file (VTK)",
+    "h": "target element size (cm)",
+    "kind": "mesh kind (default slab)",
+    "max_cal_points": "use only the K earliest group-I points",
+    "measurements": "measurement CSV (mm, ms)",
+    "mesh": "volume mesh file (VTK)",
+    "out": "output directory",
+    "references": "landmark pair CSV (mm)",
+    "results": "calibration output directory",
+    "seed": "seed for the perturbed landmark references",
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .solver import SolverParams
+
     parser = argparse.ArgumentParser(
         prog="monocal",
         description="Monodomain conductivity calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, keys) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, epilog=keys)
+    for name, command in _COMMANDS.items():
+        epilog = "config keys: " + ", ".join(command.keys)
+        if "solver" in command.keys:
+            epilog += "; solver keys: " + ", ".join(
+                SolverParams.__dataclass_fields__)
+        p = sub.add_parser(name, help=command.help, epilog=epilog)
         p.add_argument("--config",
                        help="JSON config file (a bare name falls back to the "
                             "bundled scenarios directory)")
-        p.add_argument("--out", help="output directory")
-        if name in ("gen-fibers", "register", "simulate", "calibrate"):
-            p.add_argument("--mesh", help="volume mesh file (VTK)")
-        if name == "gen-mesh":
-            p.add_argument("--kind", choices=("slab", "ventricle"))
-            p.add_argument("--h", type=float, help="target element size (cm)")
-        if name == "gen-fibers":
-            p.add_argument("--alpha-endo", type=float,
-                           help="fiber helix angle on the endocardium (deg)")
-            p.add_argument("--alpha-epi", type=float,
-                           help="fiber helix angle on the epicardium (deg)")
-            p.add_argument("--beta-endo", type=float,
-                           help="sheet transverse angle, endocardium (deg)")
-            p.add_argument("--beta-epi", type=float,
-                           help="sheet transverse angle, epicardium (deg)")
-        if name in ("register", "calibrate"):
-            p.add_argument("--measurements", help="measurement CSV (mm, ms)")
-            p.add_argument("--references", help="landmark pair CSV (mm)")
-        if name == "calibrate":
-            p.add_argument("--fibers", help="fiber field file (VTK)")
-            p.add_argument("--max-cal-points", type=int,
-                           help="use only the K earliest group-I points")
-        if name == "simulate":
-            p.add_argument("--fibers", help="fiber field file (VTK)")
-        if name == "report":
-            p.add_argument("--results", help="calibration output directory")
-        if name == "gen-twin":
-            p.add_argument("--h", type=float, help="target element size (cm)")
-            p.add_argument("--seed", type=int,
-                           help="seed for the perturbed landmark references")
+        for key in command.flags:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=command.keys[key], help=_FLAG_HELP[key])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    command = _COMMANDS[args.command]
     tracker = _OutputTracker()
     try:
-        handler(args, tracker)
-    except MonocalError as exc:
-        tracker.discard_all()
-        raise _fail(str(exc))
-    except OSError as exc:
+        config = _load_config(args.config, command.keys, args.command)
+        config.update({key: getattr(args, key) for key in command.flags
+                       if getattr(args, key) is not None})
+        command.handler(config, tracker)
+    except (MonocalError, OSError) as exc:
         tracker.discard_all()
         raise _fail(str(exc))
     return 0

@@ -102,14 +102,11 @@ class AssemblyPlan:
         self.diag_slots = np.nonzero(unique_rows == unique_cols)[0]
 
     def assemble(self, element_blocks: np.ndarray) -> csr_matrix:
+        """A fresh CSR matrix on the plan's pattern; its data array is
+        in slot order, so diag_slots index its diagonal."""
         data = np.bincount(self.entry_slots, weights=element_blocks.ravel(),
                            minlength=self.nnz)
         return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    def assemble_data(self, element_blocks: np.ndarray) -> np.ndarray:
-        """Just the CSR data vector, for callers that patch a template."""
-        return np.bincount(self.entry_slots, weights=element_blocks.ravel(),
-                           minlength=self.nnz)
 
 
 def mass_blocks(geo: ElementGeometry) -> np.ndarray:

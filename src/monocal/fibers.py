@@ -74,12 +74,10 @@ class FiberField:
             raise InvalidArgumentError("fiber frame is not orthogonal")
 
     @classmethod
-    def uniform(cls, n_nodes: int, f=(1.0, 0.0, 0.0), s=(0.0, 1.0, 0.0),
-                n=(0.0, 0.0, 1.0)) -> "FiberField":
-        """Constant frame everywhere (slab studies with axis-aligned fibers)."""
-        frame = np.array([f, s, n], dtype=float)
-        if np.abs(frame @ frame.T - np.eye(3)).max() > 1e-8:
-            raise InvalidArgumentError("uniform frame must be orthonormal")
+    def uniform(cls, n_nodes: int) -> "FiberField":
+        """Fibers along x, sheets along y, normals along z everywhere
+        (slab studies with axis-aligned fibers)."""
+        frame = np.eye(3)
         ones = np.ones((n_nodes, 1))
         return cls(f=ones * frame[0], s=ones * frame[1], n=ones * frame[2],
                    singular=np.zeros(n_nodes, dtype=bool))

@@ -9,7 +9,7 @@ labels (endocardium, epicardium, base) that downstream modules rely on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -49,7 +49,6 @@ class Mesh:
     boundary_faces: np.ndarray
     boundary_tags: np.ndarray
     characteristic_size: float
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -177,9 +176,7 @@ def build_slab_mesh(extents, h: float) -> Mesh:
     tags[np.all(np.abs(zc) < tol, axis=1)] = int(SurfaceTag.ENDO)
     tags[np.all(np.abs(zc - extents[2]) < tol, axis=1)] = int(SurfaceTag.EPI)
 
-    mesh = Mesh(nodes, elems, faces, tags, float(h),
-                metadata={"kind": "slab", "extents": extents.tolist(),
-                          "cells": counts.tolist()})
+    mesh = Mesh(nodes, elems, faces, tags, float(h))
     mesh.validate()
     return mesh
 
@@ -364,10 +361,6 @@ def build_lv_mesh(endo_axes, epi_axes, truncation_height: float, h: float) -> Me
     if not np.allclose(nodes[faces[base_mask]][:, :, 2], zb, atol=1e-9 * max(epi)):
         raise InvalidArgumentError("base faces do not lie on the truncation plane")
 
-    mesh = Mesh(nodes, elems, faces, tags, float(h),
-                metadata={"kind": "lv", "endo_axes": endo.tolist(),
-                          "epi_axes": epi.tolist(), "truncation_height": zb,
-                          "n_arc": n_arc, "n_radial": n_radial,
-                          "n_layers": n_layers, "square_frac": square_frac})
+    mesh = Mesh(nodes, elems, faces, tags, float(h))
     mesh.validate()
     return mesh

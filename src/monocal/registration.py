@@ -4,7 +4,8 @@ Measurements arrive in the mapping device's millimeter frame. Three
 reference landmarks known in both frames fix a rigid transform; the
 transformed points are then snapped to the nearest node of the relevant
 tagged surface, and the vein points are split into an early-activating
-calibration half and a late-activating validation half.
+calibration half and a late-activating validation half. `register` and
+`split_samples` chain these steps into the stage the command line runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from scipy.spatial import cKDTree
 from .activation import ActivationSample, Group, Site
 from .errors import (DataFormatError, DegenerateConfigurationError,
                      InvalidArgumentError)
-from .geometry import Mesh
+from .geometry import Mesh, SurfaceTag
+from .solver import StimulusPlan
 
 MEASUREMENT_COLUMNS = ("x_mm", "y_mm", "z_mm", "t_ms", "site")
 REFERENCE_COLUMNS = ("name", "frame", "x_mm", "y_mm", "z_mm")
@@ -210,7 +212,6 @@ def rigid_from_three_pairs(source: np.ndarray, target: np.ndarray
 class ProjectionReport:
     """Per-point displacement of the nearest-node snapping (cm)."""
 
-    node_ids: np.ndarray
     displacements: np.ndarray
 
     @property
@@ -247,8 +248,7 @@ def nns_project(cloud: RawCloud, mesh: Mesh, tags
     displacements = np.linalg.norm(mesh.nodes[node_ids] - cloud.points, axis=1)
     projected = RawCloud(points=mesh.nodes[node_ids].copy(), taus=cloud.taus,
                          sites=list(cloud.sites), order=cloud.order)
-    return projected, ProjectionReport(node_ids=node_ids,
-                                       displacements=displacements)
+    return projected, ProjectionReport(displacements=displacements)
 
 
 def split_groups(taus, order=None) -> tuple[np.ndarray, np.ndarray]:
@@ -286,3 +286,58 @@ def build_samples(cloud: RawCloud) -> list[ActivationSample]:
                                               site=Site.EPI_VEIN, group=group,
                                               order=int(cloud.order[i]))
     return samples
+
+
+def register(mesh: Mesh, measurements_path, references_path
+             ) -> tuple[RawCloud, list[ActivationSample], dict]:
+    """Read, place, project and group a measured activation map.
+
+    The landmark pairs fix the rigid placement of the device-frame
+    cloud; vein points are then projected onto the epicardium and septal
+    points onto the endocardium, and the projected cloud (septal points
+    first) is turned into samples. Returns that cloud, its samples and
+    the registration statistics the command line writes out.
+    """
+    cloud = read_measurements(measurements_path)
+    source, target = read_reference_pairs(references_path)
+    transform = rigid_from_three_pairs(source, target)
+    moved = RawCloud(points=transform.apply(cloud.points), taus=cloud.taus,
+                     sites=cloud.sites, order=cloud.order)
+    is_vein = np.array([s is Site.EPI_VEIN for s in cloud.sites])
+    if not is_vein.any() or is_vein.all():
+        raise InvalidArgumentError(
+            "measurements must contain both septum and vein sites")
+    vein_cloud, vein_rep = nns_project(moved.subset(is_vein), mesh,
+                                       int(SurfaceTag.EPI))
+    sept_cloud, sept_rep = nns_project(moved.subset(~is_vein), mesh,
+                                       int(SurfaceTag.ENDO))
+    merged = RawCloud(
+        points=np.vstack([sept_cloud.points, vein_cloud.points]),
+        taus=np.concatenate([sept_cloud.taus, vein_cloud.taus]),
+        sites=list(sept_cloud.sites) + list(vein_cloud.sites),
+        order=np.concatenate([sept_cloud.order, vein_cloud.order]))
+    stats = {
+        "rotation": transform.rotation.tolist(),
+        "translation_cm": transform.translation.tolist(),
+        "landmark_rms_cm": float(np.sqrt(np.mean(
+            np.sum((transform.apply(source) - target) ** 2, axis=1)))),
+        "septum": {"max_displacement_cm": sept_rep.max,
+                   "mean_displacement_cm": sept_rep.mean},
+        "vein": {"max_displacement_cm": vein_rep.max,
+                 "mean_displacement_cm": vein_rep.mean},
+    }
+    return merged, build_samples(merged), stats
+
+
+def split_samples(samples: list[ActivationSample]):
+    """Pacing inputs, calibration (group I) and validation (group II)
+    samples, plus the stimulus plan that paces at the inputs' sites and
+    times."""
+    inputs = [s for s in samples if s.group is Group.INPUT]
+    cal = [s for s in samples if s.group is Group.CAL_I]
+    val = [s for s in samples if s.group is Group.VAL_II]
+    if not inputs:
+        raise InvalidArgumentError("no septum sites to pace from")
+    plan = StimulusPlan(points=np.array([s.location for s in inputs]),
+                        onsets=np.array([s.tau for s in inputs]))
+    return inputs, cal, val, plan

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from . import __version__, fem, ionic
@@ -219,12 +218,7 @@ class SimulationOutput:
     activated: np.ndarray
     peak_u: np.ndarray
     final_u: np.ndarray
-    final_w: np.ndarray
     snapshots: dict[float, np.ndarray]
-    iterations: np.ndarray
-    residuals: np.ndarray
-    dt: float
-    t_end: float
     mesh: Mesh
     manifest: dict[str, Any] = field(default_factory=dict)
 
@@ -249,13 +243,13 @@ class MonodomainSolver:
         plan = self.plan = fem.AssemblyPlan(mesh)
         tensors = build_conductivity_tensors(mesh, fiber_field, params.sigma)
         scale = 1.0 / (params.chi * params.c_m)
-        data = plan.assemble_data(fem.stiffness_blocks(geo, tensors)) * scale
+        self.matrix = plan.assemble(fem.stiffness_blocks(geo, tensors))
+        data = self.matrix.data
+        data *= scale
         self.m_lump = fem.lumped_mass_vector(mesh, geo=geo)
         data[plan.diag_slots] += self.m_lump / params.dt
         # the diagonal without the reaction term, which changes every step
         self.base_diag = data[plan.diag_slots]
-        self.matrix = csr_matrix((data, plan.indices, plan.indptr),
-                                 shape=plan.shape)
         # Applied current to potential rate: amplitude/(chi c_m) is in mV/ms
         # for these units, and the dimensionless potential spans the action
         # potential on the volt scale, hence the extra 1e-3. The default
@@ -315,8 +309,6 @@ class MonodomainSolver:
         activation = np.full(n, np.nan)
         best_rate = np.full(n, -1.0)
         peak = u.copy()
-        iterations = np.zeros(n_steps, dtype=np.int64)
-        residuals = np.zeros(n_steps)
         stim_end = (stim_plan.onsets.max() if stim_plan.onsets.size else 0.0) \
             + p.stimulus_duration
 
@@ -328,8 +320,6 @@ class MonodomainSolver:
                 raise NonConvergenceError(
                     f"step {k} (t={t:.4g} ms): {exc}", best=exc.best,
                     residual=exc.residual, iterations=exc.iterations) from exc
-            iterations[k - 1] = report.iterations
-            residuals[k - 1] = report.residual
 
             rate = np.abs(u_new - u) / p.dt
             faster = rate > best_rate
@@ -353,8 +343,6 @@ class MonodomainSolver:
                 # dynamics (plateau, repolarization) are far too slow to
                 # displace any running slope maximum
                 logger.info("all nodes activated by t=%.3f ms; stopping early", t)
-                iterations = iterations[:k]
-                residuals = residuals[:k]
                 n_steps = k
                 break
 
@@ -377,9 +365,7 @@ class MonodomainSolver:
         }
         return SimulationOutput(
             activation=activation, activated=activated, peak_u=peak,
-            final_u=u, final_w=w, snapshots=snapshots,
-            iterations=iterations, residuals=residuals,
-            dt=p.dt, t_end=p.t_end, mesh=self.mesh, manifest=manifest)
+            final_u=u, snapshots=snapshots, mesh=self.mesh, manifest=manifest)
 
 
 def simulate(mesh: Mesh, fiber_field: FiberField | None, params: SolverParams,

@@ -69,7 +69,7 @@ def device_transform() -> RigidTransform:
                           translation=np.array(_DEVICE_TRANSLATION))
 
 
-def vein_path(n_points: int = N_VEIN_POINTS) -> np.ndarray:
+def vein_path() -> np.ndarray:
     """Points of a vein tree on the lateral epicardial surface.
 
     A basal trunk sweeps around the free wall like a coronary sinus,
@@ -78,8 +78,8 @@ def vein_path(n_points: int = N_VEIN_POINTS) -> np.ndarray:
     activation pattern reacts to the fiber helix as well as to the
     conductivities. All points lie exactly on the epicardial ellipsoid.
     """
-    n_trunk = n_points // 2 + 1
-    n_branch = n_points - n_trunk
+    n_trunk = N_VEIN_POINTS // 2 + 1
+    n_branch = N_VEIN_POINTS - n_trunk
     t = np.linspace(0.0, 1.0, n_trunk)
     trunk_az = -1.3 + 2.6 * t
     trunk_z = np.full(n_trunk, 0.18)
@@ -107,7 +107,6 @@ class TwinData:
     vein_taus: np.ndarray
     activation: np.ndarray
     transform: RigidTransform
-    stim_plan: slv.StimulusPlan
 
     def measurement_cloud(self, frame: str = "device") -> RawCloud:
         """Septal and vein samples as a measurement cloud.
@@ -137,9 +136,7 @@ def _snap_to_surface(mesh: Mesh, targets, tag: SurfaceTag) -> np.ndarray:
     return ids[idx]
 
 
-def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA,
-               fiber_angles: FiberAngles | None = None,
-               dt: float = 0.025, t_end: float = 150.0) -> TwinData:
+def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     """Generate the twin: mesh, fibers, paced simulation, device frame.
 
     Raises SimulationDivergedError if the run blows up and RuntimeError
@@ -147,14 +144,14 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA,
     measurements would be unusable downstream.
     """
     mesh = build_lv_mesh(ENDO_AXES, EPI_AXES, TRUNCATION_HEIGHT, h)
-    fiber_field = generate_fibers(mesh, fiber_angles or FiberAngles())
+    fiber_field = generate_fibers(mesh, FiberAngles())
 
     septal_nodes = _snap_to_surface(mesh, SEPTAL_TARGETS, SurfaceTag.ENDO)
     vein_nodes = _snap_to_surface(mesh, vein_path(), SurfaceTag.EPI)
     onsets = np.asarray(SEPTAL_ONSETS, dtype=float)
     plan = slv.StimulusPlan(points=mesh.nodes[septal_nodes], onsets=onsets)
 
-    params = slv.SolverParams(sigma=tuple(sigma), dt=dt, t_end=t_end,
+    params = slv.SolverParams(sigma=tuple(sigma), t_end=150.0,
                               stop_when_activated=True)
     output = slv.simulate(mesh, fiber_field, params, plan)
     logger.info("twin simulation: %d nodes, %d not activated",
@@ -170,7 +167,7 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA,
                     septal_nodes=septal_nodes, septal_onsets=onsets,
                     vein_nodes=vein_nodes, vein_taus=taus,
                     activation=output.activation,
-                    transform=device_transform(), stim_plan=plan)
+                    transform=device_transform())
 
 
 def _write_references(path, transform: RigidTransform,

@@ -7,13 +7,10 @@ acceptance tests.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from monocal import registration as reg
-from monocal.activation import Group
-from monocal.geometry import SurfaceTag, build_slab_mesh
-from monocal.solver import StimulusPlan
+from monocal.geometry import build_slab_mesh
 from monocal.twin import build_twin, write_twin
 
 # Conductivity triple (mS/cm) used by the recovery studies. It sits off
@@ -46,44 +43,11 @@ def twin_star_files(twin_star, tmp_path_factory):
     return write_twin(twin_star, out)
 
 
-def register_pipeline(mesh, measurements_path, references_path):
-    """Register a device-frame CSV onto a mesh and build grouped samples.
-
-    Mirrors the register stage of the command line: estimate the rigid
-    placement from the landmark pairs, move the cloud, project vein
-    points onto the epicardium and septal points onto the endocardium,
-    then split into pacing inputs, calibration and validation groups.
-    Returns (inputs, cal, val, stimulus_plan).
-    """
-    cloud = reg.read_measurements(measurements_path)
-    source, target = reg.read_reference_pairs(references_path)
-    transform = reg.rigid_from_three_pairs(source, target)
-    moved = reg.RawCloud(points=transform.apply(cloud.points),
-                         taus=cloud.taus, sites=cloud.sites,
-                         order=cloud.order)
-    is_vein = np.array([s.value == "vein" for s in cloud.sites])
-    vein, _ = reg.nns_project(moved.subset(is_vein), mesh,
-                              int(SurfaceTag.EPI))
-    sept, _ = reg.nns_project(moved.subset(~is_vein), mesh,
-                              int(SurfaceTag.ENDO))
-    merged = reg.RawCloud(
-        points=np.vstack([sept.points, vein.points]),
-        taus=np.concatenate([sept.taus, vein.taus]),
-        sites=list(sept.sites) + list(vein.sites),
-        order=np.concatenate([sept.order, vein.order]))
-    samples = reg.build_samples(merged)
-    inputs = [s for s in samples if s.group is Group.INPUT]
-    cal = [s for s in samples if s.group is Group.CAL_I]
-    val = [s for s in samples if s.group is Group.VAL_II]
-    plan = StimulusPlan(points=np.array([s.location for s in inputs]),
-                        onsets=np.array([s.tau for s in inputs]))
-    return inputs, cal, val, plan
-
-
 @pytest.fixture(scope="session")
 def star_problem(twin_star, twin_star_files):
     """Registered calibration problem on the twin: (cal, val, plan)."""
-    _, cal, val, plan = register_pipeline(
-        twin_star.mesh, twin_star_files["measurements"],
-        twin_star_files["references"])
+    _, samples, _ = reg.register(twin_star.mesh,
+                                 twin_star_files["measurements"],
+                                 twin_star_files["references"])
+    _, cal, val, plan = reg.split_samples(samples)
     return cal, val, plan

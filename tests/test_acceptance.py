@@ -26,7 +26,7 @@ from monocal.ionic import (GatingParams, gating_rhs, ionic_currents,
 from monocal.solver import (SolverParams, StimulusPlan, measure_planar_cv,
                             simulate)
 
-from conftest import STAR_SIGMA, register_pipeline
+from conftest import STAR_SIGMA
 
 SLAB_SIGMA = (1.325, 0.293, 0.0675)
 FACE_LAUNCHER = dict(stimulus_radius=0.04, stimulus_amplitude=225000.0)
@@ -130,9 +130,10 @@ def study_truncated(twin_star, star_problem):
 
 @pytest.fixture(scope="module")
 def study_perturbed(twin_star, twin_star_files):
-    _, cal_samples, val_samples, plan = register_pipeline(
-        twin_star.mesh, twin_star_files["measurements"],
-        twin_star_files["references_perturbed"])
+    _, samples, _ = reg.register(twin_star.mesh,
+                                 twin_star_files["measurements"],
+                                 twin_star_files["references_perturbed"])
+    _, cal_samples, val_samples, plan = reg.split_samples(samples)
     return _study(twin_star.mesh, plan, cal_samples, val_samples,
                   FiberAngles())
 
@@ -143,9 +144,14 @@ def study_perturbed(twin_star, twin_star_files):
 @pytest.mark.xfail(strict=True, reason=(
     "at h = 0.035 cm, dt = 0.025 ms the measured planar speeds are "
     "0.795 / 0.247 / 0.047 m/s against targets 0.63 / 0.44 / 0.18 m/s "
-    "(+26 / -44 / -74 percent): linear elements on this grid overshoot "
-    "the fiber-direction speed while the cross-fiber upstroke spans less "
-    "than one element and its front crawls node to node"))
+    "(+26 / -44 / -74 percent). On face-paced 0.7 cm bars, 2 x 2 cells "
+    "across, refining h from 0.035 to 0.0175, 0.00875 and 0.004375 cm "
+    "moves them from 0.795 / 0.247 / 0.042 to 0.908 / 0.366 / 0.114, "
+    "0.939 / 0.425 / 0.174 and 0.946 / 0.441 / 0.203 m/s: the transverse "
+    "speeds are under-resolved on this grid and meet their targets only "
+    "near h = 0.0045 cm, while the fiber speed converges near 0.95 m/s, "
+    "so the 0.63 m/s target is out of reach at any h with sigma_f = "
+    "1.325 mS/cm (speed grows with the square root of sigma)"))
 def test_planar_speeds_match_ventricular_targets(planar_speeds):
     targets = {0: 0.63, 1: 0.44, 2: 0.18}
     for axis, target in targets.items():

@@ -22,9 +22,7 @@ def _output_with(mesh, activation):
     return SimulationOutput(
         activation=activation, activated=np.isfinite(activation),
         peak_u=np.where(np.isfinite(activation), 1.5, 0.0),
-        final_u=np.zeros(n), final_w=np.zeros((n, 3)), snapshots={},
-        iterations=0, residuals=np.zeros(0), dt=0.025, t_end=1.0,
-        mesh=mesh, manifest={})
+        final_u=np.zeros(n), snapshots={}, mesh=mesh, manifest={})
 
 
 class TestExtract:
@@ -171,13 +169,6 @@ class TestErrorStats:
     def test_all_nan_is_rejected(self):
         with pytest.raises(InvalidArgumentError):
             error_stats([np.nan, np.nan], [10.0, 20.0])
-
-    def test_rows_cover_every_metric(self):
-        report = error_stats([110.0, 180.0, 150.0], [100.0, 200.0, 150.0])
-        rows = report.rows("II")
-        assert all(r[0] == "II" for r in rows)
-        names = {r[1] for r in rows}
-        assert {"mean_rel", "slope", "rel_median", "n_used"} <= names
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(1.0, 1000.0),

@@ -162,13 +162,24 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("calibrate", {"box": {"f": ["a", 2]}}, "box"),
     ("calibrate", {"box": {"x": [1, 2]}}, "allowed: f, n, s"),
     ("calibrate", {"initial_sigma": ["a", 0.3, 0.06]}, "calibration"),
+    ("gen-mesh", {"h": 0.5, "extents": ["a", 1, 1]}, "'extents'"),
+    ("gen-mesh", {"h": 0.5, "kind": "ventricle", "endo_axes": ["a", 1, 1]},
+     "'endo_axes'"),
+    ("gen-mesh", {"h": 0.5, "kind": "ventricle", "epi_axes": ["a", 1, 1]},
+     "'epi_axes'"),
+    ("gen-twin", {"sigma": ["a", 0.3, 0.05]}, "'sigma'"),
+    ("simulate", {"stimulus_points": [["a", 0, 0]]}, "'stimulus_points'"),
+    ("simulate", {"stimulus_onsets": ["z"]}, "'stimulus_onsets'"),
+    ("simulate", {"snapshot_times": ["a"]}, "'snapshot_times'"),
 ], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times",
         "simulate_fiber_angle", "calibrate_box_scalar",
         "calibrate_box_string_bound", "calibrate_box_unknown_key",
-        "calibrate_initial_sigma"])
+        "calibrate_initial_sigma", "gen_mesh_extents", "gen_mesh_endo_axes",
+        "gen_mesh_epi_axes", "gen_twin_sigma", "simulate_stimulus_point",
+        "simulate_stimulus_onset", "simulate_snapshot_time_string"])
 def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
                                            named):
-    if command != "gen-mesh":
+    if command not in ("gen-mesh", "gen-twin"):
         mesh_path = tmp_path / "mesh.vtk"
         vtkio.write_mesh(mesh_path, build_slab_mesh((0.1, 0.1, 0.1), 0.05))
         config = {"mesh": str(mesh_path), **config}
@@ -183,6 +194,50 @@ def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
     message = capsys.readouterr().err
     assert message.startswith("error:")
     assert named in message
+
+
+def test_unknown_mesh_kind_names_the_kinds(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-mesh", "--kind", "bogus"])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert "slab" in message and "ventricle" in message
+
+
+_FLAGS = [(name, key) for name, command in cli._COMMANDS.items()
+          for key in command.flags]
+
+
+@pytest.mark.parametrize("command,key", _FLAGS,
+                         ids=[f"{name}--{key}" for name, key in _FLAGS])
+def test_flag_overrides_its_config_key(tmp_path, monkeypatch, command, key):
+    spec = cli._COMMANDS[command]
+    kind = spec.keys[key]
+    in_config, on_flag = {str: ("from-config", "from-flag"),
+                          float: (1.5, 2.5), int: (3, 4)}[kind]
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, spec._replace(
+        handler=lambda config, tracker: seen.append(config)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: in_config}))
+    flag = "--" + key.replace("_", "-")
+    assert cli.main([command, "--config", str(path)]) == 0
+    assert cli.main([command, "--config", str(path), flag, str(on_flag)]) == 0
+    assert seen == [{key: in_config}, {key: on_flag}]
+    assert type(seen[1][key]) is kind
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_every_config_key_and_flag(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    epilog = " ".join(text.split("config keys:")[1].split())
+    assert epilog.split(";")[0].split(", ") == list(cli._COMMANDS[command].keys)
+    for key in cli._COMMANDS[command].flags:
+        assert "--" + key.replace("_", "-") in text
 
 
 def test_missing_required_key_is_reported(tmp_path, capsys):

@@ -11,9 +11,9 @@ from monocal.errors import (DataFormatError, DegenerateConfigurationError,
 from monocal.geometry import SurfaceTag, build_slab_mesh
 from monocal.registration import (RawCloud, RigidTransform, build_samples,
                                   nns_project, read_measurements,
-                                  read_reference_pairs,
+                                  read_reference_pairs, register,
                                   rigid_from_three_pairs, split_groups,
-                                  write_measurements)
+                                  split_samples, write_measurements)
 
 MEASUREMENT_HEADER = "x_mm,y_mm,z_mm,t_ms,site"
 REFERENCE_HEADER = "name,frame,x_mm,y_mm,z_mm"
@@ -267,3 +267,48 @@ class TestBuildSamples:
         assert groups == [Group.VAL_II, Group.CAL_I, Group.VAL_II,
                           Group.CAL_I]
         assert [s.order for s in samples] == [0, 1, 2, 3, 4]
+
+
+class TestRegisterStage:
+    """register + split_samples, the stage `register` and `calibrate` run."""
+
+    # the device frame is the mesh frame shifted by +20 mm along x
+    REFERENCES = (REFERENCE_HEADER + "\n"
+                  "a,source,20,0,0\nb,source,30,0,0\nc,source,20,10,0\n"
+                  "a,target,0,0,0\nb,target,10,0,0\nc,target,0,10,0\n")
+
+    def _files(self, tmp_path, rows):
+        return (_write(tmp_path, "m.csv", MEASUREMENT_HEADER + "\n" + rows),
+                _write(tmp_path, "r.csv", self.REFERENCES))
+
+    def test_places_projects_and_groups(self, tmp_path, unit_cube):
+        files = self._files(tmp_path, "29,9,12,110,vein\n21,1,-2,30,septum\n"
+                                      "21,9,11,150,vein\n29,1,10.5,130,vein\n")
+        cloud, samples, stats = register(unit_cube, *files)
+        # septal points first, each snapped to its own surface
+        assert np.array_equal(cloud.points, [[0, 0, 0], [1, 1, 1], [0, 1, 1],
+                                             [1, 0, 1]])
+        assert [s.group for s in samples] == [Group.INPUT, Group.CAL_I,
+                                              Group.VAL_II, Group.CAL_I]
+        np.testing.assert_allclose(stats["translation_cm"], (-2.0, 0.0, 0.0),
+                                   atol=1e-12)
+        assert stats["landmark_rms_cm"] < 1e-12
+        assert np.isclose(stats["septum"]["max_displacement_cm"],
+                          np.sqrt(0.06), rtol=1e-12)
+
+        inputs, cal, val, plan = split_samples(samples)
+        assert (len(inputs), len(cal), len(val)) == (1, 2, 1)
+        assert [s.tau for s in cal] == [110.0, 130.0]
+        assert np.array_equal(plan.points, [[0.0, 0.0, 0.0]])
+        assert np.array_equal(plan.onsets, [30.0])
+
+    def test_needs_both_septum_and_vein_sites(self, tmp_path, unit_cube):
+        files = self._files(tmp_path, "29,9,12,110,vein\n21,9,11,150,vein\n")
+        with pytest.raises(InvalidArgumentError, match="both septum and vein"):
+            register(unit_cube, *files)
+
+    def test_split_needs_pacing_inputs(self):
+        cloud = RawCloud(points=np.zeros((2, 3)), taus=np.array([110.0, 150.0]),
+                         sites=[Site.EPI_VEIN] * 2, order=np.arange(2))
+        with pytest.raises(InvalidArgumentError, match="no septum sites"):
+            split_samples(build_samples(cloud))

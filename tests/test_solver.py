@@ -229,10 +229,8 @@ class TestMeasurePlanarCv:
         n = mesh.n_nodes
         return SimulationOutput(
             activation=activation, activated=np.ones(n, dtype=bool),
-            peak_u=np.full(n, 1.5), final_u=np.zeros(n),
-            final_w=np.zeros((n, 3)), snapshots={}, iterations=0,
-            residuals=np.zeros(0), dt=0.025, t_end=1.0, mesh=mesh,
-            manifest={})
+            peak_u=np.full(n, 1.5), final_u=np.zeros(n), snapshots={},
+            mesh=mesh, manifest={})
 
     def test_synthetic_linear_field_is_exact(self):
         bar = build_slab_mesh((0.7, 0.07, 0.035), 0.035)
