@@ -1,9 +1,11 @@
 """Activation-map analytics.
 
-Extraction of computed activation times at measurement locations, the
+The site (`Site`) and group (`Group`) labels of measured points, the
+extraction of computed activation times at measurement locations, the
 quadratic misfit driving calibration, relative-error summaries for the
 calibration (I) and validation (II) point groups, and the regression
-diagnostics reported alongside them.
+diagnostics reported alongside them. The measured points themselves
+travel as a `registration.RawCloud`.
 """
 
 from __future__ import annotations
@@ -28,27 +30,6 @@ class Group(str, Enum):
     INPUT = "input"
     CAL_I = "I"
     VAL_II = "II"
-
-
-@dataclass
-class ActivationSample:
-    """One measured activation point, in mesh coordinates (cm, ms)."""
-
-    location: np.ndarray
-    tau: float
-    site: Site
-    group: Group
-    order: int = 0
-
-    def __post_init__(self):
-        self.location = np.asarray(self.location, dtype=float)
-        if self.location.shape != (3,) or not np.isfinite(self.location).all():
-            raise InvalidArgumentError("sample location must be a finite 3-vector")
-        if not np.isfinite(self.tau) or self.tau < 0.0:
-            raise InvalidArgumentError(f"activation time {self.tau} must be >= 0")
-        if (self.group is Group.INPUT) != (self.site is Site.SEPTUM):
-            raise InvalidArgumentError(
-                "septal samples are stimulus inputs and vice versa")
 
 
 def extract_activation_at(output: SimulationOutput, points) -> np.ndarray:

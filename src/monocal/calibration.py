@@ -5,7 +5,9 @@ activation-time residuals over the calibration points, and nudges every
 conductivity component along that signed error with fixed acceleration
 coefficients, clamping to the physiological box. The update uses the
 error expressed in seconds; with conductivities in mS/cm that makes the
-printed coefficients (0.45, 0.1, 0.05) dimensionally sensible.
+printed coefficients (0.45, 0.1, 0.05) dimensionally sensible. The
+calibration (group I) and validation (group II) points arrive as
+`registration.RawCloud`s.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import solver as slv
 from .errors import InvalidArgumentError
 from .fibers import FiberField
 from .geometry import Mesh
+from .registration import RawCloud
 
 logger = logging.getLogger(__name__)
 
@@ -110,9 +113,11 @@ class IterationRecord:
 class CalibrationResult:
     """The estimate and the activation times simulated at it.
 
-    calibration_computed and validation_computed follow the order of
-    calibration_samples and of the validation samples given; the latter
-    is empty, and validation None, when there were none.
+    calibration is the group-I cloud as used: ordered by time, then
+    acquisition order, and cut to max_cal_points. calibration_computed
+    and validation_computed follow the order of that cloud and of the
+    validation cloud given; the latter is empty, and validation None,
+    when there was none.
     """
 
     sigma_hat: np.ndarray
@@ -121,7 +126,7 @@ class CalibrationResult:
     validation: act.ErrorReport | None
     validation_computed: np.ndarray
     calibration_computed: np.ndarray
-    calibration_samples: list[act.ActivationSample]
+    calibration: RawCloud
 
 
 def mean_signed_error(computed, measured) -> tuple[float, float]:
@@ -163,12 +168,10 @@ def update_sigma(sigma, error_sum_ms: float, box: ConductivityBox,
 
 
 def calibrate(mesh: Mesh, fiber_field: FiberField | None,
-              stim_plan: slv.StimulusPlan,
-              cal_samples: list[act.ActivationSample],
+              stim_plan: slv.StimulusPlan, cal: RawCloud,
               config: CalibrationConfig | None = None,
-              val_samples: list[act.ActivationSample] | None = None
-              ) -> CalibrationResult:
-    """Estimate conductivities from calibration samples by direct search.
+              val: RawCloud | None = None) -> CalibrationResult:
+    """Estimate conductivities from the calibration points by direct search.
 
     Stops when the mean per-point signed error falls below tol_ms and
     every calibration point activated (converged), or on misfit
@@ -180,19 +183,16 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
     are those stored for the last iterate when converged, otherwise for
     the first iterate of lowest misfit. calibration_computed is always
     set; the validation report is computed from the estimate's times
-    alone when val_samples are given.
+    alone when a non-empty validation cloud is given.
     """
     config = config or CalibrationConfig()
-    if not cal_samples:
-        raise InvalidArgumentError("calibration sample list is empty")
-    cal_samples = sorted(cal_samples, key=lambda s: (s.tau, s.order))
-    if config.max_cal_points is not None:
-        cal_samples = cal_samples[:config.max_cal_points]
-    cal_taus = np.array([s.tau for s in cal_samples])
-    val_samples = val_samples or []
+    if not len(cal):
+        raise InvalidArgumentError("calibration cloud is empty")
+    cal = cal.subset(np.lexsort((cal.order, cal.taus))[:config.max_cal_points])
+    has_val = val is not None and len(val) > 0
     # one lookup per iteration gives both groups' times
-    points = np.array([s.location for s in cal_samples + val_samples])
-    n_cal = len(cal_samples)
+    points = np.vstack([cal.points, val.points]) if has_val else cal.points
+    n_cal = len(cal)
 
     sigma = config.start_sigma()
     records: list[IterationRecord] = []
@@ -209,9 +209,9 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
             raise
         times.append(act.extract_activation_at(output, points))
         computed = times[-1][:n_cal]
-        e_sum, e_mean = mean_signed_error(computed, cal_taus)
-        misfit = act.misfit(computed, cal_taus)
-        report = act.error_stats(computed, cal_taus)
+        e_sum, e_mean = mean_signed_error(computed, cal.taus)
+        misfit = act.misfit(computed, cal.taus)
+        report = act.error_stats(computed, cal.taus)
         record = IterationRecord(
             sigma=sigma.copy(), error_sum_ms=e_sum, error_mean_ms=e_mean,
             misfit_ms2=misfit, cal_mean_rel=report.mean_rel,
@@ -240,16 +240,13 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
     else:
         best = min(range(len(records)), key=lambda i: records[i].misfit_ms2)
     val_computed = times[best][n_cal:]
-    validation = None
-    if val_samples:
-        validation = act.error_stats(val_computed,
-                                     [s.tau for s in val_samples])
+    validation = act.error_stats(val_computed, val.taus) if has_val else None
     return CalibrationResult(sigma_hat=records[best].sigma,
                              iterations=records, converged=converged,
                              validation=validation,
                              validation_computed=val_computed,
                              calibration_computed=times[best][:n_cal],
-                             calibration_samples=cal_samples)
+                             calibration=cal)
 
 
 def write_trace(path, result: CalibrationResult) -> None:

@@ -166,25 +166,13 @@ def _fiber_angles(spec: dict):
 
 def _load_fiber_field(config: dict, mesh):
     """Fiber input: a fields file, inline angles, or none (isotropic)."""
-    import numpy as np
-
-    from . import vtkio
     from .fibers import FiberField, generate_fibers
 
     if config.get("fibers") is not None:
         path = Path(config["fibers"])
         if not path.exists():
             raise InvalidArgumentError(f"fibers file {path} does not exist")
-        fields = vtkio.read_fields(path)
-        for name in ("fiber", "sheet", "normal"):
-            if name not in fields:
-                raise InvalidArgumentError(
-                    f"fibers file {path} lacks the '{name}' vector field")
-        singular = fields.get("singular", np.zeros(mesh.n_nodes))
-        ff = FiberField(f=fields["fiber"], s=fields["sheet"],
-                        n=fields["normal"], singular=singular > 0.5)
-        ff.validate()
-        return ff
+        return FiberField.read(path)
     if config.get("fiber_angles") is not None:
         return generate_fibers(mesh, _fiber_angles(dict(config["fiber_angles"])))
     return None
@@ -197,7 +185,7 @@ def _read_mesh(config: dict, command: str):
 
 
 def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
-    from . import vtkio
+    from . import twin, vtkio
     from .geometry import build_lv_mesh, build_slab_mesh
 
     kind = config.get("kind", "slab")
@@ -208,9 +196,10 @@ def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
     if kind == "slab":
         mesh = build_slab_mesh(_numbers(config, "extents", (1.0, 1.0, 0.5)), h)
     else:
-        mesh = build_lv_mesh(_numbers(config, "endo_axes", (0.45, 0.45, 1.05)),
-                             _numbers(config, "epi_axes", (0.6, 0.6, 1.2)),
-                             config.get("truncation_height", 0.3), h)
+        mesh = build_lv_mesh(_numbers(config, "endo_axes", twin.ENDO_AXES),
+                             _numbers(config, "epi_axes", twin.EPI_AXES),
+                             config.get("truncation_height",
+                                        twin.TRUNCATION_HEIGHT), h)
     out = _out_dir(config, "gen-mesh")
     mesh_path = out / "mesh.vtk"
     tracker.add(mesh_path, vtkio.surface_path(mesh_path))
@@ -219,7 +208,6 @@ def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
 
 
 def cmd_gen_fibers(config: dict, tracker: _OutputTracker) -> None:
-    from . import vtkio
     from .fibers import generate_fibers
 
     mesh = _read_mesh(config, "gen-fibers")
@@ -229,9 +217,7 @@ def cmd_gen_fibers(config: dict, tracker: _OutputTracker) -> None:
     field = generate_fibers(mesh, angles)
     path = _out_dir(config, "gen-fibers") / "fibers.vtk"
     tracker.add(path)
-    vtkio.write_fields(path, mesh, {
-        "fiber": field.f, "sheet": field.s, "normal": field.n,
-        "singular": field.singular.astype(float)})
+    field.write(path, mesh)
     print(f"wrote {path} ({int(field.singular.sum())} singular nodes)")
 
 
@@ -239,15 +225,14 @@ def cmd_register(config: dict, tracker: _OutputTracker) -> None:
     from . import registration as reg
 
     mesh = _read_mesh(config, "register")
-    merged, samples, stats = reg.register(
+    cloud, groups, stats = reg.register(
         mesh, _existing_path(config, "measurements", "register"),
         _existing_path(config, "references", "register"))
     out = _out_dir(config, "register")
     csv_path = out / "registered.csv"
     json_path = out / "registration.json"
     tracker.add(csv_path, json_path)
-    reg.write_measurements(csv_path, merged,
-                           groups=[s.group.value for s in samples])
+    reg.write_measurements(csv_path, cloud, groups=groups)
     _write_json(json_path, stats)
     print(f"wrote {csv_path} and {json_path}")
 
@@ -317,13 +302,13 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     if fiber_field is None and not cal_config.isotropic:
         raise InvalidArgumentError(
             "calibrate needs 'fibers' or 'fiber_angles' unless isotropic")
-    _, samples, reg_stats = reg.register(
+    cloud, groups, reg_stats = reg.register(
         mesh, _existing_path(config, "measurements", "calibrate"),
         _existing_path(config, "references", "calibrate"))
-    inputs, cal_samples, val_samples, plan = reg.split_samples(samples)
+    inputs, cal_cloud, val_cloud, plan = reg.split_samples(cloud, groups)
 
-    result = cal.calibrate(mesh, fiber_field, plan, cal_samples, cal_config,
-                           val_samples)
+    result = cal.calibrate(mesh, fiber_field, plan, cal_cloud, cal_config,
+                           val_cloud)
 
     out = _out_dir(config, "calibrate")
     trace_path = out / "trace.csv"
@@ -355,17 +340,17 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     with open(correlation_path, "w", newline="") as handle:
         writer = csv_mod.writer(handle)
         writer.writerow(("group", "tau_measured_ms", "tau_computed_ms"))
-        rows = [("I", s.tau, c) for s, c in
-                zip(result.calibration_samples, result.calibration_computed)]
-        rows += [("II", s.tau, c) for s, c in
-                 zip(val_samples, result.validation_computed)]
+        rows = [("I", tau, c) for tau, c in
+                zip(result.calibration.taus, result.calibration_computed)]
+        rows += [("II", tau, c) for tau, c in
+                 zip(val_cloud.taus, result.validation_computed)]
         for group, tau, computed in rows:
             val = "" if not np.isfinite(computed) else f"{computed:.9g}"
             writer.writerow((group, f"{tau:.9g}", val))
 
     manifest = {"registration": reg_stats, "mesh_hash": mesh.content_hash(),
-                "n_input": len(inputs), "n_cal": len(cal_samples),
-                "n_val": len(val_samples)}
+                "n_input": len(inputs), "n_cal": len(cal_cloud),
+                "n_val": len(val_cloud)}
     _write_json(manifest_path, manifest)
     sig = ", ".join(f"{v:.4f}" for v in result.sigma_hat)
     print(f"sigma_hat = ({sig})  converged={result.converged}  "
@@ -450,13 +435,16 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
     from . import twin, vtkio
 
+    perturb_cm = float(config.get("perturb_cm", 0.015))
+    if not perturb_cm >= 0.0:
+        raise InvalidArgumentError(f"perturb_cm must be >= 0, got {perturb_cm}")
     data = twin.build_twin(h=float(config.get("h", twin.DEFAULT_H)),
                            sigma=_numbers(config, "sigma", twin.TRUE_SIGMA))
     out = _out_dir(config, "gen-twin")
-    paths = twin.write_twin(data, out,
-                            perturb_cm=float(config.get("perturb_cm", 0.015)),
-                            seed=int(config.get("seed", 7)))
+    paths = twin.twin_paths(out)
     tracker.add(*paths.values(), vtkio.surface_path(paths["mesh"]))
+    twin.write_twin(data, out, perturb_cm=perturb_cm,
+                    seed=int(config.get("seed", 7)))
     print(f"wrote twin fixture to {out} "
           f"({data.mesh.n_nodes} nodes, {len(data.vein_nodes)} vein points)")
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from . import _hex, fem
+from . import _hex, fem, vtkio
 from .errors import InvalidArgumentError
 from .geometry import Mesh, SurfaceTag
 
@@ -72,6 +72,27 @@ class FiberField:
                 or np.abs(np.sum(self.f * self.n, axis=1)).max() > tol \
                 or np.abs(np.sum(self.s * self.n, axis=1)).max() > tol:
             raise InvalidArgumentError("fiber frame is not orthogonal")
+
+    def write(self, path, mesh: Mesh) -> None:
+        """Store the field as VTK point data, the layout `read` loads."""
+        vtkio.write_fields(path, mesh, {
+            "fiber": self.f, "sheet": self.s, "normal": self.n,
+            "singular": self.singular.astype(float)})
+
+    @classmethod
+    def read(cls, path) -> "FiberField":
+        """Load and validate a field stored by `write`; a file without
+        the 'singular' data has no singular nodes."""
+        fields = vtkio.read_fields(path)
+        for name in ("fiber", "sheet", "normal"):
+            if name not in fields:
+                raise InvalidArgumentError(
+                    f"fibers file {path} lacks the '{name}' vector field")
+        singular = fields.get("singular", np.zeros(len(fields["fiber"])))
+        field = cls(f=fields["fiber"], s=fields["sheet"], n=fields["normal"],
+                    singular=singular > 0.5)
+        field.validate()
+        return field
 
     @classmethod
     def uniform(cls, n_nodes: int) -> "FiberField":

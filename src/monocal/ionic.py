@@ -76,6 +76,10 @@ class IonicParams:
         return out
 
 
+# The one parameter set the model runs with.
+PARAMS = IonicParams()
+
+
 def rest_state(n: int | None = None) -> tuple[np.ndarray | float, np.ndarray]:
     """Resting potential and gate values (u=0, gates (1, 1, 0)).
 
@@ -91,24 +95,26 @@ def _heav(x):
     return (np.asarray(x) >= 0.0).astype(float)
 
 
-def _tau_out_rest(u, p: IonicParams):
+def _tau_out_rest(u):
+    p = PARAMS
     return p.tau_out_rest1 + _heav(u - p.v_open_threshold) * (p.tau_out_rest2 - p.tau_out_rest1)
 
 
-def _tau_out_plateau(u, p: IonicParams):
+def _tau_out_plateau(u):
+    p = PARAMS
     span = p.tau_out_plateau_fast - p.tau_out_plateau_slow
     return p.tau_out_plateau_slow + span * 0.5 * (
         1.0 + np.tanh(p.k_plateau * (u - p.u_plateau)))
 
 
-def ionic_currents(u, w, p: IonicParams | None = None):
+def ionic_currents(u, w):
     """The three model currents at (u, w), each as a rate in 1/ms.
 
     w holds the gates in its last axis: shape (3,) or (n, 3). The fast
     inward and slow inward currents are negative (depolarizing), the
     outward current non-negative on the physiological range.
     """
-    p = p or IonicParams()
+    p = PARAMS
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
     w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
@@ -117,15 +123,15 @@ def ionic_currents(u, w, p: IonicParams | None = None):
     h_slow = _heav(u - p.v_slow_threshold)
 
     i_fast = -h_fast * (u - p.v_fast_threshold) * (p.v_overshoot - u) * w1 / p.tau_fast
-    i_out = (u * (1.0 - h_slow) / _tau_out_rest(u, p)
-             + h_slow / _tau_out_plateau(u, p))
+    i_out = (u * (1.0 - h_slow) / _tau_out_rest(u)
+             + h_slow / _tau_out_plateau(u))
     i_slow = -h_slow * w2 * w3 / p.tau_slow_inward
     return i_fast, i_out, i_slow
 
 
-def gating_rhs(u, w, p: IonicParams | None = None) -> np.ndarray:
+def gating_rhs(u, w) -> np.ndarray:
     """Right-hand side of the three gating ODEs, shaped like w."""
-    p = p or IonicParams()
+    p = PARAMS
     g = p.gating
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -151,12 +157,12 @@ def gating_rhs(u, w, p: IonicParams | None = None) -> np.ndarray:
     return np.stack([dw1, dw2, dw3], axis=-1)
 
 
-def step_gating(u, w, dt: float, p: IonicParams | None = None) -> np.ndarray:
+def step_gating(u, w, dt: float) -> np.ndarray:
     """One forward Euler step of the gating ODEs."""
-    return np.asarray(w, dtype=float) + dt * gating_rhs(u, w, p)
+    return np.asarray(w, dtype=float) + dt * gating_rhs(u, w)
 
 
-def reaction_coefficients(u, w_next, p: IonicParams | None = None):
+def reaction_coefficients(u, w_next):
     """Linearization I_ion ~= alpha * u_next + beta used by the stepper.
 
     Evaluated at the known potential u (previous step) and the freshly
@@ -164,7 +170,7 @@ def reaction_coefficients(u, w_next, p: IonicParams | None = None):
     outward current's linear-in-u rest branch are the implicit
     parts; everything else lands in beta.
     """
-    p = p or IonicParams()
+    p = PARAMS
     u = np.asarray(u, dtype=float)
     w = np.asarray(w_next, dtype=float)
     w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
@@ -176,8 +182,8 @@ def reaction_coefficients(u, w_next, p: IonicParams | None = None):
     alpha = -fast_gain
     beta = p.v_fast_threshold * fast_gain
 
-    alpha = alpha + (1.0 - h_slow) / _tau_out_rest(u, p)
-    beta = beta + h_slow / _tau_out_plateau(u, p)
+    alpha = alpha + (1.0 - h_slow) / _tau_out_rest(u)
+    beta = beta + h_slow / _tau_out_plateau(u)
     beta = beta - h_slow * w2 * w3 / p.tau_slow_inward
     return alpha, beta
 
@@ -208,10 +214,9 @@ class CellTrace:
         return float(self.t[above[-1]] - self.t[above[0]])
 
 
-def run_single_cell(p: IonicParams | None = None, dt: float = 0.025,
-                    t_end: float = 500.0, stim_times=(0.0,),
-                    stim_duration: float = 1.0, stim_rate: float = 0.5,
-                    state=None) -> CellTrace:
+def run_single_cell(dt: float = 0.025, t_end: float = 500.0,
+                    stim_times=(0.0,), stim_duration: float = 1.0,
+                    stim_rate: float = 0.5, state=None) -> CellTrace:
     """Integrate one cell with the same scheme the tissue solver uses.
 
     Gates advance by forward Euler, the potential by the semi-implicit
@@ -220,7 +225,6 @@ def run_single_cell(p: IonicParams | None = None, dt: float = 0.025,
     potential rate (I_app / (chi * C_m), 1/ms) held for stim_duration ms
     from each entry of stim_times.
     """
-    p = p or IonicParams()
     if dt <= 0.0 or t_end <= 0.0:
         raise InvalidArgumentError("dt and t_end must be positive")
     n_steps = int(round(t_end / dt))
@@ -235,8 +239,8 @@ def run_single_cell(p: IonicParams | None = None, dt: float = 0.025,
     ts[0], us[0], ws[0] = 0.0, u, w
     for n in range(n_steps):
         t_next = (n + 1) * dt
-        w = w + dt * gating_rhs(u, w, p)
-        alpha, beta = reaction_coefficients(u, w, p)
+        w = w + dt * gating_rhs(u, w)
+        alpha, beta = reaction_coefficients(u, w)
         active = np.any((t_next >= stim_times) & (t_next < stim_times + stim_duration))
         rate = stim_rate if active else 0.0
         u = (u / dt - beta + rate) / (1.0 / dt + alpha)

@@ -4,8 +4,11 @@ Measurements arrive in the mapping device's millimeter frame. Three
 reference landmarks known in both frames fix a rigid transform; the
 transformed points are then snapped to the nearest node of the relevant
 tagged surface, and the vein points are split into an early-activating
-calibration half and a late-activating validation half. `register` and
-`split_samples` chain these steps into the stage the command line runs.
+calibration half and a late-activating validation half. A measured map
+is one `RawCloud` throughout: `register` returns the projected cloud with
+one group label per point (`input`, `I`, `II`), and `split_samples` cuts
+it into the three group clouds plus the stimulus plan, the stage the
+command line runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .activation import ActivationSample, Group, Site
+from .activation import Group, Site
 from .errors import (DataFormatError, DegenerateConfigurationError,
                      InvalidArgumentError)
 from .geometry import Mesh, SurfaceTag
@@ -51,11 +54,15 @@ class RawCloud:
         if np.any(self.taus < 0.0):
             raise InvalidArgumentError("activation times must be nonnegative")
 
-    def subset(self, mask) -> "RawCloud":
-        mask = np.asarray(mask)
-        return RawCloud(points=self.points[mask], taus=self.taus[mask],
-                        sites=[s for s, keep in zip(self.sites, mask) if keep],
-                        order=self.order[mask])
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def subset(self, index) -> "RawCloud":
+        """The points a boolean mask or an index array (in its order) picks."""
+        index = np.arange(len(self))[np.asarray(index)]
+        return RawCloud(points=self.points[index], taus=self.taus[index],
+                        sites=[self.sites[i] for i in index],
+                        order=self.order[index])
 
 
 @dataclass(frozen=True)
@@ -129,18 +136,17 @@ def read_measurements(path) -> RawCloud:
                     order=np.arange(len(points)))
 
 
-def write_measurements(path, cloud: RawCloud, groups: list[str] | None = None,
-                       ) -> None:
+def write_measurements(path, cloud: RawCloud, groups=None) -> None:
     """Emit a cloud in the measurement CSV schema (mm, ms), optionally
     with a trailing group column."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        header = list(MEASUREMENT_COLUMNS) + (["group"] if groups else [])
-        writer.writerow(header)
+        header = list(MEASUREMENT_COLUMNS)
+        writer.writerow(header if groups is None else header + ["group"])
         for i in range(len(cloud.points)):
             row = [f"{v * 10.0:.9g}" for v in cloud.points[i]]
             row += [f"{cloud.taus[i]:.9g}", cloud.sites[i].value]
-            if groups:
+            if groups is not None:
                 row.append(groups[i])
             writer.writerow(row)
 
@@ -208,47 +214,36 @@ def rigid_from_three_pairs(source: np.ndarray, target: np.ndarray
     return RigidTransform(rotation=rotation, translation=translation)
 
 
-@dataclass
-class ProjectionReport:
-    """Per-point displacement of the nearest-node snapping (cm)."""
+def nearest_surface_nodes(mesh: Mesh, points, tags) -> np.ndarray:
+    """Id of the nearest node on the tagged surface(s) for each point.
 
-    displacements: np.ndarray
-
-    @property
-    def max(self) -> float:
-        return float(self.displacements.max()) if len(self.displacements) else 0.0
-
-    @property
-    def mean(self) -> float:
-        return float(self.displacements.mean()) if len(self.displacements) else 0.0
+    Equidistant candidates resolve to the lowest node id, so the choice
+    is deterministic and a point on a node maps to that node.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    candidates = mesh.boundary_node_ids(tags)
+    if candidates.size == 0:
+        raise InvalidArgumentError(f"no boundary nodes carry tags {tags}")
+    k = min(8, len(candidates))
+    dist, local = (a.reshape(len(points), k) for a in
+                   cKDTree(mesh.nodes[candidates]).query(points, k=k))
+    # among all nearest-within-rounding candidates, keep the lowest node id
+    tied = dist <= dist[:, :1] * (1.0 + 1e-12) + 1e-300
+    return np.array([candidates[local[i][tied[i]]].min()
+                     for i in range(len(points))], dtype=np.int64)
 
 
 def nns_project(cloud: RawCloud, mesh: Mesh, tags
-                ) -> tuple[RawCloud, ProjectionReport]:
+                ) -> tuple[RawCloud, np.ndarray]:
     """Snap each cloud point to its nearest node on the tagged surface.
 
-    Equidistant candidates resolve to the lowest node index, making the
-    projection deterministic; projecting an already-projected cloud is
-    the identity.
+    Returns the projected cloud and each point's displacement (cm).
+    Projecting an already-projected cloud is the identity.
     """
-    tags = np.atleast_1d(np.asarray(tags, dtype=np.int64))
-    candidates = np.unique(np.concatenate(
-        [mesh.boundary_node_ids(int(t)) for t in tags]))
-    if candidates.size == 0:
-        raise InvalidArgumentError(f"no boundary nodes carry tags {tags.tolist()}")
-    tree = cKDTree(mesh.nodes[candidates])
-    k = min(8, len(candidates))
-    dist, local = tree.query(cloud.points, k=k)
-    dist = np.atleast_2d(dist)
-    local = np.atleast_2d(local)
-    # among all nearest-within-rounding candidates, keep the lowest node id
-    tied = dist <= dist[:, :1] * (1.0 + 1e-12) + 1e-300
-    node_ids = np.array([candidates[local[i][tied[i]]].min()
-                         for i in range(len(cloud.points))])
-    displacements = np.linalg.norm(mesh.nodes[node_ids] - cloud.points, axis=1)
-    projected = RawCloud(points=mesh.nodes[node_ids].copy(), taus=cloud.taus,
+    snapped = mesh.nodes[nearest_surface_nodes(mesh, cloud.points, tags)]
+    projected = RawCloud(points=snapped, taus=cloud.taus,
                          sites=list(cloud.sites), order=cloud.order)
-    return projected, ProjectionReport(displacements=displacements)
+    return projected, np.linalg.norm(snapped - cloud.points, axis=1)
 
 
 def split_groups(taus, order=None) -> tuple[np.ndarray, np.ndarray]:
@@ -266,78 +261,62 @@ def split_groups(taus, order=None) -> tuple[np.ndarray, np.ndarray]:
     return ranking[:n_cal], ranking[n_cal:]
 
 
-def build_samples(cloud: RawCloud) -> list[ActivationSample]:
-    """Projected cloud to typed samples: septal points become stimulus
-    inputs, vein points are split into calibration/validation groups."""
-    is_vein = np.array([s is Site.EPI_VEIN for s in cloud.sites])
-    samples: list[ActivationSample] = [None] * len(cloud.points)
-    for i in np.nonzero(~is_vein)[0]:
-        samples[i] = ActivationSample(location=cloud.points[i],
-                                      tau=cloud.taus[i], site=Site.SEPTUM,
-                                      group=Group.INPUT,
-                                      order=int(cloud.order[i]))
-    vein_idx = np.nonzero(is_vein)[0]
-    if vein_idx.size:
-        cal, val = split_groups(cloud.taus[vein_idx], cloud.order[vein_idx])
-        for local, group in ((cal, Group.CAL_I), (val, Group.VAL_II)):
-            for i in vein_idx[local]:
-                samples[i] = ActivationSample(location=cloud.points[i],
-                                              tau=cloud.taus[i],
-                                              site=Site.EPI_VEIN, group=group,
-                                              order=int(cloud.order[i]))
-    return samples
+def group_labels(cloud: RawCloud) -> np.ndarray:
+    """One group label per point: septal points are stimulus inputs,
+    vein points split into the calibration and validation halves."""
+    labels = np.full(len(cloud), Group.INPUT.value)
+    vein = np.nonzero([s is Site.EPI_VEIN for s in cloud.sites])[0]
+    if vein.size:
+        cal, val = split_groups(cloud.taus[vein], cloud.order[vein])
+        labels[vein[cal]] = Group.CAL_I.value
+        labels[vein[val]] = Group.VAL_II.value
+    return labels
 
 
 def register(mesh: Mesh, measurements_path, references_path
-             ) -> tuple[RawCloud, list[ActivationSample], dict]:
+             ) -> tuple[RawCloud, np.ndarray, dict]:
     """Read, place, project and group a measured activation map.
 
     The landmark pairs fix the rigid placement of the device-frame
     cloud; vein points are then projected onto the epicardium and septal
-    points onto the endocardium, and the projected cloud (septal points
-    first) is turned into samples. Returns that cloud, its samples and
-    the registration statistics the command line writes out.
+    points onto the endocardium. Returns the projected cloud (septal
+    points first), its `group_labels` and the registration statistics
+    the command line writes out.
     """
     cloud = read_measurements(measurements_path)
     source, target = read_reference_pairs(references_path)
     transform = rigid_from_three_pairs(source, target)
-    moved = RawCloud(points=transform.apply(cloud.points), taus=cloud.taus,
-                     sites=cloud.sites, order=cloud.order)
     is_vein = np.array([s is Site.EPI_VEIN for s in cloud.sites])
     if not is_vein.any() or is_vein.all():
         raise InvalidArgumentError(
             "measurements must contain both septum and vein sites")
-    vein_cloud, vein_rep = nns_project(moved.subset(is_vein), mesh,
-                                       int(SurfaceTag.EPI))
-    sept_cloud, sept_rep = nns_project(moved.subset(~is_vein), mesh,
-                                       int(SurfaceTag.ENDO))
-    merged = RawCloud(
-        points=np.vstack([sept_cloud.points, vein_cloud.points]),
-        taus=np.concatenate([sept_cloud.taus, vein_cloud.taus]),
-        sites=list(sept_cloud.sites) + list(vein_cloud.sites),
-        order=np.concatenate([sept_cloud.order, vein_cloud.order]))
+    cloud.points = transform.apply(cloud.points)
+    # septal points first; each group snaps to its own surface
+    merged = cloud.subset(np.argsort(is_vein, kind="stable"))
     stats = {
         "rotation": transform.rotation.tolist(),
         "translation_cm": transform.translation.tolist(),
         "landmark_rms_cm": float(np.sqrt(np.mean(
             np.sum((transform.apply(source) - target) ** 2, axis=1)))),
-        "septum": {"max_displacement_cm": sept_rep.max,
-                   "mean_displacement_cm": sept_rep.mean},
-        "vein": {"max_displacement_cm": vein_rep.max,
-                 "mean_displacement_cm": vein_rep.mean},
     }
-    return merged, build_samples(merged), stats
+    for name, vein, tag in (("vein", True, SurfaceTag.EPI),
+                            ("septum", False, SurfaceTag.ENDO)):
+        part = np.sort(is_vein) == vein
+        projected, moves = nns_project(merged.subset(part), mesh, int(tag))
+        merged.points[part] = projected.points
+        stats[name] = {"max_displacement_cm": float(moves.max()),
+                       "mean_displacement_cm": float(moves.mean())}
+    return merged, group_labels(merged), stats
 
 
-def split_samples(samples: list[ActivationSample]):
+def split_samples(cloud: RawCloud, groups):
     """Pacing inputs, calibration (group I) and validation (group II)
-    samples, plus the stimulus plan that paces at the inputs' sites and
+    clouds, plus the stimulus plan that paces at the inputs' sites and
     times."""
-    inputs = [s for s in samples if s.group is Group.INPUT]
-    cal = [s for s in samples if s.group is Group.CAL_I]
-    val = [s for s in samples if s.group is Group.VAL_II]
-    if not inputs:
+    groups = np.asarray(groups)
+    inputs, cal, val = (cloud.subset(groups == g.value)
+                        for g in (Group.INPUT, Group.CAL_I, Group.VAL_II))
+    if not len(inputs):
         raise InvalidArgumentError("no septum sites to pace from")
-    plan = StimulusPlan(points=np.array([s.location for s in inputs]),
-                        onsets=np.array([s.tau for s in inputs]))
-    return inputs, cal, val, plan
+    return inputs, cal, val, StimulusPlan(points=inputs.points,
+                                          onsets=inputs.taus)

@@ -55,7 +55,8 @@ class SolverParams:
     0.086 per ms against the outward leak, so reaching the fast-current
     threshold of 0.3 takes roughly 3.5 ms and shorter pulses die out.
     stop_when_activated ends the run once every node has seen its
-    upstroke and no activation time can move any more.
+    upstroke and no activation time can move any more, but not before
+    the last requested snapshot.
     """
 
     sigma: tuple[float, float, float] = (1.325, 0.293, 0.0675)
@@ -234,7 +235,6 @@ class MonodomainSolver:
                  params: SolverParams):
         self.mesh = mesh
         self.params = params
-        self.ionic_params = ionic.IonicParams()
         if fiber_field is None:
             fiber_field = FiberField.uniform(mesh.n_nodes)
         self.fiber_field = fiber_field
@@ -273,8 +273,8 @@ class MonodomainSolver:
         a potential rate (1/ms), evaluated at the new time level.
         """
         p = self.params
-        w_next = ionic.step_gating(u, w, p.dt, self.ionic_params)
-        alpha, beta = ionic.reaction_coefficients(u, w_next, self.ionic_params)
+        w_next = ionic.step_gating(u, w, p.dt)
+        alpha, beta = ionic.reaction_coefficients(u, w_next)
         rhs, diag = self._system(u, alpha, beta, stim_rate)
         report = fem.gmres_solve(self.matrix, rhs, x0=u,
                                  rel_tol=LINEAR_REL_TOL, diag=diag)
@@ -302,6 +302,7 @@ class MonodomainSolver:
             if not 0 <= k <= n_steps:
                 raise InvalidArgumentError(f"snapshot time {ts} outside [0, t_end]")
             snap_steps[k] = float(ts)
+        last_snap = max(snap_steps, default=0)
         snapshots: dict[float, np.ndarray] = {}
         if 0 in snap_steps:
             snapshots[snap_steps[0]] = u.copy()
@@ -336,7 +337,7 @@ class MonodomainSolver:
             if k % PROGRESS_EVERY == 0:
                 logger.info("step %d/%d  t=%.3f ms  max u=%.4f  cg iters=%d",
                             k, n_steps, t, float(u.max()), int(report.iterations))
-            if (p.stop_when_activated and k < n_steps
+            if (p.stop_when_activated and last_snap <= k < n_steps
                     and np.all(peak >= ACTIVATION_PEAK_FLOOR)
                     and t >= stim_end and rate.max() < 1.0):
                 # every node has seen its upstroke and the remaining
@@ -360,7 +361,7 @@ class MonodomainSolver:
                 "stimulus_radius": p.stimulus_radius,
                 "stimulus_duration": p.stimulus_duration,
             },
-            "ionic": self.ionic_params.manifest(),
+            "ionic": ionic.PARAMS.manifest(),
             "stimulus_sites": int(len(stim_plan.points)),
         }
         return SimulationOutput(

@@ -127,15 +127,6 @@ class TwinData:
                         order=np.arange(len(taus)))
 
 
-def _snap_to_surface(mesh: Mesh, targets, tag: SurfaceTag) -> np.ndarray:
-    from scipy.spatial import cKDTree
-
-    ids = mesh.boundary_node_ids(int(tag))
-    tree = cKDTree(mesh.nodes[ids])
-    _, idx = tree.query(np.atleast_2d(np.asarray(targets, dtype=float)))
-    return ids[idx]
-
-
 def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     """Generate the twin: mesh, fibers, paced simulation, device frame.
 
@@ -146,8 +137,10 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     mesh = build_lv_mesh(ENDO_AXES, EPI_AXES, TRUNCATION_HEIGHT, h)
     fiber_field = generate_fibers(mesh, FiberAngles())
 
-    septal_nodes = _snap_to_surface(mesh, SEPTAL_TARGETS, SurfaceTag.ENDO)
-    vein_nodes = _snap_to_surface(mesh, vein_path(), SurfaceTag.EPI)
+    septal_nodes = reg.nearest_surface_nodes(mesh, SEPTAL_TARGETS,
+                                             int(SurfaceTag.ENDO))
+    vein_nodes = reg.nearest_surface_nodes(mesh, vein_path(),
+                                           int(SurfaceTag.EPI))
     onsets = np.asarray(SEPTAL_ONSETS, dtype=float)
     plan = slv.StimulusPlan(points=mesh.nodes[septal_nodes], onsets=onsets)
 
@@ -186,6 +179,14 @@ def _write_references(path, transform: RigidTransform,
             handle.write(f"{name},target,{coords}\n")
 
 
+def twin_paths(out_dir) -> dict[str, Path]:
+    """The files `write_twin` writes into out_dir, keyed by stem; writing
+    the mesh also writes its `vtkio.surface_path` companion."""
+    names = ("mesh.vtk", "fibers.vtk", "activation.vtk", "measurements.csv",
+             "references.csv", "references_perturbed.csv", "truth.json")
+    return {Path(name).stem: Path(out_dir) / name for name in names}
+
+
 def write_twin(data: TwinData, out_dir, perturb_cm: float = 0.015,
                seed: int = 7) -> dict[str, Path]:
     """Write the twin dataset into a directory.
@@ -197,20 +198,9 @@ def write_twin(data: TwinData, out_dir, perturb_cm: float = 0.015,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "mesh": out / "mesh.vtk",
-        "fibers": out / "fibers.vtk",
-        "activation": out / "activation.vtk",
-        "measurements": out / "measurements.csv",
-        "references": out / "references.csv",
-        "references_perturbed": out / "references_perturbed.csv",
-        "truth": out / "truth.json",
-    }
+    paths = twin_paths(out)
     vtkio.write_mesh(paths["mesh"], data.mesh)
-    ff = data.fiber_field
-    vtkio.write_fields(paths["fibers"], data.mesh, {
-        "fiber": ff.f, "sheet": ff.s, "normal": ff.n,
-        "singular": ff.singular.astype(float)})
+    data.fiber_field.write(paths["fibers"], data.mesh)
     vtkio.write_fields(paths["activation"], data.mesh,
                        {"activation": data.activation})
     reg.write_measurements(paths["measurements"], data.measurement_cloud())

@@ -1,6 +1,6 @@
 """Shared fixtures for the test suite.
 
-The synthetic twin and its registered sample sets are expensive to
+The synthetic twin and its registered point groups are expensive to
 build, so they live at session scope and are shared by the recovery and
 acceptance tests.
 """
@@ -46,8 +46,8 @@ def twin_star_files(twin_star, tmp_path_factory):
 @pytest.fixture(scope="session")
 def star_problem(twin_star, twin_star_files):
     """Registered calibration problem on the twin: (cal, val, plan)."""
-    _, samples, _ = reg.register(twin_star.mesh,
-                                 twin_star_files["measurements"],
-                                 twin_star_files["references"])
-    _, cal, val, plan = reg.split_samples(samples)
+    cloud, groups, _ = reg.register(twin_star.mesh,
+                                    twin_star_files["measurements"],
+                                    twin_star_files["references"])
+    _, cal, val, plan = reg.split_samples(cloud, groups)
     return cal, val, plan

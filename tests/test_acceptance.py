@@ -82,59 +82,59 @@ def _interpolate_map(source_mesh, source_activation, query_points):
 # --- shared twin recovery studies ---------------------------------------------
 
 
-def _study(mesh, plan, cal_samples, val_samples, angles=None,
+def _study(mesh, plan, cal_cloud, val_cloud, angles=None,
            isotropic=False, max_cal_points=None):
     field = None if angles is None else generate_fibers(mesh, angles)
     config = CalibrationConfig(isotropic=isotropic,
                                max_cal_points=max_cal_points)
-    result = calibrate(mesh, field, plan, cal_samples, config, val_samples)
+    result = calibrate(mesh, field, plan, cal_cloud, config, val_cloud)
     cal_error = error_stats(result.calibration_computed,
-                            [s.tau for s in result.calibration_samples])
+                            result.calibration.taus)
     return result, cal_error.mean_rel, result.validation.mean_rel
 
 
 @pytest.fixture(scope="module")
 def study_base(twin_star, star_problem):
-    cal_samples, val_samples, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_samples, val_samples,
+    cal_cloud, val_cloud, plan = star_problem
+    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
                   FiberAngles())
 
 
 @pytest.fixture(scope="module")
 def study_fib45(twin_star, star_problem):
-    cal_samples, val_samples, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_samples, val_samples,
+    cal_cloud, val_cloud, plan = star_problem
+    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
                   FiberAngles(45.0, -45.0, -20.0, 20.0))
 
 
 @pytest.fixture(scope="module")
 def study_fib75(twin_star, star_problem):
-    cal_samples, val_samples, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_samples, val_samples,
+    cal_cloud, val_cloud, plan = star_problem
+    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
                   FiberAngles(75.0, -75.0, -20.0, 20.0))
 
 
 @pytest.fixture(scope="module")
 def study_isotropic(twin_star, star_problem):
-    cal_samples, val_samples, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_samples, val_samples,
+    cal_cloud, val_cloud, plan = star_problem
+    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
                   angles=None, isotropic=True)
 
 
 @pytest.fixture(scope="module")
 def study_truncated(twin_star, star_problem):
-    cal_samples, val_samples, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_samples, val_samples,
+    cal_cloud, val_cloud, plan = star_problem
+    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
                   FiberAngles(), max_cal_points=37)
 
 
 @pytest.fixture(scope="module")
 def study_perturbed(twin_star, twin_star_files):
-    _, samples, _ = reg.register(twin_star.mesh,
-                                 twin_star_files["measurements"],
-                                 twin_star_files["references_perturbed"])
-    _, cal_samples, val_samples, plan = reg.split_samples(samples)
-    return _study(twin_star.mesh, plan, cal_samples, val_samples,
+    cloud, groups, _ = reg.register(twin_star.mesh,
+                                    twin_star_files["measurements"],
+                                    twin_star_files["references_perturbed"])
+    _, cal_cloud, val_cloud, plan = reg.split_samples(cloud, groups)
+    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
                   FiberAngles())
 
 
@@ -256,12 +256,10 @@ def test_surface_projection_is_idempotent(twin_star):
     # which is also why sub-element registration noise is absorbed.
     cloud = twin_star.measurement_cloud("mesh")
     vein = cloud.subset(np.array([s.value == "vein" for s in cloud.sites]))
-    once, report_once = reg.nns_project(vein, twin_star.mesh,
-                                        int(SurfaceTag.EPI))
-    twice, report_twice = reg.nns_project(once, twin_star.mesh,
-                                          int(SurfaceTag.EPI))
+    once, _ = reg.nns_project(vein, twin_star.mesh, int(SurfaceTag.EPI))
+    twice, moves = reg.nns_project(once, twin_star.mesh, int(SurfaceTag.EPI))
     np.testing.assert_array_equal(once.points, twice.points)
-    assert report_twice.max == 0.0
+    assert moves.max() == 0.0
 
 
 def test_perturbed_references_shift_errors_below_half_point(study_base,
@@ -279,7 +277,7 @@ def test_truncated_calibration_keeps_sigma_within_5_percent(study_base,
                                                             study_truncated):
     base, _, _ = study_base
     truncated, _, _ = study_truncated
-    assert len(truncated.calibration_samples) == 37
+    assert len(truncated.calibration) == 37
     rel = np.abs(truncated.sigma_hat - base.sigma_hat) / base.sigma_hat
     assert rel.max() < 0.05, rel
 

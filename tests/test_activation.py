@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocal.activation import (ActivationSample, Group, Site, error_stats,
-                                extract_activation_at, five_number_summary,
-                                misfit, regression_stats)
+from monocal.activation import (error_stats, extract_activation_at,
+                                five_number_summary, misfit, regression_stats)
 from monocal.errors import (DegenerateConfigurationError,
                             InsufficientDataError, InvalidArgumentError)
 from monocal.geometry import build_slab_mesh
@@ -180,20 +179,3 @@ class TestErrorStats:
         report = error_stats(c, m)
         assert report.mean_rel_pointwise >= report.mean_rel - 1e-12
 
-
-class TestActivationSample:
-    def test_pacing_inputs_must_be_septal(self):
-        with pytest.raises(InvalidArgumentError):
-            ActivationSample(location=(0.0, 0.0, 0.0), tau=30.0,
-                             site=Site.EPI_VEIN, group=Group.INPUT)
-
-    def test_septal_points_cannot_join_the_vein_groups(self):
-        with pytest.raises(InvalidArgumentError):
-            ActivationSample(location=(0.0, 0.0, 0.0), tau=30.0,
-                             site=Site.SEPTUM, group=Group.CAL_I)
-
-    def test_valid_samples_construct(self):
-        ActivationSample(location=(0.0, 0.0, 0.0), tau=30.0,
-                         site=Site.SEPTUM, group=Group.INPUT)
-        ActivationSample(location=(0.0, 0.0, 0.0), tau=80.0,
-                         site=Site.EPI_VEIN, group=Group.VAL_II, order=4)

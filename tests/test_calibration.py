@@ -18,8 +18,9 @@ from monocal import activation as act
 from monocal import calibration as cal
 from monocal import geometry
 from monocal import solver as slv
-from monocal.activation import ActivationSample, Group, Site
+from monocal.activation import Site
 from monocal.errors import InvalidArgumentError
+from monocal.registration import RawCloud
 
 BAR_BETA = (9.0, 2.0, 1.0)
 BAR_POINTS = np.array([
@@ -39,10 +40,12 @@ def bar_params(sigma, **overrides):
     return slv.SolverParams(**base)
 
 
-def bar_samples(taus, group=Group.CAL_I):
-    return [ActivationSample(location=tuple(p), tau=float(t),
-                             site=Site.EPI_VEIN, group=group, order=i)
-            for i, (p, t) in enumerate(zip(BAR_POINTS, taus))]
+def bar_cloud(taus, points=BAR_POINTS):
+    """Vein points at the first len(taus) of the given locations."""
+    taus = np.asarray(taus, dtype=float)
+    return RawCloud(points=points[:len(taus)], taus=taus,
+                    sites=[Site.EPI_VEIN] * len(taus),
+                    order=np.arange(len(taus)))
 
 
 def bar_config(**overrides):
@@ -193,10 +196,9 @@ def test_config_start_defaults_to_box_midpoint():
 
 def test_calibrate_converges_immediately_on_self_consistent_data(
         bar, bar_plan, midpoint_taus):
-    samples = bar_samples(midpoint_taus)
-    val = bar_samples(midpoint_taus[:2], group=Group.VAL_II)
-    result = cal.calibrate(bar, None, bar_plan, samples,
-                           bar_config(tol_ms=1.0), val_samples=val)
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
+                           bar_config(tol_ms=1.0),
+                           val=bar_cloud(midpoint_taus[:2]))
     assert result.converged
     assert len(result.iterations) == 1
     np.testing.assert_array_equal(result.sigma_hat,
@@ -213,7 +215,7 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
     mid = cal.ConductivityBox().midpoint()
     star = mid + np.array(cal.DEFAULT_BETA) * (-0.55)
     taus = bar_taus(bar, bar_plan, star)
-    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                            bar_config())
     assert result.converged
     assert len(result.iterations) <= 10
@@ -225,7 +227,7 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
 
 def test_calibrate_iterates_stay_inside_box(bar, bar_plan, midpoint_taus):
     result = cal.calibrate(bar, None, bar_plan,
-                           bar_samples(midpoint_taus + 500.0),
+                           bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8))
     box = cal.ConductivityBox()
     for record in result.iterations:
@@ -238,7 +240,7 @@ def test_calibrate_stagnates_at_box_edge_on_unreachable_data(
     # signed error stays hugely negative, the triple pins at the box lows
     # and the misfit stops moving, so the search reports failure.
     result = cal.calibrate(bar, None, bar_plan,
-                           bar_samples(midpoint_taus + 500.0),
+                           bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8))
     assert not result.converged
     assert len(result.iterations) < 8
@@ -250,7 +252,7 @@ def test_calibrate_stagnates_at_box_edge_on_unreachable_data(
 def test_calibrate_keeps_best_misfit_iterate_when_not_converged(
         bar, bar_plan, midpoint_taus):
     result = cal.calibrate(bar, None, bar_plan,
-                           bar_samples(midpoint_taus + 500.0),
+                           bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8))
     best = min(result.iterations, key=lambda r: r.misfit_ms2)
     np.testing.assert_array_equal(result.sigma_hat, best.sigma)
@@ -265,7 +267,7 @@ def test_calibrate_never_converges_with_unactivated_points(
     monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: None)
     monkeypatch.setattr(cal.act, "extract_activation_at",
                         lambda output, points: computed.copy())
-    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                            bar_config(max_iters=3))
     assert not result.converged
     assert len(result.iterations) == 3
@@ -285,10 +287,7 @@ def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
                         mid + np.array(cal.DEFAULT_BETA) * (-0.55))
     else:
         taus = midpoint_taus + 500.0
-    val = [ActivationSample(location=tuple(p), tau=float(t),
-                            site=Site.EPI_VEIN, group=Group.VAL_II, order=i)
-           for i, (p, t) in enumerate(zip(BAR_POINTS[[0, 2, 4]],
-                                          taus[[0, 2, 4]] + 1.0))]
+    val = bar_cloud(taus[[0, 2, 4]] + 1.0, BAR_POINTS[[0, 2, 4]])
     simulated = []
     original = cal.slv.simulate
 
@@ -297,8 +296,8 @@ def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
         return original(mesh, fiber_field, params, plan)
 
     monkeypatch.setattr(cal.slv, "simulate", counted)
-    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
-                           bar_config(max_iters=8), val_samples=val)
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+                           bar_config(max_iters=8), val=val)
     monkeypatch.undo()
     assert result.converged == (case == "converged")
     assert len(result.iterations) >= 2
@@ -313,11 +312,10 @@ def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
     output = slv.simulate(bar, None, bar_params(result.sigma_hat), bar_plan)
     np.testing.assert_array_equal(
         result.calibration_computed,
-        act.extract_activation_at(
-            output, [s.location for s in result.calibration_samples]))
+        act.extract_activation_at(output, result.calibration.points))
     np.testing.assert_array_equal(
         result.validation_computed,
-        act.extract_activation_at(output, [s.location for s in val]))
+        act.extract_activation_at(output, val.points))
     assert result.validation.n_used == 3
 
 
@@ -334,11 +332,8 @@ def test_calibrate_tolerates_an_iterate_without_validation_times(
                         lambda *args, **kwargs: next(outputs))
     monkeypatch.setattr(cal.act, "extract_activation_at",
                         lambda output, points: times[output].copy())
-    val = [ActivationSample(location=tuple(BAR_POINTS[i]), tau=t,
-                            site=Site.EPI_VEIN, group=Group.VAL_II, order=i)
-           for i, t in enumerate(val_taus)]
-    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
-                           bar_config(), val_samples=val)
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+                           bar_config(), val=bar_cloud(val_taus))
     assert result.converged
     assert len(result.iterations) == 2
     np.testing.assert_array_equal(result.calibration_computed, taus)
@@ -348,7 +343,7 @@ def test_calibrate_tolerates_an_iterate_without_validation_times(
 
 def test_calibrate_without_validation_samples_has_no_report(
         bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan, bar_samples(midpoint_taus),
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
                            bar_config(tol_ms=1.0))
     assert result.validation is None
     assert result.validation_computed.shape == (0,)
@@ -357,16 +352,33 @@ def test_calibrate_without_validation_samples_has_no_report(
 
 def test_calibrate_truncates_to_earliest_activation_times(
         bar, bar_plan, midpoint_taus):
-    samples = bar_samples(midpoint_taus)
-    result = cal.calibrate(bar, None, bar_plan, samples,
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
                            bar_config(tol_ms=1.0, max_cal_points=3))
     kept = sorted(midpoint_taus)[:3]
-    assert [s.tau for s in result.calibration_samples] == kept
+    assert result.calibration.taus.tolist() == kept
+
+
+def test_calibrate_breaks_time_ties_by_acquisition_order(bar, bar_plan,
+                                                         monkeypatch):
+    order = np.array([3, 0, 4, 1, 2])
+    cloud = RawCloud(points=BAR_POINTS, taus=np.full(5, 20.0),
+                     sites=[Site.EPI_VEIN] * 5, order=order)
+    monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cal.act, "extract_activation_at",
+                        lambda output, points: np.full(len(points), 20.0))
+    by_order = BAR_POINTS[np.argsort(order)]
+    for k in (None, 2):
+        result = cal.calibrate(bar, None, bar_plan, cloud,
+                               bar_config(max_cal_points=k))
+        kept = np.arange(5)[:k]
+        np.testing.assert_array_equal(result.calibration.order, kept)
+        np.testing.assert_array_equal(result.calibration.points,
+                                      by_order[kept])
 
 
 def test_calibrate_isotropic_search_keeps_triple_equal(bar, bar_plan):
     taus = bar_taus(bar, bar_plan, (1.0, 1.0, 1.0))
-    result = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                            bar_config(isotropic=True))
     assert result.converged
     assert result.sigma_hat[0] == result.sigma_hat[1] == result.sigma_hat[2]
@@ -377,9 +389,9 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
     mid = cal.ConductivityBox().midpoint()
     star = mid + np.array(cal.DEFAULT_BETA) * (-0.55)
     taus = bar_taus(bar, bar_plan, star)
-    first = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+    first = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                           bar_config(max_iters=3))
-    second = cal.calibrate(bar, None, bar_plan, bar_samples(taus),
+    second = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                            bar_config(max_iters=3))
     np.testing.assert_array_equal(first.sigma_hat, second.sigma_hat)
     assert [r.error_sum_ms for r in first.iterations] \
@@ -388,7 +400,7 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
 
 def test_calibrate_rejects_empty_sample_list(bar, bar_plan):
     with pytest.raises(InvalidArgumentError, match="empty"):
-        cal.calibrate(bar, None, bar_plan, [], bar_config())
+        cal.calibrate(bar, None, bar_plan, bar_cloud([]), bar_config())
 
 
 def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):
@@ -398,7 +410,7 @@ def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):
 
 
 def test_trace_round_trip(tmp_path, bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan, bar_samples(midpoint_taus),
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
                            bar_config(tol_ms=1.0))
     path = tmp_path / "trace.csv"
     cal.write_trace(path, result)

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from monocal import cli
+from monocal import registration as reg
+from monocal import twin
 from monocal import vtkio
 from monocal.calibration import TRACE_HEADER
-from monocal.fibers import FiberAngles, generate_fibers
-from monocal.geometry import build_slab_mesh
+from monocal.fibers import FiberAngles, FiberField, generate_fibers
+from monocal.geometry import build_lv_mesh, build_slab_mesh
 from monocal.solver import SolverParams
 from monocal.twin import TRUE_SIGMA
 
@@ -118,6 +120,58 @@ def test_gen_mesh_rerun_is_byte_identical(tmp_path):
     first = (mesh_path.read_bytes(), surface_path.read_bytes())
     assert cli.main(args) == 0
     assert (mesh_path.read_bytes(), surface_path.read_bytes()) == first
+
+
+def test_gen_mesh_ventricle_defaults_build_the_twin_mesh(tmp_path):
+    assert cli.main(["gen-mesh", "--kind", "ventricle", "--h", "0.05",
+                     "--out", str(tmp_path / "cli")]) == 0
+    vtkio.write_mesh(tmp_path / "lib.vtk", build_lv_mesh(
+        twin.ENDO_AXES, twin.EPI_AXES, twin.TRUNCATION_HEIGHT, 0.05))
+    assert (tmp_path / "cli" / "mesh.vtk").read_bytes() \
+        == (tmp_path / "lib.vtk").read_bytes()
+
+
+def _files_under(path):
+    return sorted(p.name for p in path.rglob("*") if p.is_file())
+
+
+def test_gen_twin_rejects_negative_perturbation_before_simulating(
+        tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(twin, "build_twin", lambda **kwargs: built.append(1))
+    config = tmp_path / "twin.json"
+    config.write_text(json.dumps({"perturb_cm": -1,
+                                  "out": str(tmp_path / "tw")}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-twin", "--config", str(config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "perturb_cm" in message
+    assert built == []
+    assert _files_under(tmp_path) == ["twin.json"]
+
+
+def test_gen_twin_failed_write_removes_partial_outputs(tmp_path, monkeypatch,
+                                                       capsys):
+    mesh = build_slab_mesh((0.1, 0.1, 0.05), 0.05)
+    data = twin.TwinData(
+        mesh=mesh, fiber_field=FiberField.uniform(mesh.n_nodes),
+        sigma=TRUE_SIGMA, septal_nodes=np.array([0]),
+        septal_onsets=np.array([30.0]), vein_nodes=np.array([1, 2]),
+        vein_taus=np.array([40.0, 50.0]), activation=np.zeros(mesh.n_nodes),
+        transform=twin.device_transform())
+
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(twin, "build_twin", lambda **kwargs: data)
+    # the mesh, its surface, fibers and activation are written by then
+    monkeypatch.setattr(reg, "write_measurements", boom)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-twin", "--out", str(tmp_path)])
+    assert err.value.code == 1
+    assert "disk full" in capsys.readouterr().err
+    assert _files_under(tmp_path) == []
 
 
 def test_register_rerun_is_byte_identical(pipeline, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from monocal import vtkio
 from monocal.errors import InvalidArgumentError
 from monocal.fem import assemble_stiffness
 from monocal.fibers import (FiberAngles, FiberField, generate_fibers,
@@ -166,3 +167,28 @@ class TestUniformField:
         assert np.allclose(field.s, (0.0, 1.0, 0.0))
         assert np.allclose(field.n, (0.0, 0.0, 1.0))
         assert not field.singular.any()
+
+
+class TestFieldFile:
+    def test_write_read_round_trip(self, slab, tmp_path):
+        field = generate_fibers(slab, FiberAngles(45.0, -30.0, 10.0, -10.0))
+        field.singular[::7] = True
+        path = tmp_path / "fibers.vtk"
+        field.write(path, slab)
+        back = FiberField.read(path)
+        # the file keeps nine significant digits
+        for name in ("f", "s", "n"):
+            np.testing.assert_allclose(getattr(back, name),
+                                       getattr(field, name), atol=1e-8)
+        np.testing.assert_array_equal(back.singular, field.singular)
+
+    def test_missing_axis_is_named_and_singular_is_optional(self, slab,
+                                                            tmp_path):
+        field = FiberField.uniform(slab.n_nodes)
+        path = tmp_path / "fibers.vtk"
+        vtkio.write_fields(path, slab, {"fiber": field.f, "sheet": field.s,
+                                        "normal": field.n})
+        assert not FiberField.read(path).singular.any()
+        vtkio.write_fields(path, slab, {"fiber": field.f, "normal": field.n})
+        with pytest.raises(InvalidArgumentError, match="'sheet'"):
+            FiberField.read(path)

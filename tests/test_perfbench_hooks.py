@@ -63,6 +63,7 @@ def test_traced_calibration_runs_one_simulation_per_iteration(spans):
     from monocal import calibration as cal
     from monocal import geometry
     from monocal import solver as slv
+    from monocal.registration import RawCloud
 
     mesh = geometry.build_slab_mesh((0.6, 0.1, 0.05), 0.05)
     plan = slv.StimulusPlan(points=np.array([[0.0, 0.0, 0.0]]),
@@ -76,19 +77,16 @@ def test_traced_calibration_runs_one_simulation_per_iteration(spans):
     # both of its iterations without converging
     output = slv.simulate(mesh, None, params, plan)
     taus = act.extract_activation_at(output, points) + 0.5
-    groups = [act.Group.CAL_I] * 3 + [act.Group.VAL_II] * 2
-    samples = [act.ActivationSample(location=tuple(p), tau=float(t),
-                                    site=act.Site.EPI_VEIN, group=group,
-                                    order=i)
-               for i, (p, t, group) in enumerate(zip(points, taus, groups))]
+    cloud = RawCloud(points=points, taus=taus, sites=[act.Site.EPI_VEIN] * 5,
+                     order=np.arange(5))
     config = cal.CalibrationConfig(solver=params, beta=(9.0, 2.0, 1.0),
                                    max_iters=2, tol_ms=0.01)
 
     tracer = spans.Tracer()
     tracer.install()
     try:
-        cal.calibrate(mesh, None, plan, samples[:3], config,
-                      val_samples=samples[3:])
+        cal.calibrate(mesh, None, plan, cloud.subset(np.arange(3)), config,
+                      val=cloud.subset(np.arange(3, 5)))
     finally:
         tracer.restore()
     metrics = spans.layer_metrics(tracer.spans)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from monocal.activation import Group, Site
+from monocal.activation import Site
 from monocal.errors import (DataFormatError, DegenerateConfigurationError,
                             InvalidArgumentError)
 from monocal.geometry import SurfaceTag, build_slab_mesh
-from monocal.registration import (RawCloud, RigidTransform, build_samples,
+from monocal.registration import (RawCloud, RigidTransform, group_labels,
                                   nns_project, read_measurements,
                                   read_reference_pairs, register,
                                   rigid_from_three_pairs, split_groups,
@@ -198,10 +198,10 @@ class TestNnsProject:
 
     def test_coincident_point_is_unchanged(self, unit_cube):
         node = unit_cube.nodes[6]
-        projected, report = nns_project(self._cloud(node), unit_cube,
-                                        int(SurfaceTag.EPI))
+        projected, moves = nns_project(self._cloud(node), unit_cube,
+                                       int(SurfaceTag.EPI))
         assert np.array_equal(projected.points[0], node)
-        assert report.max == 0.0
+        assert np.array_equal(moves, [0.0])
 
     def test_tie_snaps_to_the_lowest_node_id(self, unit_cube):
         # the face centroid is equidistant from all four corners
@@ -215,9 +215,9 @@ class TestNnsProject:
     def test_projection_is_idempotent(self, unit_cube):
         first, _ = nns_project(self._cloud((0.3, 0.1, -0.2)), unit_cube,
                                int(SurfaceTag.ENDO))
-        second, report = nns_project(first, unit_cube, int(SurfaceTag.ENDO))
+        second, moves = nns_project(first, unit_cube, int(SurfaceTag.ENDO))
         assert np.array_equal(first.points, second.points)
-        assert report.max == 0.0
+        assert np.array_equal(moves, [0.0])
 
     def test_tag_filter_restricts_the_targets(self, unit_cube):
         near_endo = self._cloud((0.0, 0.0, 0.01))
@@ -225,10 +225,10 @@ class TestNnsProject:
         assert projected.points[0, 2] == 1.0  # forced up to the top face
 
     def test_report_statistics(self, unit_cube):
-        projected, report = nns_project(self._cloud((0.0, 0.0, 0.2)),
-                                        unit_cube, int(SurfaceTag.ENDO))
-        assert np.isclose(report.max, 0.2, rtol=1e-12)
-        assert np.isclose(report.mean, 0.2, rtol=1e-12)
+        projected, moves = nns_project(
+            self._cloud([(0.0, 0.0, 0.2), (1.0, 1.0, 0.1)]), unit_cube,
+            int(SurfaceTag.ENDO))
+        np.testing.assert_allclose(moves, [0.2, 0.1], rtol=1e-12)
 
 
 class TestSplitGroups:
@@ -254,19 +254,15 @@ class TestSplitGroups:
             split_groups(np.array([100.0]))
 
 
-class TestBuildSamples:
+class TestGroupLabels:
     def test_septum_becomes_input_and_vein_splits(self):
         cloud = RawCloud(
             points=np.arange(15.0).reshape(5, 3),
             taus=np.array([30.0, 157.0, 110.0, 179.0, 152.0]),
             sites=[Site.SEPTUM] + [Site.EPI_VEIN] * 4,
             order=np.arange(5))
-        samples = build_samples(cloud)
-        assert samples[0].group is Group.INPUT
-        groups = [s.group for s in samples[1:]]
-        assert groups == [Group.VAL_II, Group.CAL_I, Group.VAL_II,
-                          Group.CAL_I]
-        assert [s.order for s in samples] == [0, 1, 2, 3, 4]
+        assert group_labels(cloud).tolist() == ["input", "II", "I", "II",
+                                                "I"]
 
 
 class TestRegisterStage:
@@ -284,21 +280,21 @@ class TestRegisterStage:
     def test_places_projects_and_groups(self, tmp_path, unit_cube):
         files = self._files(tmp_path, "29,9,12,110,vein\n21,1,-2,30,septum\n"
                                       "21,9,11,150,vein\n29,1,10.5,130,vein\n")
-        cloud, samples, stats = register(unit_cube, *files)
+        cloud, groups, stats = register(unit_cube, *files)
         # septal points first, each snapped to its own surface
         assert np.array_equal(cloud.points, [[0, 0, 0], [1, 1, 1], [0, 1, 1],
                                              [1, 0, 1]])
-        assert [s.group for s in samples] == [Group.INPUT, Group.CAL_I,
-                                              Group.VAL_II, Group.CAL_I]
+        assert groups.tolist() == ["input", "I", "II", "I"]
         np.testing.assert_allclose(stats["translation_cm"], (-2.0, 0.0, 0.0),
                                    atol=1e-12)
         assert stats["landmark_rms_cm"] < 1e-12
         assert np.isclose(stats["septum"]["max_displacement_cm"],
                           np.sqrt(0.06), rtol=1e-12)
 
-        inputs, cal, val, plan = split_samples(samples)
+        inputs, cal, val, plan = split_samples(cloud, groups)
         assert (len(inputs), len(cal), len(val)) == (1, 2, 1)
-        assert [s.tau for s in cal] == [110.0, 130.0]
+        assert cal.taus.tolist() == [110.0, 130.0]
+        assert cal.order.tolist() == [0, 3]
         assert np.array_equal(plan.points, [[0.0, 0.0, 0.0]])
         assert np.array_equal(plan.onsets, [30.0])
 
@@ -311,4 +307,4 @@ class TestRegisterStage:
         cloud = RawCloud(points=np.zeros((2, 3)), taus=np.array([110.0, 150.0]),
                          sites=[Site.EPI_VEIN] * 2, order=np.arange(2))
         with pytest.raises(InvalidArgumentError, match="no septum sites"):
-            split_samples(build_samples(cloud))
+            split_samples(cloud, group_labels(cloud))

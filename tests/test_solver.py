@@ -127,6 +127,18 @@ class TestSimulate:
             expected = trace.u[int(round(t / params.dt))]
             assert np.max(np.abs(u - expected)) <= 1e-10
 
+    def test_early_stop_waits_for_the_last_snapshot(self):
+        # a whole-domain stimulus activates every node within 5 ms, long
+        # before the later snapshots fall due
+        mesh = build_slab_mesh((0.1, 0.1, 0.05), 0.05)
+        params = SolverParams(stimulus_radius=10.0, t_end=150.0,
+                              stop_when_activated=True)
+        out = simulate(mesh, None, params,
+                       StimulusPlan.single((0.0, 0.0, 0.0)),
+                       snapshot_times=[2.5, 100.0, 140.0])
+        assert sorted(out.snapshots) == [2.5, 100.0, 140.0]
+        assert 5600 <= out.manifest["n_steps"] < 6000
+
     def test_system_returns_the_diagonal_it_writes(self, small_slab):
         solver = MonodomainSolver(small_slab, None, SolverParams())
         n = small_slab.n_nodes
