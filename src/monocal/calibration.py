@@ -82,6 +82,9 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.tol_ms <= 0.0 or self.max_iters < 1:
             raise InvalidArgumentError("tol_ms must be positive, max_iters >= 1")
+        if self.max_cal_points is not None and self.max_cal_points < 1:
+            raise InvalidArgumentError(
+                f"max_cal_points must be >= 1, got {self.max_cal_points}")
         if self.initial_sigma is not None \
                 and not self.box.contains(self.initial_sigma):
             raise InvalidArgumentError(

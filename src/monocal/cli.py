@@ -55,9 +55,10 @@ def _load_config(path: str | None, allowed: dict[str, type],
     """Read a JSON config and reject keys the subcommand does not consume.
 
     Each value must have its key's declared type; an integer counts as a
-    float, a boolean never counts as a number, and null means unset. A
-    name that does not exist on disk but matches a bundled scenario file
-    resolves to the copy shipped inside the package.
+    float and a boolean never counts as a number. Keys whose value is null
+    are dropped, so null means unset. A name that does not exist on disk
+    but matches a bundled scenario file resolves to the copy shipped
+    inside the package.
     """
     if path is None:
         return {}
@@ -77,15 +78,16 @@ def _load_config(path: str | None, allowed: dict[str, type],
         raise InvalidArgumentError(
             f"unknown config key(s) for {command}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}")
-    for key, value in raw.items():
+    config = {key: value for key, value in raw.items() if value is not None}
+    for key, value in config.items():
         expected = allowed[key]
         accepted = (int, float) if expected is float else expected
         wrong_bool = isinstance(value, bool) and expected is not bool
-        if value is not None and (wrong_bool or not isinstance(value, accepted)):
+        if wrong_bool or not isinstance(value, accepted):
             raise InvalidArgumentError(
                 f"config key '{key}' for {command} must be of type "
                 f"{expected.__name__}, got {type(value).__name__}")
-    return raw
+    return config
 
 
 def _require(config: dict, key: str, command: str):
@@ -273,6 +275,10 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
 def _calibration_config(config: dict):
     from . import calibration as cal
 
+    if "sigma" in (config.get("solver") or {}):
+        raise InvalidArgumentError(
+            "calibrate chooses the solver's sigma itself; set the search's "
+            "start point with 'initial_sigma'")
     spec = dict(config.get("box") or {})
     _check_keys(spec, cal.ConductivityBox, "box")
     with _reported_as_invalid("box"):
@@ -296,9 +302,9 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     from . import calibration as cal
     from . import registration as reg
 
+    cal_config = _calibration_config(config)
     mesh = _read_mesh(config, "calibrate")
     fiber_field = _load_fiber_field(config, mesh)
-    cal_config = _calibration_config(config)
     if fiber_field is None and not cal_config.isotropic:
         raise InvalidArgumentError(
             "calibrate needs 'fibers' or 'fiber_angles' unless isotropic")
@@ -527,8 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         epilog = "config keys: " + ", ".join(command.keys)
         if "solver" in command.keys:
+            # calibrate rejects solver.sigma (_calibration_config)
             epilog += "; solver keys: " + ", ".join(
-                SolverParams.__dataclass_fields__)
+                key for key in SolverParams.__dataclass_fields__
+                if name != "calibrate" or key != "sigma")
         p = sub.add_parser(name, help=command.help, epilog=epilog)
         p.add_argument("--config",
                        help="JSON config file (a bare name falls back to the "

@@ -147,27 +147,30 @@ def solve_apicobasal(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
     return fem.solve_dirichlet(laplace, np.zeros(mesh.n_nodes), ids, vals)
 
 
-def nodal_gradient(mesh: Mesh, field: np.ndarray) -> np.ndarray:
-    """Gradient of a node field, averaged element-corner-wise with
-    Jacobian-determinant weights."""
-    if field.shape != (mesh.n_nodes,):
+def nodal_gradients(mesh: Mesh, *fields: np.ndarray) -> list[np.ndarray]:
+    """Gradient of each node field, averaged element-corner-wise with
+    Jacobian-determinant weights; the corner Jacobians, their determinants
+    and inverses are built once for all fields."""
+    if any(field.shape != (mesh.n_nodes,) for field in fields):
         raise InvalidArgumentError("field length does not match node count")
     corner_coords = mesh.nodes[mesh.elems]
     jac = _hex.jacobians(corner_coords, _hex.CORNERS)
     det = np.linalg.det(jac)
     inv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
     dN = _hex.shape_gradients(_hex.CORNERS)
-    ref_grad = np.einsum("ek,pkd->epd", field[mesh.elems], dN)
-    grad = np.einsum("epab,epb->epa", inv_t, ref_grad)
-
-    out = np.zeros((mesh.n_nodes, 3))
     wsum = np.bincount(mesh.elems.ravel(), weights=det.ravel(),
                        minlength=mesh.n_nodes)
-    for d in range(3):
-        out[:, d] = np.bincount(mesh.elems.ravel(),
-                                weights=(det * grad[:, :, d]).ravel(),
-                                minlength=mesh.n_nodes)
-    return out / wsum[:, None]
+    gradients = []
+    for field in fields:
+        ref_grad = np.einsum("ek,pkd->epd", field[mesh.elems], dN)
+        grad = np.einsum("epab,epb->epa", inv_t, ref_grad)
+        out = np.zeros((mesh.n_nodes, 3))
+        for d in range(3):
+            out[:, d] = np.bincount(mesh.elems.ravel(),
+                                    weights=(det * grad[:, :, d]).ravel(),
+                                    minlength=mesh.n_nodes)
+        gradients.append(out / wsum[:, None])
+    return gradients
 
 
 def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField:
@@ -182,8 +185,7 @@ def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField
     phi = solve_transmural(mesh, laplace)
     psi = solve_apicobasal(mesh, laplace)
 
-    g_t = nodal_gradient(mesh, phi)
-    g_l = nodal_gradient(mesh, psi)
+    g_t, g_l = nodal_gradients(mesh, phi, psi)
     nt = np.linalg.norm(g_t, axis=1)
     singular = nt < 1e-10
     e_t = g_t / np.where(singular, 1.0, nt)[:, None]

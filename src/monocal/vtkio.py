@@ -6,12 +6,19 @@ the boundary quads (type 9) with the tag as integer cell data, sharing the
 volume file's point numbering. Node fields are written as POINT_DATA
 scalars or vectors on the volume grid.
 
+All three files go through one writer, `_write` (header, grid, at most
+one POINT_DATA or CELL_DATA section), and one reader, `_read`, which
+converts each number block after the header with one numpy call, parses
+both data sections with the same code and counts lines only to report
+an error.
+
 Coordinates and field values are emitted with 9 significant digits, which
 is the round-trip precision contract for these files.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -29,45 +36,52 @@ def surface_path(path) -> Path:
     return p.with_name(p.stem + "_surface" + p.suffix)
 
 
-def _fmt_row(values) -> str:
-    return " ".join(_FMT % v for v in values)
+def _rows(values: np.ndarray, fmt: str) -> str:
+    """One text line per row of values, each value formatted with fmt
+    (one `%` over Python scalars, so the formatting runs in C)."""
+    rows = values if values.ndim == 2 else values[:, None]
+    line = " ".join([fmt] * rows.shape[1])
+    return "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _write_points(lines: list[str], pts: np.ndarray) -> None:
-    lines.append(f"POINTS {len(pts)} double")
-    lines.extend(_fmt_row(row) for row in pts)
-
-
-def _write_cells(lines: list[str], conn: np.ndarray, cell_type: int) -> None:
-    n, k = conn.shape
-    lines.append(f"CELLS {n} {n * (k + 1)}")
-    lines.extend(f"{k} " + " ".join(str(i) for i in row) for row in conn)
-    lines.append(f"CELL_TYPES {n}")
-    lines.extend([str(cell_type)] * n)
+def _write(path, title: str, points: np.ndarray, cells: np.ndarray,
+           cell_type: int, data_kind: str | None,
+           fields: dict[str, np.ndarray]) -> None:
+    """Write a grid of one cell type and, unless data_kind is None, one
+    POINT_DATA or CELL_DATA section: a field of shape (n,) as SCALARS, of
+    shape (n, 3) as VECTORS, typed int if it is an integer array."""
+    n_cells, corners = cells.shape
+    n = len(points) if data_kind == "POINT_DATA" else n_cells
+    parts = [_HEADER, title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {len(points)} double", _rows(points, _FMT),
+             f"CELLS {n_cells} {n_cells * (corners + 1)}",
+             _rows(np.column_stack([np.full(n_cells, corners), cells]), "%d"),
+             f"CELL_TYPES {n_cells}", "\n".join([str(cell_type)] * n_cells)]
+    if data_kind is not None:
+        parts.append(f"{data_kind} {n}")
+    for name, values in fields.items():
+        kind, fmt = ("int", "%d") if values.dtype.kind in "iu" \
+            else ("double", _FMT)
+        if values.shape == (n,):
+            parts += [f"SCALARS {name} {kind} 1", "LOOKUP_TABLE default"]
+        elif values.shape == (n, 3):
+            parts.append(f"VECTORS {name} {kind}")
+        else:
+            raise MeshFormatError(
+                f"field '{name}' has shape {values.shape}, expected "
+                f"({n},) or ({n}, 3)")
+        parts.append(_rows(values, fmt))
+    Path(path).write_text("\n".join(part for part in parts if part) + "\n")
 
 
 def write_mesh(path, mesh: Mesh) -> None:
-    """Write a mesh and its tagged boundary surface.
-
-    Produces two files: the volume grid at `path` and the boundary quads
-    with their surface tags at the companion `_surface` path.
-    """
-    path = Path(path)
-    lines = [_HEADER, f"monocal mesh h={_FMT % mesh.characteristic_size}",
-             "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    _write_points(lines, mesh.nodes)
-    _write_cells(lines, mesh.elems, 12)
-    path.write_text("\n".join(lines) + "\n")
-
-    slines = [_HEADER, "monocal boundary surface", "ASCII",
-              "DATASET UNSTRUCTURED_GRID"]
-    _write_points(slines, mesh.nodes)
-    _write_cells(slines, mesh.boundary_faces, 9)
-    slines.append(f"CELL_DATA {len(mesh.boundary_faces)}")
-    slines.append("SCALARS surface_tag int 1")
-    slines.append("LOOKUP_TABLE default")
-    slines.extend(str(int(t)) for t in mesh.boundary_tags)
-    surface_path(path).write_text("\n".join(slines) + "\n")
+    """Write the volume grid to `path` and the boundary quads with their
+    surface tags to the companion `surface_path(path)`."""
+    _write(path, f"monocal mesh h={_FMT % mesh.characteristic_size}",
+           mesh.nodes, mesh.elems, 12, None, {})
+    _write(surface_path(path), "monocal boundary surface", mesh.nodes,
+           mesh.boundary_faces, 9, "CELL_DATA",
+           {"surface_tag": np.asarray(mesh.boundary_tags, dtype=int)})
 
 
 def write_fields(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
@@ -76,181 +90,143 @@ def write_fields(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
     Scalars must have shape (n_nodes,), vectors (n_nodes, 3). Not-a-number
     entries are preserved as `nan` tokens.
     """
-    path = Path(path)
-    lines = [_HEADER, f"monocal fields h={_FMT % mesh.characteristic_size}",
-             "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    _write_points(lines, mesh.nodes)
-    _write_cells(lines, mesh.elems, 12)
-    lines.append(f"POINT_DATA {mesh.n_nodes}")
-    for name, values in fields.items():
-        arr = np.asarray(values, dtype=float)
-        if arr.shape == (mesh.n_nodes,):
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_FMT % v for v in arr)
-        elif arr.shape == (mesh.n_nodes, 3):
-            lines.append(f"VECTORS {name} double")
-            lines.extend(_fmt_row(row) for row in arr)
-        else:
+    _write(path, f"monocal fields h={_FMT % mesh.characteristic_size}",
+           mesh.nodes, mesh.elems, 12, "POINT_DATA",
+           {name: np.asarray(v, dtype=float) for name, v in fields.items()})
+
+
+def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
+          required: tuple[str, ...] = ()):
+    """Parse a file laid out by `_write` into its title, points, cells and
+    data_kind fields by name (with data_kind None, nothing after the cell
+    types is read). Each name in required must be a SCALARS field."""
+    text = Path(path).read_text()
+    head, rest, start = [], text, 0  # start: the lines read so far
+    while len(head) < 4 and rest:
+        line, _, rest = rest.partition("\n")
+        start += 1
+        if line.strip():
+            head.append((start, line.strip()))
+    if not head or not head[0][1].startswith("# vtk DataFile"):
+        raise MeshFormatError(f"{path}: not a legacy VTK file", line=start)
+    if len(head) < 4:
+        raise MeshFormatError("unexpected end of file while reading header",
+                              line=start)
+    (_, title), (_, fmt), (_, dataset) = head[1:]
+    if fmt != "ASCII" or dataset.split() != ["DATASET", "UNSTRUCTURED_GRID"]:
+        raise MeshFormatError(f"expected ASCII and DATASET UNSTRUCTURED_GRID"
+                              f", got {fmt!r} and {dataset!r}", line=start)
+    used = 0  # tokens taken from the body
+
+    def line_of(index: int) -> int:  # past the last token: the last line
+        counts = np.cumsum([len(line.split())
+                            for line in text.splitlines()[start:]])
+        return start + int(np.searchsorted(counts[:-1], index, "right")) + 1
+
+    def peek() -> str | None:
+        return next(iter(rest.split(None, 1)), None)
+
+    def take(count: int, what: str, dtype=None):
+        """The next count tokens, converted to dtype with one numpy call."""
+        nonlocal rest, used
+        block = rest.split(None, max(count, 0))
+        rest = block.pop() if len(block) > max(count, 0) else ""
+        if not 0 <= count == len(block):
             raise MeshFormatError(
-                f"field '{name}' has shape {arr.shape}, expected "
-                f"({mesh.n_nodes},) or ({mesh.n_nodes}, 3)")
-    path.write_text("\n".join(lines) + "\n")
-
-
-class _Scanner:
-    """Line scanner that remembers positions for error reporting."""
-
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_line(self, what: str) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        raise MeshFormatError(f"unexpected end of file while reading {what}",
-                              line=len(self.lines))
-
-    @property
-    def line_no(self) -> int:
-        return self.pos
-
-    def read_numbers(self, count: int, what: str, dtype=float) -> np.ndarray:
-        """Read exactly `count` whitespace-separated numbers."""
-        out = np.empty(count, dtype=dtype)
-        got = 0
-        while got < count:
-            line = self.next_line(what)
-            parts = line.split()
-            for tok in parts:
-                if got >= count:
-                    raise MeshFormatError(
-                        f"extra values while reading {what}", line=self.line_no)
+                f"unexpected end of file while reading {what}" if count >= 0
+                else f"negative count while reading {what}",
+                line=line_of(used + count))
+        used += count
+        if dtype is None:
+            return block
+        try:
+            return np.array(block, dtype=dtype)
+        except ValueError:
+            for k, token in enumerate(block):
                 try:
-                    out[got] = dtype(tok)
-                except ValueError as exc:
+                    dtype(token)
+                except ValueError:
                     raise MeshFormatError(
-                        f"bad value {tok!r} while reading {what}",
-                        line=self.line_no) from exc
-                got += 1
-        return out
+                        f"bad value {token!r} while reading {what}",
+                        line=line_of(used - count + k)) from None
+            raise
 
+    def section(keyword: str, *types):
+        """The arguments of the keyword line expected next, as types."""
+        words = take(1 + len(types), f"{keyword} header")
+        if words[0] == keyword:
+            with suppress(ValueError):
+                return [t(w) for t, w in zip(types, words[1:])]
+        raise MeshFormatError(
+            f"expected {keyword} header, got {' '.join(words)!r}",
+            line=line_of(used - len(words)))
 
-def _read_grid(scanner: _Scanner, expect_cell_type: int, corners: int,
-               path: str) -> tuple[np.ndarray, np.ndarray, str]:
-    header = scanner.next_line("header")
-    if not header.startswith("# vtk DataFile"):
-        raise MeshFormatError(f"{path}: not a legacy VTK file", line=scanner.line_no)
-    title = scanner.next_line("title")
-    fmt = scanner.next_line("format")
-    if fmt != "ASCII":
-        raise MeshFormatError(f"unsupported format {fmt!r}", line=scanner.line_no)
-    dataset = scanner.next_line("dataset")
-    if dataset.split() != ["DATASET", "UNSTRUCTURED_GRID"]:
-        raise MeshFormatError(f"expected DATASET UNSTRUCTURED_GRID, got {dataset!r}",
-                              line=scanner.line_no)
-
-    head = scanner.next_line("POINTS header").split()
-    if len(head) != 3 or head[0] != "POINTS":
-        raise MeshFormatError(f"expected POINTS header, got {head!r}",
-                              line=scanner.line_no)
-    n_points = int(head[1])
-    points = scanner.read_numbers(3 * n_points, "point coordinates").reshape(-1, 3)
-
-    head = scanner.next_line("CELLS header").split()
-    if len(head) != 3 or head[0] != "CELLS":
-        raise MeshFormatError(f"expected CELLS header, got {head!r}",
-                              line=scanner.line_no)
-    n_cells, total = int(head[1]), int(head[2])
-    raw = scanner.read_numbers(total, "cell connectivity", dtype=int)
-    conn = np.empty((n_cells, corners), dtype=np.int64)
-    k = 0
-    for c in range(n_cells):
-        if raw[k] != corners:
-            raise MeshFormatError(
-                f"cell {c} lists {raw[k]} corner nodes, expected {corners}",
-                line=scanner.line_no)
-        conn[c] = raw[k + 1:k + 1 + corners]
-        k += corners + 1
-
-    head = scanner.next_line("CELL_TYPES header").split()
-    if len(head) != 2 or head[0] != "CELL_TYPES":
-        raise MeshFormatError(f"expected CELL_TYPES header, got {head!r}",
-                              line=scanner.line_no)
-    types = scanner.read_numbers(int(head[1]), "cell types", dtype=int)
-    bad = np.nonzero(types != expect_cell_type)[0]
+    n_points, _ = section("POINTS", int, str)
+    points = take(3 * n_points, "point coordinates", float).reshape(-1, 3)
+    n_cells, total = section("CELLS", int, int)
+    raw = take(total, "cell connectivity", np.int64)
+    # each cell's corner count, where every cell before it is well formed
+    counts = raw[::corners + 1][:n_cells]
+    bad = np.flatnonzero(counts != corners)
     if bad.size:
         raise MeshFormatError(
-            f"cell {int(bad[0])} has type {int(types[bad[0]])}, expected "
-            f"{expect_cell_type}", line=scanner.line_no)
-    return points, conn, title
+            f"cell {bad[0]} lists {counts[bad[0]]} corner nodes, expected "
+            f"{corners}", line=line_of(used - total + bad[0] * (corners + 1)))
+    if total != n_cells * (corners + 1):
+        raise MeshFormatError(f"CELLS lists {total} values for {n_cells} "
+                              f"cells of {corners} corners",
+                              line=line_of(used - total))
+    cells = raw.reshape(n_cells, corners + 1)[:, 1:].copy()
+    n_types, = section("CELL_TYPES", int)
+    types = take(n_types, "cell types", np.int64)
+    bad = np.flatnonzero(types != cell_type)
+    if bad.size:
+        raise MeshFormatError(
+            f"cell {bad[0]} has type {types[bad[0]]}, expected {cell_type}",
+            line=line_of(used - n_types + bad[0]))
+
+    fields: dict[str, np.ndarray] = {}
+    n = n_points if data_kind == "POINT_DATA" else n_cells
+    if data_kind is not None and section(data_kind, int) != [n]:
+        raise MeshFormatError(f"expected {data_kind} {n}",
+                              line=line_of(used - 2))
+    while data_kind is not None and (keyword := peek()) is not None:
+        if keyword not in ("SCALARS", "VECTORS"):
+            raise MeshFormatError(f"unexpected section {keyword!r}",
+                                  line=line_of(used))
+        _, name, vtype = take(3, f"{keyword} header")
+        if keyword == "SCALARS":
+            if peek() != "LOOKUP_TABLE":
+                take(1, "SCALARS header")  # the optional component count
+            section("LOOKUP_TABLE", str)
+            fields[name] = take(n, f"field {name}",
+                                np.int64 if vtype == "int" else float)
+        else:
+            fields[name] = take(3 * n, f"field {name}", float).reshape(-1, 3)
+    for name in required:
+        if name not in fields or fields[name].ndim != 1:
+            raise MeshFormatError(f"expected SCALARS {name} in {data_kind}",
+                                  line=line_of(used))
+    return title, points, cells, fields
 
 
 def read_mesh(path) -> Mesh:
     """Read a volume mesh and its companion boundary-surface file."""
-    path = Path(path)
-    scanner = _Scanner(path.read_text())
-    points, elems, title = _read_grid(scanner, 12, 8, str(path))
-
-    h = 0.0
-    for token in title.split():
-        if token.startswith("h="):
-            h = float(token[2:])
+    title, points, elems, _ = _read(path, 12, 8)
+    h = next((float(t[2:]) for t in reversed(title.split())
+              if t.startswith("h=")), 0.0)
     spath = surface_path(path)
     if not spath.exists():
         raise MeshFormatError(f"missing boundary surface file {spath}")
-    sscan = _Scanner(spath.read_text())
-    spts, faces, _ = _read_grid(sscan, 9, 4, str(spath))
+    _, spts, faces, data = _read(spath, 9, 4, "CELL_DATA", ("surface_tag",))
     if len(spts) != len(points):
         raise MeshFormatError(
             f"{spath}: surface file has {len(spts)} points, volume has {len(points)}")
-
-    head = sscan.next_line("CELL_DATA header").split()
-    if len(head) != 2 or head[0] != "CELL_DATA" or int(head[1]) != len(faces):
-        raise MeshFormatError("expected CELL_DATA matching face count",
-                              line=sscan.line_no)
-    name_row = sscan.next_line("SCALARS header").split()
-    if name_row[0] != "SCALARS" or name_row[1] != "surface_tag":
-        raise MeshFormatError("expected SCALARS surface_tag", line=sscan.line_no)
-    lut = sscan.next_line("LOOKUP_TABLE")
-    if not lut.startswith("LOOKUP_TABLE"):
-        raise MeshFormatError("expected LOOKUP_TABLE", line=sscan.line_no)
-    tags = sscan.read_numbers(len(faces), "surface tags", dtype=int).astype(np.int16)
-
-    mesh = Mesh(points, elems, faces, tags, h)
+    mesh = Mesh(points, elems, faces, data["surface_tag"].astype(np.int16), h)
     mesh.validate()
     return mesh
 
 
 def read_fields(path) -> dict[str, np.ndarray]:
     """Read POINT_DATA fields from a fields file written by write_fields."""
-    path = Path(path)
-    scanner = _Scanner(path.read_text())
-    points, _, _ = _read_grid(scanner, 12, 8, str(path))
-    n = len(points)
-
-    head = scanner.next_line("POINT_DATA header").split()
-    if len(head) != 2 or head[0] != "POINT_DATA" or int(head[1]) != n:
-        raise MeshFormatError("expected POINT_DATA matching point count",
-                              line=scanner.line_no)
-    fields: dict[str, np.ndarray] = {}
-    while scanner.pos < len(scanner.lines):
-        line = scanner.lines[scanner.pos].strip()
-        scanner.pos += 1
-        if not line:
-            continue
-        head = line.split()
-        if head[0] == "SCALARS":
-            lut = scanner.next_line("LOOKUP_TABLE")
-            if not lut.startswith("LOOKUP_TABLE"):
-                raise MeshFormatError("expected LOOKUP_TABLE", line=scanner.line_no)
-            fields[head[1]] = scanner.read_numbers(n, f"field {head[1]}")
-        elif head[0] == "VECTORS":
-            fields[head[1]] = scanner.read_numbers(3 * n, f"field {head[1]}").reshape(-1, 3)
-        else:
-            raise MeshFormatError(f"unexpected section {head[0]!r}",
-                                  line=scanner.line_no)
-    return fields
+    return _read(path, 12, 8, "POINT_DATA")[3]

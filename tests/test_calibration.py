@@ -173,6 +173,9 @@ def test_config_rejects_bad_tolerance_and_budget():
         cal.CalibrationConfig(tol_ms=0.0)
     with pytest.raises(InvalidArgumentError):
         cal.CalibrationConfig(max_iters=0)
+    for k in (0, -3):
+        with pytest.raises(InvalidArgumentError, match="max_cal_points"):
+            cal.CalibrationConfig(max_cal_points=k)
 
 
 def test_config_rejects_start_outside_box():

@@ -8,10 +8,12 @@ directory; the cheap per-command checks use their own temp dirs.
 import csv
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from monocal import calibration as cal
 from monocal import cli
 from monocal import registration as reg
 from monocal import twin
@@ -172,6 +174,65 @@ def test_gen_twin_failed_write_removes_partial_outputs(tmp_path, monkeypatch,
     assert err.value.code == 1
     assert "disk full" in capsys.readouterr().err
     assert _files_under(tmp_path) == []
+
+
+@pytest.mark.parametrize("command,config", [
+    ("gen-mesh", {"kind": "ventricle", "h": 0.07, "truncation_height": None}),
+    ("gen-mesh", {"kind": None, "h": 0.5}),
+    ("gen-twin", {"perturb_cm": None}),
+], ids=["gen_mesh_truncation_height", "gen_mesh_kind", "gen_twin_perturb_cm"])
+def test_null_config_value_means_unset(tmp_path, monkeypatch, command,
+                                       config):
+    data = SimpleNamespace(mesh=SimpleNamespace(n_nodes=0), vein_nodes=())
+    monkeypatch.setattr(twin, "build_twin", lambda **kwargs: data)
+    written = []
+    monkeypatch.setattr(twin, "write_twin",
+                        lambda data, out, **kwargs: written.append(kwargs))
+    out = tmp_path / "out"
+    runs = []
+    for run in (config, {k: v for k, v in config.items() if v is not None}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**run, "out": str(out)}))
+        assert cli.main([command, "--config", str(path)]) == 0
+        runs.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+    assert runs[0] == runs[1]
+    assert written[:1] == written[1:]
+
+
+def _calibrate_fails_before_simulating(tmp_path, monkeypatch, capsys, args,
+                                       config=None):
+    """calibrate on a slab mesh exits 1 with an error line and no run."""
+    simulated = []
+    monkeypatch.setattr(cal.slv, "simulate",
+                        lambda *args, **kwargs: simulated.append(1))
+    mesh_path = tmp_path / "mesh.vtk"
+    vtkio.write_mesh(mesh_path, build_slab_mesh((0.1, 0.1, 0.1), 0.05))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mesh": str(mesh_path), "isotropic": True,
+                                **(config or {})}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["calibrate", "--config", str(path),
+                  "--out", str(tmp_path / "out")] + args)
+    assert err.value.code == 1
+    assert simulated == []
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    return message
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_calibrate_rejects_max_cal_points_below_one(tmp_path, monkeypatch,
+                                                    capsys, value):
+    message = _calibrate_fails_before_simulating(
+        tmp_path, monkeypatch, capsys, ["--max-cal-points", value])
+    assert "max_cal_points must be >= 1" in message
+
+
+def test_calibrate_rejects_solver_sigma(tmp_path, monkeypatch, capsys):
+    message = _calibrate_fails_before_simulating(
+        tmp_path, monkeypatch, capsys, [],
+        {"solver": {"sigma": [2.0, 0.4, 0.09]}})
+    assert "initial_sigma" in message
 
 
 def test_register_rerun_is_byte_identical(pipeline, tmp_path):
@@ -427,8 +488,9 @@ def test_help_lists_config_keys(capsys):
     text = capsys.readouterr().out
     assert "config keys:" in text
     assert "max_cal_points" in text
-    for key in SolverParams.__dataclass_fields__:
-        assert key in text
+    solver_keys = " ".join(text.split("solver keys:")[1].split()).split(", ")
+    assert solver_keys == [key for key in SolverParams.__dataclass_fields__
+                           if key != "sigma"]
 
 
 def test_unknown_command_is_rejected():

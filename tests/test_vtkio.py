@@ -16,6 +16,90 @@ def slab():
     return build_slab_mesh((0.2, 0.15, 0.1), 0.05)
 
 
+_CUBE_POINTS = """POINTS 8 double
+0 0 0
+1 0 0
+0 1 0
+1 1 0
+0 0 1
+1 0 1
+0 1 1
+1 1 1
+"""
+_CUBE_HEX = _CUBE_POINTS + """CELLS 1 9
+8 0 1 3 2 4 5 7 6
+CELL_TYPES 1
+12
+"""
+
+
+class TestFileFormat:
+    """The unit cube's files, byte for byte."""
+
+    def test_mesh_and_surface_files(self, unit_cube, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        assert path.read_text() == (
+            "# vtk DataFile Version 3.0\nmonocal mesh h=1\nASCII\n"
+            "DATASET UNSTRUCTURED_GRID\n" + _CUBE_HEX)
+        assert surface_path(path).read_text() == (
+            "# vtk DataFile Version 3.0\nmonocal boundary surface\nASCII\n"
+            "DATASET UNSTRUCTURED_GRID\n" + _CUBE_POINTS + """CELLS 6 30
+4 0 2 3 1
+4 4 5 7 6
+4 0 1 5 4
+4 3 2 6 7
+4 1 3 7 5
+4 0 4 6 2
+CELL_TYPES 6
+9
+9
+9
+9
+9
+9
+CELL_DATA 6
+SCALARS surface_tag int 1
+LOOKUP_TABLE default
+1
+2
+0
+0
+0
+0
+""")
+
+    def test_fields_file(self, unit_cube, tmp_path):
+        path = tmp_path / "fields.vtk"
+        tau = np.array([np.nan, 0.5, 1 / 3, -2.0, 1e-12, 123456789.0, 0.0,
+                        7.0])
+        write_fields(path, unit_cube,
+                     {"tau": tau, "dir": np.arange(24).reshape(8, 3) / 4})
+        assert path.read_text() == (
+            "# vtk DataFile Version 3.0\nmonocal fields h=1\nASCII\n"
+            "DATASET UNSTRUCTURED_GRID\n" + _CUBE_HEX + """POINT_DATA 8
+SCALARS tau double 1
+LOOKUP_TABLE default
+nan
+0.5
+0.333333333
+-2
+1e-12
+123456789
+0
+7
+VECTORS dir double
+0 0.25 0.5
+0.75 1 1.25
+1.5 1.75 2
+2.25 2.5 2.75
+3 3.25 3.5
+3.75 4 4.25
+4.5 4.75 5
+5.25 5.5 5.75
+""")
+
+
 class TestMeshRoundTrip:
     def test_round_trip_preserves_structure(self, slab, tmp_path):
         path = tmp_path / "mesh.vtk"
@@ -61,6 +145,53 @@ class TestMeshParseErrors:
         path.write_text("hello\nworld\n")
         with pytest.raises(MeshFormatError, match="not a legacy VTK file"):
             read_mesh(path)
+
+    def test_non_numeric_token_is_named_with_its_line(self, unit_cube,
+                                                       tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        path.write_text(path.read_text().replace("\n1 1 1\n", "\n1 x 1\n"))
+        with pytest.raises(MeshFormatError, match="bad value 'x'") as err:
+            read_mesh(path)
+        assert err.value.line == 13
+
+    def test_wrong_cell_type(self, unit_cube, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        path.write_text(path.read_text().replace("\n12\n", "\n9\n"))
+        with pytest.raises(MeshFormatError,
+                           match="cell 0 has type 9, expected 12") as err:
+            read_mesh(path)
+        assert err.value.line == 17
+
+    def test_cell_data_count_must_match_the_faces(self, unit_cube, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        spath = surface_path(path)
+        spath.write_text(spath.read_text().replace("CELL_DATA 6",
+                                                   "CELL_DATA 5"))
+        with pytest.raises(MeshFormatError, match="CELL_DATA 6") as err:
+            read_mesh(path)
+        assert err.value.line == 28
+
+    def test_unexpected_section(self, unit_cube, tmp_path):
+        path = tmp_path / "fields.vtk"
+        write_fields(path, unit_cube, {"u": np.zeros(unit_cube.n_nodes)})
+        with path.open("a") as handle:
+            handle.write("FIELD FieldData 1\n")
+        with pytest.raises(MeshFormatError,
+                           match="unexpected section 'FIELD'") as err:
+            read_fields(path)
+        assert err.value.line == 29
+
+    def test_scalars_without_component_count(self, unit_cube, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        spath = surface_path(path)
+        spath.write_text(spath.read_text().replace(
+            "SCALARS surface_tag int 1", "SCALARS surface_tag int"))
+        assert np.array_equal(read_mesh(path).boundary_tags,
+                              unit_cube.boundary_tags)
 
     def test_truncated_file(self, unit_cube, tmp_path):
         path = tmp_path / "mesh.vtk"
