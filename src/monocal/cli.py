@@ -50,13 +50,22 @@ class _OutputTracker:
                 p.unlink(missing_ok=True)
 
 
+def _without_nulls(value):
+    """value with every null-valued dict key dropped, at any depth."""
+    if isinstance(value, dict):
+        return {key: _without_nulls(item) for key, item in value.items()
+                if item is not None}
+    return value
+
+
 def _load_config(path: str | None, allowed: dict[str, type],
                  command: str) -> dict:
     """Read a JSON config and reject keys the subcommand does not consume.
 
     Each value must have its key's declared type; an integer counts as a
     float and a boolean never counts as a number. Keys whose value is null
-    are dropped, so null means unset. A name that does not exist on disk
+    are dropped, also inside nested dicts such as "solver", so null means
+    unset at any depth. A name that does not exist on disk
     but matches a bundled scenario file resolves to the copy shipped
     inside the package.
     """
@@ -78,7 +87,7 @@ def _load_config(path: str | None, allowed: dict[str, type],
         raise InvalidArgumentError(
             f"unknown config key(s) for {command}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}")
-    config = {key: value for key, value in raw.items() if value is not None}
+    config = _without_nulls(raw)
     for key, value in config.items():
         expected = allowed[key]
         accepted = (int, float) if expected is float else expected

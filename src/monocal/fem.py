@@ -10,6 +10,7 @@ Jacobi-preconditioned conjugate-gradient solver handles them all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +186,7 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
     if not np.all(diag > 0.0):
         raise InvalidArgumentError("CG needs a positive diagonal (SPD matrix)")
     minv = 1.0 / diag
-    norm_b = np.linalg.norm(b)
+    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return SolveReport(x=np.zeros(len(b)), iterations=0, residual=0.0,
                            converged=True)
@@ -194,7 +195,7 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
     iterations = 0
     while True:
         r = b - A @ x
-        residual = float(np.linalg.norm(r))
+        residual = math.sqrt(r @ r)
         if residual <= tol:
             return SolveReport(x=x, iterations=iterations, residual=residual,
                                converged=True)
@@ -216,7 +217,7 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
             x += step * p
             r -= step * q
             iterations += 1
-            if np.linalg.norm(r) <= tol:
+            if math.sqrt(r @ r) <= tol:
                 break
             z = minv * r
             rz, rz_old = r @ z, rz

@@ -15,6 +15,28 @@ keeps the consistent mass from smearing the sharp upstroke across
 neighbours. The matrix is assembled once; each step rewrites only its
 diagonal. It is symmetric positive definite as long as that diagonal
 stays positive, and the conjugate-gradient solver checks that it does.
+
+Two exact shortcuts keep the time loop short:
+
+- Quiet lead-in. Paced runs start at an external fiducial, so the first
+  onset often comes long after t = 0. While u is exactly zero, every
+  node carries the same gates and no stimulus is on, the right-hand
+  side is zero, the solve returns u = 0 at once, and only the gates
+  move, all alike; every rate is zero, so the activation times, best
+  slopes and peaks stay as they are (from rest, step 1 sets them to dt,
+  0 and 0). Such a state after step 1 is advanced by stepping a single
+  gate row up to the first step with a stimulus. The snapshots and
+  progress lines in that window are still written, and the result is
+  bit-identical to stepping every node.
+- Extrapolated start. Each step's conjugate-gradient solve starts from
+  2 u^n - u^(n-1) (u^n on the first step), a linear extrapolation in
+  time that saves iterations on smooth stretches (P. F. Fischer,
+  Comput. Methods Appl. Mech. Engrg. 163 (1998) 193). Each solve still
+  meets the same true-residual tolerance, but the differences from a
+  run that starts every solve from u^n add up over many steps through
+  the nonlinear upstroke, so u can drift from that run by more than the
+  tolerance, most near a moving front. Identical activation times are
+  therefore likely but not guaranteed.
 """
 
 from __future__ import annotations
@@ -43,6 +65,7 @@ ACTIVATION_PEAK_FLOOR = 0.5
 LINEAR_REL_TOL = 1e-10
 # Log one progress line every this many steps.
 PROGRESS_EVERY = 100
+_PROGRESS = "step %d/%d  t=%.3f ms  max u=%.4f  cg iters=%d"
 
 
 @dataclass(frozen=True)
@@ -265,18 +288,19 @@ class MonodomainSolver:
         self.matrix.data[self.plan.diag_slots] = diag
         return self.m_lump * (u / self.params.dt - beta + stim_rate), diag
 
-    def step(self, u: np.ndarray, w: np.ndarray, stim_rate: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, fem.SolveReport]:
+    def step(self, u: np.ndarray, w: np.ndarray, stim_rate: np.ndarray,
+             x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, fem.SolveReport]:
         """Advance one dt: gating first, then the linearized potential solve.
 
         stim_rate is the applied current already divided by chi c_m, i.e.
-        a potential rate (1/ms), evaluated at the new time level.
+        a potential rate (1/ms), evaluated at the new time level. x0 is
+        the solve's initial guess.
         """
         p = self.params
         w_next = ionic.step_gating(u, w, p.dt)
         alpha, beta = ionic.reaction_coefficients(u, w_next)
         rhs, diag = self._system(u, alpha, beta, stim_rate)
-        report = fem.gmres_solve(self.matrix, rhs, x0=u,
+        report = fem.gmres_solve(self.matrix, rhs, x0=x0,
                                  rel_tol=LINEAR_REL_TOL, diag=diag)
         return report.x, w_next, report
 
@@ -312,15 +336,25 @@ class MonodomainSolver:
         peak = u.copy()
         stim_end = (stim_plan.onsets.max() if stim_plan.onsets.size else 0.0) \
             + p.stimulus_duration
+        first_onset = stim_plan.onsets.min() if stim_plan.onsets.size else np.inf
+        cg = {"calls": 0, "iterations": 0, "max_iterations": 0}
+        u_prev = None
 
-        for k in range(1, n_steps + 1):
+        k = 0
+        while k < n_steps:
+            k += 1
             t = k * p.dt
+            x0 = u if u_prev is None else 2.0 * u - u_prev
             try:
-                u_new, w, report = self.step(u, w, stim.current(t) * self.rate_scale)
+                u_new, w, report = self.step(
+                    u, w, stim.current(t) * self.rate_scale, x0)
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
                     f"step {k} (t={t:.4g} ms): {exc}", best=exc.best,
                     residual=exc.residual, iterations=exc.iterations) from exc
+            cg["calls"] += 1
+            cg["iterations"] += report.iterations
+            cg["max_iterations"] = max(cg["max_iterations"], report.iterations)
 
             rate = np.abs(u_new - u) / p.dt
             faster = rate > best_rate
@@ -331,12 +365,12 @@ class MonodomainSolver:
                 raise SimulationDivergedError(
                     f"potential magnitude exceeded 5 at t={t:.4g} ms",
                     step=k, time_ms=t)
-            u = u_new
+            u_prev, u = u, u_new
             if k in snap_steps:
                 snapshots[snap_steps[k]] = u.copy()
             if k % PROGRESS_EVERY == 0:
-                logger.info("step %d/%d  t=%.3f ms  max u=%.4f  cg iters=%d",
-                            k, n_steps, t, float(u.max()), int(report.iterations))
+                logger.info(_PROGRESS, k, n_steps, t, float(u.max()),
+                            int(report.iterations))
             if (p.stop_when_activated and last_snap <= k < n_steps
                     and np.all(peak >= ACTIVATION_PEAK_FLOOR)
                     and t >= stim_end and rate.max() < 1.0):
@@ -346,6 +380,20 @@ class MonodomainSolver:
                 logger.info("all nodes activated by t=%.3f ms; stopping early", t)
                 n_steps = k
                 break
+            if k == 1 and not u.any() and np.all(w == w[0]):
+                # quiet lead-in (module docstring): up to the first onset
+                # only the gates move, alike on every node, and the rate,
+                # activation and peak bookkeeping has nothing to update
+                row = w[:1]
+                while k < n_steps and first_onset > (k + 1) * p.dt:
+                    k += 1
+                    row = ionic.step_gating(u[:1], row, p.dt)
+                    if k in snap_steps:
+                        snapshots[snap_steps[k]] = u.copy()
+                    if k % PROGRESS_EVERY == 0:
+                        logger.info(_PROGRESS, k, n_steps, k * p.dt, 0.0, 0)
+                w = np.repeat(row, n, axis=0)
+                u_prev = u
 
         activated = peak >= ACTIVATION_PEAK_FLOOR
         activation[~activated] = np.nan
@@ -363,6 +411,7 @@ class MonodomainSolver:
             },
             "ionic": ionic.PARAMS.manifest(),
             "stimulus_sites": int(len(stim_plan.points)),
+            "linear_solver": cg,
         }
         return SimulationOutput(
             activation=activation, activated=activated, peak_u=peak,

@@ -199,6 +199,50 @@ def test_null_config_value_means_unset(tmp_path, monkeypatch, command,
     assert written[:1] == written[1:]
 
 
+class _Parsed(Exception):
+    """Stops a handler once the parsed settings have been seen."""
+
+
+@pytest.mark.parametrize("config,unset", [
+    ({"solver": {"dt": None, "t_end": 0.1}}, {"solver": {"t_end": 0.1}}),
+    ({"solver": {"t_end": 0.1}, "fiber_angles": {"alpha_endo": None}},
+     {"solver": {"t_end": 0.1}, "fiber_angles": {}}),
+], ids=["solver_dt", "fiber_angles_alpha_endo"])
+def test_nested_null_means_unset_for_simulate(tmp_path, config, unset):
+    mesh_path = tmp_path / "mesh.vtk"
+    vtkio.write_mesh(mesh_path, build_lv_mesh(
+        (0.45, 0.45, 1.05), (0.6, 0.6, 1.2), 0.3, 0.07))
+    base = {"mesh": str(mesh_path), "stimulus_points": [[0.0, 0.0, -1.0]],
+            "stimulus_onsets": [0.0]}
+    runs = []
+    for name, run in (("null", config), ("unset", unset)):
+        out = tmp_path / name
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, **run, "out": str(out)}))
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        runs.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+    assert runs[0] == runs[1]
+
+
+def test_nested_null_means_unset_for_calibrate(tmp_path, monkeypatch):
+    parsed = []
+    parse = cli._calibration_config
+    monkeypatch.setattr(cli, "_calibration_config",
+                        lambda config: parsed.append(parse(config)) or parsed[-1])
+
+    def stop(config, command):
+        raise _Parsed
+
+    monkeypatch.setattr(cli, "_read_mesh", stop)
+    for box in ({"f": None, "s": [0.1, 0.5]}, {"s": [0.1, 0.5]}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"box": box}))
+        with pytest.raises(_Parsed):
+            cli.main(["calibrate", "--config", str(path)])
+    assert parsed[0] == parsed[1]
+    assert parsed[0].box.f == cal.ConductivityBox().f
+
+
 def _calibrate_fails_before_simulating(tmp_path, monkeypatch, capsys, args,
                                        config=None):
     """calibrate on a slab mesh exits 1 with an error line and no run."""

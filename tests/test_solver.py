@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,9 @@ from monocal.errors import (InsufficientDataError, InvalidArgumentError,
                             SimulationDivergedError)
 from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
-from monocal.ionic import run_single_cell
-from monocal.solver import (MonodomainSolver, SimulationOutput, SolverParams,
+from monocal.ionic import rest_state, run_single_cell
+from monocal.solver import (ACTIVATION_PEAK_FLOOR, PROGRESS_EVERY,
+                            MonodomainSolver, SimulationOutput, SolverParams,
                             StimulusPlan, _StimulusSets,
                             build_conductivity_tensors, measure_planar_cv,
                             simulate)
@@ -202,6 +206,118 @@ class TestSimulate:
         assert errors[0] > errors[1] > errors[2]
         assert errors[0] / errors[1] > 1.8
         assert errors[1] / errors[2] > 1.8
+
+
+def _stepped(solver, plan, initial_state=None, snapshot_times=(),
+             extrapolate=True):
+    """Oracle for MonodomainSolver.simulate without early stop: the same
+    bookkeeping around one MonodomainSolver.step call for every step,
+    each solve started from 2 u^n - u^(n-1) (u^n on the first step, or
+    always when extrapolate is False)."""
+    p = solver.params
+    stim = _StimulusSets(solver.mesh, plan, p)
+    n = solver.mesh.n_nodes
+    if initial_state is None:
+        u, w = rest_state(n)
+    else:
+        u, w = (np.array(a, dtype=float) for a in initial_state)
+    snap_steps = {int(round(t / p.dt)): t for t in snapshot_times}
+    snapshots = {snap_steps[0]: u.copy()} if 0 in snap_steps else {}
+    activation = np.full(n, np.nan)
+    best_rate = np.full(n, -1.0)
+    peak = u.copy()
+    u_prev = None
+    iterations = 0
+    for k in range(1, int(round(p.t_end / p.dt)) + 1):
+        t = k * p.dt
+        x0 = u if u_prev is None or not extrapolate else 2.0 * u - u_prev
+        u_new, w, report = solver.step(
+            u, w, stim.current(t) * solver.rate_scale, x0)
+        iterations += report.iterations
+        rate = np.abs(u_new - u) / p.dt
+        faster = rate > best_rate
+        best_rate[faster] = rate[faster]
+        activation[faster] = t
+        np.maximum(peak, u_new, out=peak)
+        u_prev, u = u, u_new
+        if k in snap_steps:
+            snapshots[snap_steps[k]] = u.copy()
+    activation[peak < ACTIVATION_PEAK_FLOOR] = np.nan
+    return SimpleNamespace(activation=activation, peak_u=peak, final_u=u,
+                           snapshots=snapshots, iterations=iterations)
+
+
+def _assert_same_run(out, oracle):
+    assert np.array_equal(out.activation, oracle.activation, equal_nan=True)
+    assert np.array_equal(out.peak_u, oracle.peak_u)
+    assert np.array_equal(out.final_u, oracle.final_u)
+    assert out.snapshots.keys() == oracle.snapshots.keys()
+    for t, u in oracle.snapshots.items():
+        assert np.array_equal(out.snapshots[t], u)
+
+
+class TestTimeLoop:
+    """The quiet lead-in fast-forward and the extrapolated CG start."""
+
+    @staticmethod
+    def _bar_solver(t_end=20.0):
+        bar = build_slab_mesh((0.35, 0.07, 0.035), 0.035)
+        params = SolverParams(sigma=(0.5, 0.5, 0.5), t_end=t_end, **LAUNCHER)
+        return MonodomainSolver(bar, None, params)
+
+    @pytest.mark.parametrize("rest", ["default", "given"])
+    def test_quiet_lead_in_matches_stepping_every_step(self, rest):
+        solver = self._bar_solver()
+        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=2.0)
+        n = solver.mesh.n_nodes
+        state = None if rest == "default" else rest_state(n)
+        times = [0.0, 1.0, 2.0, 6.0]
+        out = solver.simulate(plan, initial_state=state, snapshot_times=times)
+        _assert_same_run(out, _stepped(solver, plan, state, times))
+        assert out.n_not_activated == 0
+        assert np.all(out.snapshots[1.0] == 0.0)
+        # steps 2..79 (t < 2 ms) are fast-forwarded, and the count of
+        # steps does not change
+        assert out.manifest["n_steps"] == 800
+        assert out.manifest["linear_solver"]["calls"] == 800 - 78
+
+    @pytest.mark.parametrize("case", ["gates_vary", "potential_off_rest",
+                                      "onset_at_zero"])
+    def test_no_fast_forward_off_the_quiet_state(self, case):
+        solver = self._bar_solver(t_end=10.0)
+        n = solver.mesh.n_nodes
+        onset = 0.0 if case == "onset_at_zero" else 2.0
+        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=onset)
+        u0, w0 = rest_state(n)
+        if case == "gates_vary":
+            w0 = w0 * np.random.default_rng(5).uniform(0.9, 1.0, (n, 3))
+        elif case == "potential_off_rest":
+            u0 = np.full(n, 0.05)
+        state = None if case == "onset_at_zero" else (u0, w0)
+        out = solver.simulate(plan, initial_state=state, snapshot_times=[1.0])
+        _assert_same_run(out, _stepped(solver, plan, state, [1.0]))
+        assert out.manifest["linear_solver"]["calls"] == 400
+
+    def test_quiet_window_logs_its_progress(self, caplog):
+        solver = self._bar_solver(t_end=10.0)
+        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=5.0)
+        with caplog.at_level(logging.INFO, logger="monocal.solver"):
+            solver.simulate(plan)
+        steps = [int(r.getMessage().split()[1].split("/")[0])
+                 for r in caplog.records if r.getMessage().startswith("step ")]
+        assert steps == list(range(PROGRESS_EVERY, 401, PROGRESS_EVERY))
+        assert "step 100/400  t=2.500 ms  max u=0.0000  cg iters=0" in [
+            r.getMessage() for r in caplog.records]
+
+    def test_extrapolated_start_saves_iterations(self):
+        solver = self._bar_solver()
+        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=2.0)
+        out = solver.simulate(plan)
+        plain = _stepped(solver, plan, extrapolate=False)
+        counts = out.manifest["linear_solver"]
+        assert counts["iterations"] < plain.iterations
+        assert 0 < counts["max_iterations"] <= counts["iterations"]
+        assert np.array_equal(out.activation, plain.activation, equal_nan=True)
 
 
 class TestFrontShape:
