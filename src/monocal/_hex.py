@@ -34,6 +34,12 @@ FACES = np.array([
     [0, 4, 7, 3],   # xi   = -1
 ])
 
+# The tensor-product 2x2x2 Gauss rule on the reference cube, exact through
+# degree 3 per axis: one point per corner direction at +-1/sqrt(3), and
+# every weight is one.
+GAUSS2 = CORNERS * (1.0 / np.sqrt(3.0))
+
+
 def shape_values(points: np.ndarray) -> np.ndarray:
     """Trilinear shape functions at reference points.
 

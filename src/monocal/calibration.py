@@ -45,9 +45,9 @@ class ConductivityBox:
 
     def __post_init__(self):
         for name, (lo, hi) in (("f", self.f), ("s", self.s), ("n", self.n)):
-            if not 0.0 < lo < hi:
-                raise InvalidArgumentError(
-                    f"box for sigma_{name} must satisfy 0 < lo < hi, got {(lo, hi)}")
+            if not 0.0 < lo < hi < np.inf:
+                raise InvalidArgumentError(f"box for sigma_{name} must satisfy "
+                                           f"0 < lo < hi < inf, got {(lo, hi)}")
 
     @property
     def lows(self) -> np.ndarray:
@@ -80,8 +80,13 @@ class CalibrationConfig:
     max_cal_points: int | None = None
 
     def __post_init__(self):
-        if self.tol_ms <= 0.0 or self.max_iters < 1:
-            raise InvalidArgumentError("tol_ms must be positive, max_iters >= 1")
+        if not 0.0 < self.tol_ms < np.inf or self.max_iters < 1:
+            raise InvalidArgumentError(
+                "tol_ms must be positive and finite, max_iters >= 1")
+        beta = np.asarray(self.beta, dtype=float)
+        if beta.shape != (3,) or not np.isfinite(beta).all():
+            raise InvalidArgumentError(
+                f"beta must be three finite values, got {self.beta}")
         if self.max_cal_points is not None and self.max_cal_points < 1:
             raise InvalidArgumentError(
                 f"max_cal_points must be >= 1, got {self.max_cal_points}")

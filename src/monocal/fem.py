@@ -1,11 +1,16 @@
 """Trilinear (Q1) finite element assembly and the linear solver.
 
-Assembly is fully vectorized over elements. A precomputed AssemblyPlan
-maps element-local 8x8 blocks straight into CSR data and knows where
-each diagonal entry lives, so a matrix whose diagonal changes every time
-step can be updated in place on a fixed sparsity pattern. Every system
-this package builds is symmetric positive definite, and one
-Jacobi-preconditioned conjugate-gradient solver handles them all.
+One AssemblyPlan per mesh holds everything assembly needs that does not
+depend on the coefficients: the CSR sparsity pattern, the map that
+scatters element-local 8x8 blocks into it in one bincount pass, the
+slots of the diagonal (so a matrix whose diagonal changes every time
+step can be updated in place), the Jacobian determinants and shape
+gradients at the Gauss points, and the lumped mass vector.
+`AssemblyPlan.of` builds it on first use and keeps it on the Mesh, so
+the fiber Laplace solve and every simulation on one mesh share it; only
+the conductivity tensors change between them.
+Every system this package builds is symmetric positive definite, and
+one Jacobi-preconditioned conjugate-gradient solver handles them all.
 """
 
 from __future__ import annotations
@@ -21,65 +26,44 @@ from .errors import AssemblyError, InvalidArgumentError, NonConvergenceError
 from .geometry import Mesh
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature points and weights on the reference cube [-1,1]^3."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def gauss2() -> QuadratureRule:
-    """Tensor-product 2x2x2 Gauss rule, exact through degree 3 per axis."""
-    g = 1.0 / np.sqrt(3.0)
-    return QuadratureRule(points=_hex.CORNERS * g, weights=np.ones(8))
-
-
-@dataclass
-class ElementGeometry:
-    """Per-element quadrature data on a fixed mesh.
+class AssemblyPlan:
+    """The coefficient-independent assembly data of one mesh.
 
     Attributes
     ----------
-    wdet : (n_elems, nq) quadrature weights times Jacobian determinants.
-    grads : (n_elems, nq, 8, 3) physical shape-function gradients.
-    shapes : (nq, 8) reference shape values.
-    """
-
-    wdet: np.ndarray
-    grads: np.ndarray
-    shapes: np.ndarray
-
-
-def precompute_geometry(mesh: Mesh) -> ElementGeometry:
-    """Evaluate Jacobians and physical gradients at the 2x2x2 Gauss points.
+    nnz, indices, indptr, shape : the CSR pattern of all node-pair
+        couplings.
+    entry_slots : data slot of every entry of the (n_elems, 8, 8) blocks.
+    diag_slots : data slots of the diagonal, in node order.
+    wdet : (n_elems, 8) Jacobian determinants at the 2x2x2 Gauss points
+        (_hex.GAUSS2, whose weights are all one).
+    grads : (n_elems, 8, 8, 3) physical shape-function gradients there.
+    lumped_mass : (n_nodes,) read-only row sums of the consistent mass
+        matrix, i.e. the integral of each basis function.
 
     Raises AssemblyError naming the first inverted element, if any.
     """
-    rule = gauss2()
-    corner_coords = mesh.nodes[mesh.elems]
-    jac = _hex.jacobians(corner_coords, rule.points)
-    det = np.linalg.det(jac)
-    if np.any(det <= 0.0):
-        bad = int(np.nonzero(np.any(det <= 0.0, axis=1))[0][0])
-        raise AssemblyError(f"element {bad} has non-positive Jacobian")
-    inv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
-    dN = _hex.shape_gradients(rule.points)
-    grads = np.einsum("epab,pkb->epka", inv_t, dN)
-    wdet = det * rule.weights[None, :]
-    return ElementGeometry(wdet=wdet, grads=grads, shapes=_hex.shape_values(rule.points))
-
-
-class AssemblyPlan:
-    """CSR scatter plan for repeated assembly on one mesh.
-
-    The plan fixes the union sparsity pattern of all node-pair couplings
-    and exposes `assemble`, which turns (n_elems, 8, 8) element blocks
-    into a CSR matrix on that pattern via a single bincount pass.
-    """
 
     def __init__(self, mesh: Mesh):
+        self._set_pattern(mesh.elems, mesh.n_nodes)
         elems = mesh.elems
+        jac = _hex.jacobians(mesh.nodes[elems], _hex.GAUSS2)
+        self.wdet = np.linalg.det(jac)
+        if np.any(self.wdet <= 0.0):
+            bad = int(np.nonzero(np.any(self.wdet <= 0.0, axis=1))[0][0])
+            raise AssemblyError(f"element {bad} has non-positive Jacobian")
+        inv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
+        self.grads = np.einsum("epab,pkb->epka", inv_t,
+                               _hex.shape_gradients(_hex.GAUSS2))
+        contrib = np.einsum("eq,qi->ei", self.wdet,
+                            _hex.shape_values(_hex.GAUSS2))
+        self.lumped_mass = np.bincount(elems.ravel(), weights=contrib.ravel(),
+                                       minlength=mesh.n_nodes)
+        self.lumped_mass.flags.writeable = False
+
+    def _set_pattern(self, elems: np.ndarray, n: int) -> None:
+        """The CSR pattern and scatter map; its sort temporaries, several
+        times the size of the blocks, are freed on return."""
         rows = np.repeat(elems, 8, axis=1).ravel()
         cols = np.tile(elems, (1, 8)).ravel()
         order = np.lexsort((cols, rows))
@@ -91,7 +75,6 @@ class AssemblyPlan:
         self.entry_slots = np.empty(len(rs), dtype=np.int64)
         self.entry_slots[order] = slot_of_sorted
         self.nnz = int(slot_of_sorted[-1]) + 1
-        n = mesh.n_nodes
         unique_rows = rs[new_pair]
         unique_cols = cs[new_pair]
         self.indices = unique_cols.astype(np.int32)
@@ -102,6 +85,15 @@ class AssemblyPlan:
         # pairs are sorted by row, so the diagonal slots come in node order
         self.diag_slots = np.nonzero(unique_rows == unique_cols)[0]
 
+    @classmethod
+    def of(cls, mesh: Mesh) -> "AssemblyPlan":
+        """The mesh's shared plan, built on first use and kept on the
+        mesh; no code writes into a Mesh's arrays once it is built."""
+        plan = getattr(mesh, "_assembly_plan", None)
+        if plan is None:
+            plan = mesh._assembly_plan = cls(mesh)
+        return plan
+
     def assemble(self, element_blocks: np.ndarray) -> csr_matrix:
         """A fresh CSR matrix on the plan's pattern; its data array is
         in slot order, so diag_slots index its diagonal."""
@@ -109,52 +101,39 @@ class AssemblyPlan:
                            minlength=self.nnz)
         return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
-
-def mass_blocks(geo: ElementGeometry) -> np.ndarray:
-    """Element blocks of the consistent mass matrix int phi_i phi_j."""
-    N = geo.shapes
-    return np.einsum("eq,qi,qj->eij", geo.wdet, N, N, optimize=True)
+    def stiffness(self, tensors) -> csr_matrix:
+        """Stiffness matrix int (D grad phi_j) . grad phi_i for one
+        symmetric (3, 3) tensor D or one per element (n_elems, 3, 3)."""
+        tensors = np.asarray(tensors, dtype=float)
+        n_elems = len(self.wdet)
+        if tensors.shape == (3, 3):
+            tensors = np.broadcast_to(tensors, (n_elems, 3, 3))
+        if tensors.shape != (n_elems, 3, 3):
+            raise InvalidArgumentError(
+                f"tensors must have shape (n_elems, 3, 3), got {tensors.shape}")
+        if not np.isfinite(tensors).all():
+            raise InvalidArgumentError("conductivity tensors must be finite")
+        asym = np.abs(tensors - tensors.transpose(0, 2, 1)).max(axis=(1, 2))
+        scale = np.abs(tensors).max(axis=(1, 2)) + 1e-300
+        bad = np.nonzero(asym > 1e-10 * scale)[0]
+        if bad.size:
+            raise InvalidArgumentError(
+                f"conductivity tensor of element {int(bad[0])} is not symmetric")
+        return self.assemble(np.einsum("eq,eqid,edc,eqjc->eij", self.wdet,
+                                       self.grads, tensors, self.grads,
+                                       optimize=True))
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:
-    """Consistent mass matrix.
+    """Consistent mass matrix int phi_i phi_j, from a fresh plan.
 
-    The stepper uses only its row sums (lumped_mass_vector); the full
-    matrix is the reference those row sums are checked against.
+    The stepper uses only its row sums (AssemblyPlan.lumped_mass); the
+    full matrix is the reference those row sums are checked against.
     """
-    return AssemblyPlan(mesh).assemble(mass_blocks(precompute_geometry(mesh)))
-
-
-def lumped_mass_vector(mesh: Mesh, geo: ElementGeometry | None = None) -> np.ndarray:
-    """Row sums of the mass matrix as a vector (integrals of each basis fn)."""
-    geo = geo or precompute_geometry(mesh)
-    contrib = np.einsum("eq,qi->ei", geo.wdet, geo.shapes)
-    return np.bincount(mesh.elems.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.n_nodes)
-
-
-def stiffness_blocks(geo: ElementGeometry, tensors: np.ndarray) -> np.ndarray:
-    """Element stiffness blocks for per-element symmetric tensors (nel,3,3)."""
-    asym = np.abs(tensors - tensors.transpose(0, 2, 1)).max(axis=(1, 2))
-    scale = np.abs(tensors).max(axis=(1, 2)) + 1e-300
-    bad = np.nonzero(asym > 1e-10 * scale)[0]
-    if bad.size:
-        raise InvalidArgumentError(
-            f"conductivity tensor of element {int(bad[0])} is not symmetric")
-    return np.einsum("eq,eqid,edc,eqjc->eij", geo.wdet, geo.grads, tensors,
-                     geo.grads, optimize=True)
-
-
-def assemble_stiffness(mesh: Mesh, tensors: np.ndarray) -> csr_matrix:
-    """Stiffness matrix int (D grad phi_j) . grad phi_i with D per element."""
-    tensors = np.asarray(tensors, dtype=float)
-    if tensors.shape == (3, 3):
-        tensors = np.broadcast_to(tensors, (len(mesh.elems), 3, 3))
-    if tensors.shape != (len(mesh.elems), 3, 3):
-        raise InvalidArgumentError(
-            f"tensors must have shape (n_elems, 3, 3), got {tensors.shape}")
     plan = AssemblyPlan(mesh)
-    return plan.assemble(stiffness_blocks(precompute_geometry(mesh), tensors))
+    N = _hex.shape_values(_hex.GAUSS2)
+    return plan.assemble(np.einsum("eq,qi,qj->eij", plan.wdet, N, N,
+                                   optimize=True))
 
 
 @dataclass

@@ -181,7 +181,7 @@ def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField
     flagged singular and inherit the frame of the nearest regular node.
     """
     angles = angles or FiberAngles()
-    laplace = fem.assemble_stiffness(mesh, np.eye(3))
+    laplace = fem.AssemblyPlan.of(mesh).stiffness(np.eye(3))
     phi = solve_transmural(mesh, laplace)
     psi = solve_apicobasal(mesh, laplace)
 

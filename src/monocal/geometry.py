@@ -70,9 +70,7 @@ class Mesh:
 
     def element_volumes(self) -> np.ndarray:
         """Volume of each element from 2x2x2 Gauss integration of det J."""
-        g = 1.0 / np.sqrt(3.0)
-        pts = _hex.CORNERS * g
-        jac = _hex.jacobians(self.nodes[self.elems], pts)
+        jac = _hex.jacobians(self.nodes[self.elems], _hex.GAUSS2)
         return np.linalg.det(jac).sum(axis=1)
 
     def content_hash(self) -> str:
@@ -147,8 +145,9 @@ def build_slab_mesh(extents, h: float) -> Mesh:
     extents = np.asarray(extents, dtype=float)
     if extents.shape != (3,) or np.any(extents <= 0.0):
         raise InvalidArgumentError(f"slab extents must be three positive lengths, got {extents}")
-    if h <= 0.0:
-        raise InvalidArgumentError(f"characteristic size must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidArgumentError(
+            f"characteristic size must be positive and finite, got {h}")
 
     counts = np.maximum(1, np.rint(extents / h).astype(int))
     nx, ny, nz = counts
@@ -308,8 +307,9 @@ def build_lv_mesh(endo_axes, epi_axes, truncation_height: float, h: float) -> Me
     if not np.all(epi > endo):
         raise InvalidArgumentError(
             f"epicardial semiaxes {epi.tolist()} must exceed endocardial {endo.tolist()} componentwise")
-    if h <= 0.0:
-        raise InvalidArgumentError(f"characteristic size must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidArgumentError(
+            f"characteristic size must be positive and finite, got {h}")
     zb = float(truncation_height)
     if not (-min(endo[2], epi[2]) < zb < min(endo[2], epi[2])):
         raise InvalidArgumentError(

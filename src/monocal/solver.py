@@ -93,22 +93,26 @@ class SolverParams:
     stop_when_activated: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidArgumentError(f"dt={self.dt} must be positive")
-        if self.t_end <= self.dt:
-            raise InvalidArgumentError("t_end must exceed dt")
+        # written so that NaN fails every check and infinity the bound
+        if not 0.0 < self.dt < np.inf:
+            raise InvalidArgumentError(f"dt={self.dt} must be positive and finite")
+        if not self.dt < self.t_end < np.inf:
+            raise InvalidArgumentError("t_end must be finite and exceed dt")
         s = np.asarray(self.sigma, dtype=float)
-        if s.shape != (3,) or np.any(s <= 0.0):
-            raise InvalidArgumentError("sigma must be three positive values")
+        if s.shape != (3,) or not np.all((s > 0.0) & (s < np.inf)):
+            raise InvalidArgumentError("sigma must be three positive finite values")
         if not (s[0] >= s[1] >= s[2]):
             warnings.warn(f"conductivities {tuple(s)} violate the physiological "
                           "ordering sigma_f >= sigma_s >= sigma_n", stacklevel=3)
-        if self.chi <= 0.0 or self.c_m <= 0.0:
-            raise InvalidArgumentError("chi and c_m must be positive")
-        if self.stimulus_radius <= 0.0 or self.stimulus_duration <= 0.0:
-            raise InvalidArgumentError("stimulus radius and duration must be positive")
-        if self.stimulus_amplitude < 0.0:
-            raise InvalidArgumentError("stimulus amplitude must be nonnegative")
+        if not (0.0 < self.chi < np.inf and 0.0 < self.c_m < np.inf):
+            raise InvalidArgumentError("chi and c_m must be positive and finite")
+        if not (0.0 < self.stimulus_radius < np.inf
+                and 0.0 < self.stimulus_duration < np.inf):
+            raise InvalidArgumentError(
+                "stimulus radius and duration must be positive and finite")
+        if not 0.0 <= self.stimulus_amplitude < np.inf:
+            raise InvalidArgumentError(
+                "stimulus amplitude must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,8 @@ def build_conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
     whose eigenvalues are exactly the three conductivities.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (3,) or np.any(sigma <= 0.0):
-        raise InvalidArgumentError("sigma must be three positive values")
+    if sigma.shape != (3,) or not np.all((sigma > 0.0) & (sigma < np.inf)):
+        raise InvalidArgumentError("sigma must be three positive finite values")
     for name, v in (("f", fiber_field.f), ("n", fiber_field.n)):
         lens = np.linalg.norm(v, axis=1)
         if np.abs(lens - 1.0).max() > 1e-6:
@@ -252,7 +256,13 @@ class SimulationOutput:
 
 
 class MonodomainSolver:
-    """Owns the assembled operators and advances the coupled system."""
+    """Owns the assembled operators and advances the coupled system.
+
+    The conductivity-independent set-up (pattern, Gauss-point geometry,
+    lumped mass) is the mesh's shared fem.AssemblyPlan, built once and used
+    by the fiber Laplace solve and every solver on that mesh; each solver
+    assembles only its own stiffness matrix.
+    """
 
     def __init__(self, mesh: Mesh, fiber_field: FiberField | None,
                  params: SolverParams):
@@ -262,14 +272,13 @@ class MonodomainSolver:
             fiber_field = FiberField.uniform(mesh.n_nodes)
         self.fiber_field = fiber_field
 
-        geo = fem.precompute_geometry(mesh)
-        plan = self.plan = fem.AssemblyPlan(mesh)
+        plan = self.plan = fem.AssemblyPlan.of(mesh)
         tensors = build_conductivity_tensors(mesh, fiber_field, params.sigma)
         scale = 1.0 / (params.chi * params.c_m)
-        self.matrix = plan.assemble(fem.stiffness_blocks(geo, tensors))
+        self.matrix = plan.stiffness(tensors)
         data = self.matrix.data
         data *= scale
-        self.m_lump = fem.lumped_mass_vector(mesh, geo=geo)
+        self.m_lump = plan.lumped_mass
         data[plan.diag_slots] += self.m_lump / params.dt
         # the diagonal without the reaction term, which changes every step
         self.base_diag = data[plan.diag_slots]
@@ -322,7 +331,7 @@ class MonodomainSolver:
         n_steps = int(round(p.t_end / p.dt))
         snap_steps: dict[int, float] = {}
         for ts in snapshot_times:
-            k = int(round(ts / p.dt))
+            k = int(round(ts / p.dt)) if np.isfinite(ts) else -1
             if not 0 <= k <= n_steps:
                 raise InvalidArgumentError(f"snapshot time {ts} outside [0, t_end]")
             snap_steps[k] = float(ts)

@@ -18,7 +18,7 @@ from scipy.interpolate import RegularGridInterpolator
 from monocal import registration as reg
 from monocal.activation import error_stats
 from monocal.calibration import CalibrationConfig, calibrate
-from monocal.fem import assemble_stiffness, gmres_solve, lumped_mass_vector
+from monocal.fem import AssemblyPlan, gmres_solve
 from monocal.fibers import FiberAngles, generate_fibers
 from monocal.geometry import SurfaceTag, build_slab_mesh
 from monocal.ionic import (GatingParams, gating_rhs, ionic_currents,
@@ -328,8 +328,9 @@ def test_iterative_solver_matches_dense_solution():
 
 
 def test_reference_element_integrals_are_exact(unit_cube):
-    assert np.allclose(lumped_mass_vector(unit_cube), 0.125, rtol=1e-14)
-    stiffness = assemble_stiffness(unit_cube, np.eye(3))
+    plan = AssemblyPlan(unit_cube)
+    assert np.allclose(plan.lumped_mass, 0.125, rtol=1e-14)
+    stiffness = plan.stiffness(np.eye(3))
     assert np.allclose(stiffness.diagonal(), 1.0 / 3.0, rtol=1e-13)
 
 

@@ -178,6 +178,21 @@ def test_config_rejects_bad_tolerance_and_budget():
             cal.CalibrationConfig(max_cal_points=k)
 
 
+@pytest.mark.parametrize("name", ["f", "s", "n"])
+def test_box_rejects_an_infinite_bound(name):
+    with pytest.raises(InvalidArgumentError, match=f"sigma_{name}"):
+        cal.ConductivityBox(**{name: (0.05, np.inf)})
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(tol_ms=np.nan), dict(tol_ms=np.inf),
+    dict(beta=(np.nan, 0.1, 0.05)), dict(beta=(0.45, np.inf, 0.05)),
+], ids=["tol_ms-nan", "tol_ms-inf", "beta-nan", "beta-inf"])
+def test_config_rejects_non_finite_settings(overrides):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        cal.CalibrationConfig(**overrides)
+
+
 def test_config_rejects_start_outside_box():
     with pytest.raises(InvalidArgumentError, match="outside"):
         cal.CalibrationConfig(initial_sigma=(0.5, 0.3, 0.06))

@@ -133,6 +133,18 @@ def test_gen_mesh_ventricle_defaults_build_the_twin_mesh(tmp_path):
         == (tmp_path / "lib.vtk").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["slab", "ventricle"])
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_gen_mesh_rejects_a_non_finite_size(tmp_path, capsys, kind, h):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-mesh", "--kind", kind, "--h", h,
+                  "--out", str(tmp_path / "out")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "finite" in message
+    assert not (tmp_path / "out").exists()
+
+
 def _files_under(path):
     return sorted(p.name for p in path.rglob("*") if p.is_file())
 

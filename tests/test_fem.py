@@ -10,24 +10,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from monocal import fem
+from monocal import _hex, fem
 
 from monocal.errors import (AssemblyError, InvalidArgumentError,
                             NonConvergenceError)
-from monocal.fem import (assemble_mass, assemble_stiffness, gauss2,
-                         gmres_solve, lumped_mass_vector,
-                         precompute_geometry, solve_dirichlet)
+from monocal.fem import AssemblyPlan, assemble_mass, gmres_solve, solve_dirichlet
+from monocal.fibers import generate_fibers
 from monocal.geometry import Mesh, build_lv_mesh, build_slab_mesh
+from monocal.solver import (SolverParams, StimulusPlan,
+                            build_conductivity_tensors, simulate)
+
+
+def lumped_mass(mesh):
+    return AssemblyPlan(mesh).lumped_mass
+
+
+def stiffness(mesh, tensors):
+    return AssemblyPlan(mesh).stiffness(tensors)
 
 
 class TestQuadrature:
+    # every weight of _hex.GAUSS2 is one, so a rule sum is a plain sum
     def test_weights_sum_to_reference_volume(self):
-        rule = gauss2()
-        assert rule.points.shape == (8, 3)
-        assert np.all(rule.weights == 1.0)
+        assert _hex.GAUSS2.shape == (8, 3)
+        assert np.array_equal(np.sign(_hex.GAUSS2), _hex.CORNERS)
+        assert np.allclose(np.abs(_hex.GAUSS2), 1.0 / np.sqrt(3.0), rtol=1e-15)
 
     def test_exact_for_cubic_monomials(self):
-        rule = gauss2()
+        points = _hex.GAUSS2
 
         def analytic(p):
             return 2.0 / (p + 1) if p % 2 == 0 else 0.0
@@ -35,15 +45,15 @@ class TestQuadrature:
         for a in range(4):
             for b in range(4):
                 for c in range(4):
-                    vals = (rule.points[:, 0] ** a * rule.points[:, 1] ** b
-                            * rule.points[:, 2] ** c)
+                    vals = (points[:, 0] ** a * points[:, 1] ** b
+                            * points[:, 2] ** c)
                     exact = analytic(a) * analytic(b) * analytic(c)
-                    assert np.isclose(rule.weights @ vals, exact, atol=1e-12)
+                    assert np.isclose(vals.sum(), exact, atol=1e-12)
 
 
 class TestMass:
     def test_unit_cube_lumped_corners(self, unit_cube):
-        assert np.allclose(lumped_mass_vector(unit_cube), 0.125, rtol=1e-14)
+        assert np.allclose(lumped_mass(unit_cube), 0.125, rtol=1e-14)
 
     def test_unit_cube_consistent_total(self, unit_cube):
         M = assemble_mass(unit_cube)
@@ -53,7 +63,7 @@ class TestMass:
         # two 0.5 cm cubes sharing a face: interface nodes carry two
         # element corner contributions, outer corners one
         mesh = build_slab_mesh((1.0, 0.5, 0.5), 0.5)
-        lumped = lumped_mass_vector(mesh)
+        lumped = lumped_mass(mesh)
         corner_share = 0.5 ** 3 / 8.0
         outer = np.isin(mesh.nodes[:, 0], (0.0, 1.0))
         assert np.allclose(lumped[outer], corner_share, rtol=1e-14)
@@ -62,37 +72,37 @@ class TestMass:
     def test_lumping_matches_row_sums(self, small_slab):
         M = assemble_mass(small_slab)
         row_sums = np.asarray(M.sum(axis=1)).ravel()
-        assert np.allclose(lumped_mass_vector(small_slab), row_sums,
+        assert np.allclose(lumped_mass(small_slab), row_sums,
                            rtol=1e-13)
 
     def test_total_mass_equals_volume_on_curved_mesh(self):
         mesh = build_lv_mesh((0.45, 0.45, 1.05), (0.6, 0.6, 1.2), 0.3, 0.07)
         volume = mesh.element_volumes().sum()
         assert np.isclose(assemble_mass(mesh).sum(), volume, rtol=1e-10)
-        lumped = lumped_mass_vector(mesh)
+        lumped = lumped_mass(mesh)
         assert np.all(lumped > 0.0)
         assert np.isclose(lumped.sum(), volume, rtol=1e-10)
 
 
 class TestStiffness:
     def test_zero_tensor_gives_zero_matrix(self, small_slab):
-        K = assemble_stiffness(small_slab, np.zeros((3, 3)))
+        K = stiffness(small_slab, np.zeros((3, 3)))
         assert K.nnz == 0 or np.max(np.abs(K.data)) == 0.0
 
     def test_constants_in_kernel(self, small_slab):
         D = np.array([[1.3, 0.2, 0.1], [0.2, 0.9, 0.05], [0.1, 0.05, 0.4]])
-        K = assemble_stiffness(small_slab, D)
+        K = stiffness(small_slab, D)
         ones = np.ones(small_slab.n_nodes)
         scale = np.max(np.abs(K.data))
         assert np.max(np.abs(K @ ones)) <= 1e-12 * scale
 
     def test_unit_cube_identity_diagonal(self, unit_cube):
-        K = assemble_stiffness(unit_cube, np.eye(3))
+        K = stiffness(unit_cube, np.eye(3))
         assert np.allclose(K.diagonal(), 1.0 / 3.0, rtol=1e-13)
 
     def test_symmetry(self, small_slab):
         D = np.diag((1.23, 0.25, 0.07))
-        K = assemble_stiffness(small_slab, D)
+        K = stiffness(small_slab, D)
         gap = np.abs((K - K.T).data)
         scale = np.max(np.abs(K.data))
         assert gap.size == 0 or gap.max() <= 1e-12 * scale
@@ -101,12 +111,20 @@ class TestStiffness:
         D = np.eye(3)
         D[0, 1] = 0.5
         with pytest.raises(InvalidArgumentError, match="symmetric"):
-            assemble_stiffness(unit_cube, D)
+            stiffness(unit_cube, D)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_is_rejected(self, unit_cube, value):
+        D = np.eye(3)
+        D[1, 1] = value
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            stiffness(unit_cube, D)
 
     def test_assembly_is_deterministic(self, small_slab):
+        # two fresh plans: neither matrix comes from a shared one
         D = np.diag((1.0, 0.5, 0.25))
-        a = assemble_stiffness(small_slab, D)
-        b = assemble_stiffness(small_slab, D)
+        a = AssemblyPlan(small_slab).stiffness(D)
+        b = AssemblyPlan(small_slab).stiffness(D)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.indices, b.indices)
 
@@ -117,7 +135,33 @@ class TestStiffness:
                        boundary_tags=unit_cube.boundary_tags,
                        characteristic_size=1.0)
         with pytest.raises(AssemblyError, match="non-positive Jacobian"):
-            precompute_geometry(flipped)
+            AssemblyPlan(flipped)
+
+
+class TestSharedPlan:
+    def test_fibers_and_simulations_share_one_plan(self, monkeypatch):
+        built = []
+        init = AssemblyPlan.__init__
+
+        def counting_init(plan, mesh):
+            built.append(mesh)
+            init(plan, mesh)
+
+        monkeypatch.setattr(AssemblyPlan, "__init__", counting_init)
+        mesh = build_slab_mesh((0.3, 0.1, 0.1), 0.05)
+        fibers = generate_fibers(mesh)
+        stimulus = StimulusPlan.single((0.0, 0.0, 0.0))
+        for sigma in ((1.3, 0.3, 0.07), (1.0, 0.25, 0.05)):
+            simulate(mesh, fibers, SolverParams(sigma=sigma, t_end=1.0),
+                     stimulus)
+        assert built == [mesh]
+        monkeypatch.undo()
+
+        shared, fresh = AssemblyPlan.of(mesh), AssemblyPlan(mesh)
+        tensors = build_conductivity_tensors(mesh, fibers, (1.3, 0.3, 0.07))
+        assert np.array_equal(shared.stiffness(tensors).data,
+                              fresh.stiffness(tensors).data)
+        assert np.array_equal(shared.lumped_mass, fresh.lumped_mass)
 
 
 def _random_spd(rng, n):
@@ -210,7 +254,7 @@ class TestSolveDirichlet:
                 fem, "gmres_solve",
                 lambda A, b: SimpleNamespace(x=spsolve(A.tocsc(), b)))
         mesh = build_slab_mesh((0.2, 0.1, 0.05), 0.05)
-        K = assemble_stiffness(mesh, np.eye(3))
+        K = stiffness(mesh, np.eye(3))
         left = np.nonzero(mesh.nodes[:, 0] == 0.0)[0]
         right = np.nonzero(mesh.nodes[:, 0] == 0.2)[0]
         fixed = np.concatenate([left, right])

@@ -7,7 +7,7 @@ import pytest
 
 from monocal import vtkio
 from monocal.errors import InvalidArgumentError
-from monocal.fem import assemble_stiffness
+from monocal.fem import AssemblyPlan
 from monocal.fibers import (FiberAngles, FiberField, generate_fibers,
                             solve_apicobasal, solve_transmural)
 from monocal.geometry import SurfaceTag, build_lv_mesh, build_slab_mesh
@@ -27,7 +27,7 @@ def shell():
 
 
 def _laplace(mesh):
-    return assemble_stiffness(mesh, np.eye(3))
+    return AssemblyPlan(mesh).stiffness(np.eye(3))
 
 
 def _align(vectors, axis):

@@ -87,6 +87,16 @@ class TestBuildLvMesh:
             build_lv_mesh((1.5, 1.5, 3.0), (1.55, 1.55, 3.05), 1.0, 0.1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda h: build_slab_mesh((1.0, 1.0, 1.0), h),
+    lambda h: build_lv_mesh((1.5, 1.5, 3.0), (2.0, 2.0, 3.5), 1.0, h),
+], ids=["slab", "ventricle"])
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_non_finite_size_is_rejected(build, h):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        build(h)
+
+
 class TestValidate:
     def test_repeated_corner_is_reported(self, unit_cube):
         elems = unit_cube.elems.copy()

@@ -5,7 +5,8 @@ perfbench/worker.py also wraps build_lv_mesh in geometry and twin and
 times MonodomainSolver.step. A deleted or renamed target would otherwise
 surface only when `perfbench/run.py --trace 1` runs. The spans a traced
 calibration leaves must also count what calibrate does: one simulation
-per iteration.
+per iteration; and a traced solver set-up must report the size of the
+solver's assembly plan.
 """
 
 from __future__ import annotations
@@ -93,3 +94,18 @@ def test_traced_calibration_runs_one_simulation_per_iteration(spans):
     assert metrics["calibration.iterations"] == 2
     assert metrics["calibration.simulations"] == 2
     assert metrics["calibration.useful_ratio"] == 1.0
+
+
+def test_traced_solver_reports_its_plan_size(spans):
+    from monocal import geometry
+    from monocal import solver as slv
+
+    mesh = geometry.build_slab_mesh((0.2, 0.1, 0.05), 0.05)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        solver = slv.MonodomainSolver(mesh, None, slv.SolverParams(t_end=1.0))
+        solver.simulate(slv.StimulusPlan.single((0.0, 0.0, 0.0)))
+    finally:
+        tracer.restore()
+    assert spans.layer_metrics(tracer.spans)["fem.nnz"] == solver.plan.nnz

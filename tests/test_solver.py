@@ -65,8 +65,9 @@ class TestConductivityTensors:
 
     def test_nonpositive_sigma_is_rejected(self, small_slab):
         field = FiberField.uniform(small_slab.n_nodes)
-        with pytest.raises(InvalidArgumentError, match="positive"):
-            build_conductivity_tensors(small_slab, field, (1.0, -0.5, 0.1))
+        for sigma in ((1.0, -0.5, 0.1), (np.nan, 0.5, 0.1), (1.0, 0.5, np.inf)):
+            with pytest.raises(InvalidArgumentError, match="positive"):
+                build_conductivity_tensors(small_slab, field, sigma)
 
     def test_inverted_ordering_warns(self):
         with pytest.warns(UserWarning, match="ordering"):
@@ -101,6 +102,18 @@ class TestApplyStimulus:
         plan = StimulusPlan.single((5.0, 5.0, 5.0))
         with pytest.warns(UserWarning, match="stimulus point"):
             _StimulusSets(small_slab, plan, SolverParams())
+
+
+@pytest.mark.parametrize("name,value", [
+    ("dt", np.nan), ("t_end", np.nan), ("t_end", np.inf), ("chi", np.nan),
+    ("c_m", np.inf), ("stimulus_amplitude", np.nan),
+    ("stimulus_amplitude", np.inf), ("stimulus_radius", np.nan),
+    ("stimulus_duration", np.inf), ("sigma", (np.nan, 0.3, 0.1)),
+    ("sigma", (1.3, np.inf, 0.1)),
+])
+def test_non_finite_parameter_is_rejected(name, value):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        SolverParams(**{name: value})
 
 
 class TestSimulate:
@@ -177,6 +190,13 @@ class TestSimulate:
         plan = StimulusPlan.single((0.0, 0.0, 0.0), onset=20.0)
         with pytest.raises(InvalidArgumentError, match="onset"):
             simulate(small_slab, None, params, plan)
+
+    @pytest.mark.parametrize("when", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snapshot_time_is_rejected(self, small_slab, when):
+        with pytest.raises(InvalidArgumentError, match="snapshot time"):
+            simulate(small_slab, None, SolverParams(t_end=1.0),
+                     StimulusPlan.single((0.0, 0.0, 0.0)),
+                     snapshot_times=[when])
 
     def test_manifest_documents_the_run(self, small_slab):
         params = SolverParams(t_end=2.0)
