@@ -1,11 +1,13 @@
 """Activation-map analytics.
 
 The site (`Site`) and group (`Group`) labels of measured points, the
-extraction of computed activation times at measurement locations, the
-quadratic misfit driving calibration, relative-error summaries for the
-calibration (I) and validation (II) point groups, and the regression
-diagnostics reported alongside them. The measured points themselves
-travel as a `registration.RawCloud`.
+extraction of computed activation times at measurement locations, and
+the one comparison of computed with measured times: `error_stats`
+returns an `ErrorReport` holding the signed residuals, the quadratic
+misfit that drives calibration, the relative-error summaries reported
+for the calibration (I) and validation (II) point groups, and the
+regression diagnostics. The measured points themselves travel as a
+`registration.RawCloud`.
 """
 
 from __future__ import annotations
@@ -60,20 +62,6 @@ def _paired(computed, measured):
     return c, m
 
 
-def misfit(computed, measured) -> float:
-    """Quadratic misfit F = sum of 0.5 |tau_computed - tau_measured|^2 (ms^2).
-
-    A non-activated (NaN) computed time makes F infinite: a map that
-    leaves a point unactivated is never a better fit than one that
-    activates it.
-    """
-    c, m = _paired(computed, measured)
-    if np.isnan(c).any():
-        return float("inf")
-    d = c - m
-    return float(0.5 * (d @ d))
-
-
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
     """(min, Q1, median, Q3, max) with linearly interpolated quartiles."""
     v = np.asarray(values, dtype=float)
@@ -106,13 +94,16 @@ def regression_stats(computed, measured) -> tuple[float, float]:
 class ErrorReport:
     """Per-group activation-time error summary.
 
-    Relative quantities are fractions; rel_errors normalizes each
-    absolute error by the largest measured time of the group, while
-    pointwise_rel_errors normalizes by each point's own measured time.
-    The five-number summary describes rel_errors (the boxplot variable).
+    errors holds the signed residuals computed - measured (ms) of the
+    activated points, in input order; positive where the simulation lags
+    the measurements. Relative quantities are fractions of the absolute
+    residuals; rel_errors normalizes by the largest measured time of the
+    group, while pointwise_rel_errors normalizes by each point's own
+    measured time. The five-number summary describes rel_errors (the
+    boxplot variable).
     """
 
-    abs_errors: np.ndarray
+    errors: np.ndarray
     rel_errors: np.ndarray
     pointwise_rel_errors: np.ndarray
     mean_rel: float
@@ -124,6 +115,17 @@ class ErrorReport:
     r_squared: float
     n_used: int
     n_not_activated: int
+
+    @property
+    def misfit(self) -> float:
+        """Quadratic misfit F = sum of 0.5 errors^2 (ms^2).
+
+        Any non-activated point makes F infinite: a map that leaves a
+        point unactivated is never a better fit than one that activates it.
+        """
+        if self.n_not_activated:
+            return float("inf")
+        return float(0.5 * (self.errors @ self.errors))
 
 
 def error_stats(computed, measured) -> ErrorReport:
@@ -144,7 +146,8 @@ def error_stats(computed, measured) -> ErrorReport:
     if np.any(m <= 0.0):
         raise InvalidArgumentError("measured activation times must be positive")
 
-    e = np.abs(c - m)
+    d = c - m
+    e = np.abs(d)
     tau_max = m.max()
     rel = e / tau_max
     rel_pw = e / m
@@ -153,7 +156,7 @@ def error_stats(computed, measured) -> ErrorReport:
     else:
         slope, r2 = np.nan, np.nan
     return ErrorReport(
-        abs_errors=e, rel_errors=rel, pointwise_rel_errors=rel_pw,
+        errors=d, rel_errors=rel, pointwise_rel_errors=rel_pw,
         mean_rel=float(rel.mean()), mean_rel_pointwise=float(rel_pw.mean()),
         std_rel=float(rel.std()), std_rel_pointwise=float(rel_pw.std()),
         summary=five_number_summary(rel), slope=slope, r_squared=r2,

@@ -1,12 +1,14 @@
 """Box-constrained direct search for the conductivity triple.
 
-Each iteration simulates at the current conductivities, sums the signed
-activation-time residuals over the calibration points, and nudges every
-conductivity component along that signed error with fixed acceleration
-coefficients, clamping to the physiological box. The update uses the
-error expressed in seconds; with conductivities in mS/cm that makes the
-printed coefficients (0.45, 0.1, 0.05) dimensionally sensible. The
-calibration (group I) and validation (group II) points arrive as
+Each iteration simulates at the current conductivities and compares the
+computed with the measured times of the calibration points once, in one
+`activation.ErrorReport`: its signed residuals give the summed error E
+and the misfit F, its relative errors eI. The search nudges every
+conductivity component along E with fixed acceleration coefficients,
+clamping to the physiological box. The update uses the error expressed
+in seconds; with conductivities in mS/cm that makes the printed
+coefficients (0.45, 0.1, 0.05) dimensionally sensible. The calibration
+(group I) and validation (group II) points arrive as
 `registration.RawCloud`s.
 """
 
@@ -69,8 +71,7 @@ class ConductivityBox:
 class CalibrationConfig:
     """Direct-search settings; solver carries the shared run parameters."""
 
-    solver: slv.SolverParams = field(default_factory=lambda: slv.SolverParams(
-        t_end=150.0, stop_when_activated=True))
+    solver: slv.SolverParams = field(default_factory=slv.paced_params)
     box: ConductivityBox = field(default_factory=ConductivityBox)
     beta: tuple[float, float, float] = DEFAULT_BETA
     initial_sigma: tuple[float, float, float] | None = None
@@ -106,14 +107,11 @@ class CalibrationConfig:
 
 @dataclass
 class IterationRecord:
-    """State of one direct-search iteration, before its update."""
+    """State of one direct-search iteration, before its update: the
+    conductivities simulated and the group-I comparison at them."""
 
     sigma: np.ndarray
-    error_sum_ms: float
-    error_mean_ms: float
-    misfit_ms2: float
-    cal_mean_rel: float
-    n_not_activated: int
+    report: act.ErrorReport
     clamped: tuple[bool, bool, bool] = (False, False, False)
 
 
@@ -135,23 +133,6 @@ class CalibrationResult:
     validation_computed: np.ndarray
     calibration_computed: np.ndarray
     calibration: RawCloud
-
-
-def mean_signed_error(computed, measured) -> tuple[float, float]:
-    """Signed residual sum and its per-point mean (both ms).
-
-    Positive when the simulation lags the measurements. Pairs whose
-    computed time is NaN (not activated) are excluded.
-    """
-    c = np.atleast_1d(np.asarray(computed, dtype=float))
-    m = np.atleast_1d(np.asarray(measured, dtype=float))
-    if c.shape != m.shape:
-        raise InvalidArgumentError("computed and measured lengths differ")
-    ok = np.isfinite(c)
-    if not ok.any():
-        raise InvalidArgumentError("no activated calibration points")
-    d = c[ok] - m[ok]
-    return float(d.sum()), float(d.mean())
 
 
 def update_sigma(sigma, error_sum_ms: float, box: ConductivityBox,
@@ -216,37 +197,33 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
                          it, sigma)
             raise
         times.append(act.extract_activation_at(output, points))
-        computed = times[-1][:n_cal]
-        e_sum, e_mean = mean_signed_error(computed, cal.taus)
-        misfit = act.misfit(computed, cal.taus)
-        report = act.error_stats(computed, cal.taus)
-        record = IterationRecord(
-            sigma=sigma.copy(), error_sum_ms=e_sum, error_mean_ms=e_mean,
-            misfit_ms2=misfit, cal_mean_rel=report.mean_rel,
-            n_not_activated=report.n_not_activated)
+        report = act.error_stats(times[-1][:n_cal], cal.taus)
+        record = IterationRecord(sigma=sigma.copy(), report=report)
         records.append(record)
+        e_mean = report.errors.mean()
         logger.info("iter %d sigma=(%.4f, %.4f, %.4f) E=%.3f ms F=%.3f ms^2 "
-                    "eI=%.3f%%", it, *sigma, e_mean, misfit,
+                    "eI=%.3f%%", it, *sigma, e_mean, report.misfit,
                     100.0 * report.mean_rel)
 
         if abs(e_mean) < config.tol_ms and report.n_not_activated == 0:
             converged = True
             break
         if len(records) >= 3:
-            f0, f1, f2 = (r.misfit_ms2 for r in records[-3:])
+            f0, f1, f2 = (r.report.misfit for r in records[-3:])
             scale = max(abs(f2), 1e-300)
             if (abs(f2 - f1) < STAGNATION_REL * scale
                     and abs(f1 - f0) < STAGNATION_REL * scale):
                 logger.info("misfit stagnated; stopping")
                 break
-        sigma, clamped = update_sigma(sigma, e_sum, config.box, config.beta,
+        sigma, clamped = update_sigma(sigma, float(report.errors.sum()),
+                                      config.box, config.beta,
                                       config.isotropic)
         record.clamped = clamped
 
     if converged:
         best = len(records) - 1
     else:
-        best = min(range(len(records)), key=lambda i: records[i].misfit_ms2)
+        best = min(range(len(records)), key=lambda i: records[i].report.misfit)
     val_computed = times[best][n_cal:]
     validation = act.error_stats(val_computed, val.taus) if has_val else None
     return CalibrationResult(sigma_hat=records[best].sigma,
@@ -264,6 +241,7 @@ def write_trace(path, result: CalibrationResult) -> None:
         writer.writerow(TRACE_HEADER)
         for i, rec in enumerate(result.iterations):
             writer.writerow([i, f"{rec.sigma[0]:.9g}", f"{rec.sigma[1]:.9g}",
-                             f"{rec.sigma[2]:.9g}", f"{rec.error_sum_ms:.9g}",
-                             f"{rec.misfit_ms2:.9g}",
-                             f"{100.0 * rec.cal_mean_rel:.9g}"])
+                             f"{rec.sigma[2]:.9g}",
+                             f"{rec.report.errors.sum():.9g}",
+                             f"{rec.report.misfit:.9g}",
+                             f"{100.0 * rec.report.mean_rel:.9g}"])

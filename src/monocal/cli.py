@@ -159,12 +159,10 @@ def _solver_params(config: dict):
 
     raw = dict(config.get("solver") or {})
     _check_keys(raw, slv.SolverParams, "solver")
-    raw.setdefault("t_end", 150.0)
-    raw.setdefault("stop_when_activated", True)
     with _reported_as_invalid("solver parameters"):
         if "sigma" in raw:
             raw["sigma"] = tuple(raw["sigma"])
-        return slv.SolverParams(**raw)
+        return slv.paced_params(**raw)
 
 
 def _fiber_angles(spec: dict):

@@ -42,10 +42,15 @@ class FiberAngles:
     beta_epi: float = 20.0
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for name in ("alpha_endo", "alpha_epi"):
             a = getattr(self, name)
             if not -90.0 < a < 90.0:
                 raise InvalidArgumentError(f"{name}={a} must lie in (-90, 90) degrees")
+        for name in ("beta_endo", "beta_epi"):
+            b = getattr(self, name)
+            if not -np.inf < b < np.inf:
+                raise InvalidArgumentError(f"{name}={b} must be finite")
 
     def alpha(self, phi):
         """Fiber angle (radians) at transmural coordinate phi (1 = endo)."""
@@ -65,12 +70,13 @@ class FiberField:
     singular: np.ndarray
 
     def validate(self, tol: float = 1e-8) -> None:
+        # written so that a NaN component fails the checks
         for name, v in (("f", self.f), ("s", self.s), ("n", self.n)):
-            if np.abs(np.linalg.norm(v, axis=1) - 1.0).max() > tol:
+            if not np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= tol:
                 raise InvalidArgumentError(f"{name} axis is not unit length")
-        if np.abs(np.sum(self.f * self.s, axis=1)).max() > tol \
-                or np.abs(np.sum(self.f * self.n, axis=1)).max() > tol \
-                or np.abs(np.sum(self.s * self.n, axis=1)).max() > tol:
+        if not (np.abs(np.sum(self.f * self.s, axis=1)).max() <= tol
+                and np.abs(np.sum(self.f * self.n, axis=1)).max() <= tol
+                and np.abs(np.sum(self.s * self.n, axis=1)).max() <= tol):
             raise InvalidArgumentError("fiber frame is not orthogonal")
 
     def write(self, path, mesh: Mesh) -> None:

@@ -143,8 +143,9 @@ def build_slab_mesh(extents, h: float) -> Mesh:
     z=Lz plane EPI and the four sides OTHER.
     """
     extents = np.asarray(extents, dtype=float)
-    if extents.shape != (3,) or np.any(extents <= 0.0):
-        raise InvalidArgumentError(f"slab extents must be three positive lengths, got {extents}")
+    if extents.shape != (3,) or not np.all((extents > 0.0) & (extents < np.inf)):
+        raise InvalidArgumentError(
+            f"slab extents must be three positive finite lengths, got {extents}")
     if not 0.0 < h < np.inf:
         raise InvalidArgumentError(
             f"characteristic size must be positive and finite, got {h}")
@@ -302,8 +303,11 @@ def build_lv_mesh(endo_axes, epi_axes, truncation_height: float, h: float) -> Me
     epi = np.asarray(epi_axes, dtype=float)
     if endo.shape != (3,) or epi.shape != (3,):
         raise InvalidArgumentError("semiaxes must be length-3 sequences")
-    if np.any(endo <= 0.0) or np.any(epi <= 0.0):
-        raise InvalidArgumentError("semiaxes must be positive")
+    axes = np.concatenate([endo, epi])
+    if not np.all((axes > 0.0) & (axes < np.inf)):
+        raise InvalidArgumentError(
+            f"semiaxes must be positive and finite, got {endo.tolist()} "
+            f"and {epi.tolist()}")
     if not np.all(epi > endo):
         raise InvalidArgumentError(
             f"epicardial semiaxes {epi.tolist()} must exceed endocardial {endo.tolist()} componentwise")
@@ -311,9 +315,11 @@ def build_lv_mesh(endo_axes, epi_axes, truncation_height: float, h: float) -> Me
         raise InvalidArgumentError(
             f"characteristic size must be positive and finite, got {h}")
     zb = float(truncation_height)
+    # with finite semiaxes this also rejects a NaN or infinite height
     if not (-min(endo[2], epi[2]) < zb < min(endo[2], epi[2])):
         raise InvalidArgumentError(
-            f"truncation plane z={zb} must intersect both ellipsoids")
+            f"truncation plane z={zb} must be finite and intersect both "
+            "ellipsoids")
 
     mu_endo = float(np.arccos(-zb / endo[2]))
     mu_epi = float(np.arccos(-zb / epi[2]))

@@ -99,9 +99,12 @@ class RigidTransform:
 
 def _parse_float(text: str, column: str, row: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise DataFormatError(f"non-numeric {column} value {text!r}", row=row)
+    if not -np.inf < value < np.inf:
+        raise DataFormatError(f"non-finite {column} value {text!r}", row=row)
+    return value
 
 
 def read_measurements(path) -> RawCloud:

@@ -115,6 +115,14 @@ class SolverParams:
                 "stimulus amplitude must be nonnegative and finite")
 
 
+def paced_params(**overrides) -> SolverParams:
+    """Parameters of a paced ventricle run, the default of the command
+    line, the calibration and the twin: up to 150 ms, ending once every
+    node has activated. Keyword arguments override any field."""
+    return SolverParams(**{"t_end": 150.0, "stop_when_activated": True,
+                           **overrides})
+
+
 @dataclass(frozen=True)
 class StimulusPlan:
     """Stimulation sites (cm) with per-site onset times (ms)."""

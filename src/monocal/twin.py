@@ -144,9 +144,8 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     onsets = np.asarray(SEPTAL_ONSETS, dtype=float)
     plan = slv.StimulusPlan(points=mesh.nodes[septal_nodes], onsets=onsets)
 
-    params = slv.SolverParams(sigma=tuple(sigma), t_end=150.0,
-                              stop_when_activated=True)
-    output = slv.simulate(mesh, fiber_field, params, plan)
+    output = slv.simulate(mesh, fiber_field,
+                          slv.paced_params(sigma=tuple(sigma)), plan)
     logger.info("twin simulation: %d nodes, %d not activated",
                 mesh.n_nodes, output.n_not_activated)
 

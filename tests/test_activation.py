@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocal.activation import (error_stats, extract_activation_at,
-                                five_number_summary, misfit, regression_stats)
+                                five_number_summary, regression_stats)
 from monocal.errors import (DegenerateConfigurationError,
                             InsufficientDataError, InvalidArgumentError)
 from monocal.geometry import build_slab_mesh
@@ -44,13 +44,19 @@ class TestExtract:
             extract_activation_at(out, [(0.5, 0.5, 0.5)])
 
 
+def misfit(computed, measured) -> float:
+    return error_stats(computed, measured).misfit
+
+
 class TestMisfit:
+    """The misfit F that `ErrorReport` derives from its signed residuals."""
+
     def test_identical_maps_have_zero_misfit(self):
         taus = np.array([10.0, 20.0, 30.0])
         assert misfit(taus, taus) == 0.0
 
     def test_hand_value(self):
-        assert misfit([10.0, 40.0], [0.0, 20.0]) == 250.0
+        assert misfit([10.0, 40.0], [5.0, 20.0]) == 212.5
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -60,12 +66,12 @@ class TestMisfit:
         assert np.isclose(misfit(c, m), misfit(c[perm], m[perm]), rtol=1e-14)
 
     def test_nan_computed_time_makes_misfit_infinite(self):
-        assert misfit([10.0, np.nan], [0.0, 50.0]) == np.inf
+        assert misfit([10.0, np.nan], [5.0, 50.0]) == np.inf
         # an unactivated point never beats an activated one
         assert misfit([np.nan, 5.0], [5.0, 5.0]) > misfit([6.0, 5.0], [5.0, 5.0])
 
     def test_length_mismatch_is_rejected(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="lengths"):
             misfit([1.0, 2.0], [1.0])
 
 
@@ -120,7 +126,7 @@ class TestErrorStats:
         report = error_stats([110.0, 180.0], [100.0, 200.0])
         assert np.isclose(report.mean_rel, 0.075, rtol=1e-14)
         assert np.isclose(report.mean_rel_pointwise, 0.10, rtol=1e-14)
-        assert np.array_equal(report.abs_errors, [10.0, 20.0])
+        assert np.array_equal(report.errors, [10.0, -20.0])
 
     def test_identity_has_zero_errors(self):
         m = np.array([100.0, 150.0, 200.0])
@@ -157,7 +163,7 @@ class TestErrorStats:
         c = m + rng.normal(0.0, 5.0, 20)
         base = error_stats(c, m)
         shifted = error_stats(c + 40.0, m + 40.0)
-        assert np.allclose(shifted.abs_errors, base.abs_errors, atol=1e-10)
+        assert np.allclose(shifted.errors, base.errors, atol=1e-10)
         assert np.isclose(shifted.slope, base.slope, atol=1e-12)
         assert np.isclose(shifted.r_squared, base.r_squared, atol=1e-12)
 

@@ -79,34 +79,41 @@ def midpoint_taus(bar, bar_plan):
 
 
 # --- signed-error summary ---------------------------------------------------
+# E, the summed signed error the search steps along, and its per-point
+# mean come from the residuals of the one comparison per iteration.
+
+
+def mean_signed_error(computed, measured) -> tuple[float, float]:
+    errors = act.error_stats(computed, measured).errors
+    return errors.sum(), errors.mean()
 
 
 def test_mean_signed_error_balanced_residuals_cancel():
-    total, mean = cal.mean_signed_error([110.0, 90.0], [100.0, 100.0])
+    total, mean = mean_signed_error([110.0, 90.0], [100.0, 100.0])
     assert total == 0.0
     assert mean == 0.0
 
 
 def test_mean_signed_error_sum_and_mean():
-    total, mean = cal.mean_signed_error([110.0, 120.0], [100.0, 100.0])
+    total, mean = mean_signed_error([110.0, 120.0], [100.0, 100.0])
     assert total == pytest.approx(30.0)
     assert mean == pytest.approx(15.0)
 
 
 def test_mean_signed_error_skips_unactivated_points():
-    total, mean = cal.mean_signed_error([110.0, np.nan], [100.0, 77.0])
+    total, mean = mean_signed_error([110.0, np.nan], [100.0, 77.0])
     assert total == pytest.approx(10.0)
     assert mean == pytest.approx(10.0)
 
 
 def test_mean_signed_error_all_unactivated_rejected():
     with pytest.raises(InvalidArgumentError, match="no activated"):
-        cal.mean_signed_error([np.nan, np.nan], [100.0, 100.0])
+        mean_signed_error([np.nan, np.nan], [100.0, 100.0])
 
 
 def test_mean_signed_error_length_mismatch_rejected():
     with pytest.raises(InvalidArgumentError, match="lengths"):
-        cal.mean_signed_error([1.0, 2.0], [1.0])
+        mean_signed_error([1.0, 2.0], [1.0])
 
 
 # --- one search step --------------------------------------------------------
@@ -221,8 +228,8 @@ def test_calibrate_converges_immediately_on_self_consistent_data(
     assert len(result.iterations) == 1
     np.testing.assert_array_equal(result.sigma_hat,
                                   cal.ConductivityBox().midpoint())
-    assert result.iterations[0].error_mean_ms == 0.0
-    assert result.iterations[0].misfit_ms2 == 0.0
+    assert result.iterations[0].report.errors.mean() == 0.0
+    assert result.iterations[0].report.misfit == 0.0
     assert result.validation is not None
     assert result.validation.n_used == 2
     assert result.validation.mean_rel == 0.0
@@ -239,7 +246,7 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
     assert len(result.iterations) <= 10
     np.testing.assert_allclose(result.sigma_hat[:2], star[:2], rtol=0.05)
     np.testing.assert_allclose(result.sigma_hat[2], star[2], rtol=0.10)
-    means = [abs(r.error_mean_ms) for r in result.iterations]
+    means = [abs(r.report.errors.mean()) for r in result.iterations]
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
@@ -272,7 +279,7 @@ def test_calibrate_keeps_best_misfit_iterate_when_not_converged(
     result = cal.calibrate(bar, None, bar_plan,
                            bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8))
-    best = min(result.iterations, key=lambda r: r.misfit_ms2)
+    best = min(result.iterations, key=lambda r: r.report.misfit)
     np.testing.assert_array_equal(result.sigma_hat, best.sigma)
 
 
@@ -290,9 +297,41 @@ def test_calibrate_never_converges_with_unactivated_points(
     assert not result.converged
     assert len(result.iterations) == 3
     for record in result.iterations:
-        assert record.error_mean_ms == 0.0
-        assert record.n_not_activated == 1
-        assert record.misfit_ms2 == np.inf
+        assert record.report.errors.mean() == 0.0
+        assert record.report.n_not_activated == 1
+        assert record.report.misfit == np.inf
+
+
+@pytest.mark.parametrize("with_val", [False, True])
+def test_calibrate_compares_once_per_iteration(bar, bar_plan, monkeypatch,
+                                               with_val):
+    # the first iterate lags every point by 10 ms, the second matches
+    taus = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    val_taus = np.array([15.0, 25.0])
+    times = [np.concatenate([taus + 10.0, val_taus]),
+             np.concatenate([taus, val_taus])]
+    outputs = iter(range(len(times)))
+    monkeypatch.setattr(cal.slv, "simulate",
+                        lambda *args, **kwargs: next(outputs))
+    monkeypatch.setattr(cal.act, "extract_activation_at",
+                        lambda output, points: times[output][:len(points)])
+    calls = []
+    original = cal.act.error_stats
+
+    def counted(computed, measured):
+        calls.append(len(computed))
+        return original(computed, measured)
+
+    monkeypatch.setattr(cal.act, "error_stats", counted)
+    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+                           bar_config(),
+                           val=bar_cloud(val_taus) if with_val else None)
+    assert result.converged
+    assert len(result.iterations) == 2
+    assert calls == [5, 5] + ([2] if with_val else [])
+    first = result.iterations[0].report
+    assert first.errors.sum() == 50.0
+    assert first.misfit == 250.0
 
 
 @pytest.mark.parametrize("case", ["converged", "stagnated"])
@@ -412,8 +451,8 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
     second = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                            bar_config(max_iters=3))
     np.testing.assert_array_equal(first.sigma_hat, second.sigma_hat)
-    assert [r.error_sum_ms for r in first.iterations] \
-        == [r.error_sum_ms for r in second.iterations]
+    assert [r.report.errors.sum() for r in first.iterations] \
+        == [r.report.errors.sum() for r in second.iterations]
 
 
 def test_calibrate_rejects_empty_sample_list(bar, bar_plan):

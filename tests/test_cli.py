@@ -145,6 +145,30 @@ def test_gen_mesh_rejects_a_non_finite_size(tmp_path, capsys, kind, h):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("geometry", [
+    '"kind": "slab", "extents": [1.0, NaN, 0.5]',
+    '"kind": "slab", "extents": [Infinity, 1.0, 0.5]',
+    '"kind": "ventricle", "epi_axes": [Infinity, 0.6, 1.2]',
+    '"kind": "ventricle", "endo_axes": [0.45, NaN, 1.05]',
+    '"kind": "ventricle", "truncation_height": NaN',
+    '"kind": "ventricle", "truncation_height": -Infinity',
+], ids=["slab-extent-nan", "slab-extent-inf", "epi-axis-inf", "endo-axis-nan",
+        "truncation-nan", "truncation-inf"])
+def test_gen_mesh_rejects_a_non_finite_geometry(tmp_path, capsys, recwarn,
+                                                geometry):
+    # Python's json module reads the NaN and Infinity literals
+    config = tmp_path / "mesh.json"
+    config.write_text(f'{{{geometry}, "h": 0.1, '
+                      f'"out": {json.dumps(str(tmp_path / "out"))}}}')
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-mesh", "--config", str(config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "finite" in message
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
+    assert not (tmp_path / "out").exists()
+
+
 def _files_under(path):
     return sorted(p.name for p in path.rglob("*") if p.is_file())
 
@@ -303,6 +327,39 @@ def test_register_rerun_is_byte_identical(pipeline, tmp_path):
     assert cli.main(args) == 0
     assert ((tmp_path / "registered.csv").read_bytes(),
             (tmp_path / "registration.json").read_bytes()) == first
+
+
+def _corrupted_copy(source, dest, row, column, value):
+    """Copy a CSV, setting one cell (row 2 is the first data row)."""
+    with open(source, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[row - 1][rows[0].index(column)] = value
+    with open(dest, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    return dest
+
+
+@pytest.mark.parametrize("name, column, value", [
+    ("references.csv", "y_mm", "nan"),
+    ("measurements.csv", "t_ms", "inf"),
+    ("measurements.csv", "x_mm", "nan"),
+])
+def test_register_rejects_a_non_finite_csv_value(pipeline, tmp_path, capsys,
+                                                 name, column, value):
+    twin_dir = pipeline / "twin"
+    inputs = {n: twin_dir / n for n in ("measurements.csv", "references.csv")}
+    inputs[name] = _corrupted_copy(twin_dir / name, tmp_path / name, 3,
+                                   column, value)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["register", "--mesh", str(twin_dir / "mesh.vtk"),
+                  "--measurements", str(inputs["measurements.csv"]),
+                  "--references", str(inputs["references.csv"]),
+                  "--out", str(tmp_path / "out")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert "row 3" in message and f"non-finite {column}" in message
+    assert not (tmp_path / "out" / "registered.csv").exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -535,6 +592,19 @@ def test_gen_fibers_matches_library_field(tmp_path):
     np.testing.assert_allclose(fields["sheet"], expected.s, atol=1e-8)
     np.testing.assert_allclose(fields["normal"], expected.n, atol=1e-8)
     np.testing.assert_array_equal(fields["singular"] > 0.5, expected.singular)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_fibers_rejects_a_non_finite_sheet_angle(tmp_path, capsys, value):
+    assert cli.main(["gen-mesh", "--kind", "slab", "--h", "0.25",
+                     "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-fibers", "--mesh", str(tmp_path / "mesh.vtk"),
+                  "--beta-endo", value, "--out", str(tmp_path / "fib")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "beta_endo" in message
+    assert not (tmp_path / "fib" / "fibers.vtk").exists()
 
 
 def test_help_lists_config_keys(capsys):

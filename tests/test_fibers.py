@@ -100,6 +100,13 @@ class TestFiberAngles:
         with pytest.raises(InvalidArgumentError):
             FiberAngles(alpha_epi=-90.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha_endo", "alpha_epi",
+                                      "beta_endo", "beta_epi"])
+    def test_non_finite_angle_is_rejected(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=name):
+            FiberAngles(**{name: value})
+
 
 class TestGenerateFibersOnSlab:
     def test_epicardial_fiber_direction(self, slab):
@@ -191,4 +198,14 @@ class TestFieldFile:
         assert not FiberField.read(path).singular.any()
         vtkio.write_fields(path, slab, {"fiber": field.f, "normal": field.n})
         with pytest.raises(InvalidArgumentError, match="'sheet'"):
+            FiberField.read(path)
+
+    def test_nan_axes_are_rejected(self, slab, tmp_path):
+        field = FiberField.uniform(slab.n_nodes)
+        field.s[3] = np.nan
+        field.n[3] = np.nan
+        path = tmp_path / "fibers.vtk"
+        field.write(path, slab)
+        assert "nan" in path.read_text()
+        with pytest.raises(InvalidArgumentError, match="unit length"):
             FiberField.read(path)

@@ -88,13 +88,18 @@ class TestBuildLvMesh:
 
 
 @pytest.mark.parametrize("build", [
-    lambda h: build_slab_mesh((1.0, 1.0, 1.0), h),
-    lambda h: build_lv_mesh((1.5, 1.5, 3.0), (2.0, 2.0, 3.5), 1.0, h),
-], ids=["slab", "ventricle"])
-@pytest.mark.parametrize("h", [np.nan, np.inf])
-def test_non_finite_size_is_rejected(build, h):
+    lambda x: build_slab_mesh((1.0, 1.0, 1.0), x),
+    lambda x: build_lv_mesh((1.5, 1.5, 3.0), (2.0, 2.0, 3.5), 1.0, x),
+    lambda x: build_slab_mesh((1.0, x, 0.5), 0.25),
+    lambda x: build_lv_mesh((1.5, 1.5, 3.0), (x, 2.0, 3.5), 1.0, 0.1),
+    lambda x: build_lv_mesh((1.5, x, 3.0), (2.0, 2.0, 3.5), 1.0, 0.1),
+    lambda x: build_lv_mesh((1.5, 1.5, 3.0), (2.0, 2.0, 3.5), x, 0.1),
+], ids=["slab", "ventricle", "slab-extent", "epi-axis", "endo-axis",
+        "truncation"])
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_non_finite_size_is_rejected(build, x):
     with pytest.raises(InvalidArgumentError, match="finite"):
-        build(h)
+        build(x)
 
 
 class TestValidate:
