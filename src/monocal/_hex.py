@@ -1,7 +1,12 @@
 """Reference-element helpers for 8-node trilinear hexahedra.
 
-Shared by the geometry audit and the finite element assembly so both
-agree on corner ordering and shape function conventions.
+Shared by the geometry audit, the finite element assembly and the fiber
+gradients, so all three agree on corner ordering and shape function
+conventions. This module also owns their batched 3x3 geometry: the
+Jacobians of a stack of elements, written as one matrix product, and
+their determinants and inverse-transposes, written out in closed form
+(cofactors) because generic batched LAPACK calls on 3x3 blocks cost
+several times the arithmetic.
 """
 
 from __future__ import annotations
@@ -68,7 +73,59 @@ def jacobians(corner_coords: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
     """Jacobians dx/dxi for a batch of elements at given reference points.
 
     corner_coords has shape (nel, 8, 3); the result has shape
-    (nel, npts, 3, 3) with J[a, d] = d x_a / d xi_d.
+    (nel, npts, 3, 3) with J[a, d] = d x_a / d xi_d. All of them come
+    from one (3 nel x 8) @ (8 x 3 npts) product of the corner
+    coordinates with the shape gradients; the result is a view of it.
     """
     dN = shape_gradients(ref_points)
-    return np.einsum("eka,pkd->epad", corner_coords, dN)
+    nel, npts = len(corner_coords), len(dN)
+    jac = (corner_coords.transpose(0, 2, 1).reshape(3 * nel, 8)
+           @ dN.transpose(1, 0, 2).reshape(8, 3 * npts))
+    return jac.reshape(nel, 3, npts, 3).transpose(0, 2, 1, 3)
+
+
+def _first_row_expansion(jac: np.ndarray):
+    """The nine entries of each 3x3 block, the cofactors of its first
+    row and the determinant expanded along that row."""
+    m = [[jac[..., r, c] for c in range(3)] for r in range(3)]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    row0 = (e * i - f * h, f * g - d * i, d * h - e * g)
+    return m, row0, a * row0[0] + b * row0[1] + c * row0[2]
+
+
+def determinants(jac: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 3x3 matrices (..., 3, 3), in closed form."""
+    return _first_row_expansion(jac)[2]
+
+
+def require_positive(det: np.ndarray, error: type[Exception],
+                     where: str) -> None:
+    """Raise error naming the first element whose (nel, npts)
+    determinants are not all positive (a NaN counts as not positive)."""
+    bad = ~(det > 0.0)
+    if bad.any():
+        elem = int(np.nonzero(bad.any(axis=1))[0][0])
+        raise error(f"element {elem} is inverted or degenerate "
+                    f"(non-positive Jacobian at a {where})")
+
+
+def inverse_transposes(jac: np.ndarray, error: type[Exception],
+                       where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants and inverse-transposes of (nel, npts, 3, 3) Jacobians.
+
+    J^-T is the cofactor matrix over det J. The determinants are checked
+    with require_positive(det, error, where) before anything is divided.
+    """
+    m, row0, det = _first_row_expansion(jac)
+    require_positive(det, error, where)
+    (a, b, c), (d, e, f), (g, h, i) = m
+    inv_t = np.empty_like(jac)
+    inv_t[..., 0, 0], inv_t[..., 0, 1], inv_t[..., 0, 2] = row0
+    inv_t[..., 1, 0] = c * h - b * i
+    inv_t[..., 1, 1] = a * i - c * g
+    inv_t[..., 1, 2] = b * g - a * h
+    inv_t[..., 2, 0] = b * f - c * e
+    inv_t[..., 2, 1] = c * d - a * f
+    inv_t[..., 2, 2] = a * e - b * d
+    inv_t /= det[..., None, None]
+    return det, inv_t

@@ -5,7 +5,9 @@ depend on the coefficients: the CSR sparsity pattern, the map that
 scatters element-local 8x8 blocks into it in one bincount pass, the
 slots of the diagonal (so a matrix whose diagonal changes every time
 step can be updated in place), the Jacobian determinants and shape
-gradients at the Gauss points, and the lumped mass vector.
+gradients at the Gauss points, and the lumped mass vector. The Gauss
+point geometry comes from _hex's batched 3x3 kernel, and every
+contraction over elements is a batched matrix product.
 `AssemblyPlan.of` builds it on first use and keeps it on the Mesh, so
 the fiber Laplace solve and every simulation on one mesh share it; only
 the conductivity tensors change between them.
@@ -37,7 +39,9 @@ class AssemblyPlan:
     diag_slots : data slots of the diagonal, in node order.
     wdet : (n_elems, 8) Jacobian determinants at the 2x2x2 Gauss points
         (_hex.GAUSS2, whose weights are all one).
-    grads : (n_elems, 8, 8, 3) physical shape-function gradients there.
+    grads : (n_elems, 8, 8, 3) physical shape-function gradients there,
+        indexed [element, shape function, Gauss point, axis] so that
+        stiffness contracts each (point, axis) pair in one product.
     lumped_mass : (n_nodes,) read-only row sums of the consistent mass
         matrix, i.e. the integral of each basis function.
 
@@ -48,15 +52,14 @@ class AssemblyPlan:
         self._set_pattern(mesh.elems, mesh.n_nodes)
         elems = mesh.elems
         jac = _hex.jacobians(mesh.nodes[elems], _hex.GAUSS2)
-        self.wdet = np.linalg.det(jac)
-        if np.any(self.wdet <= 0.0):
-            bad = int(np.nonzero(np.any(self.wdet <= 0.0, axis=1))[0][0])
-            raise AssemblyError(f"element {bad} has non-positive Jacobian")
-        inv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
-        self.grads = np.einsum("epab,pkb->epka", inv_t,
-                               _hex.shape_gradients(_hex.GAUSS2))
-        contrib = np.einsum("eq,qi->ei", self.wdet,
-                            _hex.shape_values(_hex.GAUSS2))
+        self.wdet, inv_t = _hex.inverse_transposes(jac, AssemblyError,
+                                                   "Gauss point")
+        # grads[e, k, q] = J_eq^-T dN_k(q), written as dN_k(q)^T J_eq^-1
+        self.grads = np.empty((len(elems), 8, 8, 3))
+        np.matmul(_hex.shape_gradients(_hex.GAUSS2),
+                  inv_t.transpose(0, 1, 3, 2),
+                  out=self.grads.transpose(0, 2, 1, 3))
+        contrib = self.wdet @ _hex.shape_values(_hex.GAUSS2)
         self.lumped_mass = np.bincount(elems.ravel(), weights=contrib.ravel(),
                                        minlength=mesh.n_nodes)
         self.lumped_mass.flags.writeable = False
@@ -64,26 +67,19 @@ class AssemblyPlan:
     def _set_pattern(self, elems: np.ndarray, n: int) -> None:
         """The CSR pattern and scatter map; its sort temporaries, several
         times the size of the blocks, are freed on return."""
-        rows = np.repeat(elems, 8, axis=1).ravel()
-        cols = np.tile(elems, (1, 8)).ravel()
-        order = np.lexsort((cols, rows))
-        rs, cs = rows[order], cols[order]
-        new_pair = np.empty(len(rs), dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-        slot_of_sorted = np.cumsum(new_pair) - 1
-        self.entry_slots = np.empty(len(rs), dtype=np.int64)
-        self.entry_slots[order] = slot_of_sorted
-        self.nnz = int(slot_of_sorted[-1]) + 1
-        unique_rows = rs[new_pair]
-        unique_cols = cs[new_pair]
-        self.indices = unique_cols.astype(np.int32)
+        corner = elems.astype(np.int64)
+        # one key row * n + col per block entry; sorted keys are in CSR
+        # order, and the inverse map is each entry's data slot
+        keys = (corner[:, :, None] * n + corner[:, None, :]).ravel()
+        unique_keys, self.entry_slots = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(unique_keys, n)
+        self.nnz = len(unique_keys)
+        self.indices = cols.astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.add.at(self.indptr, unique_rows + 1, 1)
-        self.indptr = np.cumsum(self.indptr, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
         self.shape = (n, n)
-        # pairs are sorted by row, so the diagonal slots come in node order
-        self.diag_slots = np.nonzero(unique_rows == unique_cols)[0]
+        # keys are sorted by row, so the diagonal slots come in node order
+        self.diag_slots = np.nonzero(rows == cols)[0]
 
     @classmethod
     def of(cls, mesh: Mesh) -> "AssemblyPlan":
@@ -119,9 +115,13 @@ class AssemblyPlan:
         if bad.size:
             raise InvalidArgumentError(
                 f"conductivity tensor of element {int(bad[0])} is not symmetric")
-        return self.assemble(np.einsum("eq,eqid,edc,eqjc->eij", self.wdet,
-                                       self.grads, tensors, self.grads,
-                                       optimize=True))
+        # K_e = sum_q wdet_eq G_eq D_e G_eq^T, with G_eq the (8, 3)
+        # gradients at point q: one (8, 24) @ (24, 8) product per element
+        grads = self.grads.reshape(n_elems, 8, 24)
+        flux = np.matmul(self.grads.reshape(n_elems, 64, 3), tensors)
+        flux = flux.reshape(n_elems, 8, 24)
+        flux *= np.repeat(self.wdet, 3, axis=1)[:, None, :]
+        return self.assemble(np.matmul(flux, grads.transpose(0, 2, 1)))
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:
@@ -132,8 +132,7 @@ def assemble_mass(mesh: Mesh) -> csr_matrix:
     """
     plan = AssemblyPlan(mesh)
     N = _hex.shape_values(_hex.GAUSS2)
-    return plan.assemble(np.einsum("eq,qi,qj->eij", plan.wdet, N, N,
-                                   optimize=True))
+    return plan.assemble(np.matmul(N.T * plan.wdet[:, None, :], N))
 
 
 @dataclass

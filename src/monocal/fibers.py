@@ -159,17 +159,16 @@ def nodal_gradients(mesh: Mesh, *fields: np.ndarray) -> list[np.ndarray]:
     and inverses are built once for all fields."""
     if any(field.shape != (mesh.n_nodes,) for field in fields):
         raise InvalidArgumentError("field length does not match node count")
-    corner_coords = mesh.nodes[mesh.elems]
-    jac = _hex.jacobians(corner_coords, _hex.CORNERS)
-    det = np.linalg.det(jac)
-    inv_t = np.linalg.inv(jac).transpose(0, 1, 3, 2)
-    dN = _hex.shape_gradients(_hex.CORNERS)
+    jac = _hex.jacobians(mesh.nodes[mesh.elems], _hex.CORNERS)
+    det, inv_t = _hex.inverse_transposes(jac, InvalidArgumentError, "corner")
+    # (8 corners, 24) reference gradients: column 3 p + d is dN/dxi_d at p
+    dN = _hex.shape_gradients(_hex.CORNERS).transpose(1, 0, 2).reshape(8, 24)
     wsum = np.bincount(mesh.elems.ravel(), weights=det.ravel(),
                        minlength=mesh.n_nodes)
     gradients = []
     for field in fields:
-        ref_grad = np.einsum("ek,pkd->epd", field[mesh.elems], dN)
-        grad = np.einsum("epab,epb->epa", inv_t, ref_grad)
+        ref_grad = (field[mesh.elems] @ dN).reshape(-1, 8, 1, 3)
+        grad = np.matmul(ref_grad, inv_t.transpose(0, 1, 3, 2))[:, :, 0]
         out = np.zeros((mesh.n_nodes, 3))
         for d in range(3):
             out[:, d] = np.bincount(mesh.elems.ravel(),

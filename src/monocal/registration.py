@@ -111,7 +111,9 @@ def read_measurements(path) -> RawCloud:
     """Parse a measurement CSV (mm, ms) into a cloud in cm.
 
     Expected header: x_mm,y_mm,z_mm,t_ms,site with site one of
-    septum/vein. Raises DataFormatError naming the offending row.
+    septum/vein. Times must be non-negative, and a vein time positive
+    (a septal onset may be 0). Raises DataFormatError naming the
+    offending row.
     """
     points, taus, sites = [], [], []
     with open(path, newline="") as handle:
@@ -130,6 +132,9 @@ def read_measurements(path) -> RawCloud:
                 site = Site(record["site"].strip())
             except ValueError:
                 raise DataFormatError(f"unknown site {record['site']!r}", row=row_no)
+            if site is Site.EPI_VEIN and tau == 0.0:
+                raise DataFormatError("vein activation time must be positive, "
+                                      "got 0", row=row_no)
             points.append([c / 10.0 for c in coords])
             taus.append(tau)
             sites.append(site)

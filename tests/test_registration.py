@@ -63,6 +63,23 @@ class TestReadMeasurements:
             read_measurements(path)
         assert err.value.row == 3  # file line number, counting the header
 
+    def test_zero_vein_time_names_the_row(self, tmp_path):
+        path = _write(tmp_path, "m.csv", MEASUREMENT_HEADER + "\n"
+                      "1,2,3,0,septum\n"
+                      "1,2,3,50,vein\n"
+                      "1,2,3,0.0,vein\n")
+        with pytest.raises(DataFormatError, match="vein activation time") as err:
+            read_measurements(path)
+        assert err.value.row == 4
+
+    def test_zero_septal_onset_is_accepted(self, tmp_path):
+        path = _write(tmp_path, "m.csv", MEASUREMENT_HEADER + "\n"
+                      "1,2,3,0,septum\n"
+                      "1,2,3,50,vein\n")
+        cloud = read_measurements(path)
+        assert np.array_equal(cloud.taus, [0.0, 50.0])
+        assert cloud.sites == [Site.SEPTUM, Site.EPI_VEIN]
+
     def test_unknown_site_is_rejected(self, tmp_path):
         path = _write(tmp_path, "m.csv", MEASUREMENT_HEADER + "\n"
                       "1,2,3,50,atrium\n")
