@@ -4,10 +4,15 @@ One AssemblyPlan per mesh holds everything assembly needs that does not
 depend on the coefficients: the CSR sparsity pattern, the map that
 scatters element-local 8x8 blocks into it in one bincount pass, the
 slots of the diagonal (so a matrix whose diagonal changes every time
-step can be updated in place), the Jacobian determinants and shape
-gradients at the Gauss points, and the lumped mass vector. The Gauss
+step can be updated in place), the Jacobian determinants and inverse-
+transposes at the Gauss points, and the lumped mass vector. The Gauss
 point geometry comes from _hex's batched 3x3 kernel, and every
-contraction over elements is a batched matrix product.
+contraction over elements is a batched matrix product. Set-up memory
+stays close to what the plan keeps: the pattern comes from the
+element-node incidence product, without sorting one key per block entry;
+the plan keeps J^-T rather than the shape gradients, which are 8/3
+times larger; and stiffness builds the gradients and fluxes one block of
+BLOCK elements at a time.
 `AssemblyPlan.of` builds it on first use and keeps it on the Mesh, so
 the fiber Laplace solve and every simulation on one mesh share it; only
 the conductivity tensors change between them.
@@ -28,6 +33,13 @@ from .errors import AssemblyError, InvalidArgumentError, NonConvergenceError
 from .geometry import Mesh
 
 
+# Elements per block in AssemblyPlan.stiffness: the block's gradients and
+# fluxes take 8 * 8 * 3 doubles (1.5 kB) per element each, 0.8 MB a block
+BLOCK = 512
+
+_GAUSS_GRADIENTS = _hex.shape_gradients(_hex.GAUSS2)
+
+
 class AssemblyPlan:
     """The coefficient-independent assembly data of one mesh.
 
@@ -35,13 +47,14 @@ class AssemblyPlan:
     ----------
     nnz, indices, indptr, shape : the CSR pattern of all node-pair
         couplings.
-    entry_slots : data slot of every entry of the (n_elems, 8, 8) blocks.
+    entry_slots : (64 n_elems,) int64 data slot of every entry of the
+        (n_elems, 8, 8) blocks.
     diag_slots : data slots of the diagonal, in node order.
     wdet : (n_elems, 8) Jacobian determinants at the 2x2x2 Gauss points
         (_hex.GAUSS2, whose weights are all one).
-    grads : (n_elems, 8, 8, 3) physical shape-function gradients there,
-        indexed [element, shape function, Gauss point, axis] so that
-        stiffness contracts each (point, axis) pair in one product.
+    inv_t : (n_elems, 8, 3, 3) inverse-transposed Jacobians there, from
+        which gradients builds the physical shape gradients of a block
+        of elements when stiffness needs them.
     lumped_mass : (n_nodes,) read-only row sums of the consistent mass
         matrix, i.e. the integral of each basis function.
 
@@ -49,37 +62,50 @@ class AssemblyPlan:
     """
 
     def __init__(self, mesh: Mesh):
-        self._set_pattern(mesh.elems, mesh.n_nodes)
         elems = mesh.elems
         jac = _hex.jacobians(mesh.nodes[elems], _hex.GAUSS2)
         self.wdet, inv_t = _hex.inverse_transposes(jac, AssemblyError,
                                                    "Gauss point")
-        # grads[e, k, q] = J_eq^-T dN_k(q), written as dN_k(q)^T J_eq^-1
-        self.grads = np.empty((len(elems), 8, 8, 3))
-        np.matmul(_hex.shape_gradients(_hex.GAUSS2),
-                  inv_t.transpose(0, 1, 3, 2),
-                  out=self.grads.transpose(0, 2, 1, 3))
+        del jac
+        # J^-T kept as a transposed view of a C-ordered J^-1: with that
+        # operand contiguous, the matmul in gradients runs 3x faster
+        self.inv_t = np.ascontiguousarray(inv_t.swapaxes(2, 3)).swapaxes(2, 3)
+        del inv_t
+        # built once none of the geometry's temporaries is alive
+        self._set_pattern(elems, mesh.n_nodes)
         contrib = self.wdet @ _hex.shape_values(_hex.GAUSS2)
         self.lumped_mass = np.bincount(elems.ravel(), weights=contrib.ravel(),
                                        minlength=mesh.n_nodes)
         self.lumped_mass.flags.writeable = False
 
     def _set_pattern(self, elems: np.ndarray, n: int) -> None:
-        """The CSR pattern and scatter map; its sort temporaries, several
-        times the size of the blocks, are freed on return."""
-        corner = elems.astype(np.int64)
-        # one key row * n + col per block entry; sorted keys are in CSR
-        # order, and the inverse map is each entry's data slot
-        keys = (corner[:, :, None] * n + corner[:, None, :]).ravel()
-        unique_keys, self.entry_slots = np.unique(keys, return_inverse=True)
-        rows, cols = np.divmod(unique_keys, n)
-        self.nnz = len(unique_keys)
-        self.indices = cols.astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        """The CSR pattern and scatter map. Beyond the pattern's own
+        int64 keys, no temporary is larger than one local row (n_elems x
+        8 entries) of the blocks."""
+        n_elems = len(elems)
+        # node i couples to node j where an element holds both: the
+        # pattern of inc^T inc, inc the element-node incidence matrix
+        inc = csr_matrix((np.ones(8 * n_elems, dtype=bool), elems.ravel(),
+                          np.arange(0, 8 * n_elems + 1, 8)), shape=(n_elems, n))
+        pattern = (inc.T @ inc).tocsr()
+        pattern.sort_indices()
+        self.nnz = pattern.nnz
+        self.indices = pattern.indices.astype(np.int32, copy=False)
+        self.indptr = pattern.indptr.astype(np.int32, copy=False)
         self.shape = (n, n)
-        # keys are sorted by row, so the diagonal slots come in node order
-        self.diag_slots = np.nonzero(rows == cols)[0]
+        # the row of every stored entry; rows ascend, so the diagonal
+        # slots come in node order
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        self.diag_slots = np.nonzero(keys == self.indices)[0]
+        # the keys row * n + col ascend in CSR order too, so a block
+        # entry's data slot is where its key sorts among them
+        keys *= n
+        keys += self.indices
+        corner = elems.astype(np.int64)
+        self.entry_slots = np.empty(64 * n_elems, dtype=np.int64)
+        slots = self.entry_slots.reshape(n_elems, 8, 8)
+        for a in range(8):
+            slots[:, a] = np.searchsorted(keys, corner[:, a, None] * n + corner)
 
     @classmethod
     def of(cls, mesh: Mesh) -> "AssemblyPlan":
@@ -96,6 +122,17 @@ class AssemblyPlan:
         data = np.bincount(self.entry_slots, weights=element_blocks.ravel(),
                            minlength=self.nnz)
         return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def gradients(self, block: slice) -> np.ndarray:
+        """Physical shape-function gradients of a block of elements,
+        (k, 8, 8, 3) indexed [element, shape function, Gauss point, axis]
+        so that stiffness contracts each (point, axis) pair in one
+        product."""
+        inv = self.inv_t[block].swapaxes(2, 3)
+        grads = np.empty((len(inv), 8, 8, 3))
+        # grads[e, k, q] = J_eq^-T dN_k(q), written as dN_k(q)^T J_eq^-1
+        np.matmul(_GAUSS_GRADIENTS, inv, out=grads.transpose(0, 2, 1, 3))
+        return grads
 
     def stiffness(self, tensors) -> csr_matrix:
         """Stiffness matrix int (D grad phi_j) . grad phi_i for one
@@ -116,12 +153,19 @@ class AssemblyPlan:
             raise InvalidArgumentError(
                 f"conductivity tensor of element {int(bad[0])} is not symmetric")
         # K_e = sum_q wdet_eq G_eq D_e G_eq^T, with G_eq the (8, 3)
-        # gradients at point q: one (8, 24) @ (24, 8) product per element
-        grads = self.grads.reshape(n_elems, 8, 24)
-        flux = np.matmul(self.grads.reshape(n_elems, 64, 3), tensors)
-        flux = flux.reshape(n_elems, 8, 24)
-        flux *= np.repeat(self.wdet, 3, axis=1)[:, None, :]
-        return self.assemble(np.matmul(flux, grads.transpose(0, 2, 1)))
+        # gradients at point q: one (8, 24) @ (24, 8) product per element,
+        # BLOCK elements at a time
+        element_blocks = np.empty((n_elems, 8, 8))
+        for start in range(0, n_elems, BLOCK):
+            part = slice(start, start + BLOCK)
+            grads = self.gradients(part)
+            k = len(grads)
+            flux = np.matmul(grads.reshape(k, 64, 3), tensors[part])
+            flux = flux.reshape(k, 8, 24)
+            flux *= np.repeat(self.wdet[part], 3, axis=1)[:, None, :]
+            np.matmul(flux, grads.reshape(k, 8, 24).transpose(0, 2, 1),
+                      out=element_blocks[part])
+        return self.assemble(element_blocks)
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:

@@ -335,6 +335,15 @@ class MonodomainSolver:
         else:
             u = np.array(initial_state[0], dtype=float)
             w = np.array(initial_state[1], dtype=float)
+            for name, state, shape in (("u", u, (n,)), ("w", w, (n, 3))):
+                if state.shape != shape:
+                    raise InvalidArgumentError(
+                        f"initial_state {name} must have shape {shape}, "
+                        f"got {state.shape}")
+                if not np.isfinite(state).all():
+                    raise InvalidArgumentError(
+                        f"initial_state {name} must be finite (NaN or inf "
+                        f"at node {int(np.nonzero(~np.isfinite(state))[0][0])})")
 
         n_steps = int(round(p.t_end / p.dt))
         snap_steps: dict[int, float] = {}

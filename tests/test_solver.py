@@ -198,6 +198,28 @@ class TestSimulate:
                      StimulusPlan.single((0.0, 0.0, 0.0)),
                      snapshot_times=[when])
 
+    @pytest.mark.parametrize("which,bad,message", [
+        ("u", "short", r"initial_state u must have shape"),
+        ("w", "two gates", r"initial_state w must have shape"),
+        ("u", np.nan, r"initial_state u must be finite .*node 7"),
+        ("u", np.inf, r"initial_state u must be finite .*node 7"),
+        ("w", np.nan, r"initial_state w must be finite .*node 7"),
+        ("w", -np.inf, r"initial_state w must be finite .*node 7"),
+    ])
+    def test_bad_initial_state_is_rejected(self, small_slab, which, bad,
+                                           message):
+        u, w = rest_state(small_slab.n_nodes)
+        if bad == "short":
+            u = u[:-1]
+        elif bad == "two gates":
+            w = w[:, :2]
+        else:
+            (u if which == "u" else w)[7] = bad
+        with pytest.raises(InvalidArgumentError, match=message):
+            simulate(small_slab, None, SolverParams(t_end=1.0),
+                     StimulusPlan.single((0.0, 0.0, 0.0)),
+                     initial_state=(u, w))
+
     def test_manifest_documents_the_run(self, small_slab):
         params = SolverParams(t_end=2.0)
         plan = StimulusPlan.single((0.0, 0.0, 0.0))
