@@ -96,16 +96,14 @@ class ErrorReport:
 
     errors holds the signed residuals computed - measured (ms) of the
     activated points, in input order; positive where the simulation lags
-    the measurements. Relative quantities are fractions of the absolute
-    residuals; rel_errors normalizes by the largest measured time of the
-    group, while pointwise_rel_errors normalizes by each point's own
-    measured time. The five-number summary describes rel_errors (the
-    boxplot variable).
+    the measurements. Relative errors are the absolute residuals as
+    fractions of a measured time: the plain ones (mean_rel, std_rel,
+    summary) divide by the largest measured time of the group, the
+    pointwise ones by each point's own measured time. The five-number
+    summary describes the plain relative errors (the boxplot variable).
     """
 
     errors: np.ndarray
-    rel_errors: np.ndarray
-    pointwise_rel_errors: np.ndarray
     mean_rel: float
     mean_rel_pointwise: float
     std_rel: float
@@ -156,7 +154,7 @@ def error_stats(computed, measured) -> ErrorReport:
     else:
         slope, r2 = np.nan, np.nan
     return ErrorReport(
-        errors=d, rel_errors=rel, pointwise_rel_errors=rel_pw,
+        errors=d,
         mean_rel=float(rel.mean()), mean_rel_pointwise=float(rel_pw.mean()),
         std_rel=float(rel.std()), std_rel_pointwise=float(rel_pw.std()),
         summary=five_number_summary(rel), slope=slope, r_squared=r2,

@@ -378,7 +378,7 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 
     import numpy as np
 
-    from .activation import five_number_summary, regression_stats
+    from .activation import error_stats, five_number_summary
 
     results = Path(_require(config, "results", "report"))
     trace_path = results / "trace.csv"
@@ -424,15 +424,15 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
             rows = [r for r in csv_mod.DictReader(handle)
                     if r["tau_computed_ms"]]
         for label, keep in (("pooled", ("I", "II")), ("group I", ("I",))):
-            pairs = [(float(r["tau_measured_ms"]), float(r["tau_computed_ms"]))
+            pairs = [(float(r["tau_computed_ms"]), float(r["tau_measured_ms"]))
                      for r in rows if r["group"] in keep]
             if len(pairs) >= 3:
-                measured, computed = map(np.array, zip(*pairs))
-                slope, r2 = regression_stats(computed, measured)
-                errors = np.abs(computed - measured)
-                five = ", ".join(f"{v:.2f}" for v in five_number_summary(errors))
+                stats = error_stats(*zip(*pairs))
+                five = ", ".join(f"{v:.2f}" for v in
+                                 five_number_summary(np.abs(stats.errors)))
                 lines += ["", f"{label} ({len(pairs)} points): "
-                          f"slope {slope:.4f}, R^2 {r2:.4f}",
+                          f"slope {stats.slope:.4f}, "
+                          f"R^2 {stats.r_squared:.4f}",
                           f"  five-number summary of |error| (ms): {five}"]
 
     text = "\n".join(lines) + "\n"
@@ -449,8 +449,10 @@ def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
     from . import twin, vtkio
 
     perturb_cm = float(config.get("perturb_cm", 0.015))
-    if not perturb_cm >= 0.0:
-        raise InvalidArgumentError(f"perturb_cm must be >= 0, got {perturb_cm}")
+    # written so that NaN fails the check and infinity the bound
+    if not 0.0 <= perturb_cm < float("inf"):
+        raise InvalidArgumentError(
+            f"perturb_cm must be >= 0 and finite, got {perturb_cm}")
     data = twin.build_twin(h=float(config.get("h", twin.DEFAULT_H)),
                            sigma=_numbers(config, "sigma", twin.TRUE_SIGMA))
     out = _out_dir(config, "gen-twin")

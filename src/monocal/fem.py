@@ -168,25 +168,13 @@ class AssemblyPlan:
         return self.assemble(element_blocks)
 
 
-def assemble_mass(mesh: Mesh) -> csr_matrix:
-    """Consistent mass matrix int phi_i phi_j, from a fresh plan.
-
-    The stepper uses only its row sums (AssemblyPlan.lumped_mass); the
-    full matrix is the reference those row sums are checked against.
-    """
-    plan = AssemblyPlan(mesh)
-    N = _hex.shape_values(_hex.GAUSS2)
-    return plan.assemble(np.matmul(N.T * plan.wdet[:, None, :], N))
-
-
 @dataclass
 class SolveReport:
-    """Outcome of an iterative solve."""
+    """Outcome of a converged solve: the solution and the iterations it
+    took (a solve that does not converge raises)."""
 
     x: np.ndarray
     iterations: int
-    residual: float
-    converged: bool
 
 
 def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
@@ -210,8 +198,7 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
     minv = 1.0 / diag
     norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
-        return SolveReport(x=np.zeros(len(b)), iterations=0, residual=0.0,
-                           converged=True)
+        return SolveReport(x=np.zeros(len(b)), iterations=0)
     tol = rel_tol * norm_b
     x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
     iterations = 0
@@ -219,8 +206,7 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
         r = b - A @ x
         residual = math.sqrt(r @ r)
         if residual <= tol:
-            return SolveReport(x=x, iterations=iterations, residual=residual,
-                               converged=True)
+            return SolveReport(x=x, iterations=iterations)
         if iterations >= max_iter:
             raise NonConvergenceError(
                 f"CG did not reach {tol:.3e} in {max_iter} iterations "

@@ -184,6 +184,10 @@ def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField
     Nodes where the frame degenerates (vanishing transmural gradient, or
     apicobasal gradient parallel to it, as happens near the apex) are
     flagged singular and inherit the frame of the nearest regular node.
+    Where several regular nodes are exactly equally near, the donor is
+    whichever of them cKDTree.query returns, not necessarily the lowest
+    id; on the h = 0.05 twin, 5 of the 8 singular apex nodes have such
+    ties.
     """
     angles = angles or FiberAngles()
     laplace = fem.AssemblyPlan.of(mesh).stiffness(np.eye(3))

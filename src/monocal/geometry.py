@@ -68,14 +68,6 @@ class Mesh:
             faces = self.boundary_faces[mask]
         return np.unique(faces)
 
-    def element_volumes(self) -> np.ndarray:
-        """Volume of each element from 2x2x2 Gauss integration of det J.
-
-        Kept on LAPACK's determinant, independent of _hex's closed form,
-        as the oracle the assembly's volumes are checked against."""
-        jac = _hex.jacobians(self.nodes[self.elems], _hex.GAUSS2)
-        return np.linalg.det(jac).sum(axis=1)
-
     def content_hash(self) -> str:
         """Stable hash of node coordinates, connectivity and tags."""
         digest = hashlib.sha256()

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-
 
 @dataclass(frozen=True)
 class GatingParams:
@@ -187,62 +185,3 @@ def reaction_coefficients(u, w_next):
     beta = beta - h_slow * w2 * w3 / p.tau_slow_inward
     return alpha, beta
 
-
-@dataclass
-class CellTrace:
-    """Time series from a single-cell run."""
-
-    t: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-
-    def activation_time(self) -> float:
-        """Instant of the steepest potential rise."""
-        du = np.abs(np.diff(self.u)) / np.diff(self.t)
-        return float(self.t[1 + int(np.argmax(du))])
-
-    def peak(self) -> float:
-        return float(self.u.max())
-
-    def apd(self, level: float = 0.9) -> float:
-        """Action potential duration at the given repolarization level."""
-        peak = self.u.max()
-        thresh = peak * (1.0 - level)
-        above = np.nonzero(self.u > thresh)[0]
-        if above.size == 0:
-            return 0.0
-        return float(self.t[above[-1]] - self.t[above[0]])
-
-
-def run_single_cell(dt: float = 0.025, t_end: float = 500.0,
-                    stim_times=(0.0,), stim_duration: float = 1.0,
-                    stim_rate: float = 0.5, state=None) -> CellTrace:
-    """Integrate one cell with the same scheme the tissue solver uses.
-
-    Gates advance by forward Euler, the potential by the semi-implicit
-    update, so a zero-conductivity tissue simulation reproduces this trace
-    node for node. stim_rate is the applied current expressed as a
-    potential rate (I_app / (chi * C_m), 1/ms) held for stim_duration ms
-    from each entry of stim_times.
-    """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise InvalidArgumentError("dt and t_end must be positive")
-    n_steps = int(round(t_end / dt))
-    u, w = rest_state() if state is None else state
-    u = float(u)
-    w = np.array(w, dtype=float)
-    stim_times = np.asarray(stim_times, dtype=float)
-
-    ts = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
-    ws = np.empty((n_steps + 1, 3))
-    ts[0], us[0], ws[0] = 0.0, u, w
-    for n in range(n_steps):
-        t_next = (n + 1) * dt
-        w = w + dt * gating_rhs(u, w)
-        alpha, beta = reaction_coefficients(u, w)
-        active = np.any((t_next >= stim_times) & (t_next < stim_times + stim_duration))
-        rate = stim_rate if active else 0.0
-        u = (u / dt - beta + rate) / (1.0 / dt + alpha)
-        ts[n + 1], us[n + 1], ws[n + 1] = t_next, u, w
-    return CellTrace(t=ts, u=us, w=ws)

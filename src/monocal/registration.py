@@ -85,16 +85,8 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(rotation=np.eye(3), translation=np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(rotation=self.rotation.T,
-                              translation=-self.rotation.T @ self.translation)
 
 
 def _parse_float(text: str, column: str, row: int) -> float:
@@ -254,17 +246,16 @@ def nns_project(cloud: RawCloud, mesh: Mesh, tags
     return projected, np.linalg.norm(snapped - cloud.points, axis=1)
 
 
-def split_groups(taus, order=None) -> tuple[np.ndarray, np.ndarray]:
+def split_groups(taus, order) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the early (calibration) and late (validation) halves.
 
-    Sorted ascending by activation time, ties broken by acquisition
-    order; the first ceil(N/2) points form group I.
+    Sorted ascending by activation time, ties broken by order (each
+    sample's acquisition index); the first ceil(N/2) points form group I.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) < 2:
         raise InvalidArgumentError("group split needs at least 2 samples")
-    order = np.arange(len(taus)) if order is None else np.asarray(order)
-    ranking = np.lexsort((order, taus))
+    ranking = np.lexsort((np.asarray(order), taus))
     n_cal = -(-len(taus) // 2)
     return ranking[:n_cal], ranking[n_cal:]
 

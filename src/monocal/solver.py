@@ -10,11 +10,12 @@ balance by chi C_m) the system reads
 with m the lumped (row-sum) mass vector and i_app the applied current
 converted to a potential rate. Lumping collapses the time-derivative and
 reaction couplings to the diagonal, which makes every node evolve exactly
-like the single-cell integrator when the conductivities vanish, and
-keeps the consistent mass from smearing the sharp upstroke across
-neighbours. The matrix is assembled once; each step rewrites only its
-diagonal. It is symmetric positive definite as long as that diagonal
-stays positive, and the conjugate-gradient solver checks that it does.
+like the single-cell integrator in tests/oracles.py when the
+conductivities vanish, and keeps the consistent mass from smearing the
+sharp upstroke across neighbours. The matrix is assembled once; each
+step rewrites only its diagonal. It is symmetric positive definite as
+long as that diagonal stays positive, and the conjugate-gradient solver
+checks that it does.
 
 Two exact shortcuts keep the time loop short:
 
@@ -50,8 +51,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import __version__, fem, ionic
-from .errors import (InsufficientDataError, InvalidArgumentError,
-                     NonConvergenceError, SimulationDivergedError)
+from .errors import (InvalidArgumentError, NonConvergenceError,
+                     SimulationDivergedError)
 from .fibers import FiberField
 from .geometry import Mesh
 
@@ -143,28 +144,6 @@ class StimulusPlan:
             raise InvalidArgumentError("stimulus onsets must be nonnegative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "onsets", ons)
-
-    @classmethod
-    def single(cls, point, onset: float = 0.0) -> "StimulusPlan":
-        return cls(points=np.asarray(point, dtype=float)[None, :],
-                   onsets=np.array([onset]))
-
-    @classmethod
-    def face(cls, mesh: Mesh, axis: int = 0, side: str = "min",
-             onset: float = 0.0) -> "StimulusPlan":
-        """One plan point per node of an axis-aligned boundary face.
-
-        Combined with a sub-grid stimulus radius this excites exactly the
-        face nodes and launches a planar wave, the setup conduction
-        velocities are measured in.
-        """
-        coords = mesh.nodes[:, axis]
-        value = coords.min() if side == "min" else coords.max()
-        tol = 1e-9 * max(1.0, np.abs(mesh.nodes).max())
-        pts = mesh.nodes[np.abs(coords - value) <= tol]
-        if len(pts) == 0:
-            raise InvalidArgumentError(f"no nodes found on face axis={axis} {side}")
-        return cls(points=pts, onsets=np.full(len(pts), float(onset)))
 
 
 def build_conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
@@ -346,16 +325,17 @@ class MonodomainSolver:
                         f"at node {int(np.nonzero(~np.isfinite(state))[0][0])})")
 
         n_steps = int(round(p.t_end / p.dt))
-        snap_steps: dict[int, float] = {}
+        # every requested time, grouped by the step it rounds to
+        snap_steps: dict[int, list[float]] = {}
         for ts in snapshot_times:
             k = int(round(ts / p.dt)) if np.isfinite(ts) else -1
             if not 0 <= k <= n_steps:
                 raise InvalidArgumentError(f"snapshot time {ts} outside [0, t_end]")
-            snap_steps[k] = float(ts)
+            snap_steps.setdefault(k, []).append(float(ts))
         last_snap = max(snap_steps, default=0)
         snapshots: dict[float, np.ndarray] = {}
-        if 0 in snap_steps:
-            snapshots[snap_steps[0]] = u.copy()
+        for ts in snap_steps.get(0, ()):
+            snapshots[ts] = u.copy()
 
         activation = np.full(n, np.nan)
         best_rate = np.full(n, -1.0)
@@ -392,8 +372,8 @@ class MonodomainSolver:
                     f"potential magnitude exceeded 5 at t={t:.4g} ms",
                     step=k, time_ms=t)
             u_prev, u = u, u_new
-            if k in snap_steps:
-                snapshots[snap_steps[k]] = u.copy()
+            for ts in snap_steps.get(k, ()):
+                snapshots[ts] = u.copy()
             if k % PROGRESS_EVERY == 0:
                 logger.info(_PROGRESS, k, n_steps, t, float(u.max()),
                             int(report.iterations))
@@ -414,8 +394,8 @@ class MonodomainSolver:
                 while k < n_steps and first_onset > (k + 1) * p.dt:
                     k += 1
                     row = ionic.step_gating(u[:1], row, p.dt)
-                    if k in snap_steps:
-                        snapshots[snap_steps[k]] = u.copy()
+                    for ts in snap_steps.get(k, ()):
+                        snapshots[ts] = u.copy()
                     if k % PROGRESS_EVERY == 0:
                         logger.info(_PROGRESS, k, n_steps, k * p.dt, 0.0, 0)
                 w = np.repeat(row, n, axis=0)
@@ -452,36 +432,3 @@ def simulate(mesh: Mesh, fiber_field: FiberField | None, params: SolverParams,
     return solver.simulate(stim_plan, initial_state=initial_state,
                            snapshot_times=snapshot_times)
 
-
-def measure_planar_cv(output: SimulationOutput, axis: int,
-                      window: tuple[float, float] | None = None) -> float:
-    """Planar-front speed (m/s) from the slope of position vs. time.
-
-    Nodes are grouped into constant-coordinate planes along the axis; the
-    least-squares slope through (mean activation time, position) over the
-    interior window gives the speed. The default window spans the central
-    60 percent of the axis to skip stimulus and boundary transients.
-    """
-    coords = output.mesh.nodes[:, axis]
-    if window is None:
-        lo, hi = coords.min(), coords.max()
-        span = hi - lo
-        window = (lo + 0.2 * span, hi - 0.2 * span)
-    ok = output.activated & (coords >= window[0]) & (coords <= window[1])
-    if not ok.any():
-        raise InsufficientDataError("no activated nodes in the measurement window")
-
-    positions = np.round(coords[ok], 9)
-    times = output.activation[ok]
-    planes, inverse = np.unique(positions, return_inverse=True)
-    if len(planes) < 4:
-        raise InsufficientDataError(
-            f"only {len(planes)} activated planes in the window; need at least 4")
-    mean_t = np.bincount(inverse, weights=times) / np.bincount(inverse)
-
-    t0 = mean_t - mean_t.mean()
-    var = t0 @ t0
-    if var <= 0.0:
-        raise InsufficientDataError("plane activation times are identical")
-    slope_cm_per_ms = (t0 @ (planes - planes.mean())) / var
-    return float(np.abs(slope_cm_per_ms) * 10.0)

@@ -108,18 +108,12 @@ class TwinData:
     activation: np.ndarray
     transform: RigidTransform
 
-    def measurement_cloud(self, frame: str = "device") -> RawCloud:
-        """Septal and vein samples as a measurement cloud.
-
-        frame='device' applies the rigid placement (the shape the CSVs
-        are written in); frame='mesh' keeps simulation coordinates.
-        """
-        points = np.vstack([self.mesh.nodes[self.septal_nodes],
-                            self.mesh.nodes[self.vein_nodes]])
-        if frame == "device":
-            points = self.transform.apply(points)
-        elif frame != "mesh":
-            raise ValueError(f"unknown frame {frame!r}")
+    def measurement_cloud(self) -> RawCloud:
+        """Septal and vein samples as a measurement cloud in the device
+        frame, the shape the CSVs are written in."""
+        points = self.transform.apply(np.vstack([
+            self.mesh.nodes[self.septal_nodes],
+            self.mesh.nodes[self.vein_nodes]]))
         taus = np.concatenate([self.septal_onsets, self.vein_taus])
         sites = ([Site.SEPTUM] * len(self.septal_nodes)
                  + [Site.EPI_VEIN] * len(self.vein_nodes))

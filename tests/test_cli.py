@@ -18,6 +18,7 @@ from monocal import cli
 from monocal import registration as reg
 from monocal import twin
 from monocal import vtkio
+from monocal.activation import error_stats, five_number_summary
 from monocal.calibration import TRACE_HEADER
 from monocal.fibers import FiberAngles, FiberField, generate_fibers
 from monocal.geometry import build_lv_mesh, build_slab_mesh
@@ -102,6 +103,21 @@ def test_pipeline_report_summarizes_the_fit(pipeline):
     assert "R^2" in text
 
 
+def test_pipeline_report_prints_the_error_stats_of_the_correlation(pipeline):
+    with open(_results(pipeline) / "correlation.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    lines = (_results(pipeline) / "report.txt").read_text().splitlines()
+    for label, keep in (("pooled", ("I", "II")), ("group I", ("I",))):
+        picked = [row for row in rows if row["group"] in keep]
+        stats = error_stats([float(r["tau_computed_ms"]) for r in picked],
+                            [float(r["tau_measured_ms"]) for r in picked])
+        five = five_number_summary(np.abs(stats.errors))
+        at = lines.index(f"{label} ({len(picked)} points): slope "
+                         f"{stats.slope:.4f}, R^2 {stats.r_squared:.4f}")
+        assert lines[at + 1] == ("  five-number summary of |error| (ms): "
+                                 + ", ".join(f"{v:.2f}" for v in five))
+
+
 def test_gen_mesh_writes_readable_mesh(tmp_path):
     config = tmp_path / "mesh.json"
     config.write_text(json.dumps({
@@ -173,12 +189,12 @@ def _files_under(path):
     return sorted(p.name for p in path.rglob("*") if p.is_file())
 
 
-def test_gen_twin_rejects_negative_perturbation_before_simulating(
-        tmp_path, monkeypatch, capsys):
+def _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys,
+                                   perturb_cm):
     built = []
     monkeypatch.setattr(twin, "build_twin", lambda **kwargs: built.append(1))
     config = tmp_path / "twin.json"
-    config.write_text(json.dumps({"perturb_cm": -1,
+    config.write_text(json.dumps({"perturb_cm": perturb_cm,
                                   "out": str(tmp_path / "tw")}))
     with pytest.raises(SystemExit) as err:
         cli.main(["gen-twin", "--config", str(config)])
@@ -187,6 +203,18 @@ def test_gen_twin_rejects_negative_perturbation_before_simulating(
     assert message.startswith("error:") and "perturb_cm" in message
     assert built == []
     assert _files_under(tmp_path) == ["twin.json"]
+
+
+def test_gen_twin_rejects_negative_perturbation_before_simulating(
+        tmp_path, monkeypatch, capsys):
+    _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys, -1)
+
+
+def test_gen_twin_rejects_infinite_perturbation_before_simulating(
+        tmp_path, monkeypatch, capsys):
+    # JSON Infinity: it would write +-inf landmarks and fail only in register
+    _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys,
+                                   float("inf"))
 
 
 def test_gen_twin_failed_write_removes_partial_outputs(tmp_path, monkeypatch,
@@ -542,14 +570,16 @@ def test_simulate_cli_writes_activation_and_snapshots(tmp_path):
                    "stimulus_amplitude": 225000.0},
         "stimulus_points": [[0.0, 0.0, 0.0]],
         "stimulus_onsets": [0.0],
-        "snapshot_times": [5.0],
+        # 5.0 and 5.01 ms round to the same step; both are written
+        "snapshot_times": [5.0, 5.01],
         "out": str(tmp_path / "sim")}))
     assert cli.main(["simulate", "--config", str(sim_config)]) == 0
     fields = vtkio.read_fields(tmp_path / "sim" / "activation.vtk")
     assert set(fields) == {"activation", "peak"}
     assert fields["activation"].shape == (78,)
     snaps = vtkio.read_fields(tmp_path / "sim" / "snapshots.vtk")
-    assert list(snaps) == ["u_5ms"]
+    assert list(snaps) == ["u_5ms", "u_5_01ms"]
+    assert np.array_equal(snaps["u_5ms"], snaps["u_5_01ms"])
     manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
     assert manifest["n_not_activated"] == 0
 

@@ -14,11 +14,12 @@ from monocal import _hex, fem
 
 from monocal.errors import (AssemblyError, InvalidArgumentError,
                             NonConvergenceError)
-from monocal.fem import AssemblyPlan, assemble_mass, gmres_solve, solve_dirichlet
+from monocal.fem import AssemblyPlan, gmres_solve, solve_dirichlet
 from monocal.fibers import generate_fibers
 from monocal.geometry import Mesh, build_lv_mesh, build_slab_mesh
-from monocal.solver import (SolverParams, StimulusPlan,
-                            build_conductivity_tensors, simulate)
+from monocal.solver import SolverParams, build_conductivity_tensors, simulate
+
+from oracles import assemble_mass, element_volumes, single_plan
 
 
 def lumped_mass(mesh):
@@ -77,7 +78,7 @@ class TestMass:
 
     def test_total_mass_equals_volume_on_curved_mesh(self):
         mesh = build_lv_mesh((0.45, 0.45, 1.05), (0.6, 0.6, 1.2), 0.3, 0.07)
-        volume = mesh.element_volumes().sum()
+        volume = element_volumes(mesh).sum()
         assert np.isclose(assemble_mass(mesh).sum(), volume, rtol=1e-10)
         lumped = lumped_mass(mesh)
         assert np.all(lumped > 0.0)
@@ -150,7 +151,7 @@ class TestSharedPlan:
         monkeypatch.setattr(AssemblyPlan, "__init__", counting_init)
         mesh = build_slab_mesh((0.3, 0.1, 0.1), 0.05)
         fibers = generate_fibers(mesh)
-        stimulus = StimulusPlan.single((0.0, 0.0, 0.0))
+        stimulus = single_plan((0.0, 0.0, 0.0))
         for sigma in ((1.3, 0.3, 0.07), (1.0, 0.25, 0.05)):
             simulate(mesh, fibers, SolverParams(sigma=sigma, t_end=1.0),
                      stimulus)
@@ -174,7 +175,8 @@ class TestGmres:
     def test_identity_system(self):
         b = np.array([1.0, -2.0, 3.0])
         report = gmres_solve(np.eye(3), b)
-        assert report.converged
+        assert np.linalg.norm(b - np.eye(3) @ report.x) <= \
+            1e-10 * np.linalg.norm(b)
         assert report.iterations <= 1
         assert np.allclose(report.x, b, atol=1e-12)
 
@@ -184,8 +186,9 @@ class TestGmres:
         assert np.allclose(report.x, (1.0, 2.0), atol=1e-12)
 
     def test_zero_rhs(self):
-        report = gmres_solve(np.eye(4), np.zeros(4))
-        assert report.converged
+        A, b = np.eye(4), np.zeros(4)
+        report = gmres_solve(A, b)
+        assert np.linalg.norm(b - A @ report.x) <= 1e-10 * np.linalg.norm(b)
         assert report.iterations == 0
         assert np.array_equal(report.x, np.zeros(4))
 
@@ -205,9 +208,8 @@ class TestGmres:
         A = _random_spd(rng, 20)
         b = rng.normal(size=20)
         report = gmres_solve(A, b, rel_tol=1e-11)
-        assert report.converged
         assert np.linalg.norm(b - A @ report.x) <= \
-            1e-10 * np.linalg.norm(b)
+            1e-11 * np.linalg.norm(b)
 
     def test_budget_exhaustion_carries_best_iterate(self):
         rng = np.random.default_rng(23)

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import single_plan
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -105,7 +107,7 @@ def test_traced_solver_reports_its_plan_size(spans):
     tracer.install()
     try:
         solver = slv.MonodomainSolver(mesh, None, slv.SolverParams(t_end=1.0))
-        solver.simulate(slv.StimulusPlan.single((0.0, 0.0, 0.0)))
+        solver.simulate(single_plan((0.0, 0.0, 0.0)))
     finally:
         tracer.restore()
     assert spans.layer_metrics(tracer.spans)["fem.nnz"] == solver.plan.nnz

@@ -12,12 +12,13 @@ from monocal.errors import (InsufficientDataError, InvalidArgumentError,
                             SimulationDivergedError)
 from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
-from monocal.ionic import rest_state, run_single_cell
+from monocal.ionic import rest_state
 from monocal.solver import (ACTIVATION_PEAK_FLOOR, PROGRESS_EVERY,
                             MonodomainSolver, SimulationOutput, SolverParams,
-                            StimulusPlan, _StimulusSets,
-                            build_conductivity_tensors, measure_planar_cv,
+                            _StimulusSets, build_conductivity_tensors,
                             simulate)
+
+from oracles import face_plan, measure_planar_cv, run_single_cell, single_plan
 
 # face-stimulus launcher that reliably ignites planar waves at the
 # resolutions used below: two node planes, twice the default strength
@@ -77,7 +78,7 @@ class TestConductivityTensors:
 class TestApplyStimulus:
     def test_silent_before_onset_and_after_offset(self, small_slab):
         params = SolverParams()
-        plan = StimulusPlan.single((0.0, 0.0, 0.0), onset=10.0)
+        plan = single_plan((0.0, 0.0, 0.0), onset=10.0)
         stim = _StimulusSets(small_slab, plan, params)
         assert np.all(stim.current(9.99) == 0.0)
         assert stim.current(10.0).max() == params.stimulus_amplitude
@@ -86,7 +87,7 @@ class TestApplyStimulus:
 
     def test_ball_membership(self, small_slab):
         params = SolverParams(stimulus_radius=0.06)
-        plan = StimulusPlan.single((0.0, 0.0, 0.0))
+        plan = single_plan((0.0, 0.0, 0.0))
         rate = _StimulusSets(small_slab, plan, params).current(0.0)
         dist = np.linalg.norm(small_slab.nodes, axis=1)
         assert np.all(rate[dist <= 0.06] == params.stimulus_amplitude)
@@ -94,12 +95,12 @@ class TestApplyStimulus:
 
     def test_subgrid_radius_hits_only_the_nearest_node(self, small_slab):
         params = SolverParams(stimulus_radius=0.01)
-        plan = StimulusPlan.single((0.05, 0.05, 0.0))
+        plan = single_plan((0.05, 0.05, 0.0))
         rate = _StimulusSets(small_slab, plan, params).current(0.0)
         assert np.count_nonzero(rate) == 1
 
     def test_distant_stimulus_point_warns(self, small_slab):
-        plan = StimulusPlan.single((5.0, 5.0, 5.0))
+        plan = single_plan((5.0, 5.0, 5.0))
         with pytest.warns(UserWarning, match="stimulus point"):
             _StimulusSets(small_slab, plan, SolverParams())
 
@@ -120,7 +121,7 @@ class TestSimulate:
     def test_resting_tissue_stays_at_rest(self, small_slab):
         params = SolverParams(stimulus_amplitude=0.0, t_end=2.5)
         out = simulate(small_slab, None, params,
-                       StimulusPlan.single((0.0, 0.0, 0.0)))
+                       single_plan((0.0, 0.0, 0.0)))
         assert np.max(np.abs(out.final_u)) <= 1e-9
         assert np.all(np.isnan(out.activation))
         assert not out.activated.any()
@@ -134,7 +135,7 @@ class TestSimulate:
         params = SolverParams(stimulus_radius=10.0, dt=0.025, t_end=150.0)
         times = [round(2.5 * k, 10) for k in range(1, 60)]
         out = simulate(mesh, None, params,
-                       StimulusPlan.single((0.0, 0.0, 0.0)),
+                       single_plan((0.0, 0.0, 0.0)),
                        snapshot_times=times)
         rate = params.stimulus_amplitude * 1e-3 / (params.chi * params.c_m)
         trace = run_single_cell(stim_rate=rate,
@@ -151,10 +152,23 @@ class TestSimulate:
         params = SolverParams(stimulus_radius=10.0, t_end=150.0,
                               stop_when_activated=True)
         out = simulate(mesh, None, params,
-                       StimulusPlan.single((0.0, 0.0, 0.0)),
+                       single_plan((0.0, 0.0, 0.0)),
                        snapshot_times=[2.5, 100.0, 140.0])
         assert sorted(out.snapshots) == [2.5, 100.0, 140.0]
         assert 5600 <= out.manifest["n_steps"] < 6000
+
+    def test_snapshot_times_on_one_step_are_all_kept(self, small_slab):
+        # at dt = 0.025 ms each pair rounds to one step: 0 (the initial
+        # state), 40 (in the quiet lead-in before the 1.5 ms onset) and
+        # 80 (a stepped solve)
+        times = [0.0, 0.01, 1.0, 1.01, 2.0, 2.01]
+        out = simulate(small_slab, None, SolverParams(t_end=2.5),
+                       single_plan((0.0, 0.0, 0.0), onset=1.5),
+                       snapshot_times=times)
+        assert sorted(out.snapshots) == times
+        for a, b in zip(times[::2], times[1::2]):
+            assert np.array_equal(out.snapshots[a], out.snapshots[b])
+        assert not np.array_equal(out.snapshots[1.0], out.snapshots[2.0])
 
     def test_system_returns_the_diagonal_it_writes(self, small_slab):
         solver = MonodomainSolver(small_slab, None, SolverParams())
@@ -166,7 +180,7 @@ class TestSimulate:
 
     def test_early_stop_does_not_change_activation_times(self):
         bar = build_slab_mesh((0.35, 0.07, 0.035), 0.035)
-        plan = StimulusPlan.face(bar, axis=0, side="min")
+        plan = face_plan(bar, axis=0, side="min")
         runs = {}
         for stop in (False, True):
             params = SolverParams(sigma=(0.5, 0.5, 0.5), t_end=40.0,
@@ -181,13 +195,13 @@ class TestSimulate:
                               t_end=10.0)
         with pytest.raises(SimulationDivergedError) as err:
             simulate(small_slab, None, params,
-                     StimulusPlan.single((0.0, 0.0, 0.0)))
+                     single_plan((0.0, 0.0, 0.0)))
         assert err.value.step >= 1
         assert err.value.time_ms > 0.0
 
     def test_onset_beyond_end_is_rejected(self, small_slab):
         params = SolverParams(t_end=10.0)
-        plan = StimulusPlan.single((0.0, 0.0, 0.0), onset=20.0)
+        plan = single_plan((0.0, 0.0, 0.0), onset=20.0)
         with pytest.raises(InvalidArgumentError, match="onset"):
             simulate(small_slab, None, params, plan)
 
@@ -195,7 +209,7 @@ class TestSimulate:
     def test_non_finite_snapshot_time_is_rejected(self, small_slab, when):
         with pytest.raises(InvalidArgumentError, match="snapshot time"):
             simulate(small_slab, None, SolverParams(t_end=1.0),
-                     StimulusPlan.single((0.0, 0.0, 0.0)),
+                     single_plan((0.0, 0.0, 0.0)),
                      snapshot_times=[when])
 
     @pytest.mark.parametrize("which,bad,message", [
@@ -217,12 +231,12 @@ class TestSimulate:
             (u if which == "u" else w)[7] = bad
         with pytest.raises(InvalidArgumentError, match=message):
             simulate(small_slab, None, SolverParams(t_end=1.0),
-                     StimulusPlan.single((0.0, 0.0, 0.0)),
+                     single_plan((0.0, 0.0, 0.0)),
                      initial_state=(u, w))
 
     def test_manifest_documents_the_run(self, small_slab):
         params = SolverParams(t_end=2.0)
-        plan = StimulusPlan.single((0.0, 0.0, 0.0))
+        plan = single_plan((0.0, 0.0, 0.0))
         out = simulate(small_slab, None, params, plan)
         manifest = out.manifest
         assert manifest["mesh_hash"] == small_slab.content_hash()
@@ -234,7 +248,7 @@ class TestSimulate:
         mesh = build_slab_mesh((0.1, 0.1, 0.05), 0.05)
         u0 = np.full(mesh.n_nodes, 0.4)
         w0 = np.tile((0.8, 0.9, 0.2), (mesh.n_nodes, 1))
-        plan = StimulusPlan.single((0.0, 0.0, 0.0))
+        plan = single_plan((0.0, 0.0, 0.0))
 
         def final(dt):
             params = SolverParams(dt=dt, t_end=0.1, stimulus_amplitude=0.0)
@@ -310,7 +324,7 @@ class TestTimeLoop:
     @pytest.mark.parametrize("rest", ["default", "given"])
     def test_quiet_lead_in_matches_stepping_every_step(self, rest):
         solver = self._bar_solver()
-        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=2.0)
+        plan = face_plan(solver.mesh, axis=0, side="min", onset=2.0)
         n = solver.mesh.n_nodes
         state = None if rest == "default" else rest_state(n)
         times = [0.0, 1.0, 2.0, 6.0]
@@ -329,7 +343,7 @@ class TestTimeLoop:
         solver = self._bar_solver(t_end=10.0)
         n = solver.mesh.n_nodes
         onset = 0.0 if case == "onset_at_zero" else 2.0
-        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=onset)
+        plan = face_plan(solver.mesh, axis=0, side="min", onset=onset)
         u0, w0 = rest_state(n)
         if case == "gates_vary":
             w0 = w0 * np.random.default_rng(5).uniform(0.9, 1.0, (n, 3))
@@ -342,7 +356,7 @@ class TestTimeLoop:
 
     def test_quiet_window_logs_its_progress(self, caplog):
         solver = self._bar_solver(t_end=10.0)
-        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=5.0)
+        plan = face_plan(solver.mesh, axis=0, side="min", onset=5.0)
         with caplog.at_level(logging.INFO, logger="monocal.solver"):
             solver.simulate(plan)
         steps = [int(r.getMessage().split()[1].split("/")[0])
@@ -353,7 +367,7 @@ class TestTimeLoop:
 
     def test_extrapolated_start_saves_iterations(self):
         solver = self._bar_solver()
-        plan = StimulusPlan.face(solver.mesh, axis=0, side="min", onset=2.0)
+        plan = face_plan(solver.mesh, axis=0, side="min", onset=2.0)
         out = solver.simulate(plan)
         plain = _stepped(solver, plan, extrapolate=False)
         counts = out.manifest["linear_solver"]
@@ -368,7 +382,7 @@ class TestFrontShape:
         params = SolverParams(sigma=(0.5, 0.5, 0.5), t_end=40.0,
                               stop_when_activated=True, **LAUNCHER)
         out = simulate(bar, None, params,
-                       StimulusPlan.face(bar, axis=0, side="min"))
+                       face_plan(bar, axis=0, side="min"))
         x = np.round(bar.nodes[:, 0], 9)
         planes = np.unique(x)
         means = np.array([out.activation[x == p].mean() for p in planes])
@@ -380,7 +394,7 @@ class TestFrontShape:
         params = SolverParams(stimulus_radius=0.15, t_end=120.0,
                               stop_when_activated=True)
         out = simulate(slab, None, params,
-                       StimulusPlan.single((0.0, 0.0, 0.0)))
+                       single_plan((0.0, 0.0, 0.0)))
 
         def tau(point):
             hits = np.all(np.isclose(slab.nodes, point, atol=1e-9), axis=1)
@@ -435,7 +449,7 @@ class TestMeasurePlanarCv:
                                   stimulus_amplitude=225000.0, t_end=40.0,
                                   stop_when_activated=True)
             out = simulate(bar, None, params,
-                           StimulusPlan.face(bar, axis=0, side="min"))
+                           face_plan(bar, axis=0, side="min"))
             cv[scale] = measure_planar_cv(
                 out, axis=0, window=(0.15 * scale, 0.55 * scale))
         assert abs(cv[2.0] / cv[1.0] - 2.0) <= 0.1
