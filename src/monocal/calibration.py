@@ -1,15 +1,14 @@
 """Box-constrained direct search for the conductivity triple.
 
-Each iteration simulates at the current conductivities and compares the
-computed with the measured times of the calibration points once, in one
-`activation.ErrorReport`: its signed residuals give the summed error E
-and the misfit F, its relative errors eI. The search nudges every
-conductivity component along E with fixed acceleration coefficients,
-clamping to the physiological box. The update uses the error expressed
-in seconds; with conductivities in mS/cm that makes the printed
-coefficients (0.45, 0.1, 0.05) dimensionally sensible. The calibration
-(group I) and validation (group II) points arrive as
-`registration.RawCloud`s.
+The search is a loop over one evaluator. It simulates a triple once,
+reads the calibration (group I) and validation (group II) times from
+that run and compares group I with the measured times in one
+`activation.ErrorReport`, whose signed residuals give the summed error E
+and the misfit F. A triple the search returns to (every moving component
+clamped) gets its frozen `IterationRecord` again without a simulation.
+Each step moves every component along E, taken in seconds, with fixed
+acceleration coefficients (0.45, 0.1, 0.05 for mS/cm) and clamps it to
+the physiological box. Both groups arrive as `registration.RawCloud`s.
 """
 
 from __future__ import annotations
@@ -91,10 +90,18 @@ class CalibrationConfig:
         if self.max_cal_points is not None and self.max_cal_points < 1:
             raise InvalidArgumentError(
                 f"max_cal_points must be >= 1, got {self.max_cal_points}")
-        if self.initial_sigma is not None \
-                and not self.box.contains(self.initial_sigma):
+        if self.initial_sigma is not None and not self._start_inside():
             raise InvalidArgumentError(
-                f"initial sigma {self.initial_sigma} lies outside the box")
+                f"initial sigma {self.initial_sigma} lies outside the box"
+                + (" or is not isotropic" if self.isotropic else ""))
+
+    def _start_inside(self) -> bool:
+        # the isotropic search moves one value within the fiber bounds
+        box = replace(self.box, s=self.box.f, n=self.box.f) \
+            if self.isotropic else self.box
+        start = np.asarray(self.initial_sigma, dtype=float)
+        return start.shape == (3,) and box.contains(start) and (
+            not self.isotropic or bool(np.all(start == start[0])))
 
     def start_sigma(self) -> np.ndarray:
         if self.initial_sigma is not None:
@@ -105,55 +112,52 @@ class CalibrationConfig:
         return mid
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationRecord:
-    """State of one direct-search iteration, before its update: the
-    conductivities simulated and the group-I comparison at them."""
+    """One simulated conductivity triple: the calibration and validation
+    times computed at it and the group-I comparison."""
 
     sigma: np.ndarray
+    calibration_computed: np.ndarray
+    validation_computed: np.ndarray
     report: act.ErrorReport
-    clamped: tuple[bool, bool, bool] = (False, False, False)
 
 
 @dataclass
 class CalibrationResult:
-    """The estimate and the activation times simulated at it.
+    """The search's iterates and the one chosen as the estimate.
 
-    calibration is the group-I cloud as used: ordered by time, then
-    acquisition order, and cut to max_cal_points. calibration_computed
-    and validation_computed follow the order of that cloud and of the
-    validation cloud given; the latter is empty, and validation None,
-    when there was none.
+    iterations has one record per trace row, a revisited triple's record
+    again. best is the last iterate when converged, else the first of
+    lowest misfit. calibration is the group-I cloud as used: ordered by
+    time, then acquisition order, and cut to max_cal_points. The records'
+    times follow it and the validation cloud given; they are empty, and
+    validation None, when there was none.
     """
 
-    sigma_hat: np.ndarray
     iterations: list[IterationRecord]
+    best: IterationRecord
     converged: bool
     validation: act.ErrorReport | None
-    validation_computed: np.ndarray
-    calibration_computed: np.ndarray
     calibration: RawCloud
 
 
 def update_sigma(sigma, error_sum_ms: float, box: ConductivityBox,
-                 beta=DEFAULT_BETA, isotropic: bool = False
-                 ) -> tuple[np.ndarray, tuple[bool, bool, bool]]:
+                 beta=DEFAULT_BETA, isotropic: bool = False) -> np.ndarray:
     """One direct-search step: sigma + beta * E, clamped to the box.
 
     E enters in seconds (the convention under which the published
-    acceleration values are meaningful). Returns the new triple and
-    per-component clamp flags. In isotropic mode a single conductivity is
-    updated with the fiber coefficient and bounds, keeping the triple equal.
+    acceleration values are meaningful). In isotropic mode a single
+    conductivity is updated with the fiber coefficient and bounds,
+    keeping the triple equal.
     """
     sigma = np.asarray(sigma, dtype=float)
     e_s = error_sum_ms * 1e-3
     if isotropic:
         value = float(sigma[0] + beta[0] * e_s)
-        clamped_value = min(max(value, box.f[0]), box.f[1])
-        return np.full(3, clamped_value), (clamped_value != value,) * 3
-    raw = sigma + np.asarray(beta, dtype=float) * e_s
-    new = np.minimum(np.maximum(raw, box.lows), box.highs)
-    return new, tuple(bool(x) for x in new != raw)
+        return np.full(3, min(max(value, box.f[0]), box.f[1]))
+    return np.clip(sigma + np.asarray(beta, dtype=float) * e_s, box.lows,
+                   box.highs)
 
 
 def calibrate(mesh: Mesh, fiber_field: FiberField | None,
@@ -167,46 +171,49 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
     stagnation / iteration budget (converged False, best-misfit iterate
     kept; an iterate with unactivated points has infinite misfit).
 
-    Every iteration reads the calibration and validation times from the
-    same simulation, so the estimate needs no run of its own: its times
-    are those stored for the last iterate when converged, otherwise for
-    the first iterate of lowest misfit. calibration_computed is always
-    set; the validation report is computed from the estimate's times
-    alone when a non-empty validation cloud is given.
+    Each distinct triple is simulated once, and the estimate's record
+    carries the times of both groups; the validation report compares its
+    validation times when a non-empty validation cloud is given.
     """
     config = config or CalibrationConfig()
     if not len(cal):
         raise InvalidArgumentError("calibration cloud is empty")
     cal = cal.subset(np.lexsort((cal.order, cal.taus))[:config.max_cal_points])
     has_val = val is not None and len(val) > 0
-    # one lookup per iteration gives both groups' times
+    # one lookup per simulation gives both groups' times
     points = np.vstack([cal.points, val.points]) if has_val else cal.points
     n_cal = len(cal)
+    records: list[IterationRecord] = []
+    evaluated: dict[bytes, IterationRecord] = {}
+
+    def evaluate(sigma: np.ndarray) -> IterationRecord:
+        key = sigma.tobytes()
+        if key not in evaluated:
+            params = replace(config.solver, sigma=tuple(sigma))
+            try:
+                output = slv.simulate(mesh, fiber_field, params, stim_plan)
+            except Exception:
+                logger.error("simulation failed at iteration %d, sigma=%s",
+                             len(records), sigma)
+                raise
+            times = act.extract_activation_at(output, points)
+            evaluated[key] = IterationRecord(
+                sigma=sigma, calibration_computed=times[:n_cal],
+                validation_computed=times[n_cal:],
+                report=act.error_stats(times[:n_cal], cal.taus))
+        return evaluated[key]
 
     sigma = config.start_sigma()
-    records: list[IterationRecord] = []
-    times: list[np.ndarray] = []
-    converged = False
-
     for it in range(config.max_iters):
-        params = replace(config.solver, sigma=tuple(sigma))
-        try:
-            output = slv.simulate(mesh, fiber_field, params, stim_plan)
-        except Exception:
-            logger.error("simulation failed at iteration %d, sigma=%s",
-                         it, sigma)
-            raise
-        times.append(act.extract_activation_at(output, points))
-        report = act.error_stats(times[-1][:n_cal], cal.taus)
-        record = IterationRecord(sigma=sigma.copy(), report=report)
-        records.append(record)
+        records.append(evaluate(sigma))
+        report = records[-1].report
         e_mean = report.errors.mean()
         logger.info("iter %d sigma=(%.4f, %.4f, %.4f) E=%.3f ms F=%.3f ms^2 "
                     "eI=%.3f%%", it, *sigma, e_mean, report.misfit,
                     100.0 * report.mean_rel)
-
-        if abs(e_mean) < config.tol_ms and report.n_not_activated == 0:
-            converged = True
+        converged = bool(abs(e_mean) < config.tol_ms
+                         and report.n_not_activated == 0)
+        if converged:
             break
         if len(records) >= 3:
             f0, f1, f2 = (r.report.misfit for r in records[-3:])
@@ -215,22 +222,15 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
                     and abs(f1 - f0) < STAGNATION_REL * scale):
                 logger.info("misfit stagnated; stopping")
                 break
-        sigma, clamped = update_sigma(sigma, float(report.errors.sum()),
-                                      config.box, config.beta,
-                                      config.isotropic)
-        record.clamped = clamped
+        sigma = update_sigma(sigma, float(report.errors.sum()), config.box,
+                             config.beta, config.isotropic)
 
-    if converged:
-        best = len(records) - 1
-    else:
-        best = min(range(len(records)), key=lambda i: records[i].report.misfit)
-    val_computed = times[best][n_cal:]
-    validation = act.error_stats(val_computed, val.taus) if has_val else None
-    return CalibrationResult(sigma_hat=records[best].sigma,
-                             iterations=records, converged=converged,
-                             validation=validation,
-                             validation_computed=val_computed,
-                             calibration_computed=times[best][:n_cal],
+    best = records[-1] if converged else \
+        min(records, key=lambda r: r.report.misfit)
+    validation = act.error_stats(best.validation_computed, val.taus) \
+        if has_val else None
+    return CalibrationResult(iterations=records, best=best,
+                             converged=converged, validation=validation,
                              calibration=cal)
 
 
@@ -240,8 +240,6 @@ def write_trace(path, result: CalibrationResult) -> None:
         writer = csv.writer(handle)
         writer.writerow(TRACE_HEADER)
         for i, rec in enumerate(result.iterations):
-            writer.writerow([i, f"{rec.sigma[0]:.9g}", f"{rec.sigma[1]:.9g}",
-                             f"{rec.sigma[2]:.9g}",
-                             f"{rec.report.errors.sum():.9g}",
-                             f"{rec.report.misfit:.9g}",
-                             f"{100.0 * rec.report.mean_rel:.9g}"])
+            values = (*rec.sigma, rec.report.errors.sum(), rec.report.misfit,
+                      100.0 * rec.report.mean_rel)
+            writer.writerow([i, *(f"{v:.9g}" for v in values)])

@@ -19,13 +19,21 @@ once the fixture has been generated next to it.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import InvalidArgumentError, MonocalError
+import numpy as np
+
+from . import activation as act
+from . import calibration as cal
+from . import fibers, geometry, twin, vtkio
+from . import registration as reg
+from . import solver as slv
+from .errors import DataFormatError, InvalidArgumentError, MonocalError
 
 SCENARIOS_DIR = Path(__file__).parent / "scenarios"
 
@@ -134,81 +142,72 @@ def _check_keys(spec: dict, cls, what: str) -> None:
 
 
 @contextmanager
-def _reported_as_invalid(what: str):
-    """Turn a TypeError/ValueError from a mistyped value into an
-    InvalidArgumentError naming what was being built."""
+def _reported_as(what: str, error: type = InvalidArgumentError):
+    """Turn a missing key or a mistyped value met while building or
+    reading `what` into `error` naming it."""
     try:
         yield
-    except InvalidArgumentError:
+    except MonocalError:
         raise
+    except KeyError as exc:
+        raise error(f"invalid {what}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"invalid {what}: {exc}") from exc
+        raise error(f"invalid {what}: {exc}") from exc
 
 
 def _numbers(config: dict, key: str, default=None):
     """A list-valued config key as a float array (default when unset)."""
-    import numpy as np
-
     value = config.get(key)
-    with _reported_as_invalid(f"config key '{key}'"):
+    with _reported_as(f"config key '{key}'"):
         return np.asarray(default if value is None else value, dtype=float)
 
 
 def _solver_params(config: dict):
-    from . import solver as slv
-
     raw = dict(config.get("solver") or {})
     _check_keys(raw, slv.SolverParams, "solver")
-    with _reported_as_invalid("solver parameters"):
+    with _reported_as("solver parameters"):
         if "sigma" in raw:
             raw["sigma"] = tuple(raw["sigma"])
         return slv.paced_params(**raw)
 
 
 def _fiber_angles(spec: dict):
-    from .fibers import FiberAngles
-
-    _check_keys(spec, FiberAngles, "fiber_angles")
-    with _reported_as_invalid("fiber_angles"):
-        return FiberAngles(**spec)
+    _check_keys(spec, fibers.FiberAngles, "fiber_angles")
+    with _reported_as("fiber_angles"):
+        return fibers.FiberAngles(**spec)
 
 
 def _load_fiber_field(config: dict, mesh):
     """Fiber input: a fields file, inline angles, or none (isotropic)."""
-    from .fibers import FiberField, generate_fibers
-
     if config.get("fibers") is not None:
         path = Path(config["fibers"])
         if not path.exists():
             raise InvalidArgumentError(f"fibers file {path} does not exist")
-        return FiberField.read(path)
+        return fibers.FiberField.read(path)
     if config.get("fiber_angles") is not None:
-        return generate_fibers(mesh, _fiber_angles(dict(config["fiber_angles"])))
+        return fibers.generate_fibers(
+            mesh, _fiber_angles(dict(config["fiber_angles"])))
     return None
 
 
 def _read_mesh(config: dict, command: str):
-    from . import vtkio
-
     return vtkio.read_mesh(_existing_path(config, "mesh", command))
 
 
 def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
-    from . import twin, vtkio
-    from .geometry import build_lv_mesh, build_slab_mesh
-
     kind = config.get("kind", "slab")
     if kind not in ("slab", "ventricle"):
         raise InvalidArgumentError(
             f"kind must be 'slab' or 'ventricle', got {kind!r}")
     h = float(_require(config, "h", "gen-mesh"))
     if kind == "slab":
-        mesh = build_slab_mesh(_numbers(config, "extents", (1.0, 1.0, 0.5)), h)
+        mesh = geometry.build_slab_mesh(
+            _numbers(config, "extents", (1.0, 1.0, 0.5)), h)
     else:
-        mesh = build_lv_mesh(_numbers(config, "endo_axes", twin.ENDO_AXES),
-                             _numbers(config, "epi_axes", twin.EPI_AXES),
-                             config.get("truncation_height",
-                                        twin.TRUNCATION_HEIGHT), h)
+        mesh = geometry.build_lv_mesh(
+            _numbers(config, "endo_axes", twin.ENDO_AXES),
+            _numbers(config, "epi_axes", twin.EPI_AXES),
+            config.get("truncation_height", twin.TRUNCATION_HEIGHT), h)
     out = _out_dir(config, "gen-mesh")
     mesh_path = out / "mesh.vtk"
     tracker.add(mesh_path, vtkio.surface_path(mesh_path))
@@ -217,13 +216,11 @@ def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
 
 
 def cmd_gen_fibers(config: dict, tracker: _OutputTracker) -> None:
-    from .fibers import generate_fibers
-
     mesh = _read_mesh(config, "gen-fibers")
     angles = _fiber_angles({k: float(config[k]) for k in
                             ("alpha_endo", "alpha_epi", "beta_endo", "beta_epi")
                             if config.get(k) is not None})
-    field = generate_fibers(mesh, angles)
+    field = fibers.generate_fibers(mesh, angles)
     path = _out_dir(config, "gen-fibers") / "fibers.vtk"
     tracker.add(path)
     field.write(path, mesh)
@@ -231,8 +228,6 @@ def cmd_gen_fibers(config: dict, tracker: _OutputTracker) -> None:
 
 
 def cmd_register(config: dict, tracker: _OutputTracker) -> None:
-    from . import registration as reg
-
     mesh = _read_mesh(config, "register")
     cloud, groups, stats = reg.register(
         mesh, _existing_path(config, "measurements", "register"),
@@ -246,10 +241,11 @@ def cmd_register(config: dict, tracker: _OutputTracker) -> None:
     print(f"wrote {csv_path} and {json_path}")
 
 
-def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
-    from . import solver as slv
-    from . import vtkio
+def _snapshot_field(t: float) -> str:
+    return f"u_{t:g}ms".replace(".", "_")
 
+
+def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
     mesh = _read_mesh(config, "simulate")
     fiber_field = _load_fiber_field(config, mesh)
     params = _solver_params(config)
@@ -258,6 +254,14 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
     plan = slv.StimulusPlan(points=_numbers(config, "stimulus_points"),
                             onsets=_numbers(config, "stimulus_onsets"))
     snapshot_times = _numbers(config, "snapshot_times", ()).tolist()
+    names: dict[str, float] = {}
+    with _reported_as("config key 'snapshot_times'"):
+        for t in sorted(set(snapshot_times)):
+            other = names.setdefault(_snapshot_field(t), t)
+            if other != t:
+                raise InvalidArgumentError(
+                    f"snapshot times {other!r} and {t!r} would share the "
+                    f"field name {_snapshot_field(t)}")
 
     output = slv.simulate(mesh, fiber_field, params, plan,
                           snapshot_times=snapshot_times)
@@ -271,7 +275,7 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
         snap_path = out / "snapshots.vtk"
         tracker.add(snap_path)
         vtkio.write_fields(snap_path, mesh, {
-            f"u_{t:g}ms".replace(".", "_"): u
+            _snapshot_field(t): u
             for t, u in sorted(output.snapshots.items())})
     manifest = dict(output.manifest)
     manifest["n_not_activated"] = output.n_not_activated
@@ -280,20 +284,18 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
 
 
 def _calibration_config(config: dict):
-    from . import calibration as cal
-
     if "sigma" in (config.get("solver") or {}):
         raise InvalidArgumentError(
             "calibrate chooses the solver's sigma itself; set the search's "
             "start point with 'initial_sigma'")
     spec = dict(config.get("box") or {})
     _check_keys(spec, cal.ConductivityBox, "box")
-    with _reported_as_invalid("box"):
+    with _reported_as("box"):
         box = cal.ConductivityBox(**{k: tuple(v) for k, v in spec.items()})
     kwargs = {k: config[k] for k in ("tol_ms", "max_iters", "isotropic",
                                      "max_cal_points")
               if config.get(k) is not None}
-    with _reported_as_invalid("calibration parameters"):
+    with _reported_as("calibration parameters"):
         for key in ("initial_sigma", "beta"):
             if config.get(key) is not None:
                 kwargs[key] = tuple(config[key])
@@ -302,13 +304,6 @@ def _calibration_config(config: dict):
 
 
 def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
-    import csv as csv_mod
-
-    import numpy as np
-
-    from . import calibration as cal
-    from . import registration as reg
-
     cal_config = _calibration_config(config)
     mesh = _read_mesh(config, "calibrate")
     fiber_field = _load_fiber_field(config, mesh)
@@ -331,9 +326,10 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     tracker.add(trace_path, validation_path, correlation_path, manifest_path)
 
     cal.write_trace(trace_path, result)
+    best = result.best
     report = result.validation
     payload = {
-        "sigma_hat": [float(v) for v in result.sigma_hat],
+        "sigma_hat": [float(v) for v in best.sigma],
         "converged": result.converged,
         "iterations": len(result.iterations),
         "validation": None if report is None else {
@@ -351,12 +347,12 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     _write_json(validation_path, payload)
 
     with open(correlation_path, "w", newline="") as handle:
-        writer = csv_mod.writer(handle)
+        writer = csv.writer(handle)
         writer.writerow(("group", "tau_measured_ms", "tau_computed_ms"))
         rows = [("I", tau, c) for tau, c in
-                zip(result.calibration.taus, result.calibration_computed)]
+                zip(result.calibration.taus, best.calibration_computed)]
         rows += [("II", tau, c) for tau, c in
-                 zip(val_cloud.taus, result.validation_computed)]
+                 zip(val_cloud.taus, best.validation_computed)]
         for group, tau, computed in rows:
             val = "" if not np.isfinite(computed) else f"{computed:.9g}"
             writer.writerow((group, f"{tau:.9g}", val))
@@ -365,7 +361,7 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
                 "n_input": len(inputs), "n_cal": len(cal_cloud),
                 "n_val": len(val_cloud)}
     _write_json(manifest_path, manifest)
-    sig = ", ".join(f"{v:.4f}" for v in result.sigma_hat)
+    sig = ", ".join(f"{v:.4f}" for v in best.sigma)
     print(f"sigma_hat = ({sig})  converged={result.converged}  "
           f"iterations={len(result.iterations)}")
     if report is not None:
@@ -373,63 +369,71 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     print(f"wrote {trace_path}, {validation_path}, {correlation_path}")
 
 
+def _validation_lines(validation: dict) -> list[str]:
+    """Report lines for a calibrate run's validation.json payload."""
+    if not validation:
+        return []
+    sig = ", ".join(f"{v:.4f}" for v in validation.get("sigma_hat", []))
+    lines = ["", f"estimated conductivities (mS/cm): {sig}",
+             f"converged: {validation.get('converged')} "
+             f"after {validation.get('iterations')} iterations"]
+    rep = validation.get("validation")
+    if rep:
+        five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
+        lines += [
+            "", "validation (group II):",
+            f"  mean relative error: {100 * rep['mean_rel']:.3f}%",
+            "  mean pointwise relative error: "
+            f"{100 * rep['mean_rel_pointwise']:.3f}%",
+            f"  std of relative errors: {100 * rep['std_rel']:.3f}%",
+            f"  five-number summary of relative errors (%): {five}",
+            f"  regression slope {rep['slope']:.4f}, "
+            f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
+    return lines
+
+
 def cmd_report(config: dict, tracker: _OutputTracker) -> None:
-    import csv as csv_mod
-
-    import numpy as np
-
-    from .activation import error_stats, five_number_summary
-
     results = Path(_require(config, "results", "report"))
     trace_path = results / "trace.csv"
     if not trace_path.exists():
         raise InvalidArgumentError(
             f"no calibration results found: missing trace file {trace_path}")
 
-    with open(trace_path, newline="") as handle:
-        trace = list(csv_mod.DictReader(handle))
-    validation_path = results / "validation.json"
-    validation = json.loads(validation_path.read_text()) \
-        if validation_path.exists() else {}
-
     lines = ["calibration report", "==================", "",
              "iteration trace (sigma in mS/cm, E in ms, F in ms^2):"]
-    for row in trace:
-        lines.append(
-            f"  {row['iter']:>3}  sigma=({float(row['sigma_f']):.4f}, "
-            f"{float(row['sigma_s']):.4f}, {float(row['sigma_n']):.4f})  "
-            f"E={float(row['E_ms']):+9.3f}  F={float(row['F_ms2']):10.3f}  "
-            f"eI={float(row['eI_pct']):6.3f}%")
-    if validation:
-        sig = ", ".join(f"{v:.4f}" for v in validation.get("sigma_hat", []))
-        lines += ["", f"estimated conductivities (mS/cm): {sig}",
-                  f"converged: {validation.get('converged')} "
-                  f"after {validation.get('iterations')} iterations"]
-        rep = validation.get("validation")
-        if rep:
-            five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
-            lines += [
-                "", "validation (group II):",
-                f"  mean relative error: {100 * rep['mean_rel']:.3f}%",
-                "  mean pointwise relative error: "
-                f"{100 * rep['mean_rel_pointwise']:.3f}%",
-                f"  std of relative errors: {100 * rep['std_rel']:.3f}%",
-                f"  five-number summary of relative errors (%): {five}",
-                f"  regression slope {rep['slope']:.4f}, "
-                f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
+    with _reported_as(f"file {trace_path}", DataFormatError), \
+            open(trace_path, newline="") as handle:
+        for row in csv.DictReader(handle):
+            lines.append(
+                f"  {row['iter']:>3}  sigma=({float(row['sigma_f']):.4f}, "
+                f"{float(row['sigma_s']):.4f}, {float(row['sigma_n']):.4f})  "
+                f"E={float(row['E_ms']):+9.3f}  "
+                f"F={float(row['F_ms2']):10.3f}  "
+                f"eI={float(row['eI_pct']):6.3f}%")
+
+    validation_path = results / "validation.json"
+    if validation_path.exists():
+        with _reported_as(f"file {validation_path}", DataFormatError):
+            validation = json.loads(validation_path.read_text())
+            if not isinstance(validation, dict):
+                raise DataFormatError(
+                    f"{validation_path} must hold a JSON object, got "
+                    f"{type(validation).__name__}")
+            lines += _validation_lines(validation)
 
     correlation_path = results / "correlation.csv"
     if correlation_path.exists():
-        with open(correlation_path, newline="") as handle:
-            rows = [r for r in csv_mod.DictReader(handle)
-                    if r["tau_computed_ms"]]
+        with _reported_as(f"file {correlation_path}", DataFormatError), \
+                open(correlation_path, newline="") as handle:
+            rows = [(r["group"], float(r["tau_computed_ms"]),
+                     float(r["tau_measured_ms"]))
+                    for r in csv.DictReader(handle) if r["tau_computed_ms"]]
         for label, keep in (("pooled", ("I", "II")), ("group I", ("I",))):
-            pairs = [(float(r["tau_computed_ms"]), float(r["tau_measured_ms"]))
-                     for r in rows if r["group"] in keep]
+            pairs = [(c, m) for group, c, m in rows if group in keep]
             if len(pairs) >= 3:
-                stats = error_stats(*zip(*pairs))
+                stats = act.error_stats(*zip(*pairs))
                 five = ", ".join(f"{v:.2f}" for v in
-                                 five_number_summary(np.abs(stats.errors)))
+                                 act.five_number_summary(np.abs(stats.errors)))
                 lines += ["", f"{label} ({len(pairs)} points): "
                           f"slope {stats.slope:.4f}, "
                           f"R^2 {stats.r_squared:.4f}",
@@ -446,8 +450,6 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 
 
 def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
-    from . import twin, vtkio
-
     perturb_cm = float(config.get("perturb_cm", 0.015))
     # written so that NaN fails the check and infinity the bound
     if not 0.0 <= perturb_cm < float("inf"):
@@ -533,8 +535,6 @@ _FLAG_HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .solver import SolverParams
-
     parser = argparse.ArgumentParser(
         prog="monocal",
         description="Monodomain conductivity calibration toolkit")
@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "solver" in command.keys:
             # calibrate rejects solver.sigma (_calibration_config)
             epilog += "; solver keys: " + ", ".join(
-                key for key in SolverParams.__dataclass_fields__
+                key for key in slv.SolverParams.__dataclass_fields__
                 if name != "calibrate" or key != "sigma")
         p = sub.add_parser(name, help=command.help, epilog=epilog)
         p.add_argument("--config",

@@ -87,7 +87,7 @@ def _study(mesh, plan, cal_cloud, val_cloud, angles=None,
     config = CalibrationConfig(isotropic=isotropic,
                                max_cal_points=max_cal_points)
     result = calibrate(mesh, field, plan, cal_cloud, config, val_cloud)
-    cal_error = error_stats(result.calibration_computed,
+    cal_error = error_stats(result.best.calibration_computed,
                             result.calibration.taus)
     return result, cal_error.mean_rel, result.validation.mean_rel
 
@@ -184,8 +184,8 @@ def test_activation_maps_agree_across_grids(point_maps):
 
 def test_fiber_conductivity_recovered_within_10_percent(study_base):
     result, _, _ = study_base
-    rel = abs(result.sigma_hat[0] - STAR_SIGMA[0]) / STAR_SIGMA[0]
-    assert rel <= 0.10, (result.sigma_hat[0], rel)
+    rel = abs(result.best.sigma[0] - STAR_SIGMA[0]) / STAR_SIGMA[0]
+    assert rel <= 0.10, (result.best.sigma[0], rel)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -197,8 +197,8 @@ def test_fiber_conductivity_recovered_within_10_percent(study_base):
 def test_cross_fiber_conductivities_recovered_within_10_percent(study_base):
     result, _, _ = study_base
     for i in (1, 2):
-        rel = abs(result.sigma_hat[i] - STAR_SIGMA[i]) / STAR_SIGMA[i]
-        assert rel <= 0.10, (i, result.sigma_hat[i], rel)
+        rel = abs(result.best.sigma[i] - STAR_SIGMA[i]) / STAR_SIGMA[i]
+        assert rel <= 0.10, (i, result.best.sigma[i], rel)
 
 
 def test_calibration_converges_within_ten_iterations(study_base):
@@ -280,7 +280,7 @@ def test_truncated_calibration_keeps_sigma_within_5_percent(study_base,
     base, _, _ = study_base
     truncated, _, _ = study_truncated
     assert len(truncated.calibration) == 37
-    rel = np.abs(truncated.sigma_hat - base.sigma_hat) / base.sigma_hat
+    rel = np.abs(truncated.best.sigma - base.best.sigma) / base.best.sigma
     assert rel.max() < 0.05, rel
 
 

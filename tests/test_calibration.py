@@ -121,40 +121,31 @@ def test_mean_signed_error_length_mismatch_rejected():
 
 def test_update_sigma_zero_error_is_fixed_point():
     sigma = (1.0, 0.3, 0.06)
-    new, clamped = cal.update_sigma(sigma, 0.0, cal.ConductivityBox())
+    new = cal.update_sigma(sigma, 0.0, cal.ConductivityBox())
     np.testing.assert_array_equal(new, sigma)
-    assert clamped == (False, False, False)
 
 
 def test_update_sigma_applies_acceleration_in_seconds():
     # 10 ms of summed error is 0.01 s; with the default coefficients the
     # step is (0.0045, 0.001, 0.0005).
-    new, clamped = cal.update_sigma((1.0, 0.3, 0.06), 10.0,
-                                    cal.ConductivityBox())
+    new = cal.update_sigma((1.0, 0.3, 0.06), 10.0, cal.ConductivityBox())
     np.testing.assert_allclose(new, [1.0045, 0.301, 0.0605], rtol=1e-12)
-    assert clamped == (False, False, False)
 
 
 def test_update_sigma_clamps_to_box():
     box = cal.ConductivityBox()
-    high, flags_high = cal.update_sigma((1.0, 0.3, 0.06), 1.0e6, box)
+    high = cal.update_sigma((1.0, 0.3, 0.06), 1.0e6, box)
     np.testing.assert_array_equal(high, box.highs)
-    assert flags_high == (True, True, True)
-    low, flags_low = cal.update_sigma((1.0, 0.3, 0.06), -1.0e6, box)
+    low = cal.update_sigma((1.0, 0.3, 0.06), -1.0e6, box)
     np.testing.assert_array_equal(low, box.lows)
-    assert flags_low == (True, True, True)
 
 
 def test_update_sigma_isotropic_moves_all_components_together():
     box = cal.ConductivityBox()
-    new, clamped = cal.update_sigma((1.0, 1.0, 1.0), 10.0, box,
-                                    isotropic=True)
+    new = cal.update_sigma((1.0, 1.0, 1.0), 10.0, box, isotropic=True)
     np.testing.assert_allclose(new, np.full(3, 1.0045), rtol=1e-12)
-    assert clamped == (False, False, False)
-    capped, flags = cal.update_sigma((1.0, 1.0, 1.0), 1.0e6, box,
-                                     isotropic=True)
+    capped = cal.update_sigma((1.0, 1.0, 1.0), 1.0e6, box, isotropic=True)
     np.testing.assert_array_equal(capped, np.full(3, box.f[1]))
-    assert flags == (True, True, True)
 
 
 # --- box and config validation ----------------------------------------------
@@ -205,6 +196,24 @@ def test_config_rejects_start_outside_box():
         cal.CalibrationConfig(initial_sigma=(0.5, 0.3, 0.06))
 
 
+def test_isotropic_start_is_checked_against_the_fiber_bounds():
+    # sigma_s = 1.0 lies above the sheet bound, but the isotropic search
+    # moves one value within the fiber bounds
+    config = cal.CalibrationConfig(isotropic=True,
+                                   initial_sigma=(1.0, 1.0, 1.0))
+    np.testing.assert_array_equal(config.start_sigma(), [1.0, 1.0, 1.0])
+    for start in ((0.5, 0.5, 0.5), (2.5, 2.5, 2.5)):
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            cal.CalibrationConfig(isotropic=True, initial_sigma=start)
+
+
+@pytest.mark.parametrize("start", [(1.0, 0.3, 0.06), (1.0, 1.0, 1.1),
+                                   (1.0, 1.0)])
+def test_isotropic_start_must_be_three_equal_values(start):
+    with pytest.raises(InvalidArgumentError, match="not isotropic"):
+        cal.CalibrationConfig(isotropic=True, initial_sigma=start)
+
+
 def test_config_start_defaults_to_box_midpoint():
     np.testing.assert_allclose(cal.CalibrationConfig().start_sigma(),
                                [1.45, 0.32, 0.065])
@@ -226,14 +235,15 @@ def test_calibrate_converges_immediately_on_self_consistent_data(
                            val=bar_cloud(midpoint_taus[:2]))
     assert result.converged
     assert len(result.iterations) == 1
-    np.testing.assert_array_equal(result.sigma_hat,
+    np.testing.assert_array_equal(result.best.sigma,
                                   cal.ConductivityBox().midpoint())
     assert result.iterations[0].report.errors.mean() == 0.0
     assert result.iterations[0].report.misfit == 0.0
     assert result.validation is not None
     assert result.validation.n_used == 2
     assert result.validation.mean_rel == 0.0
-    np.testing.assert_array_equal(result.calibration_computed, midpoint_taus)
+    np.testing.assert_array_equal(result.best.calibration_computed,
+                                  midpoint_taus)
 
 
 def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
@@ -244,8 +254,8 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
                            bar_config())
     assert result.converged
     assert len(result.iterations) <= 10
-    np.testing.assert_allclose(result.sigma_hat[:2], star[:2], rtol=0.05)
-    np.testing.assert_allclose(result.sigma_hat[2], star[2], rtol=0.10)
+    np.testing.assert_allclose(result.best.sigma[:2], star[:2], rtol=0.05)
+    np.testing.assert_allclose(result.best.sigma[2], star[2], rtol=0.10)
     means = [abs(r.report.errors.mean()) for r in result.iterations]
     assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -269,9 +279,11 @@ def test_calibrate_stagnates_at_box_edge_on_unreachable_data(
                            bar_config(max_iters=8))
     assert not result.converged
     assert len(result.iterations) < 8
-    np.testing.assert_array_equal(result.sigma_hat,
+    np.testing.assert_array_equal(result.best.sigma,
                                   cal.ConductivityBox().lows)
-    assert result.iterations[0].clamped == (True, True, True)
+    # the first step already clamps every component
+    np.testing.assert_array_equal(result.iterations[1].sigma,
+                                  cal.ConductivityBox().lows)
 
 
 def test_calibrate_keeps_best_misfit_iterate_when_not_converged(
@@ -280,7 +292,7 @@ def test_calibrate_keeps_best_misfit_iterate_when_not_converged(
                            bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8))
     best = min(result.iterations, key=lambda r: r.report.misfit)
-    np.testing.assert_array_equal(result.sigma_hat, best.sigma)
+    np.testing.assert_array_equal(result.best.sigma, best.sigma)
 
 
 def test_calibrate_never_converges_with_unactivated_points(
@@ -357,21 +369,25 @@ def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
                            bar_config(max_iters=8), val=val)
     monkeypatch.undo()
     assert result.converged == (case == "converged")
-    assert len(result.iterations) >= 2
-    assert simulated == [tuple(r.sigma) for r in result.iterations]
-    # the stagnating search pins at the box lows from iteration 1 on; the
-    # first of those equal misfits is the estimate, not the last iterate
-    chosen = [r.sigma is result.sigma_hat for r in result.iterations]
+    assert len(result.iterations) == (5 if case == "converged" else 4)
+    # one simulation per distinct triple, in the order the search met them:
+    # the stagnating search pins at the box lows from iteration 1 on and
+    # simulates them once
+    distinct = list(dict.fromkeys(tuple(r.sigma) for r in result.iterations))
+    assert simulated == distinct
+    assert len(simulated) == (5 if case == "converged" else 2)
+    # the first of those equal misfits is the estimate, not the last iterate
+    chosen = [r is result.best for r in result.iterations]
     assert chosen.index(True) == (len(chosen) - 1 if case == "converged"
                                   else 1)
 
     # oracle: a fresh run at the estimate
-    output = slv.simulate(bar, None, bar_params(result.sigma_hat), bar_plan)
+    output = slv.simulate(bar, None, bar_params(result.best.sigma), bar_plan)
     np.testing.assert_array_equal(
-        result.calibration_computed,
+        result.best.calibration_computed,
         act.extract_activation_at(output, result.calibration.points))
     np.testing.assert_array_equal(
-        result.validation_computed,
+        result.best.validation_computed,
         act.extract_activation_at(output, val.points))
     assert result.validation.n_used == 3
 
@@ -393,8 +409,9 @@ def test_calibrate_tolerates_an_iterate_without_validation_times(
                            bar_config(), val=bar_cloud(val_taus))
     assert result.converged
     assert len(result.iterations) == 2
-    np.testing.assert_array_equal(result.calibration_computed, taus)
-    np.testing.assert_array_equal(result.validation_computed, val_taus + 1.0)
+    np.testing.assert_array_equal(result.best.calibration_computed, taus)
+    np.testing.assert_array_equal(result.best.validation_computed,
+                                  val_taus + 1.0)
     assert result.validation.n_not_activated == 0
 
 
@@ -403,8 +420,9 @@ def test_calibrate_without_validation_samples_has_no_report(
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
                            bar_config(tol_ms=1.0))
     assert result.validation is None
-    assert result.validation_computed.shape == (0,)
-    np.testing.assert_array_equal(result.calibration_computed, midpoint_taus)
+    assert result.best.validation_computed.shape == (0,)
+    np.testing.assert_array_equal(result.best.calibration_computed,
+                                  midpoint_taus)
 
 
 def test_calibrate_truncates_to_earliest_activation_times(
@@ -438,8 +456,8 @@ def test_calibrate_isotropic_search_keeps_triple_equal(bar, bar_plan):
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                            bar_config(isotropic=True))
     assert result.converged
-    assert result.sigma_hat[0] == result.sigma_hat[1] == result.sigma_hat[2]
-    assert result.sigma_hat[0] == pytest.approx(1.0, rel=0.10)
+    assert result.best.sigma[0] == result.best.sigma[1] == result.best.sigma[2]
+    assert result.best.sigma[0] == pytest.approx(1.0, rel=0.10)
 
 
 def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
@@ -450,7 +468,7 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
                           bar_config(max_iters=3))
     second = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
                            bar_config(max_iters=3))
-    np.testing.assert_array_equal(first.sigma_hat, second.sigma_hat)
+    np.testing.assert_array_equal(first.best.sigma, second.best.sigma)
     assert [r.report.errors.sum() for r in first.iterations] \
         == [r.report.errors.sum() for r in second.iterations]
 

@@ -517,6 +517,59 @@ def test_report_requires_a_trace_file(tmp_path, capsys):
     assert "trace.csv" in capsys.readouterr().err
 
 
+_TRACE_ROW = ["0", "1.45", "0.32", "0.065", "-12.5", "3.25", "2.5"]
+_VALIDATION = {"sigma_hat": [1.45, 0.32, 0.065], "converged": True,
+               "iterations": 1,
+               "validation": {"mean_rel": 0.01, "mean_rel_pointwise": 0.01,
+                              "std_rel": 0.005,
+                              "five_number_rel": [0, 0.01, 0.01, 0.02, 0.03],
+                              "slope": 1.0, "r_squared": 0.99, "n_used": 3,
+                              "n_not_activated": 0}}
+
+
+@pytest.mark.parametrize("broken", [
+    None, "trace_value", "validation_key", "validation_list",
+    "validation_json", "correlation_value"])
+def test_report_rejects_malformed_result_files(tmp_path, capsys, broken):
+    results = tmp_path / "results"
+    results.mkdir()
+    row = list(_TRACE_ROW)
+    validation = json.loads(json.dumps(_VALIDATION))
+    if broken == "trace_value":
+        row[1] = "fast"
+    elif broken == "validation_key":
+        del validation["validation"]["five_number_rel"]
+    elif broken == "validation_list":
+        validation = [1.45, 0.32, 0.065]
+    with open(results / "trace.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows([TRACE_HEADER, row])
+    text = json.dumps(validation)
+    (results / "validation.json").write_text(
+        text[:-1] if broken == "validation_json" else text)
+    if broken == "correlation_value":
+        (results / "correlation.csv").write_text(
+            "group,tau_measured_ms,tau_computed_ms\nI,10,ten\n")
+    argv = ["report", "--results", str(results),
+            "--out", str(tmp_path / "out")]
+    if broken is None:
+        # the same files, unbroken, make a report
+        assert cli.main(argv) == 0
+        text = (tmp_path / "out" / "report.txt").read_text()
+        assert "sigma=(1.4500, 0.3200, 0.0650)" in text
+        assert "relative errors (%): 0.00, 1.00, 1.00, 2.00, 3.00" in text
+        return
+    named = {"trace_value": "trace.csv",
+             "correlation_value": "correlation.csv"}.get(broken,
+                                                         "validation.json")
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert str(results / named) in message
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_is_only_a_gen_twin_flag(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["simulate", "--seed", "1"])
@@ -582,6 +635,35 @@ def test_simulate_cli_writes_activation_and_snapshots(tmp_path):
     assert np.array_equal(snaps["u_5ms"], snaps["u_5_01ms"])
     manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
     assert manifest["n_not_activated"] == 0
+
+
+def test_simulate_rejects_snapshot_times_that_share_a_field_name(
+        tmp_path, capsys, monkeypatch):
+    # both times print as 1 with 6 significant digits
+    mesh_config = tmp_path / "mesh.json"
+    mesh_config.write_text(json.dumps({
+        "kind": "slab", "h": 0.05, "extents": [0.2, 0.1, 0.05],
+        "out": str(tmp_path)}))
+    assert cli.main(["gen-mesh", "--config", str(mesh_config)]) == 0
+    simulated = []
+    monkeypatch.setattr(cli.slv, "simulate",
+                        lambda *args, **kwargs: simulated.append(1))
+    sim_config = tmp_path / "sim.json"
+    sim_config.write_text(json.dumps({
+        "mesh": str(tmp_path / "mesh.vtk"),
+        "solver": {"t_end": 2.0, "stop_when_activated": False},
+        "stimulus_points": [[0.0, 0.0, 0.0]],
+        "stimulus_onsets": [0.0],
+        "snapshot_times": [1.0000001, 0.5, 1.0],
+        "out": str(tmp_path / "sim")}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(sim_config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert "1.0 and 1.0000001" in message and "u_1ms" in message
+    assert simulated == []
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_rerun_writes_identical_manifest(tmp_path):
