@@ -1,13 +1,13 @@
 """Activation-map analytics.
 
 The site (`Site`) and group (`Group`) labels of measured points, the
-extraction of computed activation times at measurement locations, and
-the one comparison of computed with measured times: `error_stats`
-returns an `ErrorReport` holding the signed residuals, the quadratic
-misfit that drives calibration, the relative-error summaries reported
-for the calibration (I) and validation (II) point groups, and the
-regression diagnostics. The measured points themselves travel as a
-`registration.RawCloud`.
+extraction of computed activation times at mesh nodes (found with
+`Mesh.nearest_nodes`, so each location must lie on one), and the one
+comparison of computed with measured times: `error_stats` returns an
+`ErrorReport` holding the signed residuals, the quadratic misfit that
+drives calibration, the relative-error summaries reported for the
+calibration (I) and validation (II) point groups, and the regression
+diagnostics. The measured points themselves travel as a `RawCloud`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (DegenerateConfigurationError, InsufficientDataError,
                      InvalidArgumentError)
@@ -42,8 +41,7 @@ def extract_activation_at(output: SimulationOutput, points) -> np.ndarray:
     exclude and count.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    tree = cKDTree(output.mesh.nodes)
-    dist, idx = tree.query(points)
+    idx, dist = output.mesh.nearest_nodes(points)
     tol = 1e-6 * max(1.0, np.abs(output.mesh.nodes).max())
     if dist.max() > tol:
         j = int(np.argmax(dist))

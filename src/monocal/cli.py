@@ -177,13 +177,15 @@ def _fiber_angles(spec: dict):
         return fibers.FiberAngles(**spec)
 
 
-def _load_fiber_field(config: dict, mesh):
+def _load_fiber_field(config: dict, mesh, command: str):
     """Fiber input: a fields file, inline angles, or none (isotropic)."""
     if config.get("fibers") is not None:
-        path = Path(config["fibers"])
-        if not path.exists():
-            raise InvalidArgumentError(f"fibers file {path} does not exist")
-        return fibers.FiberField.read(path)
+        path = _existing_path(config, "fibers", command)
+        field = fibers.FiberField.read(path)
+        if len(field.f) != mesh.n_nodes:
+            raise InvalidArgumentError(f"fibers file {path} has {len(field.f)} "
+                                       f"nodes, the mesh has {mesh.n_nodes}")
+        return field
     if config.get("fiber_angles") is not None:
         return fibers.generate_fibers(
             mesh, _fiber_angles(dict(config["fiber_angles"])))
@@ -247,7 +249,7 @@ def _snapshot_field(t: float) -> str:
 
 def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
     mesh = _read_mesh(config, "simulate")
-    fiber_field = _load_fiber_field(config, mesh)
+    fiber_field = _load_fiber_field(config, mesh, "simulate")
     params = _solver_params(config)
     for key in ("stimulus_points", "stimulus_onsets"):
         _require(config, key, "simulate")
@@ -306,7 +308,7 @@ def _calibration_config(config: dict):
 def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     cal_config = _calibration_config(config)
     mesh = _read_mesh(config, "calibrate")
-    fiber_field = _load_fiber_field(config, mesh)
+    fiber_field = _load_fiber_field(config, mesh, "calibrate")
     if fiber_field is None and not cal_config.isotropic:
         raise InvalidArgumentError(
             "calibrate needs 'fibers' or 'fiber_angles' unless isotropic")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
 from . import _hex, fem, vtkio
 from .errors import InvalidArgumentError
@@ -183,11 +182,8 @@ def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField
 
     Nodes where the frame degenerates (vanishing transmural gradient, or
     apicobasal gradient parallel to it, as happens near the apex) are
-    flagged singular and inherit the frame of the nearest regular node.
-    Where several regular nodes are exactly equally near, the donor is
-    whichever of them cKDTree.query returns, not necessarily the lowest
-    id; on the h = 0.05 twin, 5 of the 8 singular apex nodes have such
-    ties.
+    flagged singular and inherit the frame of the nearest regular node,
+    the lowest id among equally near ones (`Mesh.nearest_nodes`).
     """
     angles = angles or FiberAngles()
     laplace = fem.AssemblyPlan.of(mesh).stiffness(np.eye(3))
@@ -213,16 +209,11 @@ def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField
     s = np.cos(b) * s0 + np.sin(b) * e_t
     n = -np.sin(b) * s0 + np.cos(b) * e_t
 
-    if singular.any():
-        if singular.all():
-            raise InvalidArgumentError("fiber frame is singular everywhere")
-        regular = np.nonzero(~singular)[0]
-        tree = cKDTree(mesh.nodes[regular])
-        _, nearest = tree.query(mesh.nodes[singular])
-        donor = regular[nearest]
-        f[singular] = f[donor]
-        s[singular] = s[donor]
-        n[singular] = n[donor]
+    if singular.all():
+        raise InvalidArgumentError("fiber frame is singular everywhere")
+    donor, _ = mesh.nearest_nodes(mesh.nodes[singular], np.flatnonzero(~singular))
+    for v in (f, s, n):
+        v[singular] = v[donor]
 
     field = FiberField(f=f, s=s, n=n, singular=singular)
     field.validate()

@@ -18,6 +18,12 @@ from . import _hex
 from .errors import InvalidArgumentError, RefinementRequiredError
 
 
+def _squared_distances(nodes: np.ndarray, point) -> np.ndarray:
+    """Squared distances from point to each node, summed in the order x,
+    y, z that scipy's k-d tree uses, so both give the same bits."""
+    return sum((nodes[:, k] - point[k]) ** 2 for k in range(3))
+
+
 class SurfaceTag(IntEnum):
     """Labels attached to boundary faces."""
 
@@ -67,6 +73,26 @@ class Mesh:
             mask = np.isin(self.boundary_tags, wanted)
             faces = self.boundary_faces[mask]
         return np.unique(faces)
+
+    def nearest_nodes(self, points, ids=None) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest node to each point among ids (any order; default: all)
+        and its distance (cm). Nodes within a relative 1e-12 of the least distance
+        tie and the lowest id wins, so a point on a node maps to that node."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        ids = np.arange(self.n_nodes) if ids is None else np.unique(ids)
+        candidates = self.nodes[ids]
+        nearest = np.empty(len(points), dtype=np.int64)
+        dist = np.empty(len(points))
+        for i, point in enumerate(points):
+            d = np.sqrt(_squared_distances(candidates, point))
+            # ids ascend: the first tied candidate has the lowest id
+            j = np.argmax(d <= d.min() * (1.0 + 1e-12) + 1e-300)
+            nearest[i], dist[i] = ids[j], d[j]
+        return nearest, dist
+
+    def nodes_within(self, point, r: float) -> np.ndarray:
+        """Ascending ids of the nodes at most r (cm) from point."""
+        return np.flatnonzero(_squared_distances(self.nodes, point) <= r * r)
 
     def content_hash(self) -> str:
         """Stable hash of node coordinates, connectivity and tags."""

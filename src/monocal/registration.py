@@ -3,7 +3,8 @@
 Measurements arrive in the mapping device's millimeter frame. Three
 reference landmarks known in both frames fix a rigid transform; the
 transformed points are then snapped to the nearest node of the relevant
-tagged surface, and the vein points are split into an early-activating
+tagged surface (`Mesh.nearest_nodes`: the lowest id of equally near
+nodes), and the vein points are split into an early-activating
 calibration half and a late-activating validation half. A measured map
 is one `RawCloud` throughout: `register` returns the projected cloud with
 one group label per point (`input`, `I`, `II`), and `split_samples` cuts
@@ -17,7 +18,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .activation import Group, Site
 from .errors import (DataFormatError, DegenerateConfigurationError,
@@ -214,25 +214,6 @@ def rigid_from_three_pairs(source: np.ndarray, target: np.ndarray
     return RigidTransform(rotation=rotation, translation=translation)
 
 
-def nearest_surface_nodes(mesh: Mesh, points, tags) -> np.ndarray:
-    """Id of the nearest node on the tagged surface(s) for each point.
-
-    Equidistant candidates resolve to the lowest node id, so the choice
-    is deterministic and a point on a node maps to that node.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    candidates = mesh.boundary_node_ids(tags)
-    if candidates.size == 0:
-        raise InvalidArgumentError(f"no boundary nodes carry tags {tags}")
-    k = min(8, len(candidates))
-    dist, local = (a.reshape(len(points), k) for a in
-                   cKDTree(mesh.nodes[candidates]).query(points, k=k))
-    # among all nearest-within-rounding candidates, keep the lowest node id
-    tied = dist <= dist[:, :1] * (1.0 + 1e-12) + 1e-300
-    return np.array([candidates[local[i][tied[i]]].min()
-                     for i in range(len(points))], dtype=np.int64)
-
-
 def nns_project(cloud: RawCloud, mesh: Mesh, tags
                 ) -> tuple[RawCloud, np.ndarray]:
     """Snap each cloud point to its nearest node on the tagged surface.
@@ -240,10 +221,13 @@ def nns_project(cloud: RawCloud, mesh: Mesh, tags
     Returns the projected cloud and each point's displacement (cm).
     Projecting an already-projected cloud is the identity.
     """
-    snapped = mesh.nodes[nearest_surface_nodes(mesh, cloud.points, tags)]
-    projected = RawCloud(points=snapped, taus=cloud.taus,
+    candidates = mesh.boundary_node_ids(tags)
+    if candidates.size == 0:
+        raise InvalidArgumentError(f"no boundary nodes carry tags {tags}")
+    nearest, moves = mesh.nearest_nodes(cloud.points, candidates)
+    projected = RawCloud(points=mesh.nodes[nearest], taus=cloud.taus,
                          sites=list(cloud.sites), order=cloud.order)
-    return projected, np.linalg.norm(snapped - cloud.points, axis=1)
+    return projected, moves
 
 
 def split_groups(taus, order) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import __version__, fem, ionic
 from .errors import (InvalidArgumentError, NonConvergenceError,
@@ -197,18 +196,17 @@ class _StimulusSets:
     """Precomputed node memberships for every stimulus site."""
 
     def __init__(self, mesh: Mesh, plan: StimulusPlan, params: SolverParams):
-        tree = cKDTree(mesh.nodes)
         h = mesh.characteristic_size
+        nearest, dist = mesh.nearest_nodes(plan.points)
         by_onset: dict[float, list[np.ndarray]] = {}
         for k, (point, onset) in enumerate(zip(plan.points, plan.onsets)):
-            dist, nearest = tree.query(point)
-            if dist > 2.0 * h:
-                warnings.warn(f"stimulus point {k} lies {dist:.4g} cm from the "
-                              f"nearest mesh node (h={h:g}); it may miss the tissue",
-                              stacklevel=3)
-            ids = tree.query_ball_point(point, params.stimulus_radius)
-            members = np.asarray(ids if ids else [nearest], dtype=np.int64)
-            by_onset.setdefault(float(onset), []).append(members)
+            if dist[k] > 2.0 * h:
+                warnings.warn(f"stimulus point {k} lies {dist[k]:.4g} cm from "
+                              f"the nearest mesh node (h={h:g}); it may miss the "
+                              "tissue", stacklevel=3)
+            ball = mesh.nodes_within(point, params.stimulus_radius)
+            by_onset.setdefault(float(onset), []).append(
+                ball if ball.size else nearest[k:k + 1])
         self.groups = [(onset, np.unique(np.concatenate(parts)))
                        for onset, parts in sorted(by_onset.items())]
         self.duration = params.stimulus_duration

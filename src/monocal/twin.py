@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import registration as reg
 from . import solver as slv
@@ -63,8 +62,14 @@ _DEVICE_TRANSLATION = (2.5, -1.0, 3.0)
 
 
 def device_transform() -> RigidTransform:
-    """Fixed mesh-to-device rigid placement used by the twin."""
-    rotation = Rotation.from_rotvec(_DEVICE_ROTVEC).as_matrix()
+    """The twin's fixed mesh-to-device placement (rotation via quaternion)."""
+    angle = np.linalg.norm(_DEVICE_ROTVEC)
+    x, y, z = np.sin(0.5 * angle) / angle * _DEVICE_ROTVEC
+    w = np.cos(0.5 * angle)
+    rotation = np.array([
+        [x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w]])
     return RigidTransform(rotation=rotation,
                           translation=np.array(_DEVICE_TRANSLATION))
 
@@ -131,10 +136,10 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     mesh = build_lv_mesh(ENDO_AXES, EPI_AXES, TRUNCATION_HEIGHT, h)
     fiber_field = generate_fibers(mesh, FiberAngles())
 
-    septal_nodes = reg.nearest_surface_nodes(mesh, SEPTAL_TARGETS,
-                                             int(SurfaceTag.ENDO))
-    vein_nodes = reg.nearest_surface_nodes(mesh, vein_path(),
-                                           int(SurfaceTag.EPI))
+    septal_nodes, _ = mesh.nearest_nodes(
+        SEPTAL_TARGETS, mesh.boundary_node_ids(int(SurfaceTag.ENDO)))
+    vein_nodes, _ = mesh.nearest_nodes(
+        vein_path(), mesh.boundary_node_ids(int(SurfaceTag.EPI)))
     onsets = np.asarray(SEPTAL_ONSETS, dtype=float)
     plan = slv.StimulusPlan(points=mesh.nodes[septal_nodes], onsets=onsets)
 

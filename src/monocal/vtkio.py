@@ -97,9 +97,9 @@ def write_fields(path, mesh: Mesh, fields: dict[str, np.ndarray]) -> None:
 
 def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
           required: tuple[str, ...] = ()):
-    """Parse a file laid out by `_write` into its title, points, cells and
-    data_kind fields by name (with data_kind None, nothing after the cell
-    types is read). Each name in required must be a SCALARS field."""
+    """Parse a file laid out by `_write` into its (line, title), points,
+    cells and data_kind fields by name (with data_kind None, nothing after
+    the cell types is read). Each name in required must be a SCALARS field."""
     text = Path(path).read_text()
     head, rest, start = [], text, 0  # start: the lines read so far
     while len(head) < 4 and rest:
@@ -112,7 +112,7 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
     if len(head) < 4:
         raise MeshFormatError("unexpected end of file while reading header",
                               line=start)
-    (_, title), (_, fmt), (_, dataset) = head[1:]
+    title, (_, fmt), (_, dataset) = head[1:]
     if fmt != "ASCII" or dataset.split() != ["DATASET", "UNSTRUCTURED_GRID"]:
         raise MeshFormatError(f"expected ASCII and DATASET UNSTRUCTURED_GRID"
                               f", got {fmt!r} and {dataset!r}", line=start)
@@ -211,10 +211,15 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
 
 
 def read_mesh(path) -> Mesh:
-    """Read a volume mesh and its companion boundary-surface file."""
-    title, points, elems, _ = _read(path, 12, 8)
-    h = next((float(t[2:]) for t in reversed(title.split())
-              if t.startswith("h=")), 0.0)
+    """Read a volume mesh (h: the title's last `h=`, else 0) and its surface."""
+    (line, title), points, elems, _ = _read(path, 12, 8)
+    sizes = [t[2:] for t in title.split() if t.startswith("h=")]
+    h = 0.0
+    with suppress(ValueError, IndexError):
+        h = float(sizes[-1])
+    if sizes and not 0.0 < h < np.inf:
+        raise MeshFormatError(f"{path}: title token h={sizes[-1]} is not a "
+                              "positive finite size", line=line)
     spath = surface_path(path)
     if not spath.exists():
         raise MeshFormatError(f"missing boundary surface file {spath}")

@@ -666,6 +666,35 @@ def test_simulate_rejects_snapshot_times_that_share_a_field_name(
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("fiber_x, mesh_x", [(0.2, 0.3), (0.3, 0.2)],
+                         ids=["fewer_nodes", "more_nodes"])
+def test_simulate_rejects_fibers_from_another_mesh(tmp_path, capsys,
+                                                   monkeypatch, fiber_x,
+                                                   mesh_x):
+    sizes = {name: build_slab_mesh((x, 0.1, 0.05), 0.05)
+             for name, x in (("fib", fiber_x), ("mesh", mesh_x))}
+    vtkio.write_mesh(tmp_path / "mesh.vtk", sizes["mesh"])
+    fibers = tmp_path / "fibers.vtk"
+    FiberField.uniform(sizes["fib"].n_nodes).write(fibers, sizes["fib"])
+    simulated = []
+    monkeypatch.setattr(cli.slv, "simulate",
+                        lambda *args, **kwargs: simulated.append(1))
+    sim_config = tmp_path / "sim.json"
+    sim_config.write_text(json.dumps({
+        "mesh": str(tmp_path / "mesh.vtk"), "fibers": str(fibers),
+        "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
+        "out": str(tmp_path / "sim")}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(sim_config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert (f"has {sizes['fib'].n_nodes} nodes, the mesh has "
+            f"{sizes['mesh'].n_nodes}") in message
+    assert simulated == []
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_rerun_writes_identical_manifest(tmp_path):
     mesh_config = tmp_path / "mesh.json"
     mesh_config.write_text(json.dumps({

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import monocal
+from monocal import twin
 from monocal.errors import InvalidArgumentError, RefinementRequiredError
 from monocal.geometry import Mesh, SurfaceTag, build_lv_mesh, build_slab_mesh
 
@@ -156,3 +163,64 @@ class TestContentHash:
                      boundary_tags=small_slab.boundary_tags,
                      characteristic_size=small_slab.characteristic_size)
         assert moved.content_hash() != small_slab.content_hash()
+
+
+class TestNearestNodes:
+    """Mesh.nearest_nodes and Mesh.nodes_within against scipy's k-d tree."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_slab_mesh((1.0, 0.6, 0.3), 0.05),
+        lambda: build_lv_mesh(twin.ENDO_AXES, twin.EPI_AXES,
+                              twin.TRUNCATION_HEIGHT, twin.DEFAULT_H),
+    ], ids=["slab", "twin"])
+    def test_matches_the_tree_query(self, build):
+        mesh = build()
+        rng = np.random.default_rng(7)
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+        points = rng.uniform(lo - 0.1, hi + 0.1, size=(300, 3))
+        ids, dist = mesh.nearest_nodes(points)
+        tree_dist, tree_ids = cKDTree(mesh.nodes).query(points)
+        np.testing.assert_array_equal(ids, tree_ids)
+        np.testing.assert_array_equal(dist, tree_dist)
+
+        surface = mesh.boundary_node_ids(int(SurfaceTag.EPI))
+        ids, dist = mesh.nearest_nodes(points, surface)
+        tree_dist, local = cKDTree(mesh.nodes[surface]).query(points)
+        np.testing.assert_array_equal(ids, surface[local])
+        np.testing.assert_array_equal(dist, tree_dist)
+
+    def test_exact_tie_takes_the_lowest_id(self, unit_cube):
+        centre = unit_cube.nodes.mean(axis=0)
+        ids, dist = unit_cube.nearest_nodes(centre)
+        assert ids.tolist() == [0]
+        assert dist[0] == pytest.approx(np.sqrt(0.75))
+        # the same tie among a reversed candidate list, and a tie within
+        # rounding: node 1 is nearer by 2e-14 cm, below 1e-12 relative
+        ids, _ = unit_cube.nearest_nodes(
+            [centre, [0.5, 0.0, 0.0], [0.5 + 1e-14, 0.0, 0.0]],
+            np.arange(8)[::-1])
+        assert ids.tolist() == [0, 0, 0]
+
+    def test_a_node_maps_to_itself(self, small_slab):
+        ids, dist = small_slab.nearest_nodes(small_slab.nodes)
+        np.testing.assert_array_equal(ids, np.arange(small_slab.n_nodes))
+        assert not dist.any()
+
+    def test_ball_matches_the_tree_on_the_sphere(self):
+        # r = 3h puts nodes exactly on the sphere around every node
+        mesh = build_slab_mesh((0.5, 0.4, 0.3), 0.05)
+        tree = cKDTree(mesh.nodes)
+        r = 3.0 * mesh.characteristic_size
+        for point in mesh.nodes:
+            expected = np.sort(tree.query_ball_point(point, r))
+            np.testing.assert_array_equal(mesh.nodes_within(point, r),
+                                          expected)
+
+
+def test_the_cli_imports_no_scipy_spatial():
+    src = str(Path(monocal.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import monocal.cli; "
+            "print(any(m.startswith('scipy.spatial') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from monocal import registration as reg
 from monocal import twin
@@ -35,6 +36,11 @@ def test_device_transform_is_a_proper_rotation():
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
     assert np.linalg.det(placement.rotation) == pytest.approx(1.0)
     np.testing.assert_array_equal(placement.translation, [2.5, -1.0, 3.0])
+
+
+def test_device_transform_matches_scipy_to_the_bit():
+    expected = Rotation.from_rotvec(twin._DEVICE_ROTVEC).as_matrix()
+    np.testing.assert_array_equal(twin.device_transform().rotation, expected)
 
 
 def test_twin_counts_and_onsets(twin_star):

@@ -155,6 +155,24 @@ class TestMeshParseErrors:
             read_mesh(path)
         assert err.value.line == 13
 
+    @pytest.mark.parametrize("token", ["abc", "nan", "inf", "-inf", "0",
+                                       "-0.05", ""])
+    def test_title_size_must_be_positive_and_finite(self, unit_cube,
+                                                    tmp_path, token):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        text = path.read_text()
+        path.write_text(text.replace(" h=1\n", f" h={token}\n", 1))
+        with pytest.raises(MeshFormatError, match=f"h={token} is not") as err:
+            read_mesh(path)
+        assert err.value.line == 2
+
+    def test_title_without_a_size_reads_zero(self, unit_cube, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        path.write_text(path.read_text().replace(" h=1\n", "\n", 1))
+        assert read_mesh(path).characteristic_size == 0.0
+
     def test_wrong_cell_type(self, unit_cube, tmp_path):
         path = tmp_path / "mesh.vtk"
         write_mesh(path, unit_cube)
