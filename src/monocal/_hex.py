@@ -6,7 +6,10 @@ conventions. This module also owns their batched 3x3 geometry: the
 Jacobians of a stack of elements, written as one matrix product, and
 their determinants and inverse-transposes, written out in closed form
 (cofactors) because generic batched LAPACK calls on 3x3 blocks cost
-several times the arithmetic.
+several times the arithmetic. All three run these per-element passes
+over `blocks` of BLOCK elements, so set-up memory beyond the arrays they
+keep does not grow with the mesh; each element's result depends only on
+its own corners, so it is the same bits at any block size.
 """
 
 from __future__ import annotations
@@ -43,6 +46,17 @@ FACES = np.array([
 # degree 3 per axis: one point per corner direction at +-1/sqrt(3), and
 # every weight is one.
 GAUSS2 = CORNERS * (1.0 / np.sqrt(3.0))
+
+# Elements per block of every per-element pass. The largest per-block
+# temporaries, the stiffness gradients and fluxes, take 8 * 8 * 3 doubles
+# (1.5 kB) per element each, 0.8 MB a block
+BLOCK = 512
+
+
+def blocks(n_elems: int):
+    """Consecutive slices of at most BLOCK elements covering n_elems."""
+    for start in range(0, n_elems, BLOCK):
+        yield slice(start, min(start + BLOCK, n_elems))
 
 
 def shape_values(points: np.ndarray) -> np.ndarray:
@@ -99,25 +113,28 @@ def determinants(jac: np.ndarray) -> np.ndarray:
 
 
 def require_positive(det: np.ndarray, error: type[Exception],
-                     where: str) -> None:
+                     where: str, first: int = 0) -> None:
     """Raise error naming the first element whose (nel, npts)
-    determinants are not all positive (a NaN counts as not positive)."""
+    determinants are not all positive (a NaN counts as not positive);
+    first is the global id of the batch's element 0."""
     bad = ~(det > 0.0)
     if bad.any():
-        elem = int(np.nonzero(bad.any(axis=1))[0][0])
+        elem = first + int(np.nonzero(bad.any(axis=1))[0][0])
         raise error(f"element {elem} is inverted or degenerate "
                     f"(non-positive Jacobian at a {where})")
 
 
 def inverse_transposes(jac: np.ndarray, error: type[Exception],
-                       where: str) -> tuple[np.ndarray, np.ndarray]:
+                       where: str, first: int = 0
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Determinants and inverse-transposes of (nel, npts, 3, 3) Jacobians.
 
     J^-T is the cofactor matrix over det J. The determinants are checked
-    with require_positive(det, error, where) before anything is divided.
+    with require_positive(det, error, where, first) before anything is
+    divided.
     """
     m, row0, det = _first_row_expansion(jac)
-    require_positive(det, error, where)
+    require_positive(det, error, where, first)
     (a, b, c), (d, e, f), (g, h, i) = m
     inv_t = np.empty_like(jac)
     inv_t[..., 0, 0], inv_t[..., 0, 1], inv_t[..., 0, 2] = row0

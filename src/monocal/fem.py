@@ -1,18 +1,21 @@
 """Trilinear (Q1) finite element assembly and the linear solver.
 
 One AssemblyPlan per mesh holds everything assembly needs that does not
-depend on the coefficients: the CSR sparsity pattern, the map that
-scatters element-local 8x8 blocks into it in one bincount pass, the
-slots of the diagonal (so a matrix whose diagonal changes every time
-step can be updated in place), the Jacobian determinants and inverse-
-transposes at the Gauss points, and the lumped mass vector. The Gauss
-point geometry comes from _hex's batched 3x3 kernel, and every
-contraction over elements is a batched matrix product. Set-up memory
-stays close to what the plan keeps: the pattern comes from the
-element-node incidence product, without sorting one key per block entry;
-the plan keeps J^-T rather than the shape gradients, which are 8/3
-times larger; and stiffness builds the gradients and fluxes one block of
-BLOCK elements at a time.
+depend on the coefficients: the CSR sparsity pattern, the int32 map that
+adds element-local 8x8 blocks into it, the slots of the diagonal (so a
+matrix whose diagonal changes every time step can be updated in place),
+the Jacobian determinants and inverse-transposes at the Gauss points,
+and the lumped mass vector. The Gauss point geometry comes from _hex's
+batched 3x3 kernel, and every contraction over elements is a batched
+matrix product. Set-up memory stays close to what the plan keeps: the
+pattern comes from the element-node incidence product, without sorting
+one key per block entry; the plan keeps J^-T rather than the shape
+gradients, which are 8/3 times larger; and every per-element pass (the
+geometry, the scatter map, the lumped mass, and the gradients, fluxes
+and element matrices of stiffness) runs over blocks of _hex.BLOCK
+elements, writing each block straight into the arrays it fills. No
+whole-mesh temporary is built, and the element matrices are added into
+the data array in element order, as one bincount over all of them would.
 `AssemblyPlan.of` builds it on first use and keeps it on the Mesh, so
 the fiber Laplace solve and every simulation on one mesh share it; only
 the conductivity tensors change between them.
@@ -33,10 +36,6 @@ from .errors import AssemblyError, InvalidArgumentError, NonConvergenceError
 from .geometry import Mesh
 
 
-# Elements per block in AssemblyPlan.stiffness: the block's gradients and
-# fluxes take 8 * 8 * 3 doubles (1.5 kB) per element each, 0.8 MB a block
-BLOCK = 512
-
 _GAUSS_GRADIENTS = _hex.shape_gradients(_hex.GAUSS2)
 
 
@@ -47,8 +46,8 @@ class AssemblyPlan:
     ----------
     nnz, indices, indptr, shape : the CSR pattern of all node-pair
         couplings.
-    entry_slots : (64 n_elems,) int64 data slot of every entry of the
-        (n_elems, 8, 8) blocks.
+    entry_slots : (64 n_elems,) int32 data slot of every entry of the
+        (n_elems, 8, 8) element matrices.
     diag_slots : data slots of the diagonal, in node order.
     wdet : (n_elems, 8) Jacobian determinants at the 2x2x2 Gauss points
         (_hex.GAUSS2, whose weights are all one).
@@ -63,25 +62,27 @@ class AssemblyPlan:
 
     def __init__(self, mesh: Mesh):
         elems = mesh.elems
-        jac = _hex.jacobians(mesh.nodes[elems], _hex.GAUSS2)
-        self.wdet, inv_t = _hex.inverse_transposes(jac, AssemblyError,
-                                                   "Gauss point")
-        del jac
+        n_elems = len(elems)
+        values = _hex.shape_values(_hex.GAUSS2)
+        self.wdet = np.empty((n_elems, 8))
         # J^-T kept as a transposed view of a C-ordered J^-1: with that
         # operand contiguous, the matmul in gradients runs 3x faster
-        self.inv_t = np.ascontiguousarray(inv_t.swapaxes(2, 3)).swapaxes(2, 3)
-        del inv_t
-        # built once none of the geometry's temporaries is alive
-        self._set_pattern(elems, mesh.n_nodes)
-        contrib = self.wdet @ _hex.shape_values(_hex.GAUSS2)
-        self.lumped_mass = np.bincount(elems.ravel(), weights=contrib.ravel(),
-                                       minlength=mesh.n_nodes)
+        inv = np.empty((n_elems, 8, 3, 3))
+        self.lumped_mass = np.zeros(mesh.n_nodes)
+        for part in _hex.blocks(n_elems):
+            jac = _hex.jacobians(mesh.nodes[elems[part]], _hex.GAUSS2)
+            self.wdet[part], inv_t = _hex.inverse_transposes(
+                jac, AssemblyError, "Gauss point", part.start)
+            inv[part] = inv_t.swapaxes(2, 3)
+            np.add.at(self.lumped_mass, elems[part].ravel(),
+                      (self.wdet[part] @ values).ravel())
+        self.inv_t = inv.swapaxes(2, 3)
         self.lumped_mass.flags.writeable = False
+        self._set_pattern(elems, mesh.n_nodes)
 
     def _set_pattern(self, elems: np.ndarray, n: int) -> None:
         """The CSR pattern and scatter map. Beyond the pattern's own
-        int64 keys, no temporary is larger than one local row (n_elems x
-        8 entries) of the blocks."""
+        int64 keys, no temporary is larger than one block's entries."""
         n_elems = len(elems)
         # node i couples to node j where an element holds both: the
         # pattern of inc^T inc, inc the element-node incidence matrix
@@ -101,11 +102,12 @@ class AssemblyPlan:
         # entry's data slot is where its key sorts among them
         keys *= n
         keys += self.indices
-        corner = elems.astype(np.int64)
-        self.entry_slots = np.empty(64 * n_elems, dtype=np.int64)
+        self.entry_slots = np.empty(64 * n_elems, dtype=np.int32)
         slots = self.entry_slots.reshape(n_elems, 8, 8)
-        for a in range(8):
-            slots[:, a] = np.searchsorted(keys, corner[:, a, None] * n + corner)
+        for part in _hex.blocks(n_elems):
+            corner = elems[part].astype(np.int64)
+            slots[part] = np.searchsorted(
+                keys, corner[:, :, None] * n + corner[:, None, :])
 
     @classmethod
     def of(cls, mesh: Mesh) -> "AssemblyPlan":
@@ -115,13 +117,6 @@ class AssemblyPlan:
         if plan is None:
             plan = mesh._assembly_plan = cls(mesh)
         return plan
-
-    def assemble(self, element_blocks: np.ndarray) -> csr_matrix:
-        """A fresh CSR matrix on the plan's pattern; its data array is
-        in slot order, so diag_slots index its diagonal."""
-        data = np.bincount(self.entry_slots, weights=element_blocks.ravel(),
-                           minlength=self.nnz)
-        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def gradients(self, block: slice) -> np.ndarray:
         """Physical shape-function gradients of a block of elements,
@@ -136,7 +131,9 @@ class AssemblyPlan:
 
     def stiffness(self, tensors) -> csr_matrix:
         """Stiffness matrix int (D grad phi_j) . grad phi_i for one
-        symmetric (3, 3) tensor D or one per element (n_elems, 3, 3)."""
+        symmetric (3, 3) tensor D or one per element (n_elems, 3, 3).
+        Its data array is in slot order, so diag_slots index its
+        diagonal."""
         tensors = np.asarray(tensors, dtype=float)
         n_elems = len(self.wdet)
         if tensors.shape == (3, 3):
@@ -154,18 +151,20 @@ class AssemblyPlan:
                 f"conductivity tensor of element {int(bad[0])} is not symmetric")
         # K_e = sum_q wdet_eq G_eq D_e G_eq^T, with G_eq the (8, 3)
         # gradients at point q: one (8, 24) @ (24, 8) product per element,
-        # BLOCK elements at a time
-        element_blocks = np.empty((n_elems, 8, 8))
-        for start in range(0, n_elems, BLOCK):
-            part = slice(start, start + BLOCK)
+        # a block at a time, added into data in element order
+        data = np.zeros(self.nnz)
+        slots = self.entry_slots.reshape(n_elems, 64)
+        matrices = np.empty((_hex.BLOCK, 8, 8))
+        for part in _hex.blocks(n_elems):
             grads = self.gradients(part)
             k = len(grads)
             flux = np.matmul(grads.reshape(k, 64, 3), tensors[part])
             flux = flux.reshape(k, 8, 24)
             flux *= np.repeat(self.wdet[part], 3, axis=1)[:, None, :]
             np.matmul(flux, grads.reshape(k, 8, 24).transpose(0, 2, 1),
-                      out=element_blocks[part])
-        return self.assemble(element_blocks)
+                      out=matrices[:k])
+            np.add.at(data, slots[part].ravel(), matrices[:k].ravel())
+        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 @dataclass

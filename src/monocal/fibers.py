@@ -125,6 +125,10 @@ def solve_transmural(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
 
 def apex_node_set(mesh: Mesh) -> np.ndarray:
     """Boundary nodes within 1.5 h of the lowest boundary point."""
+    if not mesh.characteristic_size > 0.0:
+        raise InvalidArgumentError(
+            "the mesh has no size h (its title has no h= token), and the "
+            "apex node set is the boundary within 1.5 h of the apex")
     surf = mesh.boundary_node_ids()
     z = mesh.nodes[surf, 2]
     lowest = mesh.nodes[surf[np.argmin(z)]]
@@ -154,27 +158,30 @@ def solve_apicobasal(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
 
 def nodal_gradients(mesh: Mesh, *fields: np.ndarray) -> list[np.ndarray]:
     """Gradient of each node field, averaged element-corner-wise with
-    Jacobian-determinant weights; the corner Jacobians, their determinants
-    and inverses are built once for all fields."""
+    Jacobian-determinant weights. The corner Jacobians, their determinants
+    and inverses are built once for all fields, one block of _hex.BLOCK
+    elements at a time, and each block's weighted corner gradients are
+    added into the node sums in element order (the order one bincount
+    over all elements would add them in)."""
     if any(field.shape != (mesh.n_nodes,) for field in fields):
         raise InvalidArgumentError("field length does not match node count")
-    jac = _hex.jacobians(mesh.nodes[mesh.elems], _hex.CORNERS)
-    det, inv_t = _hex.inverse_transposes(jac, InvalidArgumentError, "corner")
     # (8 corners, 24) reference gradients: column 3 p + d is dN/dxi_d at p
     dN = _hex.shape_gradients(_hex.CORNERS).transpose(1, 0, 2).reshape(8, 24)
-    wsum = np.bincount(mesh.elems.ravel(), weights=det.ravel(),
-                       minlength=mesh.n_nodes)
-    gradients = []
-    for field in fields:
-        ref_grad = (field[mesh.elems] @ dN).reshape(-1, 8, 1, 3)
-        grad = np.matmul(ref_grad, inv_t.transpose(0, 1, 3, 2))[:, :, 0]
-        out = np.zeros((mesh.n_nodes, 3))
-        for d in range(3):
-            out[:, d] = np.bincount(mesh.elems.ravel(),
-                                    weights=(det * grad[:, :, d]).ravel(),
-                                    minlength=mesh.n_nodes)
-        gradients.append(out / wsum[:, None])
-    return gradients
+    wsum = np.zeros(mesh.n_nodes)
+    sums = [np.zeros((mesh.n_nodes, 3)) for _ in fields]
+    for part in _hex.blocks(mesh.n_elems):
+        elems = mesh.elems[part]
+        jac = _hex.jacobians(mesh.nodes[elems], _hex.CORNERS)
+        det, inv_t = _hex.inverse_transposes(jac, InvalidArgumentError,
+                                             "corner", part.start)
+        corners = elems.ravel()
+        np.add.at(wsum, corners, det.ravel())
+        for field, out in zip(fields, sums):
+            ref_grad = (field[elems] @ dN).reshape(-1, 8, 1, 3)
+            grad = np.matmul(ref_grad, inv_t.transpose(0, 1, 3, 2))[:, :, 0]
+            for d in range(3):
+                np.add.at(out[:, d], corners, (det * grad[:, :, d]).ravel())
+    return [out / wsum[:, None] for out in sums]
 
 
 def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField:

@@ -123,8 +123,11 @@ class Mesh:
             bad = int(np.nonzero(np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1], axis=1))[0][0])
             raise InvalidArgumentError(f"element {bad} has repeated corner nodes")
 
-        det = _hex.determinants(_hex.jacobians(nodes[elems], _hex.CORNERS))
-        _hex.require_positive(det, InvalidArgumentError, "corner")
+        for part in _hex.blocks(len(elems)):
+            det = _hex.determinants(_hex.jacobians(nodes[elems[part]],
+                                                   _hex.CORNERS))
+            _hex.require_positive(det, InvalidArgumentError, "corner",
+                                  part.start)
 
         if self.boundary_faces.shape[0] != self.boundary_tags.shape[0]:
             raise InvalidArgumentError("boundary tags not aligned with boundary faces")

@@ -105,28 +105,6 @@ def _tau_out_plateau(u):
         1.0 + np.tanh(p.k_plateau * (u - p.u_plateau)))
 
 
-def ionic_currents(u, w):
-    """The three model currents at (u, w), each as a rate in 1/ms.
-
-    w holds the gates in its last axis: shape (3,) or (n, 3). The fast
-    inward and slow inward currents are negative (depolarizing), the
-    outward current non-negative on the physiological range.
-    """
-    p = PARAMS
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
-
-    h_fast = _heav(u - p.v_fast_threshold)
-    h_slow = _heav(u - p.v_slow_threshold)
-
-    i_fast = -h_fast * (u - p.v_fast_threshold) * (p.v_overshoot - u) * w1 / p.tau_fast
-    i_out = (u * (1.0 - h_slow) / _tau_out_rest(u)
-             + h_slow / _tau_out_plateau(u))
-    i_slow = -h_slow * w2 * w3 / p.tau_slow_inward
-    return i_fast, i_out, i_slow
-
-
 def gating_rhs(u, w) -> np.ndarray:
     """Right-hand side of the three gating ODEs, shaped like w."""
     p = PARAMS

@@ -201,6 +201,11 @@ class _StimulusSets:
         by_onset: dict[float, list[np.ndarray]] = {}
         for k, (point, onset) in enumerate(zip(plan.points, plan.onsets)):
             if dist[k] > 2.0 * h:
+                if not h > 0.0:
+                    raise InvalidArgumentError(
+                        f"stimulus point {k} lies {dist[k]:.4g} cm from the "
+                        "nearest mesh node, and the mesh has no size h (its "
+                        "title has no h= token) to check that against 2h")
                 warnings.warn(f"stimulus point {k} lies {dist[k]:.4g} cm from "
                               f"the nearest mesh node (h={h:g}); it may miss the "
                               "tissue", stacklevel=3)

@@ -1,9 +1,10 @@
 """Independent references the tests check the package against.
 
-None of these is on a path the command line runs: a single-cell
-integrator, a planar conduction-velocity fit, stimulus plans for one
-point and for a whole boundary face, the consistent mass matrix, rigid
-transform helpers, and element volumes from LAPACK's determinant.
+None of these is on a path the command line runs: the three membrane
+currents and a single-cell integrator, a planar conduction-velocity fit,
+stimulus plans for one point and for a whole boundary face, one-bincount
+assembly and the consistent mass matrix, rigid transform helpers, and
+element volumes from LAPACK's determinant.
 """
 
 from __future__ import annotations
@@ -17,12 +18,35 @@ from monocal import _hex
 from monocal.errors import InsufficientDataError, InvalidArgumentError
 from monocal.fem import AssemblyPlan
 from monocal.geometry import Mesh
-from monocal.ionic import gating_rhs, reaction_coefficients, rest_state
+from monocal.ionic import (PARAMS, _heav, _tau_out_plateau, _tau_out_rest,
+                           gating_rhs, reaction_coefficients, rest_state)
 from monocal.registration import RigidTransform
 from monocal.solver import SimulationOutput, StimulusPlan
 
 
 # --- membrane model -----------------------------------------------------------
+
+
+def ionic_currents(u, w):
+    """The three model currents at (u, w), each as a rate in 1/ms.
+
+    w holds the gates in its last axis: shape (3,) or (n, 3). The fast
+    inward and slow inward currents are negative (depolarizing), the
+    outward current non-negative on the physiological range.
+    """
+    p = PARAMS
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+
+    h_fast = _heav(u - p.v_fast_threshold)
+    h_slow = _heav(u - p.v_slow_threshold)
+
+    i_fast = -h_fast * (u - p.v_fast_threshold) * (p.v_overshoot - u) * w1 / p.tau_fast
+    i_out = (u * (1.0 - h_slow) / _tau_out_rest(u)
+             + h_slow / _tau_out_plateau(u))
+    i_slow = -h_slow * w2 * w3 / p.tau_slow_inward
+    return i_fast, i_out, i_slow
 
 
 @dataclass
@@ -148,6 +172,15 @@ def measure_planar_cv(output: SimulationOutput, axis: int,
 # --- assembly and geometry ----------------------------------------------------
 
 
+def assemble(plan: AssemblyPlan, element_blocks: np.ndarray) -> csr_matrix:
+    """A CSR matrix on the plan's pattern from all (n_elems, 8, 8)
+    element matrices at once, added by one bincount: the reference the
+    blocked AssemblyPlan.stiffness is checked against."""
+    data = np.bincount(plan.entry_slots, weights=element_blocks.ravel(),
+                       minlength=plan.nnz)
+    return csr_matrix((data, plan.indices, plan.indptr), shape=plan.shape)
+
+
 def assemble_mass(mesh: Mesh) -> csr_matrix:
     """Consistent mass matrix int phi_i phi_j, from a fresh plan.
 
@@ -156,7 +189,7 @@ def assemble_mass(mesh: Mesh) -> csr_matrix:
     """
     plan = AssemblyPlan(mesh)
     N = _hex.shape_values(_hex.GAUSS2)
-    return plan.assemble(np.matmul(N.T * plan.wdet[:, None, :], N))
+    return assemble(plan, np.matmul(N.T * plan.wdet[:, None, :], N))
 
 
 def element_volumes(mesh: Mesh) -> np.ndarray:

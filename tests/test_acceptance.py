@@ -21,11 +21,12 @@ from monocal.calibration import CalibrationConfig, calibrate
 from monocal.fem import AssemblyPlan, gmres_solve
 from monocal.fibers import FiberAngles, generate_fibers
 from monocal.geometry import SurfaceTag, build_slab_mesh
-from monocal.ionic import gating_rhs, ionic_currents, rest_state
+from monocal.ionic import gating_rhs, rest_state
 from monocal.solver import SolverParams, StimulusPlan, simulate
 
 from conftest import STAR_SIGMA
-from oracles import face_plan, measure_planar_cv, run_single_cell, single_plan
+from oracles import (face_plan, ionic_currents, measure_planar_cv,
+                     run_single_cell, single_plan)
 
 SLAB_SIGMA = (1.325, 0.293, 0.0675)
 FACE_LAUNCHER = dict(stimulus_radius=0.04, stimulus_amplitude=225000.0)

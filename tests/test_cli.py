@@ -748,6 +748,24 @@ def test_gen_fibers_rejects_a_non_finite_sheet_angle(tmp_path, capsys, value):
     assert not (tmp_path / "fib" / "fibers.vtk").exists()
 
 
+def test_gen_fibers_rejects_a_mesh_without_size(tmp_path, capsys):
+    # the apex Dirichlet set is the boundary within 1.5 h of the apex;
+    # without h it would shrink silently
+    assert cli.main(["gen-mesh", "--kind", "ventricle", "--h", "0.05",
+                     "--out", str(tmp_path)]) == 0
+    path = tmp_path / "mesh.vtk"
+    text = path.read_text()
+    assert " h=0.05\n" in text
+    path.write_text(text.replace(" h=0.05\n", "\n", 1))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-fibers", "--mesh", str(path),
+                  "--out", str(tmp_path / "fib")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "mesh has no size" in message
+    assert not (tmp_path / "fib" / "fibers.vtk").exists()
+
+
 def test_help_lists_config_keys(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["calibrate", "--help"])

@@ -8,11 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monocal import _hex, fem, twin
+from monocal import _hex, twin
 from monocal.errors import AssemblyError, InvalidArgumentError
 from monocal.fem import AssemblyPlan
 from monocal.fibers import nodal_gradients
 from monocal.geometry import Mesh, build_lv_mesh
+
+from oracles import assemble
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,19 @@ def _flattened(mesh, elem):
     that element has det J = 0 everywhere, every other one is intact."""
     elems = mesh.elems.copy()
     elems[elem, 4:] = elems[elem, :4]
+    return _with_elems(mesh, elems)
+
+
+def _turned_inside_out(mesh, elem):
+    """The mesh with one element's top and bottom faces swapped: that
+    element has det J < 0 everywhere and no repeated corner, every other
+    one is intact."""
+    elems = mesh.elems.copy()
+    elems[elem] = elems[elem, [4, 5, 6, 7, 0, 1, 2, 3]]
+    return _with_elems(mesh, elems)
+
+
+def _with_elems(mesh, elems):
     return Mesh(nodes=mesh.nodes, elems=elems,
                 boundary_faces=mesh.boundary_faces,
                 boundary_tags=mesh.boundary_tags,
@@ -116,6 +131,31 @@ class TestDegenerateElement:
             mesh.validate()
 
 
+@pytest.mark.filterwarnings("error")
+class TestDegenerateElementPastTheFirstBlock:
+    """Every blocked pass names a bad element by its global id, not by
+    its place in its block."""
+
+    ELEM = _hex.BLOCK + 3
+
+    def test_audit_names_it(self, twin_mesh):
+        mesh = _turned_inside_out(twin_mesh, self.ELEM)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"element {self.ELEM} is inverted"):
+            mesh.validate()
+
+    def test_assembly_names_it(self, twin_mesh):
+        with pytest.raises(AssemblyError,
+                           match=f"element {self.ELEM} is inverted"):
+            AssemblyPlan(_flattened(twin_mesh, self.ELEM))
+
+    def test_fiber_gradients_name_it(self, twin_mesh):
+        mesh = _flattened(twin_mesh, self.ELEM)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"element {self.ELEM} is inverted"):
+            nodal_gradients(mesh, mesh.nodes[:, 0])
+
+
 def _lexsort_pattern(elems, n):
     """The CSR pattern as the assembly first built it: lexsort of the
     (row, col) pairs and an indptr counted with np.add.at."""
@@ -126,7 +166,7 @@ def _lexsort_pattern(elems, n):
     new_pair = np.empty(len(rs), dtype=bool)
     new_pair[0] = True
     new_pair[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-    entry_slots = np.empty(len(rs), dtype=np.int64)
+    entry_slots = np.empty(len(rs), dtype=np.int32)
     entry_slots[order] = np.cumsum(new_pair) - 1
     unique_rows, unique_cols = rs[new_pair], cs[new_pair]
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -174,7 +214,7 @@ class TestAssemblyPlan:
         grads = plan.gradients(slice(None)).transpose(0, 2, 1, 3)
         blocks = np.einsum("eq,eqid,edc,eqjc->eij", plan.wdet, grads,
                            tensors, grads, optimize=True)
-        ref = plan.assemble(blocks)
+        ref = assemble(plan, blocks)
         got = plan.stiffness(tensors)
         assert np.array_equal(got.indices, ref.indices)
         assert np.abs(got.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
@@ -197,7 +237,7 @@ class TestAssemblyPlan:
 
     def test_blocked_stiffness_equals_the_unblocked_formula(self, twin_mesh):
         n_elems = twin_mesh.n_elems
-        assert n_elems % fem.BLOCK != 0
+        assert n_elems % _hex.BLOCK != 0
         plan = AssemblyPlan(twin_mesh)
         tensors = _random_spd(n_elems, seed=5)
         # the same products over all elements at once
@@ -205,17 +245,56 @@ class TestAssemblyPlan:
         flux = np.matmul(grads.reshape(n_elems, 64, 3), tensors)
         flux = flux.reshape(n_elems, 8, 24)
         flux *= np.repeat(plan.wdet, 3, axis=1)[:, None, :]
-        ref = plan.assemble(np.matmul(
+        ref = assemble(plan, np.matmul(
             flux, grads.reshape(n_elems, 8, 24).transpose(0, 2, 1)))
         got = plan.stiffness(tensors)
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data, ref.data)
 
+    def test_blocked_geometry_equals_the_unblocked_formula(self, twin_mesh):
+        plan = AssemblyPlan(twin_mesh)
+        # the same kernel over all elements at once
+        jac = _hex.jacobians(twin_mesh.nodes[twin_mesh.elems], _hex.GAUSS2)
+        wdet, inv_t = _hex.inverse_transposes(jac, AssemblyError,
+                                              "Gauss point")
+        assert np.array_equal(plan.wdet, wdet)
+        assert np.array_equal(plan.inv_t, inv_t)
+        mass = np.bincount(twin_mesh.elems.ravel(),
+                           weights=(wdet @ _hex.shape_values(_hex.GAUSS2)).ravel(),
+                           minlength=twin_mesh.n_nodes)
+        assert np.array_equal(plan.lumped_mass, mass)
+
     def test_set_up_memory_stays_bounded(self, twin_mesh):
-        # measured on the twin: 10.0 MB for the plan (19.4 MB when it
-        # sorted all 64 n_elems block keys and kept the gradients) and
-        # 5.7 MB for one stiffness call (12.9 MB unblocked)
-        assert _traced_peak_mb(lambda: AssemblyPlan(twin_mesh)) <= 12.0
+        # measured on the twin with every per-element pass blocked: 8.7 MB
+        # for the plan (10.0 MB with whole-mesh geometry and int64 slots,
+        # 19.4 MB when it sorted all 64 n_elems block keys and kept the
+        # gradients), 4.1 MB for one stiffness call (5.7 MB with all
+        # element matrices stored, 12.9 MB unblocked), 1.4 MB for the
+        # audit (5.7 MB unblocked) and 1.8 MB for the fiber gradients of
+        # two fields (10.8 MB unblocked)
+        assert _traced_peak_mb(lambda: AssemblyPlan(twin_mesh)) <= 10.0
         plan = AssemblyPlan(twin_mesh)
         tensors = _random_spd(twin_mesh.n_elems)
-        assert _traced_peak_mb(lambda: plan.stiffness(tensors)) <= 7.0
+        assert _traced_peak_mb(lambda: plan.stiffness(tensors)) <= 5.0
+        assert _traced_peak_mb(twin_mesh.validate) <= 2.0
+        fields = twin_mesh.nodes[:, 0].copy(), twin_mesh.nodes[:, 2].copy()
+        assert _traced_peak_mb(
+            lambda: nodal_gradients(twin_mesh, *fields)) <= 2.5
+
+
+def test_blocked_fiber_gradients_equal_the_unblocked_formula(twin_mesh):
+    assert twin_mesh.n_elems % _hex.BLOCK != 0
+    nodes, elems, n = twin_mesh.nodes, twin_mesh.elems, twin_mesh.n_nodes
+    fields = (nodes[:, 0] ** 2, np.sin(nodes @ [1.0, 2.0, 3.0]))
+    # the corner geometry of all elements at once, each sum one bincount
+    jac = _hex.jacobians(nodes[elems], _hex.CORNERS)
+    det, inv_t = _hex.inverse_transposes(jac, InvalidArgumentError, "corner")
+    dN = _hex.shape_gradients(_hex.CORNERS).transpose(1, 0, 2).reshape(8, 24)
+    wsum = np.bincount(elems.ravel(), weights=det.ravel(), minlength=n)
+    for field, got in zip(fields, nodal_gradients(twin_mesh, *fields)):
+        ref_grad = (field[elems] @ dN).reshape(-1, 8, 1, 3)
+        grad = np.matmul(ref_grad, inv_t.transpose(0, 1, 3, 2))[:, :, 0]
+        want = np.stack([np.bincount(elems.ravel(),
+                                     weights=(det * grad[:, :, d]).ravel(),
+                                     minlength=n) for d in range(3)], axis=1)
+        assert np.array_equal(got, want / wsum[:, None])

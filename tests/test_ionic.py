@@ -7,10 +7,9 @@ import pytest
 
 from monocal.errors import InvalidArgumentError
 from monocal.ionic import (GatingParams, IonicParams, gating_rhs,
-                           ionic_currents, reaction_coefficients, rest_state,
-                           step_gating)
+                           reaction_coefficients, rest_state, step_gating)
 
-from oracles import CellTrace, run_single_cell
+from oracles import CellTrace, ionic_currents, run_single_cell
 
 S_INF_AT_REST = 0.5 * (1.0 + np.tanh(2.0994 * (0.0 - 0.9087)))
 
