@@ -68,9 +68,15 @@ class ConductivityBox:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Direct-search settings; solver carries the shared run parameters."""
+    """Direct-search settings; solver carries the shared run parameters.
 
-    solver: slv.SolverParams = field(default_factory=slv.paced_params)
+    An isotropic search moves the three equal conductivities as one
+    value, within the fiber bounds and with the fiber coefficient. Making
+    the config sets box and beta to that once: the s and n bounds become
+    the f bounds, and beta becomes beta_f three times.
+    """
+
+    solver: slv.SolverParams = field(default_factory=slv.SolverParams)
     box: ConductivityBox = field(default_factory=ConductivityBox)
     beta: tuple[float, float, float] = DEFAULT_BETA
     initial_sigma: tuple[float, float, float] | None = None
@@ -90,26 +96,22 @@ class CalibrationConfig:
         if self.max_cal_points is not None and self.max_cal_points < 1:
             raise InvalidArgumentError(
                 f"max_cal_points must be >= 1, got {self.max_cal_points}")
-        if self.initial_sigma is not None and not self._start_inside():
-            raise InvalidArgumentError(
-                f"initial sigma {self.initial_sigma} lies outside the box"
-                + (" or is not isotropic" if self.isotropic else ""))
-
-    def _start_inside(self) -> bool:
-        # the isotropic search moves one value within the fiber bounds
-        box = replace(self.box, s=self.box.f, n=self.box.f) \
-            if self.isotropic else self.box
-        start = np.asarray(self.initial_sigma, dtype=float)
-        return start.shape == (3,) and box.contains(start) and (
-            not self.isotropic or bool(np.all(start == start[0])))
+        if self.isotropic:
+            object.__setattr__(self, "box", replace(self.box, s=self.box.f,
+                                                    n=self.box.f))
+            object.__setattr__(self, "beta", (self.beta[0],) * 3)
+        if self.initial_sigma is not None:
+            start = np.asarray(self.initial_sigma, dtype=float)
+            if not (start.shape == (3,) and self.box.contains(start) and (
+                    not self.isotropic or bool(np.all(start == start[0])))):
+                raise InvalidArgumentError(
+                    f"initial sigma {self.initial_sigma} lies outside the "
+                    "box" + (" or is not isotropic" if self.isotropic else ""))
 
     def start_sigma(self) -> np.ndarray:
         if self.initial_sigma is not None:
             return np.asarray(self.initial_sigma, dtype=float)
-        mid = self.box.midpoint()
-        if self.isotropic:
-            mid[:] = mid[0]
-        return mid
+        return self.box.midpoint()
 
 
 @dataclass(frozen=True)
@@ -143,19 +145,14 @@ class CalibrationResult:
 
 
 def update_sigma(sigma, error_sum_ms: float, box: ConductivityBox,
-                 beta=DEFAULT_BETA, isotropic: bool = False) -> np.ndarray:
+                 beta=DEFAULT_BETA) -> np.ndarray:
     """One direct-search step: sigma + beta * E, clamped to the box.
 
     E enters in seconds (the convention under which the published
-    acceleration values are meaningful). In isotropic mode a single
-    conductivity is updated with the fiber coefficient and bounds,
-    keeping the triple equal.
+    acceleration values are meaningful).
     """
     sigma = np.asarray(sigma, dtype=float)
     e_s = error_sum_ms * 1e-3
-    if isotropic:
-        value = float(sigma[0] + beta[0] * e_s)
-        return np.full(3, min(max(value, box.f[0]), box.f[1]))
     return np.clip(sigma + np.asarray(beta, dtype=float) * e_s, box.lows,
                    box.highs)
 
@@ -223,7 +220,7 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
                 logger.info("misfit stagnated; stopping")
                 break
         sigma = update_sigma(sigma, float(report.errors.sum()), config.box,
-                             config.beta, config.isotropic)
+                             config.beta)
 
     best = records[-1] if converged else \
         min(records, key=lambda r: r.report.misfit)

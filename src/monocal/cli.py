@@ -24,7 +24,7 @@ import json
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_origin, get_type_hints
 
 import numpy as np
 
@@ -70,12 +70,12 @@ def _load_config(path: str | None, allowed: dict[str, type],
                  command: str) -> dict:
     """Read a JSON config and reject keys the subcommand does not consume.
 
-    Each value must have its key's declared type; an integer counts as a
-    float and a boolean never counts as a number. Keys whose value is null
-    are dropped, also inside nested dicts such as "solver", so null means
-    unset at any depth. A name that does not exist on disk
-    but matches a bundled scenario file resolves to the copy shipped
-    inside the package.
+    Each value must have its key's declared type (`_check_type`, which
+    also checks nested values and list elements where they are read). Keys
+    whose value is null are dropped, also inside nested dicts such as
+    "solver", so null means unset at any depth. A name that does not exist
+    on disk but matches a bundled scenario file resolves to the copy
+    shipped inside the package.
     """
     if path is None:
         return {}
@@ -97,14 +97,25 @@ def _load_config(path: str | None, allowed: dict[str, type],
             f"allowed: {', '.join(sorted(allowed))}")
     config = _without_nulls(raw)
     for key, value in config.items():
-        expected = allowed[key]
-        accepted = (int, float) if expected is float else expected
-        wrong_bool = isinstance(value, bool) and expected is not bool
-        if wrong_bool or not isinstance(value, accepted):
-            raise InvalidArgumentError(
-                f"config key '{key}' for {command} must be of type "
-                f"{expected.__name__}, got {type(value).__name__}")
+        _check_type(value, allowed[key], f"config key '{key}' for {command}")
     return config
+
+
+def _check_type(value, expected: type, what: str) -> None:
+    """The config type rule: an integer counts as a float, and a boolean
+    never counts as a number."""
+    accepted = (int, float) if expected is float else expected
+    wrong_bool = isinstance(value, bool) and expected is not bool
+    if wrong_bool or not isinstance(value, accepted):
+        raise InvalidArgumentError(f"{what} must be of type "
+                                   f"{expected.__name__}, got "
+                                   f"{type(value).__name__}")
+
+
+def _check_numbers(values: list, what: str) -> None:
+    """The type rule for every element of a (nested) list of numbers."""
+    for item in np.asarray(values, dtype=object).ravel():
+        _check_type(item, float, f"each value of {what}")
 
 
 def _require(config: dict, key: str, command: str):
@@ -131,14 +142,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_keys(spec: dict, cls, what: str) -> None:
-    """Reject keys of a nested config dict that cls has no field for."""
-    fields = set(cls.__dataclass_fields__)
-    unknown = sorted(set(spec) - fields)
+def _check_fields(spec: dict, cls, what: str) -> None:
+    """Reject keys of a nested config dict that cls has no field for, and
+    values that break the type rule of the field's type; a tuple field
+    takes a list of numbers."""
+    hints = get_type_hints(cls)
+    unknown = sorted(set(spec) - set(hints))
     if unknown:
         raise InvalidArgumentError(
             f"unknown {what} key(s): {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(fields))}")
+            f"allowed: {', '.join(sorted(hints))}")
+    for key, value in spec.items():
+        name = f"{what} key '{key}'"
+        if get_origin(hints[key]) is tuple:
+            _check_type(value, list, name)
+            _check_numbers(value, name)
+        else:
+            _check_type(value, hints[key], name)
 
 
 @contextmanager
@@ -158,27 +178,31 @@ def _reported_as(what: str, error: type = InvalidArgumentError):
 def _numbers(config: dict, key: str, default=None):
     """A list-valued config key as a float array (default when unset)."""
     value = config.get(key)
+    if value is not None:
+        _check_numbers(value, f"config key '{key}'")
     with _reported_as(f"config key '{key}'"):
         return np.asarray(default if value is None else value, dtype=float)
 
 
 def _solver_params(config: dict):
     raw = dict(config.get("solver") or {})
-    _check_keys(raw, slv.SolverParams, "solver")
+    _check_fields(raw, slv.SolverParams, "solver")
     with _reported_as("solver parameters"):
         if "sigma" in raw:
             raw["sigma"] = tuple(raw["sigma"])
-        return slv.paced_params(**raw)
+        return slv.SolverParams(**raw)
 
 
 def _fiber_angles(spec: dict):
-    _check_keys(spec, fibers.FiberAngles, "fiber_angles")
+    _check_fields(spec, fibers.FiberAngles, "fiber_angles")
     with _reported_as("fiber_angles"):
         return fibers.FiberAngles(**spec)
 
 
 def _load_fiber_field(config: dict, mesh, command: str):
-    """Fiber input: a fields file, inline angles, or none (isotropic)."""
+    """Fiber input: a fields file, inline angles, or none. With none the
+    solver lays every fiber along x (`FiberField.uniform`, the slab
+    convention), which is isotropic only when sigma_f = sigma_s = sigma_n."""
     if config.get("fibers") is not None:
         path = _existing_path(config, "fibers", command)
         field = fibers.FiberField.read(path)
@@ -291,7 +315,7 @@ def _calibration_config(config: dict):
             "calibrate chooses the solver's sigma itself; set the search's "
             "start point with 'initial_sigma'")
     spec = dict(config.get("box") or {})
-    _check_keys(spec, cal.ConductivityBox, "box")
+    _check_fields(spec, cal.ConductivityBox, "box")
     with _reported_as("box"):
         box = cal.ConductivityBox(**{k: tuple(v) for k, v in spec.items()})
     kwargs = {k: config[k] for k in ("tol_ms", "max_iters", "isotropic",
@@ -300,6 +324,7 @@ def _calibration_config(config: dict):
     with _reported_as("calibration parameters"):
         for key in ("initial_sigma", "beta"):
             if config.get(key) is not None:
+                _check_numbers(config[key], f"calibration parameter '{key}'")
                 kwargs[key] = tuple(config[key])
         return cal.CalibrationConfig(solver=_solver_params(config), box=box,
                                      **kwargs)

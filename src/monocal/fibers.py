@@ -59,23 +59,31 @@ class FiberAngles:
         return np.deg2rad(self.beta_endo * phi + self.beta_epi * (1.0 - phi))
 
 
+# Largest departure from unit length or orthogonality a frame may have.
+FRAME_TOL = 1e-8
+
+
 @dataclass
 class FiberField:
-    """Orthonormal (fiber, sheet, normal) triple at every node."""
+    """Orthonormal (fiber, sheet, normal) triple at every node, checked
+    when the field is made."""
 
     f: np.ndarray
     s: np.ndarray
     n: np.ndarray
     singular: np.ndarray
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         # written so that a NaN component fails the checks
         for name, v in (("f", self.f), ("s", self.s), ("n", self.n)):
-            if not np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= tol:
+            if not np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= FRAME_TOL:
                 raise InvalidArgumentError(f"{name} axis is not unit length")
-        if not (np.abs(np.sum(self.f * self.s, axis=1)).max() <= tol
-                and np.abs(np.sum(self.f * self.n, axis=1)).max() <= tol
-                and np.abs(np.sum(self.s * self.n, axis=1)).max() <= tol):
+        if not (np.abs(np.sum(self.f * self.s, axis=1)).max() <= FRAME_TOL
+                and np.abs(np.sum(self.f * self.n, axis=1)).max() <= FRAME_TOL
+                and np.abs(np.sum(self.s * self.n, axis=1)).max() <= FRAME_TOL):
             raise InvalidArgumentError("fiber frame is not orthogonal")
 
     def write(self, path, mesh: Mesh) -> None:
@@ -86,18 +94,16 @@ class FiberField:
 
     @classmethod
     def read(cls, path) -> "FiberField":
-        """Load and validate a field stored by `write`; a file without
-        the 'singular' data has no singular nodes."""
+        """Load a field stored by `write`; a file without the 'singular'
+        data has no singular nodes."""
         fields = vtkio.read_fields(path)
         for name in ("fiber", "sheet", "normal"):
             if name not in fields:
                 raise InvalidArgumentError(
                     f"fibers file {path} lacks the '{name}' vector field")
         singular = fields.get("singular", np.zeros(len(fields["fiber"])))
-        field = cls(f=fields["fiber"], s=fields["sheet"], n=fields["normal"],
-                    singular=singular > 0.5)
-        field.validate()
-        return field
+        return cls(f=fields["fiber"], s=fields["sheet"], n=fields["normal"],
+                   singular=singular > 0.5)
 
     @classmethod
     def uniform(cls, n_nodes: int) -> "FiberField":
@@ -222,6 +228,4 @@ def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField
     for v in (f, s, n):
         v[singular] = v[donor]
 
-    field = FiberField(f=f, s=s, n=n, singular=singular)
-    field.validate()
-    return field
+    return FiberField(f=f, s=s, n=n, singular=singular)

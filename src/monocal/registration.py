@@ -184,6 +184,18 @@ def read_reference_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     return source, target
 
 
+def write_reference_pairs(path, names, source, target) -> None:
+    """Emit the landmark file `read_reference_pairs` parses: one row per
+    named point, the source (device) rows first, coordinates given in cm
+    and written in mm."""
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(REFERENCE_COLUMNS) + "\n")
+        for frame, points in (("source", source), ("target", target)):
+            for name, row in zip(names, points):
+                coords = ",".join(f"{v * 10.0:.9g}" for v in row)
+                handle.write(f"{name},{frame},{coords}\n")
+
+
 def _triangle_area(points: np.ndarray) -> float:
     return 0.5 * np.linalg.norm(np.cross(points[1] - points[0],
                                          points[2] - points[0]))

@@ -19,16 +19,17 @@ checks that it does.
 
 Two exact shortcuts keep the time loop short:
 
-- Quiet lead-in. Paced runs start at an external fiducial, so the first
-  onset often comes long after t = 0. While u is exactly zero, every
-  node carries the same gates and no stimulus is on, the right-hand
-  side is zero, the solve returns u = 0 at once, and only the gates
-  move, all alike; every rate is zero, so the activation times, best
-  slopes and peaks stay as they are (from rest, step 1 sets them to dt,
-  0 and 0). Such a state after step 1 is advanced by stepping a single
-  gate row up to the first step with a stimulus. The snapshots and
-  progress lines in that window are still written, and the result is
-  bit-identical to stepping every node.
+- Quiet lead-in. Every run starts from rest (u = 0 and the resting
+  gates on every node, `ionic.rest_state`), and paced runs start at an
+  external fiducial, so the first onset often comes long after t = 0.
+  Until then no stimulus is on, so the right-hand side is zero, the
+  solve returns u = 0 at once, and only the gates move, alike on every
+  node; every rate is zero, so the activation times, best slopes and
+  peaks stay as step 1 set them (dt, 0 and 0). When u is still zero
+  after step 1, the run is advanced by stepping a single gate row up to
+  the first step with a stimulus. The snapshots and progress lines in
+  that window are still written, and the result is bit-identical to
+  stepping every node.
 - Extrapolated start. Each step's conjugate-gradient solve starts from
   2 u^n - u^(n-1) (u^n on the first step), a linear extrapolation in
   time that saves iterations on smooth stretches (P. F. Fischer,
@@ -73,24 +74,26 @@ class SolverParams:
     """Physics, stimulus and stepping parameters.
 
     Units: conductivities mS/cm, chi 1/cm, c_m uF/cm^2, times ms,
-    lengths cm, stimulus amplitude uA/cm^3. The default stimulus lasts
-    5 ms: at the default amplitude the local potential climbs at about
-    0.086 per ms against the outward leak, so reaching the fast-current
-    threshold of 0.3 takes roughly 3.5 ms and shorter pulses die out.
-    stop_when_activated ends the run once every node has seen its
-    upstroke and no activation time can move any more, but not before
-    the last requested snapshot.
+    lengths cm, stimulus amplitude uA/cm^3. The defaults are those of a
+    paced ventricle run, as the command line, the calibration and the
+    twin make it: up to 150 ms, ending once every node has activated.
+    The default stimulus lasts 5 ms: at the default amplitude the local
+    potential climbs at about 0.086 per ms against the outward leak, so
+    reaching the fast-current threshold of 0.3 takes roughly 3.5 ms and
+    shorter pulses die out. stop_when_activated ends the run once every
+    node has seen its upstroke and no activation time can move any
+    more, but not before the last requested snapshot.
     """
 
     sigma: tuple[float, float, float] = (1.325, 0.293, 0.0675)
     chi: float = 1000.0
     c_m: float = 1.0
     dt: float = 0.025
-    t_end: float = 40.0
+    t_end: float = 150.0
     stimulus_amplitude: float = 112500.0
     stimulus_radius: float = 0.15
     stimulus_duration: float = 5.0
-    stop_when_activated: bool = False
+    stop_when_activated: bool = True
 
     def __post_init__(self):
         # written so that NaN fails every check and infinity the bound
@@ -113,14 +116,6 @@ class SolverParams:
         if not 0.0 <= self.stimulus_amplitude < np.inf:
             raise InvalidArgumentError(
                 "stimulus amplitude must be nonnegative and finite")
-
-
-def paced_params(**overrides) -> SolverParams:
-    """Parameters of a paced ventricle run, the default of the command
-    line, the calibration and the twin: up to 150 ms, ending once every
-    node has activated. Keyword arguments override any field."""
-    return SolverParams(**{"t_end": 150.0, "stop_when_activated": True,
-                           **overrides})
 
 
 @dataclass(frozen=True)
@@ -152,18 +147,10 @@ def build_conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
     The eight corner frames are averaged (sign-aligned first, since f and
     -f describe the same fiber), re-orthonormalized, and combined as
     sigma_s I + (sigma_f - sigma_s) f f^T + (sigma_n - sigma_s) n n^T,
-    whose eigenvalues are exactly the three conductivities.
+    whose eigenvalues are exactly the three conductivities. The nodal
+    frames are orthonormal (`FiberField` checks itself) and sigma holds
+    three positive values (`SolverParams.sigma`).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (3,) or not np.all((sigma > 0.0) & (sigma < np.inf)):
-        raise InvalidArgumentError("sigma must be three positive finite values")
-    for name, v in (("f", fiber_field.f), ("n", fiber_field.n)):
-        lens = np.linalg.norm(v, axis=1)
-        if np.abs(lens - 1.0).max() > 1e-6:
-            raise InvalidArgumentError(f"fiber axis {name} is not unit length")
-    dots = np.abs(np.sum(fiber_field.f * fiber_field.n, axis=1))
-    if dots.max() > 1e-6:
-        raise InvalidArgumentError("fiber frame axes f and n are not orthogonal")
 
     def averaged(vectors):
         corners = vectors[mesh.elems]
@@ -304,28 +291,14 @@ class MonodomainSolver:
         return report.x, w_next, report
 
     def simulate(self, stim_plan: StimulusPlan,
-                 initial_state: tuple[np.ndarray, np.ndarray] | None = None,
                  snapshot_times=()) -> SimulationOutput:
+        """Run from rest up to t_end (or the early stop)."""
         p = self.params
         if stim_plan.onsets.size and stim_plan.onsets.max() > p.t_end:
             raise InvalidArgumentError("stimulus onset beyond end of simulation")
         stim = _StimulusSets(self.mesh, stim_plan, p)
         n = self.mesh.n_nodes
-        if initial_state is None:
-            u = np.zeros(n)
-            _, w = ionic.rest_state(n)
-        else:
-            u = np.array(initial_state[0], dtype=float)
-            w = np.array(initial_state[1], dtype=float)
-            for name, state, shape in (("u", u, (n,)), ("w", w, (n, 3))):
-                if state.shape != shape:
-                    raise InvalidArgumentError(
-                        f"initial_state {name} must have shape {shape}, "
-                        f"got {state.shape}")
-                if not np.isfinite(state).all():
-                    raise InvalidArgumentError(
-                        f"initial_state {name} must be finite (NaN or inf "
-                        f"at node {int(np.nonzero(~np.isfinite(state))[0][0])})")
+        u, w = ionic.rest_state(n)
 
         n_steps = int(round(p.t_end / p.dt))
         # every requested time, grouped by the step it rounds to
@@ -389,7 +362,7 @@ class MonodomainSolver:
                 logger.info("all nodes activated by t=%.3f ms; stopping early", t)
                 n_steps = k
                 break
-            if k == 1 and not u.any() and np.all(w == w[0]):
+            if k == 1 and not u.any():
                 # quiet lead-in (module docstring): up to the first onset
                 # only the gates move, alike on every node, and the rate,
                 # activation and peak bookkeeping has nothing to update
@@ -428,10 +401,8 @@ class MonodomainSolver:
 
 
 def simulate(mesh: Mesh, fiber_field: FiberField | None, params: SolverParams,
-             stim_plan: StimulusPlan, initial_state=None,
-             snapshot_times=()) -> SimulationOutput:
+             stim_plan: StimulusPlan, snapshot_times=()) -> SimulationOutput:
     """Run one monodomain simulation end to end."""
     solver = MonodomainSolver(mesh, fiber_field, params)
-    return solver.simulate(stim_plan, initial_state=initial_state,
-                           snapshot_times=snapshot_times)
+    return solver.simulate(stim_plan, snapshot_times=snapshot_times)
 

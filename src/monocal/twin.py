@@ -144,7 +144,7 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     plan = slv.StimulusPlan(points=mesh.nodes[septal_nodes], onsets=onsets)
 
     output = slv.simulate(mesh, fiber_field,
-                          slv.paced_params(sigma=tuple(sigma)), plan)
+                          slv.SolverParams(sigma=tuple(sigma)), plan)
     logger.info("twin simulation: %d nodes, %d not activated",
                 mesh.n_nodes, output.n_not_activated)
 
@@ -159,22 +159,6 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
                     vein_nodes=vein_nodes, vein_taus=taus,
                     activation=output.activation,
                     transform=device_transform())
-
-
-def _write_references(path, transform: RigidTransform,
-                      jitter: np.ndarray | None = None) -> None:
-    landmarks = np.asarray(LANDMARKS, dtype=float)
-    device = transform.apply(landmarks)
-    if jitter is not None:
-        device = device + jitter
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(reg.REFERENCE_COLUMNS) + "\n")
-        for name, row in zip(LANDMARK_NAMES, device):
-            coords = ",".join(f"{v * 10.0:.9g}" for v in row)
-            handle.write(f"{name},source,{coords}\n")
-        for name, row in zip(LANDMARK_NAMES, landmarks):
-            coords = ",".join(f"{v * 10.0:.9g}" for v in row)
-            handle.write(f"{name},target,{coords}\n")
 
 
 def twin_paths(out_dir) -> dict[str, Path]:
@@ -202,10 +186,14 @@ def write_twin(data: TwinData, out_dir, perturb_cm: float = 0.015,
     vtkio.write_fields(paths["activation"], data.mesh,
                        {"activation": data.activation})
     reg.write_measurements(paths["measurements"], data.measurement_cloud())
-    _write_references(paths["references"], data.transform)
+    landmarks = np.asarray(LANDMARKS, dtype=float)
+    device = data.transform.apply(landmarks)
+    reg.write_reference_pairs(paths["references"], LANDMARK_NAMES, device,
+                              landmarks)
     rng = np.random.default_rng(seed)
     jitter = rng.normal(0.0, perturb_cm, size=(3, 3))
-    _write_references(paths["references_perturbed"], data.transform, jitter)
+    reg.write_reference_pairs(paths["references_perturbed"], LANDMARK_NAMES,
+                              device + jitter, landmarks)
     truth = {
         "sigma": list(data.sigma),
         "rotation": data.transform.rotation.tolist(),

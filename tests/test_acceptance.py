@@ -305,7 +305,8 @@ def test_membrane_rest_state_is_a_fixed_point():
 
 def test_tissue_solver_reproduces_single_cell_dynamics():
     mesh = build_slab_mesh((0.1, 0.1, 0.05), 0.05)
-    params = SolverParams(stimulus_radius=10.0, dt=0.025, t_end=150.0)
+    params = SolverParams(stimulus_radius=10.0, dt=0.025, t_end=150.0,
+                          stop_when_activated=False)
     times = [round(10.0 * k, 10) for k in range(1, 15)]
     output = simulate(mesh, None, params,
                       single_plan((0.0, 0.0, 0.0)),

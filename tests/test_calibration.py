@@ -141,11 +141,14 @@ def test_update_sigma_clamps_to_box():
 
 
 def test_update_sigma_isotropic_moves_all_components_together():
-    box = cal.ConductivityBox()
-    new = cal.update_sigma((1.0, 1.0, 1.0), 10.0, box, isotropic=True)
+    # the isotropic search is its box and beta: every component within
+    # the fiber bounds, moved with the fiber coefficient
+    config = cal.CalibrationConfig(isotropic=True)
+    new = cal.update_sigma((1.0, 1.0, 1.0), 10.0, config.box, config.beta)
     np.testing.assert_allclose(new, np.full(3, 1.0045), rtol=1e-12)
-    capped = cal.update_sigma((1.0, 1.0, 1.0), 1.0e6, box, isotropic=True)
-    np.testing.assert_array_equal(capped, np.full(3, box.f[1]))
+    capped = cal.update_sigma((1.0, 1.0, 1.0), 1.0e6, config.box,
+                              config.beta)
+    np.testing.assert_array_equal(capped, np.full(3, config.box.f[1]))
 
 
 # --- box and config validation ----------------------------------------------

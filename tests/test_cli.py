@@ -427,12 +427,28 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("simulate", {"stimulus_points": [["a", 0, 0]]}, "'stimulus_points'"),
     ("simulate", {"stimulus_onsets": ["z"]}, "'stimulus_onsets'"),
     ("simulate", {"snapshot_times": ["a"]}, "'snapshot_times'"),
+    # a boolean is no number and a string no boolean, also nested
+    ("simulate", {"solver": {"t_end": True}}, "'t_end'"),
+    ("simulate", {"solver": {"stop_when_activated": "false"}},
+     "'stop_when_activated'"),
+    ("simulate", {"solver": {"sigma": [True, 0.3, 0.06]}}, "'sigma'"),
+    ("simulate", {"fiber_angles": {"alpha_endo": True}}, "'alpha_endo'"),
+    ("calibrate", {"box": {"f": [True, 2.0]}}, "box"),
+    ("calibrate", {"initial_sigma": [True, 0.3, 0.06]}, "'initial_sigma'"),
+    ("simulate", {"snapshot_times": [True]}, "'snapshot_times'"),
+    ("simulate", {"stimulus_points": [[0, False, 0]]}, "'stimulus_points'"),
+    ("gen-twin", {"sigma": [1.2, 0.3, True]}, "'sigma'"),
 ], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times",
         "simulate_fiber_angle", "calibrate_box_scalar",
         "calibrate_box_string_bound", "calibrate_box_unknown_key",
         "calibrate_initial_sigma", "gen_mesh_extents", "gen_mesh_endo_axes",
         "gen_mesh_epi_axes", "gen_twin_sigma", "simulate_stimulus_point",
-        "simulate_stimulus_onset", "simulate_snapshot_time_string"])
+        "simulate_stimulus_onset", "simulate_snapshot_time_string",
+        "simulate_solver_t_end_bool", "simulate_solver_stop_string",
+        "simulate_solver_sigma_bool", "simulate_fiber_angle_bool",
+        "calibrate_box_bool_bound", "calibrate_initial_sigma_bool",
+        "simulate_snapshot_time_bool", "simulate_stimulus_point_bool",
+        "gen_twin_sigma_bool"])
 def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
                                            named):
     if command not in ("gen-mesh", "gen-twin"):

@@ -13,7 +13,8 @@ from monocal.registration import (RawCloud, RigidTransform, group_labels,
                                   nns_project, read_measurements,
                                   read_reference_pairs, register,
                                   rigid_from_three_pairs, split_groups,
-                                  split_samples, write_measurements)
+                                  split_samples, write_measurements,
+                                  write_reference_pairs)
 
 from oracles import identity_transform, inverse_transform
 
@@ -191,6 +192,17 @@ class TestReadReferencePairs:
         assert np.allclose(source[0], (0.0, 0.0, 0.0))  # alpha first
         assert np.allclose(source[1], (1.0, 0.0, 0.0))
         assert np.allclose(target - source, (0.0, 0.0, 1.0))
+
+    def test_write_read_round_trip(self, tmp_path):
+        source, target = np.random.default_rng(2).normal(0.0, 3.0, (2, 3, 3))
+        path = tmp_path / "r.csv"
+        write_reference_pairs(path, ("gamma", "alpha", "beta"), source, target)
+        assert path.read_text().splitlines()[0] == REFERENCE_HEADER
+        back_source, back_target = read_reference_pairs(path)
+        # read back in name order; the file keeps nine significant digits
+        by_name = [1, 2, 0]
+        np.testing.assert_allclose(back_source, source[by_name], rtol=1e-8)
+        np.testing.assert_allclose(back_target, target[by_name], rtol=1e-8)
 
     def test_missing_counterpart_is_rejected(self, tmp_path):
         path = _write(tmp_path, "r.csv", REFERENCE_HEADER + "\n"

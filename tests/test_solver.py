@@ -59,17 +59,27 @@ class TestConductivityTensors:
         eigenvalues = np.sort(np.linalg.eigvalsh(tensors), axis=1)
         assert np.allclose(eigenvalues, (0.07, 0.25, 1.23), atol=1e-12)
 
-    def test_non_unit_fiber_axis_is_rejected(self, small_slab):
-        field = FiberField.uniform(small_slab.n_nodes)
-        field.f[:] = (2.0, 0.0, 0.0)
-        with pytest.raises(InvalidArgumentError, match="unit"):
-            build_conductivity_tensors(small_slab, field, (1.0, 0.5, 0.1))
+    # the tensors take an orthonormal frame and positive conductivities
+    # as given: FiberField and SolverParams check them when they are made
 
-    def test_nonpositive_sigma_is_rejected(self, small_slab):
-        field = FiberField.uniform(small_slab.n_nodes)
+    def test_non_unit_fiber_axis_is_rejected(self, small_slab):
+        frame = FiberField.uniform(small_slab.n_nodes)
+        f = frame.f.copy()
+        f[:] = (2.0, 0.0, 0.0)
+        with pytest.raises(InvalidArgumentError, match="unit"):
+            FiberField(f=f, s=frame.s, n=frame.n, singular=frame.singular)
+
+    def test_fiber_not_orthogonal_to_the_normal_is_rejected(self, small_slab):
+        frame = FiberField.uniform(small_slab.n_nodes)
+        f = frame.f.copy()
+        f[3] = (np.sqrt(0.5), 0.0, np.sqrt(0.5))  # unit, f . s = 0, f . n != 0
+        with pytest.raises(InvalidArgumentError, match="orthogonal"):
+            FiberField(f=f, s=frame.s, n=frame.n, singular=frame.singular)
+
+    def test_nonpositive_sigma_is_rejected(self):
         for sigma in ((1.0, -0.5, 0.1), (np.nan, 0.5, 0.1), (1.0, 0.5, np.inf)):
             with pytest.raises(InvalidArgumentError, match="positive"):
-                build_conductivity_tensors(small_slab, field, sigma)
+                SolverParams(sigma=sigma)
 
     def test_inverted_ordering_warns(self):
         with pytest.warns(UserWarning, match="ordering"):
@@ -143,7 +153,8 @@ class TestSimulate:
         # the diffusion term vanishes and every node must reproduce the
         # plain membrane-model trajectory
         mesh = build_slab_mesh((0.1, 0.1, 0.05), 0.05)
-        params = SolverParams(stimulus_radius=10.0, dt=0.025, t_end=150.0)
+        params = SolverParams(stimulus_radius=10.0, dt=0.025, t_end=150.0,
+                              stop_when_activated=False)
         times = [round(2.5 * k, 10) for k in range(1, 60)]
         out = simulate(mesh, None, params,
                        single_plan((0.0, 0.0, 0.0)),
@@ -223,28 +234,6 @@ class TestSimulate:
                      single_plan((0.0, 0.0, 0.0)),
                      snapshot_times=[when])
 
-    @pytest.mark.parametrize("which,bad,message", [
-        ("u", "short", r"initial_state u must have shape"),
-        ("w", "two gates", r"initial_state w must have shape"),
-        ("u", np.nan, r"initial_state u must be finite .*node 7"),
-        ("u", np.inf, r"initial_state u must be finite .*node 7"),
-        ("w", np.nan, r"initial_state w must be finite .*node 7"),
-        ("w", -np.inf, r"initial_state w must be finite .*node 7"),
-    ])
-    def test_bad_initial_state_is_rejected(self, small_slab, which, bad,
-                                           message):
-        u, w = rest_state(small_slab.n_nodes)
-        if bad == "short":
-            u = u[:-1]
-        elif bad == "two gates":
-            w = w[:, :2]
-        else:
-            (u if which == "u" else w)[7] = bad
-        with pytest.raises(InvalidArgumentError, match=message):
-            simulate(small_slab, None, SolverParams(t_end=1.0),
-                     single_plan((0.0, 0.0, 0.0)),
-                     initial_state=(u, w))
-
     def test_manifest_documents_the_run(self, small_slab):
         params = SolverParams(t_end=2.0)
         plan = single_plan((0.0, 0.0, 0.0))
@@ -263,9 +252,8 @@ class TestSimulate:
 
         def final(dt):
             params = SolverParams(dt=dt, t_end=0.1, stimulus_amplitude=0.0)
-            out = simulate(mesh, None, params, plan,
-                           initial_state=(u0, w0))
-            return out.final_u
+            solver = MonodomainSolver(mesh, None, params)
+            return _stepped(solver, plan, (u0, w0)).final_u
 
         reference = final(0.003125)
         errors = [np.max(np.abs(final(dt) - reference))
@@ -280,7 +268,8 @@ def _stepped(solver, plan, initial_state=None, snapshot_times=(),
     """Oracle for MonodomainSolver.simulate without early stop: the same
     bookkeeping around one MonodomainSolver.step call for every step,
     each solve started from 2 u^n - u^(n-1) (u^n on the first step, or
-    always when extrapolate is False)."""
+    always when extrapolate is False). The run starts from initial_state,
+    or from rest, where simulate always starts, when that is None."""
     p = solver.params
     stim = _StimulusSets(solver.mesh, plan, p)
     n = solver.mesh.n_nodes
@@ -329,18 +318,16 @@ class TestTimeLoop:
     @staticmethod
     def _bar_solver(t_end=20.0):
         bar = build_slab_mesh((0.35, 0.07, 0.035), 0.035)
-        params = SolverParams(sigma=(0.5, 0.5, 0.5), t_end=t_end, **LAUNCHER)
+        params = SolverParams(sigma=(0.5, 0.5, 0.5), t_end=t_end,
+                              stop_when_activated=False, **LAUNCHER)
         return MonodomainSolver(bar, None, params)
 
-    @pytest.mark.parametrize("rest", ["default", "given"])
-    def test_quiet_lead_in_matches_stepping_every_step(self, rest):
+    def test_quiet_lead_in_matches_stepping_every_step(self):
         solver = self._bar_solver()
         plan = face_plan(solver.mesh, axis=0, side="min", onset=2.0)
-        n = solver.mesh.n_nodes
-        state = None if rest == "default" else rest_state(n)
         times = [0.0, 1.0, 2.0, 6.0]
-        out = solver.simulate(plan, initial_state=state, snapshot_times=times)
-        _assert_same_run(out, _stepped(solver, plan, state, times))
+        out = solver.simulate(plan, snapshot_times=times)
+        _assert_same_run(out, _stepped(solver, plan, snapshot_times=times))
         assert out.n_not_activated == 0
         assert np.all(out.snapshots[1.0] == 0.0)
         # steps 2..79 (t < 2 ms) are fast-forwarded, and the count of
@@ -348,21 +335,15 @@ class TestTimeLoop:
         assert out.manifest["n_steps"] == 800
         assert out.manifest["linear_solver"]["calls"] == 800 - 78
 
-    @pytest.mark.parametrize("case", ["gates_vary", "potential_off_rest",
-                                      "onset_at_zero"])
+    @pytest.mark.parametrize("case", ["onset_at_zero", "onset_at_step_two"])
     def test_no_fast_forward_off_the_quiet_state(self, case):
+        # a stimulus on at step 1 leaves nothing quiet; one first on at
+        # step 2 leaves a quiet step 1 but no step to skip
         solver = self._bar_solver(t_end=10.0)
-        n = solver.mesh.n_nodes
-        onset = 0.0 if case == "onset_at_zero" else 2.0
+        onset = 0.0 if case == "onset_at_zero" else 2 * solver.params.dt
         plan = face_plan(solver.mesh, axis=0, side="min", onset=onset)
-        u0, w0 = rest_state(n)
-        if case == "gates_vary":
-            w0 = w0 * np.random.default_rng(5).uniform(0.9, 1.0, (n, 3))
-        elif case == "potential_off_rest":
-            u0 = np.full(n, 0.05)
-        state = None if case == "onset_at_zero" else (u0, w0)
-        out = solver.simulate(plan, initial_state=state, snapshot_times=[1.0])
-        _assert_same_run(out, _stepped(solver, plan, state, [1.0]))
+        out = solver.simulate(plan, snapshot_times=[1.0])
+        _assert_same_run(out, _stepped(solver, plan, snapshot_times=[1.0]))
         assert out.manifest["linear_solver"]["calls"] == 400
 
     def test_quiet_window_logs_its_progress(self, caplog):
