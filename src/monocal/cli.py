@@ -7,9 +7,19 @@ subcommand is one `_COMMANDS` entry: handler, help line, config keys
 with their types, and the keys that are also flags (`--max-cal-points`
 sets `max_cal_points`, typed like the key). The parser, the `--help`
 epilog, the config check and the flag-over-config merge all derive from
-that table; handlers receive the merged config. A subcommand rejects
-unknown config keys and values of the wrong type, and removes partially
-written outputs when it fails so reruns start clean.
+that table; handlers receive the merged config.
+
+`_COMMANDS` is the one declaration of each key's full type: a scalar, a
+number list (`tuple[float, ...]`), the stimulus points (a list of
+three-number lists), or one of the records `SolverParams` ("solver"),
+`FiberAngles` ("fiber_angles") and `ConductivityBox` ("box"), whose
+fields and their types come from the dataclass. `_parse` checks a
+config against it in one walk under one type rule: an integer counts
+as a float and a boolean never counts as a number. Unknown keys and
+wrong-length fixed tuples are rejected at any depth, and a null value
+means unset at any depth. A failed subcommand prints one `error:` line,
+exits 1 and leaves no partial outputs: it removes what it wrote, so
+reruns start clean.
 
 Relative paths inside a config are resolved against the current working
 directory, which keeps bundled scenario configs usable from any checkout
@@ -23,8 +33,9 @@ import csv
 import json
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import is_dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -58,24 +69,16 @@ class _OutputTracker:
                 p.unlink(missing_ok=True)
 
 
-def _without_nulls(value):
-    """value with every null-valued dict key dropped, at any depth."""
-    if isinstance(value, dict):
-        return {key: _without_nulls(item) for key, item in value.items()
-                if item is not None}
-    return value
+def _load_config(path: str | None, keys: dict, command: str) -> dict:
+    """Read a JSON config and parse it against the subcommand's keys.
 
-
-def _load_config(path: str | None, allowed: dict[str, type],
-                 command: str) -> dict:
-    """Read a JSON config and reject keys the subcommand does not consume.
-
-    Each value must have its key's declared type (`_check_type`, which
-    also checks nested values and list elements where they are read). Keys
-    whose value is null are dropped, also inside nested dicts such as
-    "solver", so null means unset at any depth. A name that does not exist
-    on disk but matches a bundled scenario file resolves to the copy
-    shipped inside the package.
+    keys holds each key's declared type (`_COMMANDS`): a scalar, a number
+    list, the stimulus points or a dataclass record. `_parse` checks the
+    whole object against them under the one type rule (an integer counts
+    as a float, a boolean never counts as a number); unknown keys are
+    rejected and a null value means unset, at any depth, and lists come
+    back as tuples. A name that does not exist on disk but matches a
+    bundled scenario file resolves to the copy shipped inside the package.
     """
     if path is None:
         return {}
@@ -88,38 +91,49 @@ def _load_config(path: str | None, allowed: dict[str, type],
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"config file {p} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise InvalidArgumentError(f"config file {p} must hold a JSON object")
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
+    return _parse(raw, keys, f"{command} config")
+
+
+def _parse(value, hint, what: str):
+    """value checked against its declared type hint.
+
+    A hint is a scalar type; a tuple type, fixed-length or `tuple[T, ...]`,
+    which takes a JSON list and returns a tuple; or a record, which takes
+    a JSON object and returns a dict without its null-valued keys: a dict
+    of key hints (a whole config) or a dataclass, whose field types come
+    from `get_type_hints`. The one type rule: an integer counts as a
+    float, and a boolean never counts as a number.
+    """
+    fields = hint if isinstance(hint, dict) else (
+        get_type_hints(hint) if is_dataclass(hint) else None)
+    items = get_args(hint) if get_origin(hint) is tuple else None
+    kind = dict if fields is not None else list if items is not None else hint
+    accepted = (int, float) if kind is float else kind
+    if (isinstance(value, bool) and kind is not bool) \
+            or not isinstance(value, accepted):
+        raise InvalidArgumentError(f"{what} must be of type {kind.__name__}, "
+                                   f"got {type(value).__name__}")
+    if fields is not None:
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise InvalidArgumentError(
+                f"unknown key(s) in {what}: {', '.join(unknown)}; "
+                f"allowed: {', '.join(sorted(fields))}")
+        return {key: _parse(item, fields[key], f"{what}['{key}']")
+                for key, item in value.items() if item is not None}
+    if items is None:
+        return value
+    if items[-1] is Ellipsis:
+        items = items[:1] * len(value)
+    elif len(value) != len(items):
         raise InvalidArgumentError(
-            f"unknown config key(s) for {command}: {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}")
-    config = _without_nulls(raw)
-    for key, value in config.items():
-        _check_type(value, allowed[key], f"config key '{key}' for {command}")
-    return config
-
-
-def _check_type(value, expected: type, what: str) -> None:
-    """The config type rule: an integer counts as a float, and a boolean
-    never counts as a number."""
-    accepted = (int, float) if expected is float else expected
-    wrong_bool = isinstance(value, bool) and expected is not bool
-    if wrong_bool or not isinstance(value, accepted):
-        raise InvalidArgumentError(f"{what} must be of type "
-                                   f"{expected.__name__}, got "
-                                   f"{type(value).__name__}")
-
-
-def _check_numbers(values: list, what: str) -> None:
-    """The type rule for every element of a (nested) list of numbers."""
-    for item in np.asarray(values, dtype=object).ravel():
-        _check_type(item, float, f"each value of {what}")
+            f"{what} must hold {len(items)} values, got {len(value)}")
+    return tuple(_parse(item, item_hint, f"{what}[{i}]")
+                 for i, (item, item_hint) in enumerate(zip(value, items)))
 
 
 def _require(config: dict, key: str, command: str):
-    if config.get(key) is None:
+    if key not in config:
         raise InvalidArgumentError(
             f"{command} needs '{key}' (config key or matching flag)")
     return config[key]
@@ -142,77 +156,34 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_fields(spec: dict, cls, what: str) -> None:
-    """Reject keys of a nested config dict that cls has no field for, and
-    values that break the type rule of the field's type; a tuple field
-    takes a list of numbers."""
-    hints = get_type_hints(cls)
-    unknown = sorted(set(spec) - set(hints))
-    if unknown:
-        raise InvalidArgumentError(
-            f"unknown {what} key(s): {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(hints))}")
-    for key, value in spec.items():
-        name = f"{what} key '{key}'"
-        if get_origin(hints[key]) is tuple:
-            _check_type(value, list, name)
-            _check_numbers(value, name)
-        else:
-            _check_type(value, hints[key], name)
-
-
 @contextmanager
-def _reported_as(what: str, error: type = InvalidArgumentError):
-    """Turn a missing key or a mistyped value met while building or
-    reading `what` into `error` naming it."""
+def _reported_as(what: str):
+    """Turn a missing key or a malformed value met while reading the
+    result file `what` into a DataFormatError naming it."""
     try:
         yield
     except MonocalError:
         raise
     except KeyError as exc:
-        raise error(f"invalid {what}: missing key {exc}") from exc
+        raise DataFormatError(f"invalid {what}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise error(f"invalid {what}: {exc}") from exc
-
-
-def _numbers(config: dict, key: str, default=None):
-    """A list-valued config key as a float array (default when unset)."""
-    value = config.get(key)
-    if value is not None:
-        _check_numbers(value, f"config key '{key}'")
-    with _reported_as(f"config key '{key}'"):
-        return np.asarray(default if value is None else value, dtype=float)
-
-
-def _solver_params(config: dict):
-    raw = dict(config.get("solver") or {})
-    _check_fields(raw, slv.SolverParams, "solver")
-    with _reported_as("solver parameters"):
-        if "sigma" in raw:
-            raw["sigma"] = tuple(raw["sigma"])
-        return slv.SolverParams(**raw)
-
-
-def _fiber_angles(spec: dict):
-    _check_fields(spec, fibers.FiberAngles, "fiber_angles")
-    with _reported_as("fiber_angles"):
-        return fibers.FiberAngles(**spec)
+        raise DataFormatError(f"invalid {what}: {exc}") from exc
 
 
 def _load_fiber_field(config: dict, mesh, command: str):
     """Fiber input: a fields file, inline angles, or none. With none the
     solver lays every fiber along x (`FiberField.uniform`, the slab
     convention), which is isotropic only when sigma_f = sigma_s = sigma_n."""
-    if config.get("fibers") is not None:
+    if "fibers" in config:
         path = _existing_path(config, "fibers", command)
         field = fibers.FiberField.read(path)
         if len(field.f) != mesh.n_nodes:
             raise InvalidArgumentError(f"fibers file {path} has {len(field.f)} "
                                        f"nodes, the mesh has {mesh.n_nodes}")
         return field
-    if config.get("fiber_angles") is not None:
+    if "fiber_angles" in config:
         return fibers.generate_fibers(
-            mesh, _fiber_angles(dict(config["fiber_angles"])))
+            mesh, fibers.FiberAngles(**config["fiber_angles"]))
     return None
 
 
@@ -228,11 +199,11 @@ def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
     h = float(_require(config, "h", "gen-mesh"))
     if kind == "slab":
         mesh = geometry.build_slab_mesh(
-            _numbers(config, "extents", (1.0, 1.0, 0.5)), h)
+            config.get("extents", (1.0, 1.0, 0.5)), h)
     else:
         mesh = geometry.build_lv_mesh(
-            _numbers(config, "endo_axes", twin.ENDO_AXES),
-            _numbers(config, "epi_axes", twin.EPI_AXES),
+            config.get("endo_axes", twin.ENDO_AXES),
+            config.get("epi_axes", twin.EPI_AXES),
             config.get("truncation_height", twin.TRUNCATION_HEIGHT), h)
     out = _out_dir(config, "gen-mesh")
     mesh_path = out / "mesh.vtk"
@@ -243,9 +214,9 @@ def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
 
 def cmd_gen_fibers(config: dict, tracker: _OutputTracker) -> None:
     mesh = _read_mesh(config, "gen-fibers")
-    angles = _fiber_angles({k: float(config[k]) for k in
-                            ("alpha_endo", "alpha_epi", "beta_endo", "beta_epi")
-                            if config.get(k) is not None})
+    angles = fibers.FiberAngles(**{
+        k: config[k] for k in ("alpha_endo", "alpha_epi", "beta_endo",
+                               "beta_epi") if k in config})
     field = fibers.generate_fibers(mesh, angles)
     path = _out_dir(config, "gen-fibers") / "fibers.vtk"
     tracker.add(path)
@@ -274,20 +245,18 @@ def _snapshot_field(t: float) -> str:
 def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
     mesh = _read_mesh(config, "simulate")
     fiber_field = _load_fiber_field(config, mesh, "simulate")
-    params = _solver_params(config)
-    for key in ("stimulus_points", "stimulus_onsets"):
-        _require(config, key, "simulate")
-    plan = slv.StimulusPlan(points=_numbers(config, "stimulus_points"),
-                            onsets=_numbers(config, "stimulus_onsets"))
-    snapshot_times = _numbers(config, "snapshot_times", ()).tolist()
+    params = slv.SolverParams(**config.get("solver", {}))
+    plan = slv.StimulusPlan(
+        points=_require(config, "stimulus_points", "simulate"),
+        onsets=_require(config, "stimulus_onsets", "simulate"))
+    snapshot_times = [float(t) for t in config.get("snapshot_times", ())]
     names: dict[str, float] = {}
-    with _reported_as("config key 'snapshot_times'"):
-        for t in sorted(set(snapshot_times)):
-            other = names.setdefault(_snapshot_field(t), t)
-            if other != t:
-                raise InvalidArgumentError(
-                    f"snapshot times {other!r} and {t!r} would share the "
-                    f"field name {_snapshot_field(t)}")
+    for t in sorted(set(snapshot_times)):
+        other = names.setdefault(_snapshot_field(t), t)
+        if other != t:
+            raise InvalidArgumentError(
+                f"snapshot times {other!r} and {t!r} would share the "
+                f"field name {_snapshot_field(t)}")
 
     output = slv.simulate(mesh, fiber_field, params, plan,
                           snapshot_times=snapshot_times)
@@ -310,24 +279,17 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
 
 
 def _calibration_config(config: dict):
-    if "sigma" in (config.get("solver") or {}):
+    solver = config.get("solver", {})
+    if "sigma" in solver:
         raise InvalidArgumentError(
             "calibrate chooses the solver's sigma itself; set the search's "
             "start point with 'initial_sigma'")
-    spec = dict(config.get("box") or {})
-    _check_fields(spec, cal.ConductivityBox, "box")
-    with _reported_as("box"):
-        box = cal.ConductivityBox(**{k: tuple(v) for k, v in spec.items()})
-    kwargs = {k: config[k] for k in ("tol_ms", "max_iters", "isotropic",
-                                     "max_cal_points")
-              if config.get(k) is not None}
-    with _reported_as("calibration parameters"):
-        for key in ("initial_sigma", "beta"):
-            if config.get(key) is not None:
-                _check_numbers(config[key], f"calibration parameter '{key}'")
-                kwargs[key] = tuple(config[key])
-        return cal.CalibrationConfig(solver=_solver_params(config), box=box,
-                                     **kwargs)
+    kwargs = {k: config[k] for k in ("beta", "initial_sigma", "tol_ms",
+                                     "max_iters", "isotropic",
+                                     "max_cal_points") if k in config}
+    return cal.CalibrationConfig(
+        solver=slv.SolverParams(**solver),
+        box=cal.ConductivityBox(**config.get("box", {})), **kwargs)
 
 
 def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
@@ -428,7 +390,7 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 
     lines = ["calibration report", "==================", "",
              "iteration trace (sigma in mS/cm, E in ms, F in ms^2):"]
-    with _reported_as(f"file {trace_path}", DataFormatError), \
+    with _reported_as(f"file {trace_path}"), \
             open(trace_path, newline="") as handle:
         for row in csv.DictReader(handle):
             lines.append(
@@ -440,7 +402,7 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 
     validation_path = results / "validation.json"
     if validation_path.exists():
-        with _reported_as(f"file {validation_path}", DataFormatError):
+        with _reported_as(f"file {validation_path}"):
             validation = json.loads(validation_path.read_text())
             if not isinstance(validation, dict):
                 raise DataFormatError(
@@ -450,7 +412,7 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 
     correlation_path = results / "correlation.csv"
     if correlation_path.exists():
-        with _reported_as(f"file {correlation_path}", DataFormatError), \
+        with _reported_as(f"file {correlation_path}"), \
                 open(correlation_path, newline="") as handle:
             rows = [(r["group"], float(r["tau_computed_ms"]),
                      float(r["tau_measured_ms"]))
@@ -468,7 +430,7 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if config.get("out") is not None:
+    if "out" in config:
         out = _out_dir(config, "report")
         report_path = out / "report.txt"
         tracker.add(report_path)
@@ -482,13 +444,16 @@ def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
     if not 0.0 <= perturb_cm < float("inf"):
         raise InvalidArgumentError(
             f"perturb_cm must be >= 0 and finite, got {perturb_cm}")
-    data = twin.build_twin(h=float(config.get("h", twin.DEFAULT_H)),
-                           sigma=_numbers(config, "sigma", twin.TRUE_SIGMA))
+    seed = config.get("seed", 7)
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    data = twin.build_twin(
+        h=float(config.get("h", twin.DEFAULT_H)),
+        sigma=np.asarray(config.get("sigma", twin.TRUE_SIGMA), dtype=float))
     out = _out_dir(config, "gen-twin")
     paths = twin.twin_paths(out)
     tracker.add(*paths.values(), vtkio.surface_path(paths["mesh"]))
-    twin.write_twin(data, out, perturb_cm=perturb_cm,
-                    seed=int(config.get("seed", 7)))
+    twin.write_twin(data, out, perturb_cm=perturb_cm, seed=seed)
     print(f"wrote twin fixture to {out} "
           f"({data.mesh.n_nodes} nodes, {len(data.vein_nodes)} vein points)")
 
@@ -498,15 +463,20 @@ class _Command(NamedTuple):
 
     handler: Callable[[dict, _OutputTracker], None]
     help: str
-    keys: dict[str, type]
+    keys: dict[str, object]
     flags: tuple[str, ...]
+
+
+# The declared types of the config values that are lists.
+_NUMBERS = tuple[float, ...]
+_POINTS = tuple[tuple[float, float, float], ...]
 
 
 _COMMANDS = {
     "gen-mesh": _Command(
         cmd_gen_mesh, "Generate a slab or truncated-ellipsoid mesh",
-        {"kind": str, "h": float, "extents": list, "endo_axes": list,
-         "epi_axes": list, "truncation_height": float, "out": str},
+        {"kind": str, "h": float, "extents": _NUMBERS, "endo_axes": _NUMBERS,
+         "epi_axes": _NUMBERS, "truncation_height": float, "out": str},
         ("kind", "h", "out")),
     "gen-fibers": _Command(
         cmd_gen_fibers, "Generate a rule-based fiber field",
@@ -519,15 +489,16 @@ _COMMANDS = {
         ("mesh", "measurements", "references", "out")),
     "simulate": _Command(
         cmd_simulate, "Run a paced monodomain simulation",
-        {"mesh": str, "fibers": str, "fiber_angles": dict, "solver": dict,
-         "stimulus_points": list, "stimulus_onsets": list,
-         "snapshot_times": list, "out": str},
+        {"mesh": str, "fibers": str, "fiber_angles": fibers.FiberAngles,
+         "solver": slv.SolverParams, "stimulus_points": _POINTS,
+         "stimulus_onsets": _NUMBERS, "snapshot_times": _NUMBERS, "out": str},
         ("mesh", "fibers", "out")),
     "calibrate": _Command(
         cmd_calibrate, "Estimate conductivities from measurements",
-        {"mesh": str, "fibers": str, "fiber_angles": dict,
-         "measurements": str, "references": str, "solver": dict,
-         "box": dict, "beta": list, "initial_sigma": list, "tol_ms": float,
+        {"mesh": str, "fibers": str, "fiber_angles": fibers.FiberAngles,
+         "measurements": str, "references": str,
+         "solver": slv.SolverParams, "box": cal.ConductivityBox,
+         "beta": _NUMBERS, "initial_sigma": _NUMBERS, "tol_ms": float,
          "max_iters": int, "isotropic": bool, "max_cal_points": int,
          "out": str},
         ("mesh", "fibers", "measurements", "references", "max_cal_points",
@@ -537,7 +508,7 @@ _COMMANDS = {
         {"results": str, "out": str}, ("results", "out")),
     "gen-twin": _Command(
         cmd_gen_twin, "Generate the synthetic twin fixture",
-        {"h": float, "sigma": list, "perturb_cm": float, "seed": int,
+        {"h": float, "sigma": _NUMBERS, "perturb_cm": float, "seed": int,
          "out": str},
         ("h", "seed", "out")),
 }

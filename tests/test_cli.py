@@ -189,32 +189,54 @@ def _files_under(path):
     return sorted(p.name for p in path.rglob("*") if p.is_file())
 
 
-def _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys,
-                                   perturb_cm):
+def _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys, key,
+                                   value):
     built = []
     monkeypatch.setattr(twin, "build_twin", lambda **kwargs: built.append(1))
     config = tmp_path / "twin.json"
-    config.write_text(json.dumps({"perturb_cm": perturb_cm,
-                                  "out": str(tmp_path / "tw")}))
+    config.write_text(json.dumps({key: value, "out": str(tmp_path / "tw")}))
     with pytest.raises(SystemExit) as err:
         cli.main(["gen-twin", "--config", str(config)])
     assert err.value.code == 1
     message = capsys.readouterr().err
-    assert message.startswith("error:") and "perturb_cm" in message
+    assert message.startswith("error:") and key in message
     assert built == []
     assert _files_under(tmp_path) == ["twin.json"]
 
 
 def test_gen_twin_rejects_negative_perturbation_before_simulating(
         tmp_path, monkeypatch, capsys):
-    _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys, -1)
+    _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys,
+                                   "perturb_cm", -1)
 
 
 def test_gen_twin_rejects_infinite_perturbation_before_simulating(
         tmp_path, monkeypatch, capsys):
     # JSON Infinity: it would write +-inf landmarks and fail only in register
     _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys,
-                                   float("inf"))
+                                   "perturb_cm", float("inf"))
+
+
+def test_gen_twin_rejects_negative_seed_before_simulating(
+        tmp_path, monkeypatch, capsys):
+    # numpy refuses a negative seed only when the perturbed references
+    # are drawn, after the whole twin simulation
+    _gen_twin_rejects_perturbation(tmp_path, monkeypatch, capsys, "seed", -1)
+
+
+def test_gen_twin_with_unactivated_vein_nodes_leaves_no_files(
+        tmp_path, monkeypatch, capsys):
+    def never_activated(mesh, fiber_field, params, plan):
+        return SimpleNamespace(activation=np.full(mesh.n_nodes, np.nan),
+                               n_not_activated=mesh.n_nodes)
+
+    monkeypatch.setattr(twin.slv, "simulate", never_activated)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-twin", "--h", "0.07", "--out", str(tmp_path / "tw")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "unactivated" in message
+    assert _files_under(tmp_path) == []
 
 
 def test_gen_twin_failed_write_removes_partial_outputs(tmp_path, monkeypatch,
@@ -408,6 +430,14 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     assert err.value.code == 1
     assert "stagnation_rel" in capsys.readouterr().err
 
+    # also when the unknown key is nested and its value is null
+    config.write_text(json.dumps({"solver": {"bogus": None}}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert "bogus" in message and "allowed:" in message
+
 
 @pytest.mark.parametrize("command,config,named", [
     ("gen-mesh", {"h": "abc"}, "'h'"),
@@ -417,7 +447,7 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("calibrate", {"box": {"f": 5}}, "box"),
     ("calibrate", {"box": {"f": ["a", 2]}}, "box"),
     ("calibrate", {"box": {"x": [1, 2]}}, "allowed: f, n, s"),
-    ("calibrate", {"initial_sigma": ["a", 0.3, 0.06]}, "calibration"),
+    ("calibrate", {"initial_sigma": ["a", 0.3, 0.06]}, "'initial_sigma'"),
     ("gen-mesh", {"h": 0.5, "extents": ["a", 1, 1]}, "'extents'"),
     ("gen-mesh", {"h": 0.5, "kind": "ventricle", "endo_axes": ["a", 1, 1]},
      "'endo_axes'"),
@@ -438,6 +468,11 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("simulate", {"snapshot_times": [True]}, "'snapshot_times'"),
     ("simulate", {"stimulus_points": [[0, False, 0]]}, "'stimulus_points'"),
     ("gen-twin", {"sigma": [1.2, 0.3, True]}, "'sigma'"),
+    # a fixed-length tuple takes exactly its number of values
+    ("calibrate", {"box": {"f": [0.7, 1.5, 2.2]}}, "'f'"),
+    ("simulate", {"stimulus_points": [[0, 0, 0], [0, 0]]},
+     "'stimulus_points'"),
+    ("simulate", {"solver": {"sigma": [1.2, 0.3]}}, "'sigma'"),
 ], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times",
         "simulate_fiber_angle", "calibrate_box_scalar",
         "calibrate_box_string_bound", "calibrate_box_unknown_key",
@@ -448,7 +483,8 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         "simulate_solver_sigma_bool", "simulate_fiber_angle_bool",
         "calibrate_box_bool_bound", "calibrate_initial_sigma_bool",
         "simulate_snapshot_time_bool", "simulate_stimulus_point_bool",
-        "gen_twin_sigma_bool"])
+        "gen_twin_sigma_bool", "calibrate_box_three_bounds",
+        "simulate_stimulus_points_ragged", "simulate_solver_sigma_two"])
 def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
                                            named):
     if command not in ("gen-mesh", "gen-twin"):
@@ -466,6 +502,30 @@ def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
     message = capsys.readouterr().err
     assert message.startswith("error:")
     assert named in message
+
+
+_KEYS = [(name, key) for name, command in cli._COMMANDS.items()
+         for key in command.keys]
+
+
+@pytest.mark.parametrize("command,key", _KEYS,
+                         ids=[f"{name}-{key}" for name, key in _KEYS])
+def test_every_config_key_rejects_a_value_of_the_wrong_kind(
+        tmp_path, monkeypatch, capsys, command, key):
+    spec = cli._COMMANDS[command]
+    # lists and records take a JSON list or object, never a string
+    wrong = {str: 5, float: "5", int: 1.5, bool: 1}.get(spec.keys[key], "x")
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, spec._replace(
+        handler=lambda config, tracker: seen.append(config)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: wrong}))
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--config", str(path)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and f"'{key}'" in message
+    assert seen == []
 
 
 def test_unknown_mesh_kind_names_the_kinds(capsys):
