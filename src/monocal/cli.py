@@ -251,7 +251,8 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
         onsets=_require(config, "stimulus_onsets", "simulate"))
     snapshot_times = [float(t) for t in config.get("snapshot_times", ())]
     names: dict[str, float] = {}
-    for t in sorted(set(snapshot_times)):
+    # a NaN or infinite time is left to the solver's range check
+    for t in sorted(set(filter(np.isfinite, snapshot_times))):
         other = names.setdefault(_snapshot_field(t), t)
         if other != t:
             raise InvalidArgumentError(
@@ -359,14 +360,13 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
 
 
 def _validation_lines(validation: dict) -> list[str]:
-    """Report lines for a calibrate run's validation.json payload."""
-    if not validation:
-        return []
-    sig = ", ".join(f"{v:.4f}" for v in validation.get("sigma_hat", []))
+    """Report lines for a calibrate run's validation.json payload; each of
+    its four keys is required (a missing one raises KeyError)."""
+    sig = ", ".join(f"{v:.4f}" for v in validation["sigma_hat"])
     lines = ["", f"estimated conductivities (mS/cm): {sig}",
-             f"converged: {validation.get('converged')} "
-             f"after {validation.get('iterations')} iterations"]
-    rep = validation.get("validation")
+             f"converged: {validation['converged']} "
+             f"after {validation['iterations']} iterations"]
+    rep = validation["validation"]
     if rep:
         five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
         lines += [

@@ -231,13 +231,14 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
             p = z + (rz / rz_old) * p
 
 
-def solve_dirichlet(A: csr_matrix, b: np.ndarray, fixed_ids: np.ndarray,
+def solve_dirichlet(A: csr_matrix, fixed_ids: np.ndarray,
                     fixed_values: np.ndarray) -> np.ndarray:
-    """Solve A x = b with prescribed values on a set of nodes.
+    """Solve A x = 0 off the fixed nodes, which hold fixed_values.
 
-    The constrained rows and columns are eliminated and the reduced
-    system, SPD for a stiffness matrix with at least one fixed node per
-    connected part, is solved by conjugate gradients (gmres_solve).
+    The constrained rows and columns are eliminated (right-hand side
+    -A[free, fixed] @ fixed_values) and the reduced system, SPD for a
+    stiffness matrix with at least one fixed node per connected part, is
+    solved by conjugate gradients (gmres_solve).
     """
     n = A.shape[0]
     fixed_ids = np.asarray(fixed_ids, dtype=int)
@@ -252,6 +253,6 @@ def solve_dirichlet(A: csr_matrix, b: np.ndarray, fixed_ids: np.ndarray,
 
     x = np.zeros(n)
     x[fixed_ids] = fixed_values
-    rhs = b[free] - A[free][:, fixed_ids] @ fixed_values
+    rhs = -(A[free][:, fixed_ids] @ fixed_values)
     x[free] = gmres_solve(A[free][:, free], rhs).x
     return x

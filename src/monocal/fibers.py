@@ -126,20 +126,20 @@ def solve_transmural(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
         raise InvalidArgumentError("mesh lacks tagged ENDO/EPI surfaces")
     ids = np.concatenate([endo, epi])
     vals = np.concatenate([np.ones(endo.size), np.zeros(epi.size)])
-    return fem.solve_dirichlet(laplace, np.zeros(mesh.n_nodes), ids, vals)
+    return fem.solve_dirichlet(laplace, ids, vals)
 
 
 def apex_node_set(mesh: Mesh) -> np.ndarray:
-    """Boundary nodes within 1.5 h of the lowest boundary point."""
+    """Ascending ids of the boundary nodes within 1.5 h of the lowest
+    boundary node, by the one ball rule `Mesh.nodes_within`."""
     if not mesh.characteristic_size > 0.0:
         raise InvalidArgumentError(
             "the mesh has no size h (its title has no h= token), and the "
             "apex node set is the boundary within 1.5 h of the apex")
     surf = mesh.boundary_node_ids()
-    z = mesh.nodes[surf, 2]
-    lowest = mesh.nodes[surf[np.argmin(z)]]
-    d = np.linalg.norm(mesh.nodes[surf] - lowest, axis=1)
-    return surf[d <= 1.5 * mesh.characteristic_size]
+    lowest = mesh.nodes[surf[np.argmin(mesh.nodes[surf, 2])]]
+    ball = mesh.nodes_within(lowest, 1.5 * mesh.characteristic_size)
+    return np.intersect1d(ball, surf)
 
 
 def solve_apicobasal(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
@@ -159,7 +159,7 @@ def solve_apicobasal(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
     apex = np.setdiff1d(apex_node_set(mesh), base)
     ids = np.concatenate([apex, base])
     vals = np.concatenate([np.zeros(apex.size), np.ones(base.size)])
-    return fem.solve_dirichlet(laplace, np.zeros(mesh.n_nodes), ids, vals)
+    return fem.solve_dirichlet(laplace, ids, vals)
 
 
 def nodal_gradients(mesh: Mesh, *fields: np.ndarray) -> list[np.ndarray]:

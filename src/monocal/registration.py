@@ -3,13 +3,15 @@
 Measurements arrive in the mapping device's millimeter frame. Three
 reference landmarks known in both frames fix a rigid transform; the
 transformed points are then snapped to the nearest node of the relevant
-tagged surface (`Mesh.nearest_nodes`: the lowest id of equally near
-nodes), and the vein points are split into an early-activating
-calibration half and a late-activating validation half. A measured map
-is one `RawCloud` throughout: `register` returns the projected cloud with
-one group label per point (`input`, `I`, `II`), and `split_samples` cuts
-it into the three group clouds plus the stimulus plan, the stage the
-command line runs.
+tagged surface, and the vein points are split into an early-activating
+calibration half and a late-activating validation half. `nns_project`
+is the one surface snap: it returns node ids by `Mesh.nearest_nodes`
+(the lowest id of equally near nodes), and the twin snaps its septal
+and vein points with it too. A measured map is one `RawCloud`
+throughout: `register` returns the projected cloud with one group label
+per point (`input`, `I`, `II`), and `split_samples` cuts it into the
+three group clouds plus the stimulus plan, the stage the command line
+runs.
 """
 
 from __future__ import annotations
@@ -226,20 +228,16 @@ def rigid_from_three_pairs(source: np.ndarray, target: np.ndarray
     return RigidTransform(rotation=rotation, translation=translation)
 
 
-def nns_project(cloud: RawCloud, mesh: Mesh, tags
-                ) -> tuple[RawCloud, np.ndarray]:
-    """Snap each cloud point to its nearest node on the tagged surface.
+def nns_project(points, mesh: Mesh, tags) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node on the tagged surface to each point.
 
-    Returns the projected cloud and each point's displacement (cm).
-    Projecting an already-projected cloud is the identity.
+    Returns each point's node id and its displacement to that node (cm).
+    Projecting the nodes found again returns the same ids, unmoved.
     """
     candidates = mesh.boundary_node_ids(tags)
     if candidates.size == 0:
         raise InvalidArgumentError(f"no boundary nodes carry tags {tags}")
-    nearest, moves = mesh.nearest_nodes(cloud.points, candidates)
-    projected = RawCloud(points=mesh.nodes[nearest], taus=cloud.taus,
-                         sites=list(cloud.sites), order=cloud.order)
-    return projected, moves
+    return mesh.nearest_nodes(points, candidates)
 
 
 def split_groups(taus, order) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +295,8 @@ def register(mesh: Mesh, measurements_path, references_path
     for name, vein, tag in (("vein", True, SurfaceTag.EPI),
                             ("septum", False, SurfaceTag.ENDO)):
         part = np.sort(is_vein) == vein
-        projected, moves = nns_project(merged.subset(part), mesh, int(tag))
-        merged.points[part] = projected.points
+        nodes, moves = nns_project(merged.points[part], mesh, int(tag))
+        merged.points[part] = mesh.nodes[nodes]
         stats[name] = {"max_displacement_cm": float(moves.max()),
                        "mean_displacement_cm": float(moves.mean())}
     return merged, group_labels(merged), stats

@@ -120,7 +120,8 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class StimulusPlan:
-    """Stimulation sites (cm) with per-site onset times (ms)."""
+    """Stimulation sites (cm) with per-site onset times (ms); a plan needs
+    at least one site, since a run that paces nothing has no map."""
 
     points: np.ndarray
     onsets: np.ndarray
@@ -128,6 +129,9 @@ class StimulusPlan:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         ons = np.atleast_1d(np.asarray(self.onsets, dtype=float))
+        if pts.size == 0:
+            raise InvalidArgumentError(
+                "a stimulus plan needs at least one stimulus site")
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidArgumentError("stimulus points must have shape (k, 3)")
         if ons.shape != (len(pts),):
@@ -180,12 +184,13 @@ def build_conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
 
 
 class _StimulusSets:
-    """Precomputed node memberships for every stimulus site."""
+    """Precomputed node memberships, one array per stimulus site: the
+    nodes of its ball, or its nearest node when the ball holds none."""
 
     def __init__(self, mesh: Mesh, plan: StimulusPlan, params: SolverParams):
         h = mesh.characteristic_size
         nearest, dist = mesh.nearest_nodes(plan.points)
-        by_onset: dict[float, list[np.ndarray]] = {}
+        self.sites = []
         for k, (point, onset) in enumerate(zip(plan.points, plan.onsets)):
             if dist[k] > 2.0 * h:
                 if not h > 0.0:
@@ -197,19 +202,17 @@ class _StimulusSets:
                               f"the nearest mesh node (h={h:g}); it may miss the "
                               "tissue", stacklevel=3)
             ball = mesh.nodes_within(point, params.stimulus_radius)
-            by_onset.setdefault(float(onset), []).append(
-                ball if ball.size else nearest[k:k + 1])
-        self.groups = [(onset, np.unique(np.concatenate(parts)))
-                       for onset, parts in sorted(by_onset.items())]
+            self.sites.append((float(onset),
+                               ball if ball.size else nearest[k:k + 1]))
         self.duration = params.stimulus_duration
         self.amplitude = params.stimulus_amplitude
         self.n_nodes = mesh.n_nodes
 
     def current(self, t: float) -> np.ndarray:
-        """Nodal applied current (uA/cm^3) at time t; active on
-        [onset, onset + duration)."""
+        """Nodal applied current (uA/cm^3) at time t: the amplitude on the
+        nodes of each site active on [onset, onset + duration)."""
         out = np.zeros(self.n_nodes)
-        for onset, members in self.groups:
+        for onset, members in self.sites:
             if onset <= t < onset + self.duration:
                 out[members] = self.amplitude
         return out
@@ -217,10 +220,10 @@ class _StimulusSets:
 
 @dataclass
 class SimulationOutput:
-    """Activation map plus bookkeeping from one monodomain run."""
+    """Activation map plus bookkeeping from one monodomain run; NaN in
+    activation marks a node that did not activate."""
 
     activation: np.ndarray
-    activated: np.ndarray
     peak_u: np.ndarray
     final_u: np.ndarray
     snapshots: dict[float, np.ndarray]
@@ -229,7 +232,7 @@ class SimulationOutput:
 
     @property
     def n_not_activated(self) -> int:
-        return int((~self.activated).sum())
+        return int(np.isnan(self.activation).sum())
 
 
 class MonodomainSolver:
@@ -247,7 +250,6 @@ class MonodomainSolver:
         self.params = params
         if fiber_field is None:
             fiber_field = FiberField.uniform(mesh.n_nodes)
-        self.fiber_field = fiber_field
 
         plan = self.plan = fem.AssemblyPlan.of(mesh)
         tensors = build_conductivity_tensors(mesh, fiber_field, params.sigma)
@@ -294,7 +296,7 @@ class MonodomainSolver:
                  snapshot_times=()) -> SimulationOutput:
         """Run from rest up to t_end (or the early stop)."""
         p = self.params
-        if stim_plan.onsets.size and stim_plan.onsets.max() > p.t_end:
+        if stim_plan.onsets.max() > p.t_end:
             raise InvalidArgumentError("stimulus onset beyond end of simulation")
         stim = _StimulusSets(self.mesh, stim_plan, p)
         n = self.mesh.n_nodes
@@ -316,9 +318,8 @@ class MonodomainSolver:
         activation = np.full(n, np.nan)
         best_rate = np.full(n, -1.0)
         peak = u.copy()
-        stim_end = (stim_plan.onsets.max() if stim_plan.onsets.size else 0.0) \
-            + p.stimulus_duration
-        first_onset = stim_plan.onsets.min() if stim_plan.onsets.size else np.inf
+        stim_end = stim_plan.onsets.max() + p.stimulus_duration
+        first_onset = stim_plan.onsets.min()
         cg = {"calls": 0, "iterations": 0, "max_iterations": 0}
         u_prev = None
 
@@ -377,8 +378,7 @@ class MonodomainSolver:
                 w = np.repeat(row, n, axis=0)
                 u_prev = u
 
-        activated = peak >= ACTIVATION_PEAK_FLOOR
-        activation[~activated] = np.nan
+        activation[peak < ACTIVATION_PEAK_FLOOR] = np.nan
         manifest = {
             "version": __version__,
             "mesh_hash": self.mesh.content_hash(),
@@ -396,7 +396,7 @@ class MonodomainSolver:
             "linear_solver": cg,
         }
         return SimulationOutput(
-            activation=activation, activated=activated, peak_u=peak,
+            activation=activation, peak_u=peak,
             final_u=u, snapshots=snapshots, mesh=self.mesh, manifest=manifest)
 
 

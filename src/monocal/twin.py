@@ -137,10 +137,9 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     mesh = build_lv_mesh(ENDO_AXES, EPI_AXES, TRUNCATION_HEIGHT, h)
     fiber_field = generate_fibers(mesh, FiberAngles())
 
-    septal_nodes, _ = mesh.nearest_nodes(
-        SEPTAL_TARGETS, mesh.boundary_node_ids(int(SurfaceTag.ENDO)))
-    vein_nodes, _ = mesh.nearest_nodes(
-        vein_path(), mesh.boundary_node_ids(int(SurfaceTag.EPI)))
+    septal_nodes, _ = reg.nns_project(SEPTAL_TARGETS, mesh,
+                                      int(SurfaceTag.ENDO))
+    vein_nodes, _ = reg.nns_project(vein_path(), mesh, int(SurfaceTag.EPI))
     onsets = np.asarray(SEPTAL_ONSETS, dtype=float)
     plan = slv.StimulusPlan(points=mesh.nodes[septal_nodes], onsets=onsets)
 

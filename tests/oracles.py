@@ -149,7 +149,7 @@ def measure_planar_cv(output: SimulationOutput, axis: int,
         lo, hi = coords.min(), coords.max()
         span = hi - lo
         window = (lo + 0.2 * span, hi - 0.2 * span)
-    ok = output.activated & (coords >= window[0]) & (coords <= window[1])
+    ok = np.isfinite(output.activation) & (coords >= window[0]) & (coords <= window[1])
     if not ok.any():
         raise InsufficientDataError("no activated nodes in the measurement window")
 

@@ -16,7 +16,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from monocal import registration as reg
-from monocal.activation import Site, error_stats
+from monocal.activation import error_stats
 from monocal.calibration import CalibrationConfig, calibrate
 from monocal.fem import AssemblyPlan, gmres_solve
 from monocal.fibers import FiberAngles, generate_fibers
@@ -254,14 +254,12 @@ def test_rigid_recovery_is_exact_to_nanometer():
 def test_surface_projection_is_idempotent(twin_star):
     # Nearest-node snapping: a cloud already on mesh nodes must not move,
     # which is also why sub-element registration noise is absorbed.
-    n_vein = len(twin_star.vein_nodes)
-    vein = reg.RawCloud(points=twin_star.mesh.nodes[twin_star.vein_nodes],
-                        taus=twin_star.vein_taus,
-                        sites=[Site.EPI_VEIN] * n_vein,
-                        order=np.arange(n_vein))
-    once, _ = reg.nns_project(vein, twin_star.mesh, int(SurfaceTag.EPI))
-    twice, moves = reg.nns_project(once, twin_star.mesh, int(SurfaceTag.EPI))
-    np.testing.assert_array_equal(once.points, twice.points)
+    mesh = twin_star.mesh
+    once, _ = reg.nns_project(mesh.nodes[twin_star.vein_nodes], mesh,
+                              int(SurfaceTag.EPI))
+    twice, moves = reg.nns_project(mesh.nodes[once], mesh, int(SurfaceTag.EPI))
+    np.testing.assert_array_equal(once, twin_star.vein_nodes)
+    np.testing.assert_array_equal(twice, once)
     assert moves.max() == 0.0
 
 

@@ -19,7 +19,7 @@ def _output_with(mesh, activation):
     activation = np.asarray(activation, dtype=float)
     n = mesh.n_nodes
     return SimulationOutput(
-        activation=activation, activated=np.isfinite(activation),
+        activation=activation,
         peak_u=np.where(np.isfinite(activation), 1.5, 0.0),
         final_u=np.zeros(n), snapshots={}, mesh=mesh, manifest={})
 

@@ -605,7 +605,8 @@ _VALIDATION = {"sigma_hat": [1.45, 0.32, 0.065], "converged": True,
 
 @pytest.mark.parametrize("broken", [
     None, "trace_value", "validation_key", "validation_list",
-    "validation_json", "correlation_value"])
+    "validation_json", "validation_no_converged", "validation_empty",
+    "correlation_value"])
 def test_report_rejects_malformed_result_files(tmp_path, capsys, broken):
     results = tmp_path / "results"
     results.mkdir()
@@ -617,6 +618,10 @@ def test_report_rejects_malformed_result_files(tmp_path, capsys, broken):
         del validation["validation"]["five_number_rel"]
     elif broken == "validation_list":
         validation = [1.45, 0.32, 0.065]
+    elif broken == "validation_no_converged":
+        del validation["converged"]
+    elif broken == "validation_empty":
+        validation = {}
     with open(results / "trace.csv", "w", newline="") as handle:
         csv.writer(handle).writerows([TRACE_HEADER, row])
     text = json.dumps(validation)
@@ -739,6 +744,30 @@ def test_simulate_rejects_snapshot_times_that_share_a_field_name(
     assert message.startswith("error:")
     assert "1.0 and 1.0000001" in message and "u_1ms" in message
     assert simulated == []
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_reports_a_nan_snapshot_time_as_out_of_range(tmp_path,
+                                                             capsys):
+    mesh_config = tmp_path / "mesh.json"
+    mesh_config.write_text(json.dumps({
+        "kind": "slab", "h": 0.05, "extents": [0.2, 0.1, 0.05],
+        "out": str(tmp_path)}))
+    assert cli.main(["gen-mesh", "--config", str(mesh_config)]) == 0
+    sim_config = tmp_path / "sim.json"
+    text = json.dumps({
+        "mesh": str(tmp_path / "mesh.vtk"), "solver": {"t_end": 2.0},
+        "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
+        "snapshot_times": [float("nan")], "out": str(tmp_path / "sim")})
+    # the JSON literal NaN, which Python's json reads back as a float
+    assert '"snapshot_times": [NaN]' in text
+    sim_config.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(sim_config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert "snapshot time nan outside [0, t_end]" in message
     assert not (tmp_path / "sim").exists()
 
 

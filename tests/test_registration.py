@@ -221,45 +221,36 @@ class TestReadReferencePairs:
 
 
 class TestNnsProject:
-    def _cloud(self, points):
-        points = np.atleast_2d(points)
-        return RawCloud(points=points,
-                        taus=np.full(len(points), 50.0),
-                        sites=[Site.EPI_VEIN] * len(points),
-                        order=np.arange(len(points)))
-
     def test_coincident_point_is_unchanged(self, unit_cube):
-        node = unit_cube.nodes[6]
-        projected, moves = nns_project(self._cloud(node), unit_cube,
-                                       int(SurfaceTag.EPI))
-        assert np.array_equal(projected.points[0], node)
+        nodes, moves = nns_project(unit_cube.nodes[6], unit_cube,
+                                   int(SurfaceTag.EPI))
+        assert np.array_equal(nodes, [6])
         assert np.array_equal(moves, [0.0])
 
     def test_tie_snaps_to_the_lowest_node_id(self, unit_cube):
         # the face centroid is equidistant from all four corners
-        projected, _ = nns_project(self._cloud((0.5, 0.5, 0.0)), unit_cube,
-                                   int(SurfaceTag.ENDO))
+        nodes, _ = nns_project((0.5, 0.5, 0.0), unit_cube,
+                               int(SurfaceTag.ENDO))
         corner_ids = np.nonzero(
             (unit_cube.nodes[:, 2] == 0.0))[0]
-        assert np.array_equal(projected.points[0],
-                              unit_cube.nodes[corner_ids.min()])
+        assert np.array_equal(nodes, [corner_ids.min()])
 
     def test_projection_is_idempotent(self, unit_cube):
-        first, _ = nns_project(self._cloud((0.3, 0.1, -0.2)), unit_cube,
+        first, _ = nns_project((0.3, 0.1, -0.2), unit_cube,
                                int(SurfaceTag.ENDO))
-        second, moves = nns_project(first, unit_cube, int(SurfaceTag.ENDO))
-        assert np.array_equal(first.points, second.points)
+        second, moves = nns_project(unit_cube.nodes[first], unit_cube,
+                                    int(SurfaceTag.ENDO))
+        assert np.array_equal(first, second)
         assert np.array_equal(moves, [0.0])
 
     def test_tag_filter_restricts_the_targets(self, unit_cube):
-        near_endo = self._cloud((0.0, 0.0, 0.01))
-        projected, _ = nns_project(near_endo, unit_cube, int(SurfaceTag.EPI))
-        assert projected.points[0, 2] == 1.0  # forced up to the top face
+        nodes, _ = nns_project((0.0, 0.0, 0.01), unit_cube,
+                               int(SurfaceTag.EPI))
+        assert unit_cube.nodes[nodes[0], 2] == 1.0  # forced up to the top face
 
     def test_report_statistics(self, unit_cube):
-        projected, moves = nns_project(
-            self._cloud([(0.0, 0.0, 0.2), (1.0, 1.0, 0.1)]), unit_cube,
-            int(SurfaceTag.ENDO))
+        _, moves = nns_project([(0.0, 0.0, 0.2), (1.0, 1.0, 0.1)], unit_cube,
+                               int(SurfaceTag.ENDO))
         np.testing.assert_allclose(moves, [0.2, 0.1], rtol=1e-12)
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from monocal import cli, vtkio
 from monocal.errors import (InsufficientDataError, InvalidArgumentError,
                             SimulationDivergedError)
 from monocal.fibers import FiberField
@@ -16,8 +18,8 @@ from monocal.geometry import build_slab_mesh
 from monocal.ionic import rest_state
 from monocal.solver import (ACTIVATION_PEAK_FLOOR, PROGRESS_EVERY,
                             MonodomainSolver, SimulationOutput, SolverParams,
-                            _StimulusSets, build_conductivity_tensors,
-                            simulate)
+                            StimulusPlan, _StimulusSets,
+                            build_conductivity_tensors, simulate)
 
 from oracles import face_plan, measure_planar_cv, run_single_cell, single_plan
 
@@ -120,10 +122,51 @@ class TestApplyStimulus:
         # a mesh read from a title without h= has characteristic_size 0
         sizeless = dataclasses.replace(small_slab, characteristic_size=0.0)
         on_node = single_plan(small_slab.nodes[7])
-        assert _StimulusSets(sizeless, on_node, SolverParams()).groups
+        assert _StimulusSets(sizeless, on_node, SolverParams()).sites
         with pytest.raises(InvalidArgumentError, match="mesh has no size"):
             _StimulusSets(sizeless, single_plan((0.013, 0.02, 0.0)),
                           SolverParams())
+
+    @pytest.mark.parametrize("onsets", [(1.0, 1.0), (1.0, 3.0)],
+                             ids=["shared_onset", "different_onsets"])
+    def test_overlapping_balls_give_the_union_of_the_active_sites(
+            self, small_slab, onsets):
+        params = SolverParams(stimulus_radius=0.06)
+        points = np.array([(0.05, 0.0, 0.0), (0.1, 0.05, 0.0)])
+        stim = _StimulusSets(small_slab, StimulusPlan(points=points,
+                                                      onsets=onsets), params)
+        balls = [np.linalg.norm(small_slab.nodes - p, axis=1) <= 0.06
+                 for p in points]
+        assert (balls[0] & balls[1]).sum() == 2
+        end = params.stimulus_duration
+        for t in (0.5, 1.0, 2.0, 3.0, 5.5, 6.0, 7.5, 8.0):
+            on = np.zeros(small_slab.n_nodes, dtype=bool)
+            for ball, onset in zip(balls, onsets):
+                if onset <= t < onset + end:
+                    on |= ball
+            np.testing.assert_array_equal(
+                stim.current(t),
+                np.where(on, params.stimulus_amplitude, 0.0))
+
+    def test_plan_without_a_site_is_rejected(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="at least one stimulus site"):
+            StimulusPlan(points=np.zeros((0, 3)), onsets=np.zeros(0))
+
+    def test_cli_plan_without_a_site_is_rejected(self, small_slab, tmp_path,
+                                                 capsys):
+        vtkio.write_mesh(tmp_path / "mesh.vtk", small_slab)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({
+            "mesh": str(tmp_path / "mesh.vtk"), "stimulus_points": [],
+            "stimulus_onsets": [], "out": str(tmp_path / "sim")}))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--config", str(config)])
+        assert err.value.code == 1
+        message = capsys.readouterr().err
+        assert message.startswith("error:")
+        assert "at least one stimulus site" in message
+        assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("name,value", [
@@ -145,7 +188,6 @@ class TestSimulate:
                        single_plan((0.0, 0.0, 0.0)))
         assert np.max(np.abs(out.final_u)) <= 1e-9
         assert np.all(np.isnan(out.activation))
-        assert not out.activated.any()
         assert out.n_not_activated == small_slab.n_nodes
 
     def test_uniform_state_matches_the_single_cell_model(self):
@@ -404,8 +446,7 @@ class TestMeasurePlanarCv:
         activation = mesh.nodes[:, axis] / speed_cm_per_ms
         n = mesh.n_nodes
         return SimulationOutput(
-            activation=activation, activated=np.ones(n, dtype=bool),
-            peak_u=np.full(n, 1.5), final_u=np.zeros(n), snapshots={},
+            activation=activation, peak_u=np.full(n, 1.5), final_u=np.zeros(n), snapshots={},
             mesh=mesh, manifest={})
 
     def test_synthetic_linear_field_is_exact(self):
@@ -423,7 +464,7 @@ class TestMeasurePlanarCv:
     def test_unactivated_map_is_rejected(self):
         bar = build_slab_mesh((0.7, 0.07, 0.035), 0.035)
         out = self._linear_output(bar, 0.063)
-        out.activated[:] = False
+        out.activation[:] = np.nan
         with pytest.raises(InsufficientDataError):
             measure_planar_cv(out, axis=0)
 
