@@ -111,7 +111,7 @@ def read_measurements(path) -> RawCloud:
     """
     points, taus, sites = [], [], []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.DictReader(handle, restval="")
         header = reader.fieldnames or []
         missing = [c for c in MEASUREMENT_COLUMNS if c not in header]
         if missing:
@@ -161,7 +161,7 @@ def read_reference_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     """
     frames: dict[str, dict[str, np.ndarray]] = {"source": {}, "target": {}}
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.DictReader(handle, restval="")
         header = reader.fieldnames or []
         missing = [c for c in REFERENCE_COLUMNS if c not in header]
         if missing:

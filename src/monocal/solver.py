@@ -22,23 +22,25 @@ Two exact shortcuts keep the time loop short:
 - Quiet lead-in. Every run starts from rest (u = 0 and the resting
   gates on every node, `ionic.rest_state`), and paced runs start at an
   external fiducial, so the first onset often comes long after t = 0.
-  Until then no stimulus is on, so the right-hand side is zero, the
-  solve returns u = 0 at once, and only the gates move, alike on every
-  node; every rate is zero, so the activation times, best slopes and
-  peaks stay as step 1 set them (dt, 0 and 0). When u is still zero
-  after step 1, the run is advanced by stepping a single gate row up to
-  the first step with a stimulus. The snapshots and progress lines in
-  that window are still written, and the result is bit-identical to
-  stepping every node.
+  Until then no stimulus is on, the right-hand side is zero and a solve
+  would return u = 0, so the plan alone says which steps are quiet:
+  every step k > 1 with k dt before the first onset. A quiet step moves
+  one gate row (the gates move alike on every node), which the first
+  solve after the window broadcasts over the nodes; every rate is zero,
+  so the activation times, best slopes and peaks keep the values that
+  step 1, which always solves, set (dt, 0 and 0). Quiet steps still
+  write their snapshots and progress lines, and the result is
+  bit-identical to stepping every node.
 - Extrapolated start. Each step's conjugate-gradient solve starts from
-  2 u^n - u^(n-1) (u^n on the first step), a linear extrapolation in
-  time that saves iterations on smooth stretches (P. F. Fischer,
-  Comput. Methods Appl. Mech. Engrg. 163 (1998) 193). Each solve still
-  meets the same true-residual tolerance, but the differences from a
-  run that starts every solve from u^n add up over many steps through
-  the nonlinear upstroke, so u can drift from that run by more than the
-  tolerance, most near a moving front. Identical activation times are
-  therefore likely but not guaranteed.
+  2 u^n - u^(n-1), a linear extrapolation in time that saves
+  iterations on smooth stretches (P. F. Fischer, Comput. Methods Appl.
+  Mech. Engrg. 163 (1998) 193); u^(-1) is the rest state, so the first
+  solve starts from u^0. Each solve still meets the same true-residual
+  tolerance, but the differences from a run that starts every solve
+  from u^n add up over many steps through the nonlinear upstroke, so u
+  can drift from that run by more than the tolerance, most near a
+  moving front. Identical activation times are therefore likely but
+  not guaranteed.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class SolverParams:
             raise InvalidArgumentError(f"dt={self.dt} must be positive and finite")
         if not self.dt < self.t_end < np.inf:
             raise InvalidArgumentError("t_end must be finite and exceed dt")
+        if not self.t_end / self.dt < np.inf:
+            raise InvalidArgumentError("the step count t_end/dt must be finite")
         s = np.asarray(self.sigma, dtype=float)
         if s.shape != (3,) or not np.all((s > 0.0) & (s < np.inf)):
             raise InvalidArgumentError("sigma must be three positive finite values")
@@ -303,13 +307,14 @@ class MonodomainSolver:
         u, w = ionic.rest_state(n)
 
         n_steps = int(round(p.t_end / p.dt))
-        # every requested time, grouped by the step it rounds to
+        # every requested time, grouped by the step it rounds to; NaN and
+        # huge times fail the range check before the int conversion
         snap_steps: dict[int, list[float]] = {}
         for ts in snapshot_times:
-            k = int(round(ts / p.dt)) if np.isfinite(ts) else -1
+            k = np.rint(ts / p.dt)
             if not 0 <= k <= n_steps:
                 raise InvalidArgumentError(f"snapshot time {ts} outside [0, t_end]")
-            snap_steps.setdefault(k, []).append(float(ts))
+            snap_steps.setdefault(int(k), []).append(float(ts))
         last_snap = max(snap_steps, default=0)
         snapshots: dict[float, np.ndarray] = {}
         for ts in snap_steps.get(0, ()):
@@ -321,62 +326,54 @@ class MonodomainSolver:
         stim_end = stim_plan.onsets.max() + p.stimulus_duration
         first_onset = stim_plan.onsets.min()
         cg = {"calls": 0, "iterations": 0, "max_iterations": 0}
-        u_prev = None
+        u_prev = u
 
-        k = 0
-        while k < n_steps:
-            k += 1
+        for k in range(1, n_steps + 1):
             t = k * p.dt
-            x0 = u if u_prev is None else 2.0 * u - u_prev
-            try:
-                u_new, w, report = self.step(
-                    u, w, stim.current(t) * self.rate_scale, x0)
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(
-                    f"step {k} (t={t:.4g} ms): {exc}", best=exc.best,
-                    residual=exc.residual, iterations=exc.iterations) from exc
-            cg["calls"] += 1
-            cg["iterations"] += report.iterations
-            cg["max_iterations"] = max(cg["max_iterations"], report.iterations)
+            if 1 < k and t < first_onset:
+                # quiet lead-in (module docstring): only one gate row moves
+                w = ionic.step_gating(u[:1], w[:1], p.dt)
+                iterations = 0
+            else:
+                try:
+                    u_new, w, report = self.step(
+                        u, w, stim.current(t) * self.rate_scale,
+                        2.0 * u - u_prev)
+                except NonConvergenceError as exc:
+                    raise NonConvergenceError(
+                        f"step {k} (t={t:.4g} ms): {exc}", best=exc.best,
+                        residual=exc.residual, iterations=exc.iterations) from exc
+                iterations = report.iterations
+                cg["calls"] += 1
+                cg["iterations"] += iterations
+                cg["max_iterations"] = max(cg["max_iterations"], iterations)
 
-            rate = np.abs(u_new - u) / p.dt
-            faster = rate > best_rate
-            best_rate[faster] = rate[faster]
-            activation[faster] = t
-            np.maximum(peak, u_new, out=peak)
-            if np.abs(u_new).max() > 5.0:
-                raise SimulationDivergedError(
-                    f"potential magnitude exceeded 5 at t={t:.4g} ms",
-                    step=k, time_ms=t)
-            u_prev, u = u, u_new
+                rate = np.abs(u_new - u) / p.dt
+                faster = rate > best_rate
+                best_rate[faster] = rate[faster]
+                activation[faster] = t
+                np.maximum(peak, u_new, out=peak)
+                if np.abs(u_new).max() > 5.0:
+                    raise SimulationDivergedError(
+                        f"potential magnitude exceeded 5 at t={t:.4g} ms",
+                        step=k, time_ms=t)
+                u_prev, u = u, u_new
             for ts in snap_steps.get(k, ()):
                 snapshots[ts] = u.copy()
             if k % PROGRESS_EVERY == 0:
                 logger.info(_PROGRESS, k, n_steps, t, float(u.max()),
-                            int(report.iterations))
+                            iterations)
+            # a quiet step has t < first_onset <= stim_end: only a full
+            # step can stop the run
             if (p.stop_when_activated and last_snap <= k < n_steps
-                    and np.all(peak >= ACTIVATION_PEAK_FLOOR)
-                    and t >= stim_end and rate.max() < 1.0):
+                    and t >= stim_end and np.all(peak >= ACTIVATION_PEAK_FLOOR)
+                    and rate.max() < 1.0):
                 # every node has seen its upstroke and the remaining
                 # dynamics (plateau, repolarization) are far too slow to
                 # displace any running slope maximum
                 logger.info("all nodes activated by t=%.3f ms; stopping early", t)
                 n_steps = k
                 break
-            if k == 1 and not u.any():
-                # quiet lead-in (module docstring): up to the first onset
-                # only the gates move, alike on every node, and the rate,
-                # activation and peak bookkeeping has nothing to update
-                row = w[:1]
-                while k < n_steps and first_onset > (k + 1) * p.dt:
-                    k += 1
-                    row = ionic.step_gating(u[:1], row, p.dt)
-                    for ts in snap_steps.get(k, ()):
-                        snapshots[ts] = u.copy()
-                    if k % PROGRESS_EVERY == 0:
-                        logger.info(_PROGRESS, k, n_steps, k * p.dt, 0.0, 0)
-                w = np.repeat(row, n, axis=0)
-                u_prev = u
 
         activation[peak < ACTIVATION_PEAK_FLOOR] = np.nan
         manifest = {

@@ -755,20 +755,22 @@ def test_simulate_reports_a_nan_snapshot_time_as_out_of_range(tmp_path,
         "out": str(tmp_path)}))
     assert cli.main(["gen-mesh", "--config", str(mesh_config)]) == 0
     sim_config = tmp_path / "sim.json"
-    text = json.dumps({
-        "mesh": str(tmp_path / "mesh.vtk"), "solver": {"t_end": 2.0},
-        "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
-        "snapshot_times": [float("nan")], "out": str(tmp_path / "sim")})
-    # the JSON literal NaN, which Python's json reads back as a float
-    assert '"snapshot_times": [NaN]' in text
-    sim_config.write_text(text)
-    with pytest.raises(SystemExit) as err:
-        cli.main(["simulate", "--config", str(sim_config)])
-    assert err.value.code == 1
-    message = capsys.readouterr().err
-    assert message.startswith("error:")
-    assert "snapshot time nan outside [0, t_end]" in message
-    assert not (tmp_path / "sim").exists()
+    # NaN, and a time whose step count overflows an int
+    for when, literal in ((float("nan"), "NaN"), (1e308, "1e+308")):
+        text = json.dumps({
+            "mesh": str(tmp_path / "mesh.vtk"), "solver": {"t_end": 2.0},
+            "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
+            "snapshot_times": [when], "out": str(tmp_path / "sim")})
+        # NaN as the JSON literal, which Python's json reads back as a float
+        assert f'"snapshot_times": [{literal}]' in text
+        sim_config.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--config", str(sim_config)])
+        assert err.value.code == 1
+        message = capsys.readouterr().err
+        assert message.startswith("error:")
+        assert f"snapshot time {when} outside [0, t_end]" in message
+        assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("fiber_x, mesh_x", [(0.2, 0.3), (0.3, 0.2)],

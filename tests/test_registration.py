@@ -89,6 +89,12 @@ class TestReadMeasurements:
         with pytest.raises(DataFormatError, match="site"):
             read_measurements(path)
 
+    def test_row_that_stops_before_its_site_names_the_row(self, tmp_path):
+        path = _write(tmp_path, "m.csv", MEASUREMENT_HEADER + "\n1,2,3,4\n")
+        with pytest.raises(DataFormatError, match="unknown site ''") as err:
+            read_measurements(path)
+        assert err.value.row == 2
+
     def test_empty_file_is_rejected(self, tmp_path):
         path = _write(tmp_path, "m.csv", MEASUREMENT_HEADER + "\n")
         with pytest.raises(DataFormatError, match="no measurement rows"):
@@ -211,6 +217,13 @@ class TestReadReferencePairs:
                       "b,target,1,0,0\n")
         with pytest.raises(DataFormatError):
             read_reference_pairs(path)
+
+    def test_row_that_stops_before_its_frame_names_the_row(self, tmp_path):
+        path = _write(tmp_path, "r.csv", REFERENCE_HEADER + "\napex\n")
+        with pytest.raises(DataFormatError,
+                           match="frame must be source or target, got ''") as err:
+            read_reference_pairs(path)
+        assert err.value.row == 2
 
     def test_wrong_count_is_rejected(self, tmp_path):
         path = _write(tmp_path, "r.csv", REFERENCE_HEADER + "\n"

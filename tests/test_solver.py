@@ -174,7 +174,7 @@ class TestApplyStimulus:
     ("c_m", np.inf), ("stimulus_amplitude", np.nan),
     ("stimulus_amplitude", np.inf), ("stimulus_radius", np.nan),
     ("stimulus_duration", np.inf), ("sigma", (np.nan, 0.3, 0.1)),
-    ("sigma", (1.3, np.inf, 0.1)),
+    ("sigma", (1.3, np.inf, 0.1)), ("t_end", 1e308),
 ])
 def test_non_finite_parameter_is_rejected(name, value):
     with pytest.raises(InvalidArgumentError, match="finite"):
@@ -269,7 +269,7 @@ class TestSimulate:
         with pytest.raises(InvalidArgumentError, match="onset"):
             simulate(small_slab, None, params, plan)
 
-    @pytest.mark.parametrize("when", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("when", [np.nan, np.inf, -np.inf, 1e308])
     def test_non_finite_snapshot_time_is_rejected(self, small_slab, when):
         with pytest.raises(InvalidArgumentError, match="snapshot time"):
             simulate(small_slab, None, SolverParams(t_end=1.0),
@@ -355,7 +355,8 @@ def _assert_same_run(out, oracle):
 
 
 class TestTimeLoop:
-    """The quiet lead-in fast-forward and the extrapolated CG start."""
+    """The quiet lead-in's one-row gate steps and the extrapolated CG
+    start, each against stepping every node (`_stepped`)."""
 
     @staticmethod
     def _bar_solver(t_end=20.0):
@@ -387,6 +388,16 @@ class TestTimeLoop:
         out = solver.simulate(plan, snapshot_times=[1.0])
         _assert_same_run(out, _stepped(solver, plan, snapshot_times=[1.0]))
         assert out.manifest["linear_solver"]["calls"] == 400
+
+    def test_onset_at_t_end_is_quiet_up_to_the_last_step(self):
+        # only step 1 and the last step solve; the last one gets the gate
+        # row of the window broadcast over the nodes
+        solver = self._bar_solver(t_end=10.0)
+        plan = face_plan(solver.mesh, axis=0, side="min", onset=10.0)
+        times = [solver.params.dt, 5.0, 10.0]
+        out = solver.simulate(plan, snapshot_times=times)
+        _assert_same_run(out, _stepped(solver, plan, snapshot_times=times))
+        assert out.manifest["linear_solver"]["calls"] == 2
 
     def test_quiet_window_logs_its_progress(self, caplog):
         solver = self._bar_solver(t_end=10.0)
