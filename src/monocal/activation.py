@@ -17,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (DegenerateConfigurationError, InsufficientDataError,
-                     InvalidArgumentError)
+from .errors import InvalidArgumentError
 from .solver import SimulationOutput
 
 
@@ -51,15 +50,6 @@ def extract_activation_at(output: SimulationOutput, points) -> np.ndarray:
     return output.activation[idx]
 
 
-def _paired(computed, measured):
-    c = np.atleast_1d(np.asarray(computed, dtype=float))
-    m = np.atleast_1d(np.asarray(measured, dtype=float))
-    if c.shape != m.shape or c.ndim != 1:
-        raise InvalidArgumentError(
-            f"computed and measured lengths differ: {c.shape} vs {m.shape}")
-    return c, m
-
-
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
     """(min, Q1, median, Q3, max) with linearly interpolated quartiles."""
     v = np.asarray(values, dtype=float)
@@ -67,25 +57,6 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
         raise InvalidArgumentError("five-number summary of an empty set")
     q = np.percentile(v, [0.0, 25.0, 50.0, 75.0, 100.0])
     return tuple(float(x) for x in q)
-
-
-def regression_stats(computed, measured) -> tuple[float, float]:
-    """Slope and R^2 of the least-squares line computed = a + s * measured."""
-    c, m = _paired(computed, measured)
-    ok = np.isfinite(c) & np.isfinite(m)
-    c, m = c[ok], m[ok]
-    if len(c) < 3:
-        raise InsufficientDataError("regression needs at least 3 points")
-    m0 = m - m.mean()
-    sxx = m0 @ m0
-    if sxx <= 0.0:
-        raise DegenerateConfigurationError("measured times have zero variance")
-    slope = (m0 @ (c - c.mean())) / sxx
-    residual = c - (c.mean() + slope * m0)
-    total = c - c.mean()
-    sst = total @ total
-    r2 = 1.0 if sst == 0.0 else 1.0 - (residual @ residual) / sst
-    return float(slope), float(r2)
 
 
 @dataclass
@@ -131,9 +102,15 @@ def error_stats(computed, measured) -> ErrorReport:
     errors divided by the group's largest measured time, and divided by
     each point's own measured time. Standard deviations use the
     population convention (N divisor). NaN computed entries (not
-    activated) are excluded and counted.
+    activated) are excluded and counted. The slope and R^2 are those of
+    the least-squares line computed = a + slope * measured, NaN unless
+    at least 3 points remain and their measured times vary.
     """
-    c, m = _paired(computed, measured)
+    c = np.atleast_1d(np.asarray(computed, dtype=float))
+    m = np.atleast_1d(np.asarray(measured, dtype=float))
+    if c.shape != m.shape or c.ndim != 1:
+        raise InvalidArgumentError(
+            f"computed and measured lengths differ: {c.shape} vs {m.shape}")
     ok = np.isfinite(c)
     n_missing = int((~ok).sum())
     c, m = c[ok], m[ok]
@@ -147,10 +124,15 @@ def error_stats(computed, measured) -> ErrorReport:
     tau_max = m.max()
     rel = e / tau_max
     rel_pw = e / m
-    if len(c) >= 3 and np.ptp(m) > 0.0:
-        slope, r2 = regression_stats(c, m)
-    else:
-        slope, r2 = np.nan, np.nan
+    m0 = m - m.mean()
+    sxx = m0 @ m0
+    slope = r2 = np.nan
+    if len(c) >= 3 and sxx > 0.0:
+        slope = float((m0 @ (c - c.mean())) / sxx)
+        residual = c - (c.mean() + slope * m0)
+        total = c - c.mean()
+        sst = total @ total
+        r2 = float(1.0 if sst == 0.0 else 1.0 - (residual @ residual) / sst)
     return ErrorReport(
         errors=d,
         mean_rel=float(rel.mean()), mean_rel_pointwise=float(rel_pw.mean()),

@@ -133,14 +133,14 @@ class CalibrationResult:
     again. best is the last iterate when converged, else the first of
     lowest misfit. calibration is the group-I cloud as used: ordered by
     time, then acquisition order, and cut to max_cal_points. The records'
-    times follow it and the validation cloud given; they are empty, and
-    validation None, when there was none.
+    times follow it and the validation cloud given. validation compares
+    best's group-II times with the measured ones.
     """
 
     iterations: list[IterationRecord]
     best: IterationRecord
     converged: bool
-    validation: act.ErrorReport | None
+    validation: act.ErrorReport
     calibration: RawCloud
 
 
@@ -159,26 +159,24 @@ def update_sigma(sigma, error_sum_ms: float, box: ConductivityBox,
 
 def calibrate(mesh: Mesh, fiber_field: FiberField | None,
               stim_plan: slv.StimulusPlan, cal: RawCloud,
-              config: CalibrationConfig | None = None,
-              val: RawCloud | None = None) -> CalibrationResult:
-    """Estimate conductivities from the calibration points by direct search.
+              config: CalibrationConfig, val: RawCloud) -> CalibrationResult:
+    """Fit sigma to group I by direct search and validate it on group II.
 
     Stops when the mean per-point signed error falls below tol_ms and
     every calibration point activated (converged), or on misfit
     stagnation / iteration budget (converged False, best-misfit iterate
     kept; an iterate with unactivated points has infinite misfit).
 
-    Each distinct triple is simulated once, and the estimate's record
-    carries the times of both groups; the validation report compares its
-    validation times when a non-empty validation cloud is given.
+    Each distinct triple is simulated once, and every record carries the
+    times of both groups; the validation report compares the estimate's
+    group-II times with the measured ones. Both clouds must be non-empty.
     """
-    config = config or CalibrationConfig()
-    if not len(cal):
-        raise InvalidArgumentError("calibration cloud is empty")
+    for name, cloud in (("calibration", cal), ("validation", val)):
+        if not len(cloud):
+            raise InvalidArgumentError(f"{name} cloud is empty")
     cal = cal.subset(np.lexsort((cal.order, cal.taus))[:config.max_cal_points])
-    has_val = val is not None and len(val) > 0
     # one lookup per simulation gives both groups' times
-    points = np.vstack([cal.points, val.points]) if has_val else cal.points
+    points = np.vstack([cal.points, val.points])
     n_cal = len(cal)
     records: list[IterationRecord] = []
     evaluated: dict[bytes, IterationRecord] = {}
@@ -224,11 +222,10 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
 
     best = records[-1] if converged else \
         min(records, key=lambda r: r.report.misfit)
-    validation = act.error_stats(best.validation_computed, val.taus) \
-        if has_val else None
-    return CalibrationResult(iterations=records, best=best,
-                             converged=converged, validation=validation,
-                             calibration=cal)
+    return CalibrationResult(
+        iterations=records, best=best, converged=converged,
+        validation=act.error_stats(best.validation_computed, val.taus),
+        calibration=cal)
 
 
 def write_trace(path, result: CalibrationResult) -> None:

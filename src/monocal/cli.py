@@ -322,7 +322,7 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
         "sigma_hat": [float(v) for v in best.sigma],
         "converged": result.converged,
         "iterations": len(result.iterations),
-        "validation": None if report is None else {
+        "validation": {
             "mean_rel": report.mean_rel,
             "mean_rel_pointwise": report.mean_rel_pointwise,
             "std_rel": report.std_rel,
@@ -354,31 +354,36 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     sig = ", ".join(f"{v:.4f}" for v in best.sigma)
     print(f"sigma_hat = ({sig})  converged={result.converged}  "
           f"iterations={len(result.iterations)}")
-    if report is not None:
-        print(f"validation mean relative error = {100 * report.mean_rel:.2f}%")
+    print(f"validation mean relative error = {100 * report.mean_rel:.2f}%")
     print(f"wrote {trace_path}, {validation_path}, {correlation_path}")
 
 
-def _validation_lines(validation: dict) -> list[str]:
-    """Report lines for a calibrate run's validation.json payload; each of
-    its four keys is required (a missing one raises KeyError)."""
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataFormatError(
+            f"{what} must hold a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _validation_lines(validation: dict, path: Path) -> list[str]:
+    """Report lines for the validation.json payload at path. Each of its
+    four keys is required (a missing one raises KeyError), and its
+    'validation' value is the group-II report, a JSON object."""
     sig = ", ".join(f"{v:.4f}" for v in validation["sigma_hat"])
-    lines = ["", f"estimated conductivities (mS/cm): {sig}",
-             f"converged: {validation['converged']} "
-             f"after {validation['iterations']} iterations"]
-    rep = validation["validation"]
-    if rep:
-        five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
-        lines += [
-            "", "validation (group II):",
-            f"  mean relative error: {100 * rep['mean_rel']:.3f}%",
-            "  mean pointwise relative error: "
-            f"{100 * rep['mean_rel_pointwise']:.3f}%",
-            f"  std of relative errors: {100 * rep['std_rel']:.3f}%",
-            f"  five-number summary of relative errors (%): {five}",
-            f"  regression slope {rep['slope']:.4f}, "
-            f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
-    return lines
+    rep = _json_object(validation["validation"], f"'validation' in {path}")
+    five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
+    return [
+        "", f"estimated conductivities (mS/cm): {sig}",
+        f"converged: {validation['converged']} "
+        f"after {validation['iterations']} iterations",
+        "", "validation (group II):",
+        f"  mean relative error: {100 * rep['mean_rel']:.3f}%",
+        "  mean pointwise relative error: "
+        f"{100 * rep['mean_rel_pointwise']:.3f}%",
+        f"  std of relative errors: {100 * rep['std_rel']:.3f}%",
+        f"  five-number summary of relative errors (%): {five}",
+        f"  regression slope {rep['slope']:.4f}, "
+        f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
 
 
 def cmd_report(config: dict, tracker: _OutputTracker) -> None:
@@ -403,12 +408,9 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     validation_path = results / "validation.json"
     if validation_path.exists():
         with _reported_as(f"file {validation_path}"):
-            validation = json.loads(validation_path.read_text())
-            if not isinstance(validation, dict):
-                raise DataFormatError(
-                    f"{validation_path} must hold a JSON object, got "
-                    f"{type(validation).__name__}")
-            lines += _validation_lines(validation)
+            validation = _json_object(json.loads(validation_path.read_text()),
+                                      str(validation_path))
+            lines += _validation_lines(validation, validation_path)
 
     correlation_path = results / "correlation.csv"
     if correlation_path.exists():

@@ -66,7 +66,8 @@ FRAME_TOL = 1e-8
 @dataclass
 class FiberField:
     """Orthonormal (fiber, sheet, normal) triple at every node, checked
-    when the field is made."""
+    when the field is made: f, s and n have shape (n, 3) and singular
+    shape (n,)."""
 
     f: np.ndarray
     s: np.ndarray
@@ -77,8 +78,15 @@ class FiberField:
         self.validate()
 
     def validate(self) -> None:
+        n = len(self.f)
+        if np.shape(self.singular) != (n,):
+            raise InvalidArgumentError("the singular field has shape "
+                                       f"{np.shape(self.singular)}, expected ({n},)")
         # written so that a NaN component fails the checks
-        for name, v in (("f", self.f), ("s", self.s), ("n", self.n)):
+        for name, v in (("fiber", self.f), ("sheet", self.s), ("normal", self.n)):
+            if np.shape(v) != (n, 3):
+                raise InvalidArgumentError(f"the {name} field has shape "
+                                           f"{np.shape(v)}, expected ({n}, 3)")
             if not np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= FRAME_TOL:
                 raise InvalidArgumentError(f"{name} axis is not unit length")
         if not (np.abs(np.sum(self.f * self.s, axis=1)).max() <= FRAME_TOL
@@ -190,15 +198,15 @@ def nodal_gradients(mesh: Mesh, *fields: np.ndarray) -> list[np.ndarray]:
     return [out / wsum[:, None] for out in sums]
 
 
-def generate_fibers(mesh: Mesh, angles: FiberAngles | None = None) -> FiberField:
-    """Build the orthonormal fiber frame at every node.
+def generate_fibers(mesh: Mesh, angles: FiberAngles) -> FiberField:
+    """Build the orthonormal fiber frame at every node, with fiber and
+    sheet angles interpolated across the wall from angles.
 
     Nodes where the frame degenerates (vanishing transmural gradient, or
     apicobasal gradient parallel to it, as happens near the apex) are
     flagged singular and inherit the frame of the nearest regular node,
     the lowest id among equally near ones (`Mesh.nearest_nodes`).
     """
-    angles = angles or FiberAngles()
     laplace = fem.AssemblyPlan.of(mesh).stiffness(np.eye(3))
     phi = solve_transmural(mesh, laplace)
     psi = solve_apicobasal(mesh, laplace)

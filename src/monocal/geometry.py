@@ -64,15 +64,12 @@ class Mesh:
     def n_elems(self) -> int:
         return self.elems.shape[0]
 
-    def boundary_node_ids(self, tags=None) -> np.ndarray:
-        """Sorted ids of nodes on boundary faces, optionally filtered by tag."""
-        if tags is None:
-            faces = self.boundary_faces
-        else:
-            wanted = np.atleast_1d(np.asarray(tags, dtype=int))
-            mask = np.isin(self.boundary_tags, wanted)
-            faces = self.boundary_faces[mask]
-        return np.unique(faces)
+    def boundary_node_ids(self, tag=None) -> np.ndarray:
+        """Sorted ids of the nodes on boundary faces: all of them, or
+        those of the faces tagged tag (one `SurfaceTag` value)."""
+        if tag is None:
+            return np.unique(self.boundary_faces)
+        return np.unique(self.boundary_faces[self.boundary_tags == tag])
 
     def nearest_nodes(self, points, ids=None) -> tuple[np.ndarray, np.ndarray]:
         """Nearest node to each point among ids (any order; default: all)
@@ -106,8 +103,9 @@ class Mesh:
     def validate(self) -> None:
         """Run the structural audit; raises InvalidArgumentError on defects.
 
-        Checks node index ranges, corner distinctness, corner Jacobian
-        positivity, tag alignment and closedness of the boundary surface.
+        Checks that there is at least one element, node index ranges,
+        corner distinctness, corner Jacobian positivity, tag alignment and
+        closedness of the boundary surface.
         """
         nodes, elems = self.nodes, self.elems
         if nodes.ndim != 2 or nodes.shape[1] != 3:
@@ -116,7 +114,9 @@ class Mesh:
             raise InvalidArgumentError("node coordinates contain non-finite values")
         if elems.ndim != 2 or elems.shape[1] != 8:
             raise InvalidArgumentError("elems must have shape (m, 8)")
-        if elems.min(initial=0) < 0 or elems.max(initial=-1) >= len(nodes):
+        if len(elems) == 0:
+            raise InvalidArgumentError("mesh has no elements")
+        if elems.min() < 0 or elems.max() >= len(nodes):
             raise InvalidArgumentError("element connectivity references unknown nodes")
         sorted_corners = np.sort(elems, axis=1)
         if np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1]):

@@ -4,14 +4,15 @@ Measurements arrive in the mapping device's millimeter frame. Three
 reference landmarks known in both frames fix a rigid transform; the
 transformed points are then snapped to the nearest node of the relevant
 tagged surface, and the vein points are split into an early-activating
-calibration half and a late-activating validation half. `nns_project`
-is the one surface snap: it returns node ids by `Mesh.nearest_nodes`
-(the lowest id of equally near nodes), and the twin snaps its septal
-and vein points with it too. A measured map is one `RawCloud`
-throughout: `register` returns the projected cloud with one group label
-per point (`input`, `I`, `II`), and `split_samples` cuts it into the
-three group clouds plus the stimulus plan, the stage the command line
-runs.
+calibration half and a late-activating validation half. `register`
+accepts only maps with septal points and 2 or more vein points, so both
+halves are non-empty. `nns_project` is the one surface snap: it returns
+node ids by `Mesh.nearest_nodes` (the lowest id of equally near nodes),
+and the twin snaps its septal and vein points with it too. A measured
+map is one `RawCloud` throughout: `register` returns the projected
+cloud with one group label per point (`input`, `I`, `II`), and
+`split_samples` cuts it into the three group clouds plus the stimulus
+plan, the stage the command line runs.
 """
 
 from __future__ import annotations
@@ -228,15 +229,15 @@ def rigid_from_three_pairs(source: np.ndarray, target: np.ndarray
     return RigidTransform(rotation=rotation, translation=translation)
 
 
-def nns_project(points, mesh: Mesh, tags) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest node on the tagged surface to each point.
+def nns_project(points, mesh: Mesh, tag) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node to each point on the surface of one `SurfaceTag` tag.
 
     Returns each point's node id and its displacement to that node (cm).
     Projecting the nodes found again returns the same ids, unmoved.
     """
-    candidates = mesh.boundary_node_ids(tags)
+    candidates = mesh.boundary_node_ids(tag)
     if candidates.size == 0:
-        raise InvalidArgumentError(f"no boundary nodes carry tags {tags}")
+        raise InvalidArgumentError(f"no boundary nodes carry tag {tag}")
     return mesh.nearest_nodes(points, candidates)
 
 
@@ -255,14 +256,13 @@ def split_groups(taus, order) -> tuple[np.ndarray, np.ndarray]:
 
 
 def group_labels(cloud: RawCloud) -> np.ndarray:
-    """One group label per point: septal points are stimulus inputs,
-    vein points split into the calibration and validation halves."""
+    """One group label per point: septal points are stimulus inputs, the
+    vein points (at least 2) split into non-empty group I and II halves."""
     labels = np.full(len(cloud), Group.INPUT.value)
     vein = np.nonzero([s is Site.EPI_VEIN for s in cloud.sites])[0]
-    if vein.size:
-        cal, val = split_groups(cloud.taus[vein], cloud.order[vein])
-        labels[vein[cal]] = Group.CAL_I.value
-        labels[vein[val]] = Group.VAL_II.value
+    cal, val = split_groups(cloud.taus[vein], cloud.order[vein])
+    labels[vein[cal]] = Group.CAL_I.value
+    labels[vein[val]] = Group.VAL_II.value
     return labels
 
 
@@ -305,11 +305,9 @@ def register(mesh: Mesh, measurements_path, references_path
 def split_samples(cloud: RawCloud, groups):
     """Pacing inputs, calibration (group I) and validation (group II)
     clouds, plus the stimulus plan that paces at the inputs' sites and
-    times."""
+    times (which rejects a cloud without inputs)."""
     groups = np.asarray(groups)
     inputs, cal, val = (cloud.subset(groups == g.value)
                         for g in (Group.INPUT, Group.CAL_I, Group.VAL_II))
-    if not len(inputs):
-        raise InvalidArgumentError("no septum sites to pace from")
     return inputs, cal, val, StimulusPlan(points=inputs.points,
                                           onsets=inputs.taus)

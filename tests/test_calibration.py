@@ -48,6 +48,16 @@ def bar_cloud(taus, points=BAR_POINTS):
                     order=np.arange(len(taus)))
 
 
+# A bar node between the stimulated end and the calibration points: it
+# activates in every run, so a calibration validated on it has a group-II
+# report.
+VAL_POINT = np.array([[0.10, 0.05, 0.05]])
+
+
+def bar_val():
+    return bar_cloud([5.0], VAL_POINT)
+
+
 def bar_config(**overrides):
     base = dict(solver=bar_params((1.0, 1.0, 1.0)), beta=BAR_BETA,
                 tol_ms=0.25, max_iters=20)
@@ -254,7 +264,7 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
     star = mid + np.array(cal.DEFAULT_BETA) * (-0.55)
     taus = bar_taus(bar, bar_plan, star)
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
-                           bar_config())
+                           bar_config(), val=bar_val())
     assert result.converged
     assert len(result.iterations) <= 10
     np.testing.assert_allclose(result.best.sigma[:2], star[:2], rtol=0.05)
@@ -266,7 +276,7 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
 def test_calibrate_iterates_stay_inside_box(bar, bar_plan, midpoint_taus):
     result = cal.calibrate(bar, None, bar_plan,
                            bar_cloud(midpoint_taus + 500.0),
-                           bar_config(max_iters=8))
+                           bar_config(max_iters=8), val=bar_val())
     box = cal.ConductivityBox()
     for record in result.iterations:
         assert box.contains(record.sigma)
@@ -279,7 +289,7 @@ def test_calibrate_stagnates_at_box_edge_on_unreachable_data(
     # and the misfit stops moving, so the search reports failure.
     result = cal.calibrate(bar, None, bar_plan,
                            bar_cloud(midpoint_taus + 500.0),
-                           bar_config(max_iters=8))
+                           bar_config(max_iters=8), val=bar_val())
     assert not result.converged
     assert len(result.iterations) < 8
     np.testing.assert_array_equal(result.best.sigma,
@@ -293,7 +303,7 @@ def test_calibrate_keeps_best_misfit_iterate_when_not_converged(
         bar, bar_plan, midpoint_taus):
     result = cal.calibrate(bar, None, bar_plan,
                            bar_cloud(midpoint_taus + 500.0),
-                           bar_config(max_iters=8))
+                           bar_config(max_iters=8), val=bar_val())
     best = min(result.iterations, key=lambda r: r.report.misfit)
     np.testing.assert_array_equal(result.best.sigma, best.sigma)
 
@@ -305,10 +315,11 @@ def test_calibrate_never_converges_with_unactivated_points(
     taus = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     computed = np.array([np.nan, 20.0, 30.0, 40.0, 50.0])
     monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: None)
+    # the validation point activates at 5 ms
     monkeypatch.setattr(cal.act, "extract_activation_at",
-                        lambda output, points: computed.copy())
+                        lambda output, points: np.append(computed, 5.0))
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
-                           bar_config(max_iters=3))
+                           bar_config(max_iters=3), val=bar_val())
     assert not result.converged
     assert len(result.iterations) == 3
     for record in result.iterations:
@@ -317,9 +328,7 @@ def test_calibrate_never_converges_with_unactivated_points(
         assert record.report.misfit == np.inf
 
 
-@pytest.mark.parametrize("with_val", [False, True])
-def test_calibrate_compares_once_per_iteration(bar, bar_plan, monkeypatch,
-                                               with_val):
+def test_calibrate_compares_once_per_iteration(bar, bar_plan, monkeypatch):
     # the first iterate lags every point by 10 ms, the second matches
     taus = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     val_taus = np.array([15.0, 25.0])
@@ -339,11 +348,10 @@ def test_calibrate_compares_once_per_iteration(bar, bar_plan, monkeypatch,
 
     monkeypatch.setattr(cal.act, "error_stats", counted)
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
-                           bar_config(),
-                           val=bar_cloud(val_taus) if with_val else None)
+                           bar_config(), val=bar_cloud(val_taus))
     assert result.converged
     assert len(result.iterations) == 2
-    assert calls == [5, 5] + ([2] if with_val else [])
+    assert calls == [5, 5, 2]
     first = result.iterations[0].report
     assert first.errors.sum() == 50.0
     assert first.misfit == 250.0
@@ -418,20 +426,18 @@ def test_calibrate_tolerates_an_iterate_without_validation_times(
     assert result.validation.n_not_activated == 0
 
 
-def test_calibrate_without_validation_samples_has_no_report(
-        bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
-                           bar_config(tol_ms=1.0))
-    assert result.validation is None
-    assert result.best.validation_computed.shape == (0,)
-    np.testing.assert_array_equal(result.best.calibration_computed,
-                                  midpoint_taus)
+def test_calibrate_rejects_an_empty_validation_cloud(bar, bar_plan,
+                                                    midpoint_taus):
+    with pytest.raises(InvalidArgumentError, match="validation cloud"):
+        cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
+                      bar_config(tol_ms=1.0), val=bar_cloud([]))
 
 
 def test_calibrate_truncates_to_earliest_activation_times(
         bar, bar_plan, midpoint_taus):
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
-                           bar_config(tol_ms=1.0, max_cal_points=3))
+                           bar_config(tol_ms=1.0, max_cal_points=3),
+                           val=bar_val())
     kept = sorted(midpoint_taus)[:3]
     assert result.calibration.taus.tolist() == kept
 
@@ -447,7 +453,7 @@ def test_calibrate_breaks_time_ties_by_acquisition_order(bar, bar_plan,
     by_order = BAR_POINTS[np.argsort(order)]
     for k in (None, 2):
         result = cal.calibrate(bar, None, bar_plan, cloud,
-                               bar_config(max_cal_points=k))
+                               bar_config(max_cal_points=k), val=bar_val())
         kept = np.arange(5)[:k]
         np.testing.assert_array_equal(result.calibration.order, kept)
         np.testing.assert_array_equal(result.calibration.points,
@@ -457,7 +463,7 @@ def test_calibrate_breaks_time_ties_by_acquisition_order(bar, bar_plan,
 def test_calibrate_isotropic_search_keeps_triple_equal(bar, bar_plan):
     taus = bar_taus(bar, bar_plan, (1.0, 1.0, 1.0))
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
-                           bar_config(isotropic=True))
+                           bar_config(isotropic=True), val=bar_val())
     assert result.converged
     assert result.best.sigma[0] == result.best.sigma[1] == result.best.sigma[2]
     assert result.best.sigma[0] == pytest.approx(1.0, rel=0.10)
@@ -468,9 +474,9 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
     star = mid + np.array(cal.DEFAULT_BETA) * (-0.55)
     taus = bar_taus(bar, bar_plan, star)
     first = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
-                          bar_config(max_iters=3))
+                          bar_config(max_iters=3), val=bar_val())
     second = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
-                           bar_config(max_iters=3))
+                           bar_config(max_iters=3), val=bar_val())
     np.testing.assert_array_equal(first.best.sigma, second.best.sigma)
     assert [r.report.errors.sum() for r in first.iterations] \
         == [r.report.errors.sum() for r in second.iterations]
@@ -478,7 +484,8 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
 
 def test_calibrate_rejects_empty_sample_list(bar, bar_plan):
     with pytest.raises(InvalidArgumentError, match="empty"):
-        cal.calibrate(bar, None, bar_plan, bar_cloud([]), bar_config())
+        cal.calibrate(bar, None, bar_plan, bar_cloud([]), bar_config(),
+                      val=bar_val())
 
 
 def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):
@@ -489,7 +496,7 @@ def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):
 
 def test_trace_round_trip(tmp_path, bar, bar_plan, midpoint_taus):
     result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
-                           bar_config(tol_ms=1.0))
+                           bar_config(tol_ms=1.0), val=bar_val())
     path = tmp_path / "trace.csv"
     cal.write_trace(path, result)
     with open(path, newline="") as handle:

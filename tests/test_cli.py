@@ -606,7 +606,7 @@ _VALIDATION = {"sigma_hat": [1.45, 0.32, 0.065], "converged": True,
 @pytest.mark.parametrize("broken", [
     None, "trace_value", "validation_key", "validation_list",
     "validation_json", "validation_no_converged", "validation_empty",
-    "correlation_value"])
+    "correlation_value", "validation_null", "validation_inner_empty"])
 def test_report_rejects_malformed_result_files(tmp_path, capsys, broken):
     results = tmp_path / "results"
     results.mkdir()
@@ -622,6 +622,10 @@ def test_report_rejects_malformed_result_files(tmp_path, capsys, broken):
         del validation["converged"]
     elif broken == "validation_empty":
         validation = {}
+    elif broken == "validation_null":
+        validation["validation"] = None
+    elif broken == "validation_inner_empty":
+        validation["validation"] = {}
     with open(results / "trace.csv", "w", newline="") as handle:
         csv.writer(handle).writerows([TRACE_HEADER, row])
     text = json.dumps(validation)
@@ -799,6 +803,52 @@ def test_simulate_rejects_fibers_from_another_mesh(tmp_path, capsys,
     assert (f"has {sizes['fib'].n_nodes} nodes, the mesh has "
             f"{sizes['mesh'].n_nodes}") in message
     assert simulated == []
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("name", ["fiber", "singular"])
+def test_simulate_rejects_a_fibers_field_of_the_wrong_shape(tmp_path, capsys,
+                                                           name):
+    # a scalar fiber field, or a vector singular field
+    mesh = build_slab_mesh((0.25, 0.1, 0.05), 0.05)
+    vtkio.write_mesh(tmp_path / "mesh.vtk", mesh)
+    frame = FiberField.uniform(mesh.n_nodes)
+    fields = {"fiber": frame.f, "sheet": frame.s, "normal": frame.n,
+              "singular": np.zeros(mesh.n_nodes)}
+    fields[name] = (np.ones(mesh.n_nodes) if name == "fiber"
+                    else np.zeros((mesh.n_nodes, 3)))
+    fibers = tmp_path / "fibers.vtk"
+    vtkio.write_fields(fibers, mesh, fields)
+    sim_config = tmp_path / "sim.json"
+    sim_config.write_text(json.dumps({
+        "mesh": str(tmp_path / "mesh.vtk"), "fibers": str(fibers),
+        "solver": {"t_end": 1.0}, "stimulus_points": [[0.0, 0.0, 0.0]],
+        "stimulus_onsets": [0.0], "out": str(tmp_path / "sim")}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(sim_config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert f"the {name} field has shape" in message
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_rejects_a_mesh_without_cells(tmp_path, capsys):
+    mesh = tmp_path / "mesh.vtk"
+    vtkio.write_mesh(mesh, build_slab_mesh((0.25, 0.1, 0.05), 0.05))
+    text = mesh.read_text()
+    mesh.write_text(text[:text.index("CELLS")] + "CELLS 0 0\nCELL_TYPES 0\n")
+    sim_config = tmp_path / "sim.json"
+    sim_config.write_text(json.dumps({
+        "mesh": str(mesh), "solver": {"t_end": 1.0},
+        "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
+        "out": str(tmp_path / "sim")}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--config", str(sim_config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert "mesh has no elements" in message
     assert not (tmp_path / "sim").exists()
 
 

@@ -15,7 +15,7 @@ from monocal import _hex, fem
 from monocal.errors import (AssemblyError, InvalidArgumentError,
                             NonConvergenceError)
 from monocal.fem import AssemblyPlan, gmres_solve, solve_dirichlet
-from monocal.fibers import generate_fibers
+from monocal.fibers import FiberAngles, generate_fibers
 from monocal.geometry import Mesh, build_lv_mesh, build_slab_mesh
 from monocal.solver import SolverParams, build_conductivity_tensors, simulate
 
@@ -150,7 +150,7 @@ class TestSharedPlan:
 
         monkeypatch.setattr(AssemblyPlan, "__init__", counting_init)
         mesh = build_slab_mesh((0.3, 0.1, 0.1), 0.05)
-        fibers = generate_fibers(mesh)
+        fibers = generate_fibers(mesh, FiberAngles())
         stimulus = single_plan((0.0, 0.0, 0.0))
         for sigma in ((1.3, 0.3, 0.07), (1.0, 0.25, 0.05)):
             simulate(mesh, fibers, SolverParams(sigma=sigma, t_end=1.0),

@@ -153,14 +153,14 @@ class TestGenerateFibersOnSlab:
 
 class TestGenerateFibersOnShell:
     def test_frames_are_orthonormal_everywhere(self, shell):
-        field = generate_fibers(shell)
+        field = generate_fibers(shell, FiberAngles())
         field.validate()
         assert field.f.shape == (shell.n_nodes, 3)
         assert field.singular.dtype == bool
         assert field.singular.mean() < 0.01
 
     def test_validate_rejects_corrupted_frames(self, shell):
-        field = generate_fibers(shell)
+        field = generate_fibers(shell, FiberAngles())
         field.f[0] = (2.0, 0.0, 0.0)
         with pytest.raises(InvalidArgumentError):
             field.validate()

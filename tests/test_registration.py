@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocal.activation import Site
 from monocal.errors import (DataFormatError, DegenerateConfigurationError,
@@ -343,5 +345,32 @@ class TestRegisterStage:
     def test_split_needs_pacing_inputs(self):
         cloud = RawCloud(points=np.zeros((2, 3)), taus=np.array([110.0, 150.0]),
                          sites=[Site.EPI_VEIN] * 2, order=np.arange(2))
-        with pytest.raises(InvalidArgumentError, match="no septum sites"):
+        with pytest.raises(InvalidArgumentError,
+                           match="at least one stimulus site"):
             split_samples(cloud, group_labels(cloud))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_split_has_both_vein_groups(self, data):
+        # what calibrate relies on: a cloud with k septal and N >= 2 vein
+        # points gives k inputs, ceil(N/2) group-I and floor(N/2) >= 1
+        # group-II points, group I ranking first by (time, acquisition)
+        k = data.draw(st.integers(1, 4), label="k")
+        n = data.draw(st.integers(2, 40), label="N")
+        taus = (data.draw(st.lists(st.sampled_from([0.0, 5.0]), min_size=k,
+                                   max_size=k), label="septal times")
+                + data.draw(st.lists(st.sampled_from([10.0, 20.0, 30.0]),
+                                     min_size=n, max_size=n),
+                            label="vein times"))
+        sites = [Site.SEPTUM] * k + [Site.EPI_VEIN] * n
+        rows = data.draw(st.permutations(range(k + n)), label="rows")
+        order = data.draw(st.permutations(range(k + n)), label="order")
+        cloud = RawCloud(points=np.zeros((k + n, 3)),
+                         taus=np.array(taus)[rows],
+                         sites=[sites[i] for i in rows], order=np.array(order))
+
+        inputs, cal, val, plan = split_samples(cloud, group_labels(cloud))
+        assert (len(inputs), len(cal), len(val)) == (k, -(-n // 2), n // 2)
+        assert len(val) >= 1
+        assert max(zip(cal.taus, cal.order)) < min(zip(val.taus, val.order))
+        assert len(plan.points) == k

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from monocal.errors import MeshFormatError
+from monocal.errors import InvalidArgumentError, MeshFormatError
 from monocal.geometry import build_slab_mesh
 from monocal.vtkio import (read_fields, read_mesh, surface_path, write_fields,
                            write_mesh)
@@ -217,6 +217,15 @@ class TestMeshParseErrors:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:6]) + "\n")
         with pytest.raises(MeshFormatError, match="end of file"):
+            read_mesh(path)
+
+    def test_mesh_without_cells_fails_the_audit(self, unit_cube, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_mesh(path, unit_cube)
+        text = path.read_text()
+        path.write_text(text[:text.index("CELLS")]
+                        + "CELLS 0 0\nCELL_TYPES 0\n")
+        with pytest.raises(InvalidArgumentError, match="no elements"):
             read_mesh(path)
 
 
