@@ -53,8 +53,6 @@ def extract_activation_at(output: SimulationOutput, points) -> np.ndarray:
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
     """(min, Q1, median, Q3, max) with linearly interpolated quartiles."""
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise InvalidArgumentError("five-number summary of an empty set")
     q = np.percentile(v, [0.0, 25.0, 50.0, 75.0, 100.0])
     return tuple(float(x) for x in q)
 
@@ -106,11 +104,8 @@ def error_stats(computed, measured) -> ErrorReport:
     the least-squares line computed = a + slope * measured, NaN unless
     at least 3 points remain and their measured times vary.
     """
-    c = np.atleast_1d(np.asarray(computed, dtype=float))
-    m = np.atleast_1d(np.asarray(measured, dtype=float))
-    if c.shape != m.shape or c.ndim != 1:
-        raise InvalidArgumentError(
-            f"computed and measured lengths differ: {c.shape} vs {m.shape}")
+    c = np.asarray(computed, dtype=float)
+    m = np.asarray(measured, dtype=float)
     ok = np.isfinite(c)
     n_missing = int((~ok).sum())
     c, m = c[ok], m[ok]

@@ -162,18 +162,18 @@ def _reported_as(what: str):
     result file `what` into a DataFormatError naming it."""
     try:
         yield
-    except MonocalError:
-        raise
     except KeyError as exc:
         raise DataFormatError(f"invalid {what}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (DataFormatError, TypeError, ValueError) as exc:
         raise DataFormatError(f"invalid {what}: {exc}") from exc
 
 
 def _load_fiber_field(config: dict, mesh, command: str):
-    """Fiber input: a fields file, inline angles, or none. With none the
-    solver lays every fiber along x (`FiberField.uniform`, the slab
-    convention), which is isotropic only when sigma_f = sigma_s = sigma_n."""
+    """Fiber input: a fields file, inline angles, or none. A fields file
+    takes precedence over fiber_angles, so `--fibers` overrides the
+    angles of a bundled scenario. With none the solver lays every fiber
+    along x (`FiberField.uniform`, the slab convention), which is
+    isotropic only when sigma_f = sigma_s = sigma_n."""
     if "fibers" in config:
         path = _existing_path(config, "fibers", command)
         field = fibers.FiberField.read(path)
@@ -196,6 +196,10 @@ def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
     if kind not in ("slab", "ventricle"):
         raise InvalidArgumentError(
             f"kind must be 'slab' or 'ventricle', got {kind!r}")
+    for key in (("endo_axes", "epi_axes", "truncation_height")
+                if kind == "slab" else ("extents",)):
+        if key in config:
+            raise InvalidArgumentError(f"{key} is not a key of a {kind} mesh")
     h = float(_require(config, "h", "gen-mesh"))
     if kind == "slab":
         mesh = geometry.build_slab_mesh(
@@ -365,12 +369,12 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _validation_lines(validation: dict, path: Path) -> list[str]:
-    """Report lines for the validation.json payload at path. Each of its
+def _validation_lines(validation: dict) -> list[str]:
+    """Report lines for a validation.json payload. Each of its
     four keys is required (a missing one raises KeyError), and its
     'validation' value is the group-II report, a JSON object."""
     sig = ", ".join(f"{v:.4f}" for v in validation["sigma_hat"])
-    rep = _json_object(validation["validation"], f"'validation' in {path}")
+    rep = _json_object(validation["validation"], "'validation'")
     five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
     return [
         "", f"estimated conductivities (mS/cm): {sig}",
@@ -409,16 +413,21 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     if validation_path.exists():
         with _reported_as(f"file {validation_path}"):
             validation = _json_object(json.loads(validation_path.read_text()),
-                                      str(validation_path))
-            lines += _validation_lines(validation, validation_path)
+                                      "the top level")
+            lines += _validation_lines(validation)
 
     correlation_path = results / "correlation.csv"
     if correlation_path.exists():
         with _reported_as(f"file {correlation_path}"), \
                 open(correlation_path, newline="") as handle:
-            rows = [(r["group"], float(r["tau_computed_ms"]),
-                     float(r["tau_measured_ms"]))
-                    for r in csv.DictReader(handle) if r["tau_computed_ms"]]
+            rows = []
+            for row, r in enumerate(csv.DictReader(handle), start=2):
+                measured = reg._parse_float(r["tau_measured_ms"],
+                                            "tau_measured_ms", row)
+                if r["tau_computed_ms"]:  # empty: the point did not activate
+                    computed = reg._parse_float(r["tau_computed_ms"],
+                                                "tau_computed_ms", row)
+                    rows.append((r["group"], computed, measured))
         for label, keep in (("pooled", ("I", "II")), ("group I", ("I",))):
             pairs = [(c, m) for group, c, m in rows if group in keep]
             if len(pairs) >= 3:

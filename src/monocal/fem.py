@@ -243,8 +243,6 @@ def solve_dirichlet(A: csr_matrix, fixed_ids: np.ndarray,
     n = A.shape[0]
     fixed_ids = np.asarray(fixed_ids, dtype=int)
     fixed_values = np.asarray(fixed_values, dtype=float)
-    if fixed_ids.size != fixed_values.size:
-        raise InvalidArgumentError("fixed ids and values must align")
     if fixed_ids.size == 0:
         raise InvalidArgumentError("Dirichlet solve needs at least one fixed node")
     mask = np.zeros(n, dtype=bool)

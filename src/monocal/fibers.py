@@ -140,10 +140,6 @@ def solve_transmural(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
 def apex_node_set(mesh: Mesh) -> np.ndarray:
     """Ascending ids of the boundary nodes within 1.5 h of the lowest
     boundary node, by the one ball rule `Mesh.nodes_within`."""
-    if not mesh.characteristic_size > 0.0:
-        raise InvalidArgumentError(
-            "the mesh has no size h (its title has no h= token), and the "
-            "apex node set is the boundary within 1.5 h of the apex")
     surf = mesh.boundary_node_ids()
     lowest = mesh.nodes[surf[np.argmin(mesh.nodes[surf, 2])]]
     ball = mesh.nodes_within(lowest, 1.5 * mesh.characteristic_size)
@@ -160,10 +156,7 @@ def solve_apicobasal(mesh: Mesh, laplace: csr_matrix) -> np.ndarray:
     base = mesh.boundary_node_ids(SurfaceTag.BASE)
     if base.size == 0:
         x = mesh.nodes[:, 0]
-        span = x.max() - x.min()
-        if span <= 0.0:
-            raise InvalidArgumentError("degenerate mesh: zero extent along x")
-        return (x - x.min()) / span
+        return (x - x.min()) / (x.max() - x.min())
     apex = np.setdiff1d(apex_node_set(mesh), base)
     ids = np.concatenate([apex, base])
     vals = np.concatenate([np.zeros(apex.size), np.ones(base.size)])

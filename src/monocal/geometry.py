@@ -20,7 +20,8 @@ from .errors import InvalidArgumentError, RefinementRequiredError
 
 def _squared_distances(nodes: np.ndarray, point) -> np.ndarray:
     """Squared distances from point to each node, summed in the order x,
-    y, z that scipy's k-d tree uses, so both give the same bits."""
+    y, z. Every nearest-node and ball result, and so every output file,
+    depends on the bits of this sum: keep the order."""
     return sum((nodes[:, k] - point[k]) ** 2 for k in range(3))
 
 
@@ -103,9 +104,9 @@ class Mesh:
     def validate(self) -> None:
         """Run the structural audit; raises InvalidArgumentError on defects.
 
-        Checks that there is at least one element, node index ranges,
-        corner distinctness, corner Jacobian positivity, tag alignment and
-        closedness of the boundary surface.
+        Checks that there is at least one element, the node ids of the
+        elements and boundary faces, corner distinctness, corner Jacobian
+        positivity, tag alignment and closedness of the boundary surface.
         """
         nodes, elems = self.nodes, self.elems
         if nodes.ndim != 2 or nodes.shape[1] != 3:
@@ -129,7 +130,10 @@ class Mesh:
             _hex.require_positive(det, InvalidArgumentError, "corner",
                                   part.start)
 
-        if self.boundary_faces.shape[0] != self.boundary_tags.shape[0]:
+        quads = self.boundary_faces
+        if np.any((quads < 0) | (quads >= len(nodes))):
+            raise InvalidArgumentError("boundary faces reference unknown nodes")
+        if quads.shape[0] != self.boundary_tags.shape[0]:
             raise InvalidArgumentError("boundary tags not aligned with boundary faces")
         known = {int(t) for t in SurfaceTag}
         if not set(np.unique(self.boundary_tags)).issubset(known):
@@ -137,7 +141,6 @@ class Mesh:
 
         # The boundary of a watertight solid is a closed surface: every
         # edge of the boundary quads must be shared by exactly two quads.
-        quads = self.boundary_faces
         edges = np.concatenate([
             quads[:, [0, 1]], quads[:, [1, 2]], quads[:, [2, 3]], quads[:, [3, 0]],
         ])

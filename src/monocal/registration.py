@@ -214,8 +214,6 @@ def rigid_from_three_pairs(source: np.ndarray, target: np.ndarray
     """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
-    if source.shape != (3, 3) or target.shape != (3, 3):
-        raise InvalidArgumentError("exactly three points per frame required")
     for name, pts in (("source", source), ("target", target)):
         if _triangle_area(pts) <= 1e-8:
             raise DegenerateConfigurationError(

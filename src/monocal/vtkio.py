@@ -211,13 +211,18 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
 
 
 def read_mesh(path) -> Mesh:
-    """Read a volume mesh (h: the title's last `h=`, else 0) and its surface."""
+    """Read a volume mesh and its surface file. The mesh size h is the
+    title's last `h=` token, which is required and must be a positive
+    finite number."""
     (line, title), points, elems, _ = _read(path, 12, 8)
     sizes = [t[2:] for t in title.split() if t.startswith("h=")]
-    h = 0.0
-    with suppress(ValueError, IndexError):
+    if not sizes:
+        raise MeshFormatError(f"{path}: title has no h= token (the mesh "
+                              "size)", line=line)
+    h = np.nan
+    with suppress(ValueError):
         h = float(sizes[-1])
-    if sizes and not 0.0 < h < np.inf:
+    if not 0.0 < h < np.inf:
         raise MeshFormatError(f"{path}: title token h={sizes[-1]} is not a "
                               "positive finite size", line=line)
     spath = surface_path(path)

@@ -69,10 +69,6 @@ class TestMisfit:
         # an unactivated point never beats an activated one
         assert misfit([np.nan, 5.0], [5.0, 5.0]) > misfit([6.0, 5.0], [5.0, 5.0])
 
-    def test_length_mismatch_is_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="lengths"):
-            misfit([1.0, 2.0], [1.0])
-
 
 class TestFiveNumberSummary:
     def test_percentiles_of_a_known_set(self):
@@ -84,10 +80,6 @@ class TestFiveNumberSummary:
         v = rng.normal(size=40)
         assert five_number_summary(v) == \
             five_number_summary(rng.permutation(v))
-
-    def test_empty_set_is_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            five_number_summary([])
 
 
 class TestRegression:

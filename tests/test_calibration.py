@@ -121,11 +121,6 @@ def test_mean_signed_error_all_unactivated_rejected():
         mean_signed_error([np.nan, np.nan], [100.0, 100.0])
 
 
-def test_mean_signed_error_length_mismatch_rejected():
-    with pytest.raises(InvalidArgumentError, match="lengths"):
-        mean_signed_error([1.0, 2.0], [1.0])
-
-
 # --- one search step --------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ directory; the cheap per-command checks use their own temp dirs.
 """
 
 import csv
+import dataclasses
 import json
 import os
 from types import SimpleNamespace
@@ -183,6 +184,25 @@ def test_gen_mesh_rejects_a_non_finite_geometry(tmp_path, capsys, recwarn,
     assert message.startswith("error:") and "finite" in message
     assert not [w for w in recwarn if w.category is RuntimeWarning]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("slab", "endo_axes", [1, 2, 3]),
+    ("slab", "epi_axes", [1, 2, 3]),
+    ("slab", "truncation_height", 0.3),
+    ("ventricle", "extents", [1.0, 1.0, 0.5]),
+])
+def test_gen_mesh_rejects_a_key_of_the_other_kind(tmp_path, capsys, kind,
+                                                  key, value):
+    config = tmp_path / "mesh.json"
+    config.write_text(json.dumps({"kind": kind, "h": 0.25, key: value,
+                                  "out": str(tmp_path / "out")}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-mesh", "--config", str(config)])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and key in message
+    assert not (tmp_path / "out" / "mesh.vtk").exists()
 
 
 def _files_under(path):
@@ -655,6 +675,29 @@ def test_report_rejects_malformed_result_files(tmp_path, capsys, broken):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad_row", [
+    "I,nan,40", "II,inf,50", "I,30,nan", "II,30,-inf", "II,nan,"],
+    ids=["measured_nan", "measured_inf", "computed_nan", "computed_inf",
+         "measured_nan_not_activated"])
+def test_report_rejects_a_non_finite_correlation_time(tmp_path, capsys,
+                                                      bad_row):
+    results = tmp_path / "results"
+    results.mkdir()
+    with open(results / "trace.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows([TRACE_HEADER, _TRACE_ROW])
+    (results / "correlation.csv").write_text(
+        "group,tau_measured_ms,tau_computed_ms\n"
+        f"I,10,11\nI,20,19\nII,30,32\n{bad_row}\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["report", "--results", str(results),
+                  "--out", str(tmp_path / "out")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:")
+    assert str(results / "correlation.csv") in message and "row 5" in message
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_is_only_a_gen_twin_flag(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["simulate", "--seed", "1"])
@@ -905,9 +948,30 @@ def test_gen_fibers_rejects_a_non_finite_sheet_angle(tmp_path, capsys, value):
     assert not (tmp_path / "fib" / "fibers.vtk").exists()
 
 
+@pytest.mark.parametrize("old,new", [(74, 80), (0, -1)],
+                         ids=["past_the_last_node", "negative"])
+def test_gen_fibers_rejects_a_surface_with_an_unknown_node(tmp_path, capsys,
+                                                           old, new):
+    assert cli.main(["gen-mesh", "--kind", "slab", "--h", "0.25",
+                     "--out", str(tmp_path)]) == 0
+    path = tmp_path / "mesh.vtk"
+    mesh = vtkio.read_mesh(path)
+    assert mesh.n_nodes == 75
+    faces = mesh.boundary_faces.copy()
+    faces[faces == old] = new
+    vtkio.write_mesh(path, dataclasses.replace(mesh, boundary_faces=faces))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-fibers", "--mesh", str(path),
+                  "--out", str(tmp_path / "fib")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and "unknown nodes" in message
+    assert not (tmp_path / "fib" / "fibers.vtk").exists()
+
+
 def test_gen_fibers_rejects_a_mesh_without_size(tmp_path, capsys):
-    # the apex Dirichlet set is the boundary within 1.5 h of the apex;
-    # without h it would shrink silently
+    # the apex Dirichlet set is the boundary within 1.5 h of the apex, so
+    # a mesh is read only with its size
     assert cli.main(["gen-mesh", "--kind", "ventricle", "--h", "0.05",
                      "--out", str(tmp_path)]) == 0
     path = tmp_path / "mesh.vtk"
@@ -919,7 +983,8 @@ def test_gen_fibers_rejects_a_mesh_without_size(tmp_path, capsys):
                   "--out", str(tmp_path / "fib")])
     assert err.value.code == 1
     message = capsys.readouterr().err
-    assert message.startswith("error:") and "mesh has no size" in message
+    assert message.startswith("error:")
+    assert f"{path}: title has no h= token" in message and "line 2" in message
     assert not (tmp_path / "fib" / "fibers.vtk").exists()
 
 

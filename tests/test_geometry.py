@@ -139,6 +139,21 @@ class TestValidate:
         with pytest.raises(InvalidArgumentError, match="not closed"):
             mesh.validate()
 
+    @pytest.mark.parametrize("old,new", [(0, -1), (7, 8)],
+                             ids=["negative", "past_the_last_node"])
+    def test_boundary_face_with_an_unknown_node_is_reported(self, unit_cube,
+                                                            old, new):
+        # every occurrence is renumbered, so the surface stays closed
+        faces = unit_cube.boundary_faces.copy()
+        faces[faces == old] = new
+        mesh = Mesh(nodes=unit_cube.nodes, elems=unit_cube.elems,
+                    boundary_faces=faces,
+                    boundary_tags=unit_cube.boundary_tags,
+                    characteristic_size=1.0)
+        with pytest.raises(InvalidArgumentError,
+                           match="boundary faces reference unknown nodes"):
+            mesh.validate()
+
     def test_unknown_tag_is_reported(self, unit_cube):
         tags = unit_cube.boundary_tags.copy()
         tags[0] = 17

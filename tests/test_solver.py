@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 from types import SimpleNamespace
@@ -116,16 +115,6 @@ class TestApplyStimulus:
         plan = single_plan((5.0, 5.0, 5.0))
         with pytest.warns(UserWarning, match="stimulus point"):
             _StimulusSets(small_slab, plan, SolverParams())
-
-    @pytest.mark.filterwarnings("error")
-    def test_off_node_point_on_a_mesh_without_size_is_rejected(self, small_slab):
-        # a mesh read from a title without h= has characteristic_size 0
-        sizeless = dataclasses.replace(small_slab, characteristic_size=0.0)
-        on_node = single_plan(small_slab.nodes[7])
-        assert _StimulusSets(sizeless, on_node, SolverParams()).sites
-        with pytest.raises(InvalidArgumentError, match="mesh has no size"):
-            _StimulusSets(sizeless, single_plan((0.013, 0.02, 0.0)),
-                          SolverParams())
 
     @pytest.mark.parametrize("onsets", [(1.0, 1.0), (1.0, 3.0)],
                              ids=["shared_onset", "different_onsets"])

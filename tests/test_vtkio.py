@@ -167,11 +167,13 @@ class TestMeshParseErrors:
             read_mesh(path)
         assert err.value.line == 2
 
-    def test_title_without_a_size_reads_zero(self, unit_cube, tmp_path):
+    def test_title_without_a_size_is_rejected(self, unit_cube, tmp_path):
         path = tmp_path / "mesh.vtk"
         write_mesh(path, unit_cube)
         path.write_text(path.read_text().replace(" h=1\n", "\n", 1))
-        assert read_mesh(path).characteristic_size == 0.0
+        with pytest.raises(MeshFormatError, match="no h= token") as err:
+            read_mesh(path)
+        assert err.value.line == 2
 
     def test_wrong_cell_type(self, unit_cube, tmp_path):
         path = tmp_path / "mesh.vtk"
