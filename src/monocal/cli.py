@@ -401,13 +401,11 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
              "iteration trace (sigma in mS/cm, E in ms, F in ms^2):"]
     with _reported_as(f"file {trace_path}"), \
             open(trace_path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            lines.append(
-                f"  {row['iter']:>3}  sigma=({float(row['sigma_f']):.4f}, "
-                f"{float(row['sigma_s']):.4f}, {float(row['sigma_n']):.4f})  "
-                f"E={float(row['E_ms']):+9.3f}  "
-                f"F={float(row['F_ms2']):10.3f}  "
-                f"eI={float(row['eI_pct']):6.3f}%")
+        for row, r in enumerate(csv.DictReader(handle), start=2):
+            sf, ss, sn, e, f, ei = (reg._parse_float(r[c], c, row)
+                                    for c in cal.TRACE_HEADER[1:])
+            lines.append(f"  {r['iter']:>3}  sigma=({sf:.4f}, {ss:.4f}, "
+                         f"{sn:.4f})  E={e:+9.3f}  F={f:10.3f}  eI={ei:6.3f}%")
 
     validation_path = results / "validation.json"
     if validation_path.exists():
@@ -424,6 +422,9 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
             for row, r in enumerate(csv.DictReader(handle), start=2):
                 measured = reg._parse_float(r["tau_measured_ms"],
                                             "tau_measured_ms", row)
+                if measured <= 0.0:
+                    raise DataFormatError("measured activation time must be "
+                                          f"positive, got {measured:g}", row=row)
                 if r["tau_computed_ms"]:  # empty: the point did not activate
                     computed = reg._parse_float(r["tau_computed_ms"],
                                                 "tau_computed_ms", row)

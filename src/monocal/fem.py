@@ -251,6 +251,7 @@ def solve_dirichlet(A: csr_matrix, fixed_ids: np.ndarray,
 
     x = np.zeros(n)
     x[fixed_ids] = fixed_values
-    rhs = -(A[free][:, fixed_ids] @ fixed_values)
-    x[free] = gmres_solve(A[free][:, free], rhs).x
+    rows = A[free]
+    rhs = -(rows[:, fixed_ids] @ fixed_values)
+    x[free] = gmres_solve(rows[:, free], rhs).x
     return x

@@ -8,6 +8,19 @@ by chi * C_m where a physical current density is needed.
 The outward current vanishes at rest and uses a smooth tanh crossover of
 the plateau time constant (Bueno-Orovio, Cherry & Fenton, J. Theor. Biol.
 253 (2008) 544).
+
+The model is piecewise. Each Heaviside switch H(u - threshold) is the
+boolean u >= threshold (the fast gate's target is 1 where u <
+v_inact_threshold), and each switched quantity is one np.where on it.
+A switched term of a sum is 0.0 on the side the switch turns it off,
+and the sums keep the operand order of the literal form
+(1 - H) * a + H * b, so tests/oracles.py's literal Heaviside form gives
+the same bits, signed zeros included.
+
+Inputs must be finite. The solver never passes anything else: its
+linear solve raises rather than return a non-finite potential, and the
+run stops once |u| > 5. On a non-finite u the literal form's 0 * inf
+gives NaN where np.where gives a finite value.
 """
 
 from __future__ import annotations
@@ -78,31 +91,13 @@ class IonicParams:
 PARAMS = IonicParams()
 
 
-def rest_state(n: int | None = None) -> tuple[np.ndarray | float, np.ndarray]:
-    """Resting potential and gate values (u=0, gates (1, 1, 0)).
+def rest_state(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Resting potential and gate values of n nodes (u=0, gates (1, 1, 0)).
 
     The third gate relaxes toward its small resting attractor over a few
     ms but leaves the potential untouched, so u stays exactly at rest.
     """
-    if n is None:
-        return 0.0, np.array([1.0, 1.0, 0.0])
     return np.zeros(n), np.tile([1.0, 1.0, 0.0], (n, 1))
-
-
-def _heav(x):
-    return (np.asarray(x) >= 0.0).astype(float)
-
-
-def _tau_out_rest(u):
-    p = PARAMS
-    return p.tau_out_rest1 + _heav(u - p.v_open_threshold) * (p.tau_out_rest2 - p.tau_out_rest1)
-
-
-def _tau_out_plateau(u):
-    p = PARAMS
-    span = p.tau_out_plateau_fast - p.tau_out_plateau_slow
-    return p.tau_out_plateau_slow + span * 0.5 * (
-        1.0 + np.tanh(p.k_plateau * (u - p.u_plateau)))
 
 
 def gating_rhs(u, w) -> np.ndarray:
@@ -112,24 +107,23 @@ def gating_rhs(u, w) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
     w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+    fast = u >= p.v_fast_threshold
+    slow = u >= p.v_slow_threshold
 
-    h_fast = _heav(u - p.v_fast_threshold)
-    h_slow = _heav(u - p.v_slow_threshold)
-    h_open = _heav(u - p.v_open_threshold)
+    v_inf = np.where(u < g.v_inact_threshold, 1.0, 0.0)
+    tau_v_minus = np.where(u >= g.v_inact_threshold, g.tau_v2_minus, g.tau_v1_minus)
+    dw1 = (np.where(fast, 0.0, (v_inf - w1) / tau_v_minus)
+           - np.where(fast, w1 / g.tau_v_plus, 0.0))
 
-    v_inf = (u < g.v_inact_threshold).astype(float)
-    tau_v_minus = np.where(_heav(u - g.v_inact_threshold) > 0.0,
-                           g.tau_v2_minus, g.tau_v1_minus)
-    dw1 = (1.0 - h_fast) * (v_inf - w1) / tau_v_minus - h_fast * w1 / g.tau_v_plus
-
-    w_inf = (1.0 - h_open) * (1.0 - u / g.tau_w_inf_slope) + h_open * g.w_inf_plateau
+    w_inf = np.where(u >= p.v_open_threshold, g.w_inf_plateau,
+                     1.0 - u / g.tau_w_inf_slope)
     tau_w_minus = g.tau_w1_minus + (g.tau_w2_minus - g.tau_w1_minus) * 0.5 * (
         1.0 + np.tanh(g.k_w_minus * (u - g.u_w_minus)))
-    dw2 = (1.0 - h_slow) * (w_inf - w2) / tau_w_minus - h_slow * w2 / g.tau_w_plus
+    dw2 = (np.where(slow, 0.0, (w_inf - w2) / tau_w_minus)
+           - np.where(slow, w2 / g.tau_w_plus, 0.0))
 
     s_inf = 0.5 * (1.0 + np.tanh(g.k_s * (u - g.u_s)))
-    tau_s = np.where(h_slow > 0.0, g.tau_s2, g.tau_s1)
-    dw3 = (s_inf - w3) / tau_s
+    dw3 = (s_inf - w3) / np.where(slow, g.tau_s2, g.tau_s1)
     return np.stack([dw1, dw2, dw3], axis=-1)
 
 
@@ -150,16 +144,17 @@ def reaction_coefficients(u, w_next):
     u = np.asarray(u, dtype=float)
     w = np.asarray(w_next, dtype=float)
     w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+    slow = u >= p.v_slow_threshold
 
-    h_fast = _heav(u - p.v_fast_threshold)
-    h_slow = _heav(u - p.v_slow_threshold)
-
-    fast_gain = h_fast * (p.v_overshoot - u) * w1 / p.tau_fast
-    alpha = -fast_gain
-    beta = p.v_fast_threshold * fast_gain
-
-    alpha = alpha + (1.0 - h_slow) / _tau_out_rest(u)
-    beta = beta + h_slow / _tau_out_plateau(u)
-    beta = beta - h_slow * w2 * w3 / p.tau_slow_inward
+    fast_gain = np.where(u >= p.v_fast_threshold,
+                         (p.v_overshoot - u) * w1 / p.tau_fast, 0.0)
+    tau_out_rest = np.where(u >= p.v_open_threshold,
+                            p.tau_out_rest2, p.tau_out_rest1)
+    tau_out_plateau = p.tau_out_plateau_slow + (
+        p.tau_out_plateau_fast - p.tau_out_plateau_slow) * 0.5 * (
+        1.0 + np.tanh(p.k_plateau * (u - p.u_plateau)))
+    alpha = -fast_gain + np.where(slow, 0.0, 1.0 / tau_out_rest)
+    beta = (p.v_fast_threshold * fast_gain
+            + np.where(slow, 1.0 / tau_out_plateau, 0.0)
+            - np.where(slow, w2 * w3 / p.tau_slow_inward, 0.0))
     return alpha, beta
-

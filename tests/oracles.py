@@ -1,7 +1,9 @@
 """Independent references the tests check the package against.
 
-None of these is on a path the command line runs: the three membrane
-currents and a single-cell integrator, a planar conduction-velocity fit,
+None of these is on a path the command line runs: the membrane model in
+its literal Heaviside form (every switch a float 0/1 array, every switched
+term the blend (1 - H) * a + H * b) with its three currents and a
+single-cell integrator built on it, a planar conduction-velocity fit,
 stimulus plans for one point and for a whole boundary face, one-bincount
 assembly and the consistent mass matrix, rigid transform helpers, and
 element volumes from LAPACK's determinant.
@@ -18,13 +20,83 @@ from monocal import _hex
 from monocal.errors import InsufficientDataError, InvalidArgumentError
 from monocal.fem import AssemblyPlan
 from monocal.geometry import Mesh
-from monocal.ionic import (PARAMS, _heav, _tau_out_plateau, _tau_out_rest,
-                           gating_rhs, reaction_coefficients, rest_state)
+from monocal.ionic import PARAMS, rest_state
 from monocal.registration import RigidTransform
 from monocal.solver import SimulationOutput, StimulusPlan
 
 
 # --- membrane model -----------------------------------------------------------
+#
+# The model's switches in their literal Heaviside form: each switch is a
+# float array H of 0s and 1s and each switched term blends its branches as
+# (1 - H) * a + H * b. monocal.ionic writes the same model with boolean
+# switches and np.where; on finite inputs the two agree bit for bit.
+
+
+def _heav(x):
+    return (np.asarray(x) >= 0.0).astype(float)
+
+
+def _tau_out_rest(u):
+    p = PARAMS
+    return p.tau_out_rest1 + _heav(u - p.v_open_threshold) * (p.tau_out_rest2 - p.tau_out_rest1)
+
+
+def _tau_out_plateau(u):
+    p = PARAMS
+    span = p.tau_out_plateau_fast - p.tau_out_plateau_slow
+    return p.tau_out_plateau_slow + span * 0.5 * (
+        1.0 + np.tanh(p.k_plateau * (u - p.u_plateau)))
+
+
+def blend_gating_rhs(u, w) -> np.ndarray:
+    """Right-hand side of the three gating ODEs, shaped like w: the
+    reference for ionic.gating_rhs."""
+    p = PARAMS
+    g = p.gating
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+
+    h_fast = _heav(u - p.v_fast_threshold)
+    h_slow = _heav(u - p.v_slow_threshold)
+    h_open = _heav(u - p.v_open_threshold)
+
+    v_inf = (u < g.v_inact_threshold).astype(float)
+    tau_v_minus = np.where(_heav(u - g.v_inact_threshold) > 0.0,
+                           g.tau_v2_minus, g.tau_v1_minus)
+    dw1 = (1.0 - h_fast) * (v_inf - w1) / tau_v_minus - h_fast * w1 / g.tau_v_plus
+
+    w_inf = (1.0 - h_open) * (1.0 - u / g.tau_w_inf_slope) + h_open * g.w_inf_plateau
+    tau_w_minus = g.tau_w1_minus + (g.tau_w2_minus - g.tau_w1_minus) * 0.5 * (
+        1.0 + np.tanh(g.k_w_minus * (u - g.u_w_minus)))
+    dw2 = (1.0 - h_slow) * (w_inf - w2) / tau_w_minus - h_slow * w2 / g.tau_w_plus
+
+    s_inf = 0.5 * (1.0 + np.tanh(g.k_s * (u - g.u_s)))
+    tau_s = np.where(h_slow > 0.0, g.tau_s2, g.tau_s1)
+    dw3 = (s_inf - w3) / tau_s
+    return np.stack([dw1, dw2, dw3], axis=-1)
+
+
+def blend_reaction_coefficients(u, w_next):
+    """Linearization I_ion ~= alpha * u_next + beta at the known u and the
+    updated gates: the reference for ionic.reaction_coefficients."""
+    p = PARAMS
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w_next, dtype=float)
+    w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2]
+
+    h_fast = _heav(u - p.v_fast_threshold)
+    h_slow = _heav(u - p.v_slow_threshold)
+
+    fast_gain = h_fast * (p.v_overshoot - u) * w1 / p.tau_fast
+    alpha = -fast_gain
+    beta = p.v_fast_threshold * fast_gain
+
+    alpha = alpha + (1.0 - h_slow) / _tau_out_rest(u)
+    beta = beta + h_slow / _tau_out_plateau(u)
+    beta = beta - h_slow * w2 * w3 / p.tau_slow_inward
+    return alpha, beta
 
 
 def ionic_currents(u, w):
@@ -77,21 +149,21 @@ class CellTrace:
 
 def run_single_cell(dt: float = 0.025, t_end: float = 500.0,
                     stim_times=(0.0,), stim_duration: float = 1.0,
-                    stim_rate: float = 0.5, state=None) -> CellTrace:
-    """Integrate one cell with the same scheme the tissue solver uses.
+                    stim_rate: float = 0.5) -> CellTrace:
+    """Integrate one cell from rest with the scheme the tissue solver uses.
 
     Gates advance by forward Euler, the potential by the semi-implicit
     update, so a zero-conductivity tissue simulation reproduces this trace
-    node for node. stim_rate is the applied current expressed as a
+    node for node; the gating and the linearization are the literal
+    Heaviside blends above, not the package's. stim_rate is the applied current expressed as a
     potential rate (I_app / (chi * C_m), 1/ms) held for stim_duration ms
     from each entry of stim_times.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise InvalidArgumentError("dt and t_end must be positive")
     n_steps = int(round(t_end / dt))
-    u, w = rest_state() if state is None else state
-    u = float(u)
-    w = np.array(w, dtype=float)
+    u, w = rest_state(1)
+    u, w = float(u[0]), w[0]
     stim_times = np.asarray(stim_times, dtype=float)
 
     ts = np.empty(n_steps + 1)
@@ -100,8 +172,8 @@ def run_single_cell(dt: float = 0.025, t_end: float = 500.0,
     ts[0], us[0], ws[0] = 0.0, u, w
     for n in range(n_steps):
         t_next = (n + 1) * dt
-        w = w + dt * gating_rhs(u, w)
-        alpha, beta = reaction_coefficients(u, w)
+        w = w + dt * blend_gating_rhs(u, w)
+        alpha, beta = blend_reaction_coefficients(u, w)
         active = np.any((t_next >= stim_times) & (t_next < stim_times + stim_duration))
         rate = stim_rate if active else 0.0
         u = (u / dt - beta + rate) / (1.0 / dt + alpha)

@@ -294,8 +294,8 @@ def test_truncated_calibration_keeps_validation_within_half_point(
 
 
 def test_membrane_rest_state_is_a_fixed_point():
-    u, w = rest_state()
-    assert ionic_currents(u, w) == (0.0, 0.0, 0.0)
+    u, w = rest_state(1)
+    assert ionic_currents(u[0], w[0]) == (0.0, 0.0, 0.0)
     s_inf = 0.5 * (1.0 + np.tanh(2.0994 * (0.0 - 0.9087)))
     rates = gating_rhs(0.0, np.array([1.0, 1.0, s_inf]))
     assert np.max(np.abs(rates)) <= 1e-12

@@ -675,27 +675,59 @@ def test_report_rejects_malformed_result_files(tmp_path, capsys, broken):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("bad_row", [
-    "I,nan,40", "II,inf,50", "I,30,nan", "II,30,-inf", "II,nan,"],
-    ids=["measured_nan", "measured_inf", "computed_nan", "computed_inf",
-         "measured_nan_not_activated"])
-def test_report_rejects_a_non_finite_correlation_time(tmp_path, capsys,
-                                                      bad_row):
+def _assert_report_rejects(tmp_path, capsys, trace_rows, correlation_rows,
+                           named, *words):
+    """report on these trace.csv rows and correlation.csv rows (below
+    their headers) ends in one error line naming the file `named` and
+    each of `words`, and writes no report."""
     results = tmp_path / "results"
     results.mkdir()
     with open(results / "trace.csv", "w", newline="") as handle:
-        csv.writer(handle).writerows([TRACE_HEADER, _TRACE_ROW])
+        csv.writer(handle).writerows([TRACE_HEADER, *trace_rows])
     (results / "correlation.csv").write_text(
-        "group,tau_measured_ms,tau_computed_ms\n"
-        f"I,10,11\nI,20,19\nII,30,32\n{bad_row}\n")
+        f"group,tau_measured_ms,tau_computed_ms\n{correlation_rows}\n")
     with pytest.raises(SystemExit) as err:
         cli.main(["report", "--results", str(results),
                   "--out", str(tmp_path / "out")])
     assert err.value.code == 1
     message = capsys.readouterr().err
     assert message.startswith("error:")
-    assert str(results / "correlation.csv") in message and "row 5" in message
+    assert str(results / named) in message
+    for word in words:
+        assert word in message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad_row", [
+    "I,nan,40", "II,inf,50", "I,30,nan", "II,30,-inf", "II,nan,"],
+    ids=["measured_nan", "measured_inf", "computed_nan", "computed_inf",
+         "measured_nan_not_activated"])
+def test_report_rejects_a_non_finite_correlation_time(tmp_path, capsys,
+                                                      bad_row):
+    _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW],
+                           "I,10,11\nI,20,19\nII,30,32\n" + bad_row,
+                           "correlation.csv", "row 5")
+
+
+@pytest.mark.parametrize("bad_row", ["I,0,40", "II,-5,50", "II,0,"],
+                         ids=["zero", "negative", "zero_not_activated"])
+def test_report_rejects_a_non_positive_measured_time(tmp_path, capsys,
+                                                     bad_row):
+    _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW],
+                           "I,10,11\nI,20,19\n" + bad_row + "\nII,30,32",
+                           "correlation.csv", "row 4", "must be positive")
+
+
+@pytest.mark.parametrize("column, value", [
+    ("sigma_f", "nan"), ("sigma_n", "inf"), ("E_ms", "-inf"),
+    ("eI_pct", "x")])
+def test_report_names_the_row_and_column_of_a_bad_trace_value(
+        tmp_path, capsys, column, value):
+    bad = list(_TRACE_ROW)
+    bad[TRACE_HEADER.index(column)] = value
+    _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW, bad],
+                           "I,10,11\nI,20,19\nII,30,32",
+                           "trace.csv", "row 3", column, repr(value))
 
 
 def test_seed_is_only_a_gen_twin_flag(capsys):

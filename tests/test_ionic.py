@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+from itertools import product
+
 import numpy as np
 import pytest
 
+from monocal import ionic
 from monocal.errors import InvalidArgumentError
-from monocal.ionic import (GatingParams, IonicParams, gating_rhs,
+from monocal.ionic import (PARAMS, GatingParams, IonicParams, gating_rhs,
                            reaction_coefficients, rest_state, step_gating)
+from monocal.solver import SolverParams, simulate
 
-from oracles import CellTrace, ionic_currents, run_single_cell
+from oracles import (CellTrace, blend_gating_rhs, blend_reaction_coefficients,
+                     ionic_currents, run_single_cell, single_plan)
 
 S_INF_AT_REST = 0.5 * (1.0 + np.tanh(2.0994 * (0.0 - 0.9087)))
 
 
 class TestCurrents:
     def test_rest_currents_vanish(self):
-        u, w = rest_state()
-        i_fast, i_out, i_slow = ionic_currents(u, w)
+        u, w = rest_state(1)
+        i_fast, i_out, i_slow = ionic_currents(u[0], w[0])
         assert i_fast == 0.0
         assert i_out == 0.0
         assert i_slow == 0.0
@@ -68,8 +74,8 @@ class TestGating:
         assert np.max(np.abs(stepped - w)) <= 1e-12
 
     def test_shipped_rest_state_relaxes_only_the_slow_gate(self):
-        u, w = rest_state()
-        dw = gating_rhs(u, w)
+        u, w = rest_state(1)
+        dw = gating_rhs(u[0], w[0])
         assert dw[0] == 0.0
         assert dw[1] == 0.0
         assert np.isclose(dw[2], S_INF_AT_REST / GatingParams().tau_s1,
@@ -96,6 +102,91 @@ class TestGating:
         fine = run_single_cell(stim_rate=1.0, stim_duration=1.0,
                                t_end=400.0, dt=0.0125)
         assert np.max(np.abs(coarse.w - fine.w[::2])) < 0.01
+
+
+# every float of the parameter sets (thresholds, centres, time
+# constants) with both its float neighbours, and the signed zeros and
+# smallest subnormals
+_PARAM_FLOATS = np.array([v for v in (*astuple(PARAMS), *astuple(PARAMS.gating))
+                          if isinstance(v, float)])
+EDGE_U = np.concatenate([_PARAM_FLOATS, np.nextafter(_PARAM_FLOATS, -np.inf),
+                         np.nextafter(_PARAM_FLOATS, np.inf),
+                         [0.0, -0.0, 5e-324, -5e-324]])
+EDGE_GATES = np.array(list(product((0.0, -0.0, 5e-324, 0.5, 1.0), repeat=3)))
+
+
+def _recorded_tissue_states(monkeypatch, mesh):
+    """Every (u, w) the gating step and every (u, w_next) the reaction
+    linearization saw in a short paced run on mesh, quiet lead-in rows
+    included."""
+    seen = {"gating": [], "reaction": []}
+
+    def recorder(name, fn):
+        def call(u, w, *args):
+            # the first solve after the lead-in gets one gate row
+            seen[name].append((np.array(u),
+                               np.broadcast_to(w, np.shape(u) + (3,)).copy()))
+            return fn(u, w, *args)
+        return call
+
+    monkeypatch.setattr(ionic, "step_gating",
+                        recorder("gating", ionic.step_gating))
+    monkeypatch.setattr(ionic, "reaction_coefficients",
+                        recorder("reaction", ionic.reaction_coefficients))
+    simulate(mesh, None, SolverParams(t_end=40.0, stop_when_activated=False),
+             single_plan((0.0, 0.0, 0.0), onset=1.0))
+    return {name: (np.concatenate([u for u, _ in calls]),
+                   np.concatenate([w for _, w in calls]))
+            for name, calls in seen.items()}
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSwitchesMatchTheLiteralForm:
+    """ionic's np.where switches give the bits of the literal Heaviside
+    blends in tests/oracles.py, signed zeros included (in the gating
+    rates too, although adding them to w would hide a -0)."""
+
+    DT = 0.025
+
+    def check(self, u, w, what=("gating", "reaction")):
+        if "gating" in what:
+            _assert_same_bits(gating_rhs(u, w), blend_gating_rhs(u, w))
+            _assert_same_bits(step_gating(u, w, self.DT),
+                              w + self.DT * blend_gating_rhs(u, w))
+        if "reaction" in what:
+            for got, want in zip(reaction_coefficients(u, w),
+                                 blend_reaction_coefficients(u, w)):
+                _assert_same_bits(got, want)
+
+    def test_thresholds_their_neighbours_and_signed_zeros(self):
+        u = np.repeat(EDGE_U, len(EDGE_GATES))
+        w = np.tile(EDGE_GATES, (len(EDGE_U), 1))
+        self.check(u, w)
+
+    def test_random_states(self):
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-0.2, 1.7, 20_000)
+        w = rng.uniform(0.0, 1.0, (20_000, 3))
+        self.check(u, w)
+
+    def test_the_quiet_lead_in_row(self):
+        u, w = rest_state(1)
+        for _ in range(3):
+            self.check(u, w)
+            w = step_gating(u, w, self.DT)
+
+    def test_states_of_a_paced_tissue_run(self, monkeypatch, small_slab):
+        seen = _recorded_tissue_states(monkeypatch, small_slab)
+        monkeypatch.undo()
+        for name, (u, w) in seen.items():
+            # the run crosses every switch
+            assert u.min() < PARAMS.v_open_threshold
+            assert u.max() > PARAMS.v_fast_threshold
+            self.check(u, w, what=(name,))
 
 
 class TestRunSingleCell:
