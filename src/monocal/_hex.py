@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 # Corner coordinates of the reference cube [-1, 1]^3. Ordering follows the
 # usual unstructured-grid convention for linear hexahedra: bottom quad
 # counterclockwise (seen from below, normal pointing into the cell), then
@@ -112,29 +114,26 @@ def determinants(jac: np.ndarray) -> np.ndarray:
     return _first_row_expansion(jac)[2]
 
 
-def require_positive(det: np.ndarray, error: type[Exception],
-                     where: str, first: int = 0) -> None:
-    """Raise error naming the first element whose (nel, npts)
-    determinants are not all positive (a NaN counts as not positive);
-    first is the global id of the batch's element 0."""
+def require_positive(det: np.ndarray, where: str, first: int = 0) -> None:
+    """Raise InvalidArgumentError naming the first element whose
+    (nel, npts) determinants are not all positive (a NaN counts as not
+    positive); first is the global id of the batch's element 0."""
     bad = ~(det > 0.0)
     if bad.any():
         elem = first + int(np.nonzero(bad.any(axis=1))[0][0])
-        raise error(f"element {elem} is inverted or degenerate "
-                    f"(non-positive Jacobian at a {where})")
+        raise InvalidArgumentError(f"element {elem} is inverted or degenerate "
+                                   f"(non-positive Jacobian at a {where})")
 
 
-def inverse_transposes(jac: np.ndarray, error: type[Exception],
-                       where: str, first: int = 0
+def inverse_transposes(jac: np.ndarray, where: str, first: int = 0
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Determinants and inverse-transposes of (nel, npts, 3, 3) Jacobians.
 
     J^-T is the cofactor matrix over det J. The determinants are checked
-    with require_positive(det, error, where, first) before anything is
-    divided.
+    with require_positive(det, where, first) before anything is divided.
     """
     m, row0, det = _first_row_expansion(jac)
-    require_positive(det, error, where, first)
+    require_positive(det, where, first)
     (a, b, c), (d, e, f), (g, h, i) = m
     inv_t = np.empty_like(jac)
     inv_t[..., 0, 0], inv_t[..., 0, 1], inv_t[..., 0, 2] = row0

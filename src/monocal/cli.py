@@ -390,6 +390,14 @@ def _validation_lines(validation: dict) -> list[str]:
         f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
 
 
+def _parse_iteration(text, row: int) -> int:
+    """trace.csv's iter value: a non-negative integer in ASCII digits."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise DataFormatError(
+            f"iter value {text!r} is not a non-negative integer", row=row)
+    return int(text)
+
+
 def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     results = Path(_require(config, "results", "report"))
     trace_path = results / "trace.csv"
@@ -402,9 +410,10 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     with _reported_as(f"file {trace_path}"), \
             open(trace_path, newline="") as handle:
         for row, r in enumerate(csv.DictReader(handle), start=2):
+            it = _parse_iteration(r["iter"], row)
             sf, ss, sn, e, f, ei = (reg._parse_float(r[c], c, row)
                                     for c in cal.TRACE_HEADER[1:])
-            lines.append(f"  {r['iter']:>3}  sigma=({sf:.4f}, {ss:.4f}, "
+            lines.append(f"  {it:>3}  sigma=({sf:.4f}, {ss:.4f}, "
                          f"{sn:.4f})  E={e:+9.3f}  F={f:10.3f}  eI={ei:6.3f}%")
 
     validation_path = results / "validation.json"
@@ -420,6 +429,9 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
                 open(correlation_path, newline="") as handle:
             rows = []
             for row, r in enumerate(csv.DictReader(handle), start=2):
+                if r["group"] not in ("I", "II"):
+                    raise DataFormatError(f"unknown group {r['group']!r}",
+                                          row=row)
                 measured = reg._parse_float(r["tau_measured_ms"],
                                             "tau_measured_ms", row)
                 if measured <= 0.0:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class exists only where a caller catches it or needs what it carries:
+the CLI catches MonocalError, InvalidArgumentError is also a ValueError,
+the two format errors add the line or row to their message, and
+NonConvergenceError carries the last iterate. Every other fault raises
+one of these with a message that says what went wrong.
+"""
 
 from __future__ import annotations
 
@@ -39,22 +46,6 @@ class DataFormatError(MonocalError):
         self.row = row
 
 
-class AssemblyError(MonocalError):
-    """Finite element assembly failed (e.g. an inverted element)."""
-
-
-class RefinementRequiredError(MonocalError):
-    """The requested mesh resolution cannot represent the geometry."""
-
-
-class DegenerateConfigurationError(MonocalError):
-    """Input points are collinear or otherwise do not pin down a transform."""
-
-
-class InsufficientDataError(MonocalError):
-    """Too few usable samples to evaluate the requested quantity."""
-
-
 class NonConvergenceError(MonocalError):
     """An iterative solve stopped before reaching its tolerance.
 
@@ -68,12 +59,3 @@ class NonConvergenceError(MonocalError):
         self.best = best
         self.residual = residual
         self.iterations = iterations
-
-
-class SimulationDivergedError(MonocalError):
-    """The transmembrane potential left the physically plausible range."""
-
-    def __init__(self, message: str, step: int, time_ms: float):
-        super().__init__(message)
-        self.step = step
-        self.time_ms = time_ms

@@ -179,8 +179,7 @@ def nodal_gradients(mesh: Mesh, *fields: np.ndarray) -> list[np.ndarray]:
     for part in _hex.blocks(mesh.n_elems):
         elems = mesh.elems[part]
         jac = _hex.jacobians(mesh.nodes[elems], _hex.CORNERS)
-        det, inv_t = _hex.inverse_transposes(jac, InvalidArgumentError,
-                                             "corner", part.start)
+        det, inv_t = _hex.inverse_transposes(jac, "corner", part.start)
         corners = elems.ravel()
         np.add.at(wsum, corners, det.ravel())
         for field, out in zip(fields, sums):

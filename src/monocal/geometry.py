@@ -15,7 +15,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import _hex
-from .errors import InvalidArgumentError, RefinementRequiredError
+from .errors import InvalidArgumentError
 
 
 def _squared_distances(nodes: np.ndarray, point) -> np.ndarray:
@@ -127,8 +127,7 @@ class Mesh:
         for part in _hex.blocks(len(elems)):
             det = _hex.determinants(_hex.jacobians(nodes[elems[part]],
                                                    _hex.CORNERS))
-            _hex.require_positive(det, InvalidArgumentError, "corner",
-                                  part.start)
+            _hex.require_positive(det, "corner", part.start)
 
         quads = self.boundary_faces
         if np.any((quads < 0) | (quads >= len(nodes))):
@@ -319,7 +318,7 @@ def build_lv_mesh(endo_axes, epi_axes, truncation_height: float, h: float) -> Me
     The inner surface is tagged ENDO, the outer EPI and the cut plane BASE;
     together they cover the whole boundary.
 
-    Raises RefinementRequiredError when the wall is thinner than two cells
+    Raises InvalidArgumentError when the wall is thinner than two cells
     anywhere, since a single transmural layer cannot carry fiber rotation.
     """
     endo = np.asarray(endo_axes, dtype=float)
@@ -355,7 +354,7 @@ def build_lv_mesh(endo_axes, epi_axes, truncation_height: float, h: float) -> Me
     thickness = np.linalg.norm(_cap_points(epi, mu_epi, probe)
                                - _cap_points(endo, mu_endo, probe), axis=-1)
     if thickness.min() < 2.0 * h:
-        raise RefinementRequiredError(
+        raise InvalidArgumentError(
             f"wall thickness {thickness.min():.4g} cm is below 2h = {2 * h:.4g} cm; "
             "choose a finer h or a thicker shell")
     n_layers = max(2, int(round(float(thickness.mean()) / h)))

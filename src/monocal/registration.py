@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import Group, Site
-from .errors import (DataFormatError, DegenerateConfigurationError,
-                     InvalidArgumentError)
+from .errors import DataFormatError, InvalidArgumentError
 from .geometry import Mesh, SurfaceTag
 from .solver import StimulusPlan
 
@@ -216,7 +215,7 @@ def rigid_from_three_pairs(source: np.ndarray, target: np.ndarray
     target = np.asarray(target, dtype=float)
     for name, pts in (("source", source), ("target", target)):
         if _triangle_area(pts) <= 1e-8:
-            raise DegenerateConfigurationError(
+            raise InvalidArgumentError(
                 f"{name} landmarks are collinear (area <= 1e-8 cm^2)")
     p = source - source.mean(axis=0)
     q = target - target.mean(axis=0)

@@ -53,8 +53,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, fem, ionic
-from .errors import (InvalidArgumentError, NonConvergenceError,
-                     SimulationDivergedError)
+from .errors import InvalidArgumentError, MonocalError, NonConvergenceError
 from .fibers import FiberField
 from .geometry import Mesh
 
@@ -349,9 +348,8 @@ class MonodomainSolver:
                 activation[faster] = t
                 np.maximum(peak, u_new, out=peak)
                 if np.abs(u_new).max() > 5.0:
-                    raise SimulationDivergedError(
-                        f"potential magnitude exceeded 5 at t={t:.4g} ms",
-                        step=k, time_ms=t)
+                    raise MonocalError(f"step {k} (t={t:.4g} ms): potential "
+                                       "magnitude exceeded 5")
                 u_prev, u = u, u_new
             for ts in snap_steps.get(k, ()):
                 snapshots[ts] = u.copy()

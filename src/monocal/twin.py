@@ -21,7 +21,7 @@ from . import registration as reg
 from . import solver as slv
 from . import vtkio
 from .activation import Site
-from .errors import InsufficientDataError
+from .errors import InvalidArgumentError
 from .fibers import FiberAngles, FiberField, generate_fibers
 from .geometry import Mesh, SurfaceTag, build_lv_mesh
 from .registration import RawCloud, RigidTransform
@@ -130,9 +130,9 @@ class TwinData:
 def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     """Generate the twin: mesh, fibers, paced simulation, device frame.
 
-    Raises SimulationDivergedError if the run blows up and
-    InsufficientDataError if any vein point fails to activate, since a
-    fixture with missing measurements would be unusable downstream.
+    Raises MonocalError if the run blows up and InvalidArgumentError if
+    any vein point fails to activate, since a fixture with missing
+    measurements would be unusable downstream.
     """
     mesh = build_lv_mesh(ENDO_AXES, EPI_AXES, TRUNCATION_HEIGHT, h)
     fiber_field = generate_fibers(mesh, FiberAngles())
@@ -151,7 +151,7 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
     taus = output.activation[vein_nodes]
     if np.any(~np.isfinite(taus)):
         missing = vein_nodes[~np.isfinite(taus)]
-        raise InsufficientDataError(
+        raise InvalidArgumentError(
             f"twin generation left vein nodes {missing.tolist()} unactivated; "
             "increase t_end or revisit the conductivities")
     return TwinData(mesh=mesh, fiber_field=fiber_field, sigma=tuple(sigma),

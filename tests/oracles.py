@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from monocal import _hex
-from monocal.errors import InsufficientDataError, InvalidArgumentError
+from monocal.errors import InvalidArgumentError
 from monocal.fem import AssemblyPlan
 from monocal.geometry import Mesh
 from monocal.ionic import PARAMS, rest_state
@@ -223,20 +223,20 @@ def measure_planar_cv(output: SimulationOutput, axis: int,
         window = (lo + 0.2 * span, hi - 0.2 * span)
     ok = np.isfinite(output.activation) & (coords >= window[0]) & (coords <= window[1])
     if not ok.any():
-        raise InsufficientDataError("no activated nodes in the measurement window")
+        raise InvalidArgumentError("no activated nodes in the measurement window")
 
     positions = np.round(coords[ok], 9)
     times = output.activation[ok]
     planes, inverse = np.unique(positions, return_inverse=True)
     if len(planes) < 4:
-        raise InsufficientDataError(
+        raise InvalidArgumentError(
             f"only {len(planes)} activated planes in the window; need at least 4")
     mean_t = np.bincount(inverse, weights=times) / np.bincount(inverse)
 
     t0 = mean_t - mean_t.mean()
     var = t0 @ t0
     if var <= 0.0:
-        raise InsufficientDataError("plane activation times are identical")
+        raise InvalidArgumentError("plane activation times are identical")
     slope_cm_per_ms = (t0 @ (planes - planes.mean())) / var
     return float(np.abs(slope_cm_per_ms) * 10.0)
 

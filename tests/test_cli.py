@@ -259,6 +259,43 @@ def test_gen_twin_with_unactivated_vein_nodes_leaves_no_files(
     assert _files_under(tmp_path) == []
 
 
+_COLLINEAR_REFERENCES = """name,frame,x_mm,y_mm,z_mm
+a,source,0,0,0
+b,source,10,0,0
+c,source,20,0,0
+a,target,0,0,0
+b,target,0,10,0
+c,target,0,0,10
+"""
+
+
+@pytest.mark.parametrize("command, line", [
+    ("gen-mesh", "error: wall thickness 0.1497 cm is below 2h = 0.2 cm; "
+                 "choose a finer h or a thicker shell"),
+    ("register", "error: source landmarks are collinear (area <= 1e-8 cm^2)"),
+], ids=["thin_wall", "collinear_landmarks"])
+def test_a_geometry_fault_is_one_error_line_and_no_files(tmp_path, capsys,
+                                                         command, line):
+    if command == "gen-mesh":
+        args = ["--kind", "ventricle", "--h", "0.1"]
+    else:
+        vtkio.write_mesh(tmp_path / "mesh.vtk",
+                         build_slab_mesh((0.1, 0.1, 0.05), 0.05))
+        (tmp_path / "meas.csv").write_text(
+            "x_mm,y_mm,z_mm,t_ms,site\n0,0,0,0,septum\n1,1,0.5,10,vein\n")
+        (tmp_path / "refs.csv").write_text(_COLLINEAR_REFERENCES)
+        args = ["--mesh", str(tmp_path / "mesh.vtk"),
+                "--measurements", str(tmp_path / "meas.csv"),
+                "--references", str(tmp_path / "refs.csv")]
+    inputs = _files_under(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *args, "--out", str(tmp_path / "out")])
+    assert err.value.code == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert _files_under(tmp_path) == inputs
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_twin_failed_write_removes_partial_outputs(tmp_path, monkeypatch,
                                                        capsys):
     mesh = build_slab_mesh((0.1, 0.1, 0.05), 0.05)
@@ -720,7 +757,7 @@ def test_report_rejects_a_non_positive_measured_time(tmp_path, capsys,
 
 @pytest.mark.parametrize("column, value", [
     ("sigma_f", "nan"), ("sigma_n", "inf"), ("E_ms", "-inf"),
-    ("eI_pct", "x")])
+    ("eI_pct", "x"), ("iter", "x"), ("iter", "-1")])
 def test_report_names_the_row_and_column_of_a_bad_trace_value(
         tmp_path, capsys, column, value):
     bad = list(_TRACE_ROW)
@@ -728,6 +765,14 @@ def test_report_names_the_row_and_column_of_a_bad_trace_value(
     _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW, bad],
                            "I,10,11\nI,20,19\nII,30,32",
                            "trace.csv", "row 3", column, repr(value))
+
+
+@pytest.mark.parametrize("group", ["III", ""], ids=["III", "empty"])
+def test_report_rejects_an_unknown_correlation_group(tmp_path, capsys, group):
+    # such a row used to drop out of the pooled and group-I statistics
+    _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW],
+                           f"I,10,11\n{group},20,19\nI,25,26\nII,30,32",
+                           "correlation.csv", "row 3", repr(group))
 
 
 def test_seed_is_only_a_gen_twin_flag(capsys):

@@ -12,8 +12,7 @@ from scipy.sparse.linalg import spsolve
 
 from monocal import _hex, fem
 
-from monocal.errors import (AssemblyError, InvalidArgumentError,
-                            NonConvergenceError)
+from monocal.errors import InvalidArgumentError, NonConvergenceError
 from monocal.fem import AssemblyPlan, gmres_solve, solve_dirichlet
 from monocal.fibers import FiberAngles, generate_fibers
 from monocal.geometry import Mesh, build_lv_mesh, build_slab_mesh
@@ -108,19 +107,6 @@ class TestStiffness:
         scale = np.max(np.abs(K.data))
         assert gap.size == 0 or gap.max() <= 1e-12 * scale
 
-    def test_nonsymmetric_tensor_is_rejected(self, unit_cube):
-        D = np.eye(3)
-        D[0, 1] = 0.5
-        with pytest.raises(InvalidArgumentError, match="symmetric"):
-            stiffness(unit_cube, D)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_tensor_is_rejected(self, unit_cube, value):
-        D = np.eye(3)
-        D[1, 1] = value
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            stiffness(unit_cube, D)
-
     def test_assembly_is_deterministic(self, small_slab):
         # two fresh plans: neither matrix comes from a shared one
         D = np.diag((1.0, 0.5, 0.25))
@@ -135,7 +121,9 @@ class TestStiffness:
                        boundary_faces=unit_cube.boundary_faces,
                        boundary_tags=unit_cube.boundary_tags,
                        characteristic_size=1.0)
-        with pytest.raises(AssemblyError, match="non-positive Jacobian"):
+        with pytest.raises(InvalidArgumentError,
+                           match="element 0 is inverted or degenerate "
+                                 r"\(non-positive Jacobian at a Gauss point\)"):
             AssemblyPlan(flipped)
 
 

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 
 import monocal
 from monocal import twin
-from monocal.errors import InvalidArgumentError, RefinementRequiredError
+from monocal.errors import InvalidArgumentError
 from monocal.geometry import Mesh, SurfaceTag, build_lv_mesh, build_slab_mesh
 
 from oracles import element_volumes
@@ -92,7 +92,8 @@ class TestBuildLvMesh:
         assert 0.85 * 8.0 <= ratio <= 1.15 * 8.0
 
     def test_thin_wall_requires_refinement(self):
-        with pytest.raises(RefinementRequiredError):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"wall thickness \S+ cm is below 2h = 0\.2 cm"):
             build_lv_mesh((1.5, 1.5, 3.0), (1.55, 1.55, 3.05), 1.0, 0.1)
 
 

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocal.activation import Site
-from monocal.errors import (DataFormatError, DegenerateConfigurationError,
-                            InvalidArgumentError)
+from monocal.errors import DataFormatError, InvalidArgumentError
 from monocal.geometry import SurfaceTag
 from monocal.registration import (RawCloud, RigidTransform, group_labels,
                                   nns_project, read_measurements,
@@ -183,7 +182,8 @@ class TestRigidFromThreePairs:
     def test_collinear_landmarks_are_rejected(self):
         source = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                            [2.0, 0.0, 0.0]])
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^source landmarks are collinear"):
             rigid_from_three_pairs(source, source)
 
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from monocal import cli, vtkio
-from monocal.errors import (InsufficientDataError, InvalidArgumentError,
-                            SimulationDivergedError)
+from monocal.errors import InvalidArgumentError, MonocalError
 from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
 from monocal.ionic import rest_state
@@ -246,11 +246,15 @@ class TestSimulate:
     def test_divergence_is_reported_with_step_and_time(self, small_slab):
         params = SolverParams(stimulus_amplitude=4e8, stimulus_radius=10.0,
                               t_end=10.0)
-        with pytest.raises(SimulationDivergedError) as err:
+        with pytest.raises(MonocalError) as err:
             simulate(small_slab, None, params,
                      single_plan((0.0, 0.0, 0.0)))
-        assert err.value.step >= 1
-        assert err.value.time_ms > 0.0
+        found = re.fullmatch(r"step (\d+) \(t=(\S+) ms\): "
+                             "potential magnitude exceeded 5", str(err.value))
+        assert found, str(err.value)
+        step, time_ms = int(found[1]), float(found[2])
+        assert step >= 1
+        assert time_ms == pytest.approx(step * params.dt, rel=1e-3)
 
     def test_onset_beyond_end_is_rejected(self, small_slab):
         params = SolverParams(t_end=10.0)
@@ -458,14 +462,16 @@ class TestMeasurePlanarCv:
     def test_too_few_planes_is_rejected(self):
         bar = build_slab_mesh((0.7, 0.07, 0.035), 0.035)
         out = self._linear_output(bar, 0.063)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidArgumentError,
+                           match="only 2 activated planes in the window"):
             measure_planar_cv(out, axis=0, window=(0.15, 0.21))
 
     def test_unactivated_map_is_rejected(self):
         bar = build_slab_mesh((0.7, 0.07, 0.035), 0.035)
         out = self._linear_output(bar, 0.063)
         out.activation[:] = np.nan
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidArgumentError,
+                           match="no activated nodes in the measurement window"):
             measure_planar_cv(out, axis=0)
 
     def test_quadrupled_conductivity_doubles_the_speed(self):
