@@ -64,10 +64,12 @@ class ErrorReport:
     errors holds the signed residuals computed - measured (ms) of the
     activated points, in input order; positive where the simulation lags
     the measurements. Relative errors are the absolute residuals as
-    fractions of a measured time: the plain ones (mean_rel, std_rel,
-    summary) divide by the largest measured time of the group, the
-    pointwise ones by each point's own measured time. The five-number
-    summary describes the plain relative errors (the boxplot variable).
+    fractions of a measured time. The plain ones divide by the largest
+    measured time of the group and give mean_rel, std_rel and
+    five_number_rel (their five-number summary, the boxplot variable);
+    the pointwise ones divide by each point's own measured time. The
+    fields but errors, as declared, are the 'validation' block of the
+    validation.json that `calibrate` writes and `report` reads.
     """
 
     errors: np.ndarray
@@ -75,7 +77,7 @@ class ErrorReport:
     mean_rel_pointwise: float
     std_rel: float
     std_rel_pointwise: float
-    summary: tuple[float, float, float, float, float]
+    five_number_rel: tuple[float, float, float, float, float]
     slope: float
     r_squared: float
     n_used: int
@@ -132,5 +134,5 @@ def error_stats(computed, measured) -> ErrorReport:
         errors=d,
         mean_rel=float(rel.mean()), mean_rel_pointwise=float(rel_pw.mean()),
         std_rel=float(rel.std()), std_rel_pointwise=float(rel_pw.std()),
-        summary=five_number_summary(rel), slope=slope, r_squared=r2,
+        five_number_rel=five_number_summary(rel), slope=slope, r_squared=r2,
         n_used=int(len(c)), n_not_activated=n_missing)

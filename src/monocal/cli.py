@@ -17,7 +17,9 @@ fields and their types come from the dataclass. `_parse` checks a
 config against it in one walk under one type rule: an integer counts
 as a float and a boolean never counts as a number. Unknown keys and
 wrong-length fixed tuples are rejected at any depth, and a null value
-means unset at any depth. A failed subcommand prints one `error:` line,
+means unset at any depth. `report` reads validation.json back with the
+same walk (`_RESULTS`); the fields of `activation.ErrorReport` declare
+its 'validation' block. A failed subcommand prints one `error:` line,
 exits 1 and leaves no partial outputs: it removes what it wrote, so
 reruns start clean.
 
@@ -32,7 +34,7 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -44,9 +46,18 @@ from . import calibration as cal
 from . import fibers, geometry, twin, vtkio
 from . import registration as reg
 from . import solver as slv
-from .errors import DataFormatError, InvalidArgumentError, MonocalError
+from .errors import (DataFormatError, InvalidArgumentError, MonocalError,
+                     reported_as)
 
 SCENARIOS_DIR = Path(__file__).parent / "scenarios"
+# correlation.csv's header, which calibrate writes and report reads
+CORRELATION_HEADER = ("group", "tau_measured_ms", "tau_computed_ms")
+# validation.json's declared types: its 'validation' block is the
+# group-II `ErrorReport` without its residuals
+_VALIDATION = {k: t for k, t in get_type_hints(act.ErrorReport).items()
+               if k != "errors"}
+_RESULTS = {"sigma_hat": tuple[float, float, float], "converged": bool,
+            "iterations": int, "validation": _VALIDATION}
 
 
 def _fail(message: str) -> "SystemExit":
@@ -100,9 +111,9 @@ def _parse(value, hint, what: str):
     A hint is a scalar type; a tuple type, fixed-length or `tuple[T, ...]`,
     which takes a JSON list and returns a tuple; or a record, which takes
     a JSON object and returns a dict without its null-valued keys: a dict
-    of key hints (a whole config) or a dataclass, whose field types come
-    from `get_type_hints`. The one type rule: an integer counts as a
-    float, and a boolean never counts as a number.
+    of key hints (a whole config or validation.json) or a dataclass,
+    whose field types come from `get_type_hints`. The one type rule: an
+    integer counts as a float, and a boolean never counts as a number.
     """
     fields = hint if isinstance(hint, dict) else (
         get_type_hints(hint) if is_dataclass(hint) else None)
@@ -154,18 +165,6 @@ def _out_dir(config: dict, command: str) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-@contextmanager
-def _reported_as(what: str):
-    """Turn a missing key or a malformed value met while reading the
-    result file `what` into a DataFormatError naming it."""
-    try:
-        yield
-    except KeyError as exc:
-        raise DataFormatError(f"invalid {what}: missing key {exc}") from exc
-    except (DataFormatError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"invalid {what}: {exc}") from exc
 
 
 def _load_fiber_field(config: dict, mesh, command: str):
@@ -322,27 +321,15 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     cal.write_trace(trace_path, result)
     best = result.best
     report = result.validation
-    payload = {
+    _write_json(validation_path, {
         "sigma_hat": [float(v) for v in best.sigma],
         "converged": result.converged,
         "iterations": len(result.iterations),
-        "validation": {
-            "mean_rel": report.mean_rel,
-            "mean_rel_pointwise": report.mean_rel_pointwise,
-            "std_rel": report.std_rel,
-            "std_rel_pointwise": report.std_rel_pointwise,
-            "five_number_rel": list(report.summary),
-            "slope": report.slope,
-            "r_squared": report.r_squared,
-            "n_used": report.n_used,
-            "n_not_activated": report.n_not_activated,
-        },
-    }
-    _write_json(validation_path, payload)
+        "validation": {k: getattr(report, k) for k in _VALIDATION}})
 
     with open(correlation_path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(("group", "tau_measured_ms", "tau_computed_ms"))
+        writer.writerow(CORRELATION_HEADER)
         rows = [("I", tau, c) for tau, c in
                 zip(result.calibration.taus, best.calibration_computed)]
         rows += [("II", tau, c) for tau, c in
@@ -362,19 +349,12 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     print(f"wrote {trace_path}, {validation_path}, {correlation_path}")
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise DataFormatError(
-            f"{what} must hold a JSON object, got {type(value).__name__}")
-    return value
-
-
 def _validation_lines(validation: dict) -> list[str]:
-    """Report lines for a validation.json payload. Each of its
-    four keys is required (a missing one raises KeyError), and its
-    'validation' value is the group-II report, a JSON object."""
+    """Report lines for a validation.json payload, already checked
+    against `_RESULTS` by `_parse`. Each of its four keys and the
+    reported metrics are required: a missing one raises KeyError."""
     sig = ", ".join(f"{v:.4f}" for v in validation["sigma_hat"])
-    rep = _json_object(validation["validation"], "'validation'")
+    rep = validation["validation"]
     five = ", ".join(f"{100 * v:.2f}" for v in rep["five_number_rel"])
     return [
         "", f"estimated conductivities (mS/cm): {sig}",
@@ -390,9 +370,9 @@ def _validation_lines(validation: dict) -> list[str]:
         f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
 
 
-def _parse_iteration(text, row: int) -> int:
+def _parse_iteration(text: str, row: int) -> int:
     """trace.csv's iter value: a non-negative integer in ASCII digits."""
-    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+    if not (text.isascii() and text.isdigit()):
         raise DataFormatError(
             f"iter value {text!r} is not a non-negative integer", row=row)
     return int(text)
@@ -407,39 +387,37 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
 
     lines = ["calibration report", "==================", "",
              "iteration trace (sigma in mS/cm, E in ms, F in ms^2):"]
-    with _reported_as(f"file {trace_path}"), \
-            open(trace_path, newline="") as handle:
-        for row, r in enumerate(csv.DictReader(handle), start=2):
+    with reported_as(f"file {trace_path}"):
+        for row, r in reg.read_rows(trace_path, cal.TRACE_HEADER):
             it = _parse_iteration(r["iter"], row)
-            sf, ss, sn, e, f, ei = (reg._parse_float(r[c], c, row)
+            sf, ss, sn, e, f, ei = (reg.parse_float(r[c], c, row)
                                     for c in cal.TRACE_HEADER[1:])
             lines.append(f"  {it:>3}  sigma=({sf:.4f}, {ss:.4f}, "
                          f"{sn:.4f})  E={e:+9.3f}  F={f:10.3f}  eI={ei:6.3f}%")
 
     validation_path = results / "validation.json"
     if validation_path.exists():
-        with _reported_as(f"file {validation_path}"):
-            validation = _json_object(json.loads(validation_path.read_text()),
-                                      "the top level")
-            lines += _validation_lines(validation)
+        with reported_as(f"file {validation_path}"):
+            lines += _validation_lines(_parse(
+                json.loads(validation_path.read_text()), _RESULTS,
+                "the top level"))
 
     correlation_path = results / "correlation.csv"
     if correlation_path.exists():
-        with _reported_as(f"file {correlation_path}"), \
-                open(correlation_path, newline="") as handle:
+        with reported_as(f"file {correlation_path}"):
             rows = []
-            for row, r in enumerate(csv.DictReader(handle), start=2):
+            for row, r in reg.read_rows(correlation_path, CORRELATION_HEADER):
                 if r["group"] not in ("I", "II"):
                     raise DataFormatError(f"unknown group {r['group']!r}",
                                           row=row)
-                measured = reg._parse_float(r["tau_measured_ms"],
-                                            "tau_measured_ms", row)
+                measured = reg.parse_float(r["tau_measured_ms"],
+                                           "tau_measured_ms", row)
                 if measured <= 0.0:
                     raise DataFormatError("measured activation time must be "
                                           f"positive, got {measured:g}", row=row)
                 if r["tau_computed_ms"]:  # empty: the point did not activate
-                    computed = reg._parse_float(r["tau_computed_ms"],
-                                                "tau_computed_ms", row)
+                    computed = reg.parse_float(r["tau_computed_ms"],
+                                               "tau_computed_ms", row)
                     rows.append((r["group"], computed, measured))
         for label, keep in (("pooled", ("I", "II")), ("group I", ("I",))):
             pairs = [(c, m) for group, c, m in rows if group in keep]

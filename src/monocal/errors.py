@@ -9,6 +9,8 @@ one of these with a message that says what went wrong.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -44,6 +46,18 @@ class DataFormatError(MonocalError):
             message = f"row {row}: {message}"
         super().__init__(message)
         self.row = row
+
+
+@contextmanager
+def reported_as(what: str):
+    """Turn a missing key or a malformed value met while reading the
+    input `what` into a DataFormatError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataFormatError(f"invalid {what}: missing key {exc}") from exc
+    except (DataFormatError, ValueError) as exc:
+        raise DataFormatError(f"invalid {what}: {exc}") from exc
 
 
 class NonConvergenceError(MonocalError):

@@ -12,7 +12,8 @@ and the twin snaps its septal and vein points with it too. A measured
 map is one `RawCloud` throughout: `register` returns the projected
 cloud with one group label per point (`input`, `I`, `II`), and
 `split_samples` cuts it into the three group clouds plus the stimulus
-plan, the stage the command line runs.
+plan, the stage the command line runs. Every CSV file is read by
+`read_rows`, its numeric cells by `parse_float`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import Group, Site
-from .errors import DataFormatError, InvalidArgumentError
+from .errors import DataFormatError, InvalidArgumentError, reported_as
 from .geometry import Mesh, SurfaceTag
 from .solver import StimulusPlan
 
@@ -91,14 +92,27 @@ class RigidTransform:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
-def _parse_float(text: str, column: str, row: int) -> float:
+def parse_float(text: str, column: str, row: int) -> float:
+    """A CSV cell as a finite float; DataFormatError names column and row."""
     try:
         value = float(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise DataFormatError(f"non-numeric {column} value {text!r}", row=row)
     if not -np.inf < value < np.inf:
         raise DataFormatError(f"non-finite {column} value {text!r}", row=row)
     return value
+
+
+def read_rows(path, columns) -> list[tuple[int, dict[str, str]]]:
+    """The rows of a CSV file as (row number, record) pairs, the first
+    data row numbered 2. The header must name every one of columns; a
+    short row reads its missing cells as empty strings."""
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle, restval="")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataFormatError(f"missing column(s) {', '.join(missing)}", row=1)
+        return list(enumerate(reader, start=2))
 
 
 def read_measurements(path) -> RawCloud:
@@ -110,28 +124,22 @@ def read_measurements(path) -> RawCloud:
     offending row.
     """
     points, taus, sites = [], [], []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle, restval="")
-        header = reader.fieldnames or []
-        missing = [c for c in MEASUREMENT_COLUMNS if c not in header]
-        if missing:
-            raise DataFormatError(f"missing column(s) {', '.join(missing)}", row=1)
-        for row_no, record in enumerate(reader, start=2):
-            coords = [_parse_float(record[c], c, row_no)
-                      for c in ("x_mm", "y_mm", "z_mm")]
-            tau = _parse_float(record["t_ms"], "t_ms", row_no)
-            if tau < 0.0:
-                raise DataFormatError(f"negative activation time {tau}", row=row_no)
-            try:
-                site = Site(record["site"].strip())
-            except ValueError:
-                raise DataFormatError(f"unknown site {record['site']!r}", row=row_no)
-            if site is Site.EPI_VEIN and tau == 0.0:
-                raise DataFormatError("vein activation time must be positive, "
-                                      "got 0", row=row_no)
-            points.append([c / 10.0 for c in coords])
-            taus.append(tau)
-            sites.append(site)
+    for row_no, record in read_rows(path, MEASUREMENT_COLUMNS):
+        coords = [parse_float(record[c], c, row_no)
+                  for c in ("x_mm", "y_mm", "z_mm")]
+        tau = parse_float(record["t_ms"], "t_ms", row_no)
+        if tau < 0.0:
+            raise DataFormatError(f"negative activation time {tau}", row=row_no)
+        try:
+            site = Site(record["site"].strip())
+        except ValueError:
+            raise DataFormatError(f"unknown site {record['site']!r}", row=row_no)
+        if site is Site.EPI_VEIN and tau == 0.0:
+            raise DataFormatError("vein activation time must be positive, "
+                                  "got 0", row=row_no)
+        points.append([c / 10.0 for c in coords])
+        taus.append(tau)
+        sites.append(site)
     if not points:
         raise DataFormatError("no measurement rows found")
     return RawCloud(points=np.array(points), taus=np.array(taus), sites=sites,
@@ -160,24 +168,18 @@ def read_reference_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     target (mesh). Returns (source, target) as matched (3, 3) arrays in cm.
     """
     frames: dict[str, dict[str, np.ndarray]] = {"source": {}, "target": {}}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle, restval="")
-        header = reader.fieldnames or []
-        missing = [c for c in REFERENCE_COLUMNS if c not in header]
-        if missing:
-            raise DataFormatError(f"missing column(s) {', '.join(missing)}", row=1)
-        for row_no, record in enumerate(reader, start=2):
-            frame = record["frame"].strip()
-            if frame not in frames:
-                raise DataFormatError(f"frame must be source or target, "
-                                      f"got {frame!r}", row=row_no)
-            name = record["name"].strip()
-            if name in frames[frame]:
-                raise DataFormatError(f"duplicate landmark {name!r} in {frame}",
-                                      row=row_no)
-            frames[frame][name] = np.array(
-                [_parse_float(record[c], c, row_no) / 10.0
-                 for c in ("x_mm", "y_mm", "z_mm")])
+    for row_no, record in read_rows(path, REFERENCE_COLUMNS):
+        frame = record["frame"].strip()
+        if frame not in frames:
+            raise DataFormatError(f"frame must be source or target, "
+                                  f"got {frame!r}", row=row_no)
+        name = record["name"].strip()
+        if name in frames[frame]:
+            raise DataFormatError(f"duplicate landmark {name!r} in {frame}",
+                                  row=row_no)
+        frames[frame][name] = np.array(
+            [parse_float(record[c], c, row_no) / 10.0
+             for c in ("x_mm", "y_mm", "z_mm")])
     names = sorted(frames["source"])
     if len(names) != 3 or sorted(frames["target"]) != names:
         raise DataFormatError("expected exactly 3 landmarks present in both frames")
@@ -273,8 +275,10 @@ def register(mesh: Mesh, measurements_path, references_path
     points first), its `group_labels` and the registration statistics
     the command line writes out.
     """
-    cloud = read_measurements(measurements_path)
-    source, target = read_reference_pairs(references_path)
+    with reported_as(f"file {measurements_path}"):
+        cloud = read_measurements(measurements_path)
+    with reported_as(f"file {references_path}"):
+        source, target = read_reference_pairs(references_path)
     transform = rigid_from_three_pairs(source, target)
     is_vein = np.array([s is Site.EPI_VEIN for s in cloud.sites])
     if not is_vein.any() or is_vein.all():

@@ -156,7 +156,10 @@ def build_conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
     sigma_s I + (sigma_f - sigma_s) f f^T + (sigma_n - sigma_s) n n^T,
     whose eigenvalues are exactly the three conductivities. The nodal
     frames are orthonormal (`FiberField` checks itself) and sigma holds
-    three positive values (`SolverParams.sigma`).
+    three positive values (`SolverParams.sigma`). An averaged fiber
+    cannot vanish: its component along corner 0's fiber is the mean of
+    |f_k . f_0|, at least 1/8. Only the sheet normal, orthogonalized
+    against it, can degenerate.
     """
 
     def averaged(vectors):
@@ -167,11 +170,7 @@ def build_conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
         return mean
 
     f = averaged(fiber_field.f)
-    norms = np.linalg.norm(f, axis=1)
-    if norms.min() < 1e-8:
-        raise InvalidArgumentError(
-            f"fiber directions cancel within element {int(np.argmin(norms))}")
-    f /= norms[:, None]
+    f /= np.linalg.norm(f, axis=1)[:, None]
     n = averaged(fiber_field.n)
     n -= np.sum(n * f, axis=1)[:, None] * f
     norms = np.linalg.norm(n, axis=1)

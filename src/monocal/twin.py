@@ -149,10 +149,11 @@ def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:
                 mesh.n_nodes, output.n_not_activated)
 
     taus = output.activation[vein_nodes]
-    if np.any(~np.isfinite(taus)):
-        missing = vein_nodes[~np.isfinite(taus)]
+    unactivated = ~np.isfinite(taus)
+    if unactivated.any():
         raise InvalidArgumentError(
-            f"twin generation left vein nodes {missing.tolist()} unactivated; "
+            f"twin generation left {unactivated.sum()} vein points unactivated, "
+            f"at nodes {np.unique(vein_nodes[unactivated]).tolist()}; "
             "increase t_end or revisit the conductivities")
     return TwinData(mesh=mesh, fiber_field=fiber_field, sigma=tuple(sigma),
                     septal_nodes=septal_nodes, septal_onsets=onsets,

@@ -130,7 +130,7 @@ class TestErrorStats:
         report = error_stats(m.copy(), m)
         assert report.mean_rel == 0.0
         assert report.std_rel == 0.0
-        assert report.summary == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert report.five_number_rel == (0.0, 0.0, 0.0, 0.0, 0.0)
         assert np.isclose(report.slope, 1.0, rtol=1e-12)
 
     def test_matches_brute_force_oracle(self):

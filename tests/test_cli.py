@@ -256,6 +256,10 @@ def test_gen_twin_with_unactivated_vein_nodes_leaves_no_files(
     assert err.value.code == 1
     message = capsys.readouterr().err
     assert message.startswith("error:") and "unactivated" in message
+    # every vein point is named once through its node: no id repeats
+    ids = json.loads(message[message.index("["):message.index("]") + 1])
+    assert ids and len(set(ids)) == len(ids)
+    assert f"left {twin.N_VEIN_POINTS} vein points" in message
     assert _files_under(tmp_path) == []
 
 
@@ -467,6 +471,37 @@ def test_register_rejects_a_non_finite_csv_value(pipeline, tmp_path, capsys,
     assert message.startswith("error:")
     assert "row 3" in message and f"non-finite {column}" in message
     assert not (tmp_path / "out" / "registered.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["register", "calibrate"])
+@pytest.mark.parametrize("name", ["measurements.csv", "references.csv"])
+@pytest.mark.parametrize("fault", ["cell", "encoding"])
+def test_a_bad_csv_file_is_named(pipeline, tmp_path, capsys, command, name,
+                                 fault):
+    # both files have an x_mm column, so the row alone does not say which
+    # file is at fault; a byte that is not UTF-8 used to escape as a
+    # UnicodeDecodeError
+    twin_dir = pipeline / "twin"
+    inputs = {n: twin_dir / n for n in ("measurements.csv", "references.csv")}
+    if fault == "cell":
+        inputs[name] = _corrupted_copy(twin_dir / name, tmp_path / name, 3,
+                                       "x_mm", "abc")
+        reason = "row 3: non-numeric x_mm value 'abc'"
+    else:
+        inputs[name] = tmp_path / name
+        inputs[name].write_bytes((twin_dir / name).read_bytes() + b"\xff\n")
+        reason = "'utf-8' codec can't decode byte 0xff"
+    config = ["--config", "test_a_standard.json"] * (command == "calibrate")
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *config, "--mesh", str(twin_dir / "mesh.vtk"),
+                  "--measurements", str(inputs["measurements.csv"]),
+                  "--references", str(inputs["references.csv"]),
+                  "--out", str(tmp_path / "out")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: invalid file {inputs[name]}: {reason}")
+    assert message.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -773,6 +808,55 @@ def test_report_rejects_an_unknown_correlation_group(tmp_path, capsys, group):
     _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW],
                            f"I,10,11\n{group},20,19\nI,25,26\nII,30,32",
                            "correlation.csv", "row 3", repr(group))
+
+
+# One edit each to a real validation.json: (key path, new value). The
+# first seven used to give a report and exit 0, the other five ended in
+# Python's own wording without the key.
+_VALIDATION_EDITS = {
+    "converged_str": (("converged",), "yes"),
+    "iterations_str": (("iterations",), "x"),
+    "iterations_float": (("iterations",), 2.5),
+    "sigma_hat_two": (("sigma_hat",), [1.45, 0.32]),
+    "n_used_str": (("validation", "n_used"), "many"),
+    "slope_bool": (("validation", "slope"), True),
+    "unknown_key": (("validation", "bogus"), 1.0),
+    "sigma_hat_number": (("sigma_hat",), 1.45),
+    "sigma_hat_strings": (("sigma_hat",), ["a", "b", "c"]),
+    "mean_rel_str": (("validation", "mean_rel"), "x"),
+    "five_number_rel_number": (("validation", "five_number_rel"), 0.01),
+    "r_squared_null": (("validation", "r_squared"), None),
+}
+
+
+@pytest.mark.parametrize("broken", [*_VALIDATION_EDITS, "trace_empty",
+                                    "correlation_empty"])
+def test_report_names_the_file_and_key_of_a_malformed_result(
+        pipeline, tmp_path, capsys, broken):
+    results = tmp_path / "results"
+    results.mkdir()
+    for name in ("trace.csv", "validation.json", "correlation.csv"):
+        (results / name).write_bytes((_results(pipeline) / name).read_bytes())
+    if broken in _VALIDATION_EDITS:
+        (*parents, key), value = _VALIDATION_EDITS[broken]
+        named, word = "validation.json", key
+        payload = json.loads((results / named).read_text())
+        block = payload
+        for parent in parents:
+            block = block[parent]
+        block[key] = value
+        (results / named).write_text(json.dumps(payload))
+    else:
+        named, word = broken.replace("_empty", ".csv"), "missing column"
+        (results / named).write_bytes(b"")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["report", "--results", str(results),
+                  "--out", str(tmp_path / "out")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error:") and message.count("\n") == 1
+    assert str(results / named) in message and word in message
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_is_only_a_gen_twin_flag(capsys):
