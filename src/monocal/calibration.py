@@ -21,7 +21,7 @@ import numpy as np
 
 from . import activation as act
 from . import solver as slv
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, MonocalError
 from .fibers import FiberField
 from .geometry import Mesh
 from .registration import RawCloud
@@ -170,6 +170,8 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
     Each distinct triple is simulated once, and every record carries the
     times of both groups; the validation report compares the estimate's
     group-II times with the measured ones. Both clouds must be non-empty.
+    A failed simulation's MonocalError is raised again with the iteration
+    and the triple in front of its message.
     """
     for name, cloud in (("calibration", cal), ("validation", val)):
         if not len(cloud):
@@ -187,10 +189,10 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
             params = replace(config.solver, sigma=tuple(sigma))
             try:
                 output = slv.simulate(mesh, fiber_field, params, stim_plan)
-            except Exception:
-                logger.error("simulation failed at iteration %d, sigma=%s",
-                             len(records), sigma)
-                raise
+            except MonocalError as exc:
+                sig = ", ".join(f"{v:.4f}" for v in sigma)
+                raise MonocalError(f"iteration {len(records)} (sigma=({sig}))"
+                                   f": {exc}") from exc
             times = act.extract_activation_at(output, points)
             evaluated[key] = IterationRecord(
                 sigma=sigma, calibration_computed=times[:n_cal],

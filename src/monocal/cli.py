@@ -46,7 +46,7 @@ from . import calibration as cal
 from . import fibers, geometry, twin, vtkio
 from . import registration as reg
 from . import solver as slv
-from .errors import (DataFormatError, InvalidArgumentError, MonocalError,
+from .errors import (FormatError, InvalidArgumentError, MonocalError,
                      reported_as)
 
 SCENARIOS_DIR = Path(__file__).parent / "scenarios"
@@ -90,6 +90,7 @@ def _load_config(path: str | None, keys: dict, command: str) -> dict:
     rejected and a null value means unset, at any depth, and lists come
     back as tuples. A name that does not exist on disk but matches a
     bundled scenario file resolves to the copy shipped inside the package.
+    Any fault in the file's bytes, JSON or values is reported with its path.
     """
     if path is None:
         return {}
@@ -98,11 +99,8 @@ def _load_config(path: str | None, keys: dict, command: str) -> dict:
         p = SCENARIOS_DIR / path
     if not p.exists():
         raise InvalidArgumentError(f"config file {p} does not exist")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"config file {p} is not valid JSON: {exc}")
-    return _parse(raw, keys, f"{command} config")
+    with reported_as(f"file {p}"):
+        return _parse(json.loads(p.read_text()), keys, f"{command} config")
 
 
 def _parse(value, hint, what: str):
@@ -113,7 +111,8 @@ def _parse(value, hint, what: str):
     a JSON object and returns a dict without its null-valued keys: a dict
     of key hints (a whole config or validation.json) or a dataclass,
     whose field types come from `get_type_hints`. The one type rule: an
-    integer counts as a float, and a boolean never counts as a number.
+    integer counts as a float (if float() takes it; it is returned as it
+    is), and a boolean never counts as a number.
     """
     fields = hint if isinstance(hint, dict) else (
         get_type_hints(hint) if is_dataclass(hint) else None)
@@ -124,6 +123,12 @@ def _parse(value, hint, what: str):
             or not isinstance(value, accepted):
         raise InvalidArgumentError(f"{what} must be of type {kind.__name__}, "
                                    f"got {type(value).__name__}")
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidArgumentError(
+                f"{what} is too large for a float") from None
     if fields is not None:
         unknown = sorted(set(value) - set(fields))
         if unknown:
@@ -370,11 +375,11 @@ def _validation_lines(validation: dict) -> list[str]:
         f"R^2 {rep['r_squared']:.4f} over {rep['n_used']} points"]
 
 
-def _parse_iteration(text: str, row: int) -> int:
+def _parse_iteration(text: str, line: int) -> int:
     """trace.csv's iter value: a non-negative integer in ASCII digits."""
     if not (text.isascii() and text.isdigit()):
-        raise DataFormatError(
-            f"iter value {text!r} is not a non-negative integer", row=row)
+        raise FormatError(
+            f"iter value {text!r} is not a non-negative integer", line=line)
     return int(text)
 
 
@@ -388,9 +393,9 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     lines = ["calibration report", "==================", "",
              "iteration trace (sigma in mS/cm, E in ms, F in ms^2):"]
     with reported_as(f"file {trace_path}"):
-        for row, r in reg.read_rows(trace_path, cal.TRACE_HEADER):
-            it = _parse_iteration(r["iter"], row)
-            sf, ss, sn, e, f, ei = (reg.parse_float(r[c], c, row)
+        for line, r in reg.read_rows(trace_path, cal.TRACE_HEADER):
+            it = _parse_iteration(r["iter"], line)
+            sf, ss, sn, e, f, ei = (reg.parse_float(r[c], c, line)
                                     for c in cal.TRACE_HEADER[1:])
             lines.append(f"  {it:>3}  sigma=({sf:.4f}, {ss:.4f}, "
                          f"{sn:.4f})  E={e:+9.3f}  F={f:10.3f}  eI={ei:6.3f}%")
@@ -406,18 +411,19 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     if correlation_path.exists():
         with reported_as(f"file {correlation_path}"):
             rows = []
-            for row, r in reg.read_rows(correlation_path, CORRELATION_HEADER):
+            for line, r in reg.read_rows(correlation_path,
+                                         CORRELATION_HEADER):
                 if r["group"] not in ("I", "II"):
-                    raise DataFormatError(f"unknown group {r['group']!r}",
-                                          row=row)
+                    raise FormatError(f"unknown group {r['group']!r}",
+                                      line=line)
                 measured = reg.parse_float(r["tau_measured_ms"],
-                                           "tau_measured_ms", row)
+                                           "tau_measured_ms", line)
                 if measured <= 0.0:
-                    raise DataFormatError("measured activation time must be "
-                                          f"positive, got {measured:g}", row=row)
+                    raise FormatError("measured activation time must be "
+                                      f"positive, got {measured:g}", line=line)
                 if r["tau_computed_ms"]:  # empty: the point did not activate
                     computed = reg.parse_float(r["tau_computed_ms"],
-                                               "tau_computed_ms", row)
+                                               "tau_computed_ms", line)
                     rows.append((r["group"], computed, measured))
         for label, keep in (("pooled", ("I", "II")), ("group I", ("I",))):
             pairs = [(c, m) for group, c, m in rows if group in keep]

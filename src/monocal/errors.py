@@ -1,17 +1,20 @@
 """Exception types shared across the package.
 
-A class exists only where a caller catches it or needs what it carries:
-the CLI catches MonocalError, InvalidArgumentError is also a ValueError,
-the two format errors add the line or row to their message, and
-NonConvergenceError carries the last iterate. Every other fault raises
-one of these with a message that says what went wrong.
+Three classes: MonocalError, the base class and the one the CLI
+catches; InvalidArgumentError, an argument that violates a precondition
+(also a ValueError); and FormatError, a file that could not be parsed,
+with the file line at fault in its message when known. A runtime fault
+raises MonocalError with a message that says where it happened: the
+time step, and in a calibration the iteration and the conductivities.
+
+One naming rule: the function that opens a file names it, by reading
+and parsing it inside `reported_as(f"file {path}")`; `FiberField.read`,
+which checks what `vtkio.read_fields` returns, names the file the same way.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-
-import numpy as np
 
 
 class MonocalError(Exception):
@@ -22,54 +25,22 @@ class InvalidArgumentError(MonocalError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class MeshFormatError(MonocalError):
-    """A mesh or field file could not be parsed.
-
-    Carries the offending line number when known.
-    """
+class FormatError(MonocalError):
+    """A file could not be parsed; line, when known, is the file line at
+    fault and prefixes the message."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class DataFormatError(MonocalError):
-    """A measurement or configuration file could not be parsed.
-
-    Carries the offending row number when known.
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @contextmanager
 def reported_as(what: str):
-    """Turn a missing key or a malformed value met while reading the
-    input `what` into a DataFormatError naming it."""
+    """Turn a missing key or a malformed value (a non-UTF-8 byte
+    included) met while reading the input `what` into a FormatError
+    naming it."""
     try:
         yield
     except KeyError as exc:
-        raise DataFormatError(f"invalid {what}: missing key {exc}") from exc
-    except (DataFormatError, ValueError) as exc:
-        raise DataFormatError(f"invalid {what}: {exc}") from exc
-
-
-class NonConvergenceError(MonocalError):
-    """An iterative solve stopped before reaching its tolerance.
-
-    The best iterate found so far is attached so callers can inspect or
-    log it.
-    """
-
-    def __init__(self, message: str, best: np.ndarray | None = None,
-                 residual: float | None = None, iterations: int | None = None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
-        self.iterations = iterations
+        raise FormatError(f"invalid {what}: missing key {exc}") from exc
+    except (FormatError, ValueError) as exc:
+        raise FormatError(f"invalid {what}: {exc}") from exc

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import _hex
-from .errors import InvalidArgumentError, NonConvergenceError
+from .errors import InvalidArgumentError, MonocalError
 from .geometry import Mesh
 
 
@@ -177,8 +177,8 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
     true residual ||b - A x|| <= rel_tol * ||b||, recomputed from A when
     the recursive residual says so. Raises InvalidArgumentError when A is
     not SPD, as shown by a non-positive diagonal entry or a search
-    direction with p^T A p <= 0, and NonConvergenceError carrying the
-    last iterate when max_iter iterations do not suffice.
+    direction with p^T A p <= 0, and MonocalError with the tolerance and
+    the last residual when max_iter iterations do not suffice.
     """
     if diag is None:
         diag = A.diagonal()
@@ -197,10 +197,9 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
         if residual <= tol:
             return SolveReport(x=x, iterations=iterations)
         if iterations >= max_iter:
-            raise NonConvergenceError(
+            raise MonocalError(
                 f"CG did not reach {tol:.3e} in {max_iter} iterations "
-                f"(residual {residual:.3e})", best=x, residual=residual,
-                iterations=iterations)
+                f"(residual {residual:.3e})")
         z = minv * r
         p = z
         rz = r @ z

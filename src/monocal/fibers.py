@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import _hex, fem, vtkio
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, reported_as
 from .geometry import Mesh, SurfaceTag
 
 
@@ -103,15 +103,13 @@ class FiberField:
     @classmethod
     def read(cls, path) -> "FiberField":
         """Load a field stored by `write`; a file without the 'singular'
-        data has no singular nodes."""
+        data has no singular nodes. A missing axis or a frame that fails
+        `validate` is reported with the file's path."""
         fields = vtkio.read_fields(path)
-        for name in ("fiber", "sheet", "normal"):
-            if name not in fields:
-                raise InvalidArgumentError(
-                    f"fibers file {path} lacks the '{name}' vector field")
-        singular = fields.get("singular", np.zeros(len(fields["fiber"])))
-        return cls(f=fields["fiber"], s=fields["sheet"], n=fields["normal"],
-                   singular=singular > 0.5)
+        with reported_as(f"file {path}"):
+            singular = fields.get("singular", np.zeros(len(fields["fiber"])))
+            return cls(f=fields["fiber"], s=fields["sheet"],
+                       n=fields["normal"], singular=singular > 0.5)
 
     @classmethod
     def uniform(cls, n_nodes: int) -> "FiberField":

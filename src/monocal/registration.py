@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activation import Group, Site
-from .errors import DataFormatError, InvalidArgumentError, reported_as
+from .errors import FormatError, InvalidArgumentError, reported_as
 from .geometry import Mesh, SurfaceTag
 from .solver import StimulusPlan
 
@@ -92,27 +92,27 @@ class RigidTransform:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
-def parse_float(text: str, column: str, row: int) -> float:
-    """A CSV cell as a finite float; DataFormatError names column and row."""
+def parse_float(text: str, column: str, line: int) -> float:
+    """A CSV cell as a finite float; FormatError names column and line."""
     try:
         value = float(text)
     except ValueError:
-        raise DataFormatError(f"non-numeric {column} value {text!r}", row=row)
+        raise FormatError(f"non-numeric {column} value {text!r}", line=line)
     if not -np.inf < value < np.inf:
-        raise DataFormatError(f"non-finite {column} value {text!r}", row=row)
+        raise FormatError(f"non-finite {column} value {text!r}", line=line)
     return value
 
 
 def read_rows(path, columns) -> list[tuple[int, dict[str, str]]]:
-    """The rows of a CSV file as (row number, record) pairs, the first
-    data row numbered 2. The header must name every one of columns; a
-    short row reads its missing cells as empty strings."""
+    """The records of a CSV file as (file line, record) pairs; a record's
+    line is its last, so blank lines count. The header must name every
+    one of columns; a short row reads its missing cells as empty strings."""
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle, restval="")
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
-            raise DataFormatError(f"missing column(s) {', '.join(missing)}", row=1)
-        return list(enumerate(reader, start=2))
+            raise FormatError(f"missing column(s) {', '.join(missing)}", line=1)
+        return [(reader.line_num, record) for record in reader]
 
 
 def read_measurements(path) -> RawCloud:
@@ -120,28 +120,30 @@ def read_measurements(path) -> RawCloud:
 
     Expected header: x_mm,y_mm,z_mm,t_ms,site with site one of
     septum/vein. Times must be non-negative, and a vein time positive
-    (a septal onset may be 0). Raises DataFormatError naming the
-    offending row.
+    (a septal onset may be 0). Raises FormatError naming the file and
+    the offending line.
     """
     points, taus, sites = [], [], []
-    for row_no, record in read_rows(path, MEASUREMENT_COLUMNS):
-        coords = [parse_float(record[c], c, row_no)
-                  for c in ("x_mm", "y_mm", "z_mm")]
-        tau = parse_float(record["t_ms"], "t_ms", row_no)
-        if tau < 0.0:
-            raise DataFormatError(f"negative activation time {tau}", row=row_no)
-        try:
-            site = Site(record["site"].strip())
-        except ValueError:
-            raise DataFormatError(f"unknown site {record['site']!r}", row=row_no)
-        if site is Site.EPI_VEIN and tau == 0.0:
-            raise DataFormatError("vein activation time must be positive, "
-                                  "got 0", row=row_no)
-        points.append([c / 10.0 for c in coords])
-        taus.append(tau)
-        sites.append(site)
-    if not points:
-        raise DataFormatError("no measurement rows found")
+    with reported_as(f"file {path}"):
+        for line, record in read_rows(path, MEASUREMENT_COLUMNS):
+            coords = [parse_float(record[c], c, line)
+                      for c in ("x_mm", "y_mm", "z_mm")]
+            tau = parse_float(record["t_ms"], "t_ms", line)
+            if tau < 0.0:
+                raise FormatError(f"negative activation time {tau}", line=line)
+            try:
+                site = Site(record["site"].strip())
+            except ValueError:
+                raise FormatError(f"unknown site {record['site']!r}",
+                                  line=line)
+            if site is Site.EPI_VEIN and tau == 0.0:
+                raise FormatError("vein activation time must be positive, "
+                                  "got 0", line=line)
+            points.append([c / 10.0 for c in coords])
+            taus.append(tau)
+            sites.append(site)
+        if not points:
+            raise FormatError("no measurement rows found")
     return RawCloud(points=np.array(points), taus=np.array(taus), sites=sites,
                     order=np.arange(len(points)))
 
@@ -168,21 +170,23 @@ def read_reference_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     target (mesh). Returns (source, target) as matched (3, 3) arrays in cm.
     """
     frames: dict[str, dict[str, np.ndarray]] = {"source": {}, "target": {}}
-    for row_no, record in read_rows(path, REFERENCE_COLUMNS):
-        frame = record["frame"].strip()
-        if frame not in frames:
-            raise DataFormatError(f"frame must be source or target, "
-                                  f"got {frame!r}", row=row_no)
-        name = record["name"].strip()
-        if name in frames[frame]:
-            raise DataFormatError(f"duplicate landmark {name!r} in {frame}",
-                                  row=row_no)
-        frames[frame][name] = np.array(
-            [parse_float(record[c], c, row_no) / 10.0
-             for c in ("x_mm", "y_mm", "z_mm")])
-    names = sorted(frames["source"])
-    if len(names) != 3 or sorted(frames["target"]) != names:
-        raise DataFormatError("expected exactly 3 landmarks present in both frames")
+    with reported_as(f"file {path}"):
+        for line, record in read_rows(path, REFERENCE_COLUMNS):
+            frame = record["frame"].strip()
+            if frame not in frames:
+                raise FormatError(f"frame must be source or target, "
+                                  f"got {frame!r}", line=line)
+            name = record["name"].strip()
+            if name in frames[frame]:
+                raise FormatError(f"duplicate landmark {name!r} in {frame}",
+                                  line=line)
+            frames[frame][name] = np.array(
+                [parse_float(record[c], c, line) / 10.0
+                 for c in ("x_mm", "y_mm", "z_mm")])
+        names = sorted(frames["source"])
+        if len(names) != 3 or sorted(frames["target"]) != names:
+            raise FormatError("expected exactly 3 landmarks present in both "
+                              "frames")
     source = np.array([frames["source"][n] for n in names])
     target = np.array([frames["target"][n] for n in names])
     return source, target
@@ -275,10 +279,8 @@ def register(mesh: Mesh, measurements_path, references_path
     points first), its `group_labels` and the registration statistics
     the command line writes out.
     """
-    with reported_as(f"file {measurements_path}"):
-        cloud = read_measurements(measurements_path)
-    with reported_as(f"file {references_path}"):
-        source, target = read_reference_pairs(references_path)
+    cloud = read_measurements(measurements_path)
+    source, target = read_reference_pairs(references_path)
     transform = rigid_from_three_pairs(source, target)
     is_vein = np.array([s is Site.EPI_VEIN for s in cloud.sites])
     if not is_vein.any() or is_vein.all():

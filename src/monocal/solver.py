@@ -53,7 +53,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, fem, ionic
-from .errors import InvalidArgumentError, MonocalError, NonConvergenceError
+from .errors import InvalidArgumentError, MonocalError
 from .fibers import FiberField
 from .geometry import Mesh
 
@@ -332,10 +332,9 @@ class MonodomainSolver:
                     u_new, w, report = self.step(
                         u, w, stim.current(t) * self.rate_scale,
                         2.0 * u - u_prev)
-                except NonConvergenceError as exc:
-                    raise NonConvergenceError(
-                        f"step {k} (t={t:.4g} ms): {exc}", best=exc.best,
-                        residual=exc.residual, iterations=exc.iterations) from exc
+                except MonocalError as exc:
+                    raise MonocalError(
+                        f"step {k} (t={t:.4g} ms): {exc}") from exc
                 iterations = report.iterations
                 cg["calls"] += 1
                 cg["iterations"] += iterations

@@ -10,7 +10,9 @@ All three files go through one writer, `_write` (header, grid, at most
 one POINT_DATA or CELL_DATA section), and one reader, `_read`, which
 converts each number block after the header with one numpy call, parses
 both data sections with the same code and counts lines only to report
-an error.
+an error. `_read` raises FormatError with the file line at fault, and
+`read_mesh` and `read_fields` name the file in it: the volume file, or the
+surface file under its own path.
 
 Coordinates and field values are emitted with 9 significant digits, which
 is the round-trip precision contract for these files.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MeshFormatError
+from .errors import FormatError, InvalidArgumentError, reported_as
 from .geometry import Mesh
 
 _HEADER = "# vtk DataFile Version 3.0"
@@ -67,7 +69,7 @@ def _write(path, title: str, points: np.ndarray, cells: np.ndarray,
         elif values.shape == (n, 3):
             parts.append(f"VECTORS {name} {kind}")
         else:
-            raise MeshFormatError(
+            raise InvalidArgumentError(
                 f"field '{name}' has shape {values.shape}, expected "
                 f"({n},) or ({n}, 3)")
         parts.append(_rows(values, fmt))
@@ -108,14 +110,14 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
         if line.strip():
             head.append((start, line.strip()))
     if not head or not head[0][1].startswith("# vtk DataFile"):
-        raise MeshFormatError(f"{path}: not a legacy VTK file", line=start)
+        raise FormatError("not a legacy VTK file", line=start)
     if len(head) < 4:
-        raise MeshFormatError("unexpected end of file while reading header",
-                              line=start)
+        raise FormatError("unexpected end of file while reading header",
+                          line=start)
     title, (_, fmt), (_, dataset) = head[1:]
     if fmt != "ASCII" or dataset.split() != ["DATASET", "UNSTRUCTURED_GRID"]:
-        raise MeshFormatError(f"expected ASCII and DATASET UNSTRUCTURED_GRID"
-                              f", got {fmt!r} and {dataset!r}", line=start)
+        raise FormatError(f"expected ASCII and DATASET UNSTRUCTURED_GRID"
+                          f", got {fmt!r} and {dataset!r}", line=start)
     used = 0  # tokens taken from the body
 
     def line_of(index: int) -> int:  # past the last token: the last line
@@ -132,7 +134,7 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
         block = rest.split(None, max(count, 0))
         rest = block.pop() if len(block) > max(count, 0) else ""
         if not 0 <= count == len(block):
-            raise MeshFormatError(
+            raise FormatError(
                 f"unexpected end of file while reading {what}" if count >= 0
                 else f"negative count while reading {what}",
                 line=line_of(used + count))
@@ -146,7 +148,7 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
                 try:
                     dtype(token)
                 except ValueError:
-                    raise MeshFormatError(
+                    raise FormatError(
                         f"bad value {token!r} while reading {what}",
                         line=line_of(used - count + k)) from None
             raise
@@ -157,7 +159,7 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
         if words[0] == keyword:
             with suppress(ValueError):
                 return [t(w) for t, w in zip(types, words[1:])]
-        raise MeshFormatError(
+        raise FormatError(
             f"expected {keyword} header, got {' '.join(words)!r}",
             line=line_of(used - len(words)))
 
@@ -169,31 +171,30 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
     counts = raw[::corners + 1][:n_cells]
     bad = np.flatnonzero(counts != corners)
     if bad.size:
-        raise MeshFormatError(
+        raise FormatError(
             f"cell {bad[0]} lists {counts[bad[0]]} corner nodes, expected "
             f"{corners}", line=line_of(used - total + bad[0] * (corners + 1)))
     if total != n_cells * (corners + 1):
-        raise MeshFormatError(f"CELLS lists {total} values for {n_cells} "
-                              f"cells of {corners} corners",
-                              line=line_of(used - total))
+        raise FormatError(f"CELLS lists {total} values for {n_cells} "
+                          f"cells of {corners} corners",
+                          line=line_of(used - total))
     cells = raw.reshape(n_cells, corners + 1)[:, 1:].copy()
     n_types, = section("CELL_TYPES", int)
     types = take(n_types, "cell types", np.int64)
     bad = np.flatnonzero(types != cell_type)
     if bad.size:
-        raise MeshFormatError(
+        raise FormatError(
             f"cell {bad[0]} has type {types[bad[0]]}, expected {cell_type}",
             line=line_of(used - n_types + bad[0]))
 
     fields: dict[str, np.ndarray] = {}
     n = n_points if data_kind == "POINT_DATA" else n_cells
     if data_kind is not None and section(data_kind, int) != [n]:
-        raise MeshFormatError(f"expected {data_kind} {n}",
-                              line=line_of(used - 2))
+        raise FormatError(f"expected {data_kind} {n}", line=line_of(used - 2))
     while data_kind is not None and (keyword := peek()) is not None:
         if keyword not in ("SCALARS", "VECTORS"):
-            raise MeshFormatError(f"unexpected section {keyword!r}",
-                                  line=line_of(used))
+            raise FormatError(f"unexpected section {keyword!r}",
+                              line=line_of(used))
         _, name, vtype = take(3, f"{keyword} header")
         if keyword == "SCALARS":
             if peek() != "LOOKUP_TABLE":
@@ -205,8 +206,8 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
             fields[name] = take(3 * n, f"field {name}", float).reshape(-1, 3)
     for name in required:
         if name not in fields or fields[name].ndim != 1:
-            raise MeshFormatError(f"expected SCALARS {name} in {data_kind}",
-                                  line=line_of(used))
+            raise FormatError(f"expected SCALARS {name} in {data_kind}",
+                              line=line_of(used))
     return title, points, cells, fields
 
 
@@ -214,24 +215,27 @@ def read_mesh(path) -> Mesh:
     """Read a volume mesh and its surface file. The mesh size h is the
     title's last `h=` token, which is required and must be a positive
     finite number."""
-    (line, title), points, elems, _ = _read(path, 12, 8)
-    sizes = [t[2:] for t in title.split() if t.startswith("h=")]
-    if not sizes:
-        raise MeshFormatError(f"{path}: title has no h= token (the mesh "
-                              "size)", line=line)
-    h = np.nan
-    with suppress(ValueError):
-        h = float(sizes[-1])
-    if not 0.0 < h < np.inf:
-        raise MeshFormatError(f"{path}: title token h={sizes[-1]} is not a "
-                              "positive finite size", line=line)
+    with reported_as(f"file {path}"):
+        (line, title), points, elems, _ = _read(path, 12, 8)
+        sizes = [t[2:] for t in title.split() if t.startswith("h=")]
+        if not sizes:
+            raise FormatError("title has no h= token (the mesh size)",
+                              line=line)
+        h = np.nan
+        with suppress(ValueError):
+            h = float(sizes[-1])
+        if not 0.0 < h < np.inf:
+            raise FormatError(f"title token h={sizes[-1]} is not a positive "
+                              "finite size", line=line)
     spath = surface_path(path)
     if not spath.exists():
-        raise MeshFormatError(f"missing boundary surface file {spath}")
-    _, spts, faces, data = _read(spath, 9, 4, "CELL_DATA", ("surface_tag",))
-    if len(spts) != len(points):
-        raise MeshFormatError(
-            f"{spath}: surface file has {len(spts)} points, volume has {len(points)}")
+        raise FormatError(f"missing boundary surface file {spath}")
+    with reported_as(f"file {spath}"):
+        _, spts, faces, data = _read(spath, 9, 4, "CELL_DATA",
+                                     ("surface_tag",))
+        if len(spts) != len(points):
+            raise FormatError(f"surface file has {len(spts)} points, volume "
+                              f"has {len(points)}")
     mesh = Mesh(points, elems, faces, data["surface_tag"].astype(np.int16), h)
     mesh.validate()
     return mesh
@@ -239,4 +243,5 @@ def read_mesh(path) -> Mesh:
 
 def read_fields(path) -> dict[str, np.ndarray]:
     """Read POINT_DATA fields from a fields file written by write_fields."""
-    return _read(path, 12, 8, "POINT_DATA")[3]
+    with reported_as(f"file {path}"):
+        return _read(path, 12, 8, "POINT_DATA")[3]

@@ -10,16 +10,17 @@ larger ones.
 """
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from monocal import activation as act
 from monocal import calibration as cal
-from monocal import geometry
+from monocal import fem, geometry
 from monocal import solver as slv
 from monocal.activation import Site
-from monocal.errors import InvalidArgumentError
+from monocal.errors import InvalidArgumentError, MonocalError
 from monocal.registration import RawCloud
 
 BAR_BETA = (9.0, 2.0, 1.0)
@@ -481,6 +482,28 @@ def test_calibrate_rejects_empty_sample_list(bar, bar_plan):
     with pytest.raises(InvalidArgumentError, match="empty"):
         cal.calibrate(bar, None, bar_plan, bar_cloud([]), bar_config(),
                       val=bar_val())
+
+
+def test_a_failed_solve_names_its_step_and_iteration(bar, bar_plan,
+                                                      monkeypatch):
+    # paced at 0 ms, so every step solves: the third solve is step 3
+    real, calls = fem.gmres_solve, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise MonocalError("CG did not reach the tolerance")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "gmres_solve", third_fails)
+    step = "step 3 (t=0.075 ms): CG did not reach the tolerance"
+    with pytest.raises(MonocalError, match=re.escape(step)):
+        slv.simulate(bar, None, bar_params((1.0, 1.0, 1.0)), bar_plan)
+    calls.clear()
+    with pytest.raises(MonocalError, match=re.escape(
+            f"iteration 0 (sigma=(1.4500, 0.3200, 0.0650)): {step}")):
+        cal.calibrate(bar, None, bar_plan, bar_cloud([10.0, 20.0]),
+                      bar_config(), val=bar_val())
 
 
 def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):

@@ -469,24 +469,32 @@ def test_register_rejects_a_non_finite_csv_value(pipeline, tmp_path, capsys,
     assert err.value.code == 1
     message = capsys.readouterr().err
     assert message.startswith("error:")
-    assert "row 3" in message and f"non-finite {column}" in message
+    assert "line 3" in message and f"non-finite {column}" in message
     assert not (tmp_path / "out" / "registered.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["register", "calibrate"])
 @pytest.mark.parametrize("name", ["measurements.csv", "references.csv"])
-@pytest.mark.parametrize("fault", ["cell", "encoding"])
+@pytest.mark.parametrize("fault", ["cell", "cell_after_blank_lines",
+                                   "encoding"])
 def test_a_bad_csv_file_is_named(pipeline, tmp_path, capsys, command, name,
                                  fault):
-    # both files have an x_mm column, so the row alone does not say which
+    # both files have an x_mm column, so the line alone does not say which
     # file is at fault; a byte that is not UTF-8 used to escape as a
     # UnicodeDecodeError
     twin_dir = pipeline / "twin"
     inputs = {n: twin_dir / n for n in ("measurements.csv", "references.csv")}
-    if fault == "cell":
+    if fault.startswith("cell"):
         inputs[name] = _corrupted_copy(twin_dir / name, tmp_path / name, 3,
                                        "x_mm", "abc")
-        reason = "row 3: non-numeric x_mm value 'abc'"
+        line = 3
+        if fault == "cell_after_blank_lines":
+            # blank lines are skipped but counted: the error names the
+            # file line, not the record number
+            header, body = inputs[name].read_text().split("\n", 1)
+            inputs[name].write_text(f"{header}\n\n\n{body}")
+            line = 5
+        reason = f"line {line}: non-numeric x_mm value 'abc'"
     else:
         inputs[name] = tmp_path / name
         inputs[name].write_bytes((twin_dir / name).read_bytes() + b"\xff\n")
@@ -502,6 +510,49 @@ def test_a_bad_csv_file_is_named(pipeline, tmp_path, capsys, command, name,
     assert message.startswith(f"error: invalid file {inputs[name]}: {reason}")
     assert message.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def _cut_in_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _append_non_utf8(path):
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+@pytest.mark.parametrize("fault, command, faulty", [
+    (_cut_in_half, "gen-fibers", "mesh_surface.vtk"),
+    (_cut_in_half, "simulate", "fibers.vtk"),
+    (_append_non_utf8, "gen-fibers", "mesh.vtk"),
+    (_append_non_utf8, "gen-fibers", "mesh_surface.vtk"),
+    (_append_non_utf8, "gen-mesh", "config.json"),
+], ids=["cut_surface", "cut_fibers", "non_utf8_mesh", "non_utf8_surface",
+        "non_utf8_config"])
+def test_a_bad_input_file_is_named(tmp_path, capsys, fault, command, faulty):
+    # a line number alone does not say which file is at fault, and a byte
+    # that is not UTF-8 must not escape as a UnicodeDecodeError
+    mesh = build_slab_mesh((0.2, 0.1, 0.05), 0.05)
+    mesh_path, fibers_path = tmp_path / "mesh.vtk", tmp_path / "fibers.vtk"
+    vtkio.write_mesh(mesh_path, mesh)
+    FiberField.uniform(mesh.n_nodes).write(fibers_path, mesh)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"h": 0.05} if command == "gen-mesh" else {
+        "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
+        "solver": {"t_end": 1.0}}))
+    fault(tmp_path / faulty)
+    args = {"gen-mesh": ["--config", str(config)],
+            "gen-fibers": ["--mesh", str(mesh_path)],
+            "simulate": ["--config", str(config), "--mesh", str(mesh_path),
+                         "--fibers", str(fibers_path)]}[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *args, "--out", str(out)])
+    assert err.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(tmp_path / faulty) in lines[0]
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -565,6 +616,8 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("simulate", {"stimulus_points": [[0, 0, 0], [0, 0]]},
      "'stimulus_points'"),
     ("simulate", {"solver": {"sigma": [1.2, 0.3]}}, "'sigma'"),
+    # an integer that float() cannot take
+    ("gen-mesh", {"h": 10 ** 400}, "'h'] is too large for a float"),
 ], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times",
         "simulate_fiber_angle", "calibrate_box_scalar",
         "calibrate_box_string_bound", "calibrate_box_unknown_key",
@@ -576,7 +629,8 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         "calibrate_box_bool_bound", "calibrate_initial_sigma_bool",
         "simulate_snapshot_time_bool", "simulate_stimulus_point_bool",
         "gen_twin_sigma_bool", "calibrate_box_three_bounds",
-        "simulate_stimulus_points_ragged", "simulate_solver_sigma_two"])
+        "simulate_stimulus_points_ragged", "simulate_solver_sigma_two",
+        "gen_mesh_h_huge"])
 def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
                                            named):
     if command not in ("gen-mesh", "gen-twin"):
@@ -778,7 +832,7 @@ def test_report_rejects_a_non_finite_correlation_time(tmp_path, capsys,
                                                       bad_row):
     _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW],
                            "I,10,11\nI,20,19\nII,30,32\n" + bad_row,
-                           "correlation.csv", "row 5")
+                           "correlation.csv", "line 5")
 
 
 @pytest.mark.parametrize("bad_row", ["I,0,40", "II,-5,50", "II,0,"],
@@ -787,7 +841,7 @@ def test_report_rejects_a_non_positive_measured_time(tmp_path, capsys,
                                                      bad_row):
     _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW],
                            "I,10,11\nI,20,19\n" + bad_row + "\nII,30,32",
-                           "correlation.csv", "row 4", "must be positive")
+                           "correlation.csv", "line 4", "must be positive")
 
 
 @pytest.mark.parametrize("column, value", [
@@ -799,7 +853,7 @@ def test_report_names_the_row_and_column_of_a_bad_trace_value(
     bad[TRACE_HEADER.index(column)] = value
     _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW, bad],
                            "I,10,11\nI,20,19\nII,30,32",
-                           "trace.csv", "row 3", column, repr(value))
+                           "trace.csv", "line 3", column, repr(value))
 
 
 @pytest.mark.parametrize("group", ["III", ""], ids=["III", "empty"])
@@ -807,7 +861,7 @@ def test_report_rejects_an_unknown_correlation_group(tmp_path, capsys, group):
     # such a row used to drop out of the pooled and group-I statistics
     _assert_report_rejects(tmp_path, capsys, [_TRACE_ROW],
                            f"I,10,11\n{group},20,19\nI,25,26\nII,30,32",
-                           "correlation.csv", "row 3", repr(group))
+                           "correlation.csv", "line 3", repr(group))
 
 
 # One edit each to a real validation.json: (key path, new value). The
@@ -826,6 +880,8 @@ _VALIDATION_EDITS = {
     "mean_rel_str": (("validation", "mean_rel"), "x"),
     "five_number_rel_number": (("validation", "five_number_rel"), 0.01),
     "r_squared_null": (("validation", "r_squared"), None),
+    # an integer that float() cannot take
+    "mean_rel_huge": (("validation", "mean_rel"), 10 ** 400),
 }
 
 
@@ -1145,7 +1201,7 @@ def test_gen_fibers_rejects_a_mesh_without_size(tmp_path, capsys):
     assert err.value.code == 1
     message = capsys.readouterr().err
     assert message.startswith("error:")
-    assert f"{path}: title has no h= token" in message and "line 2" in message
+    assert f"invalid file {path}: line 2: title has no h= token" in message
     assert not (tmp_path / "fib" / "fibers.vtk").exists()
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from monocal import vtkio
-from monocal.errors import InvalidArgumentError
+from monocal.errors import FormatError, InvalidArgumentError
 from monocal.fem import AssemblyPlan
 from monocal.fibers import (FiberAngles, FiberField, generate_fibers,
                             solve_apicobasal, solve_transmural)
@@ -197,7 +199,8 @@ class TestFieldFile:
                                         "normal": field.n})
         assert not FiberField.read(path).singular.any()
         vtkio.write_fields(path, slab, {"fiber": field.f, "normal": field.n})
-        with pytest.raises(InvalidArgumentError, match="'sheet'"):
+        with pytest.raises(FormatError, match=re.escape(
+                f"invalid file {path}: missing key 'sheet'")):
             FiberField.read(path)
 
     def test_nan_axes_are_rejected(self, slab, tmp_path):
@@ -207,5 +210,6 @@ class TestFieldFile:
         path = tmp_path / "fibers.vtk"
         field.write(path, slab)
         assert "nan" in path.read_text()
-        with pytest.raises(InvalidArgumentError, match="unit length"):
+        with pytest.raises(FormatError, match=re.escape(
+                f"invalid file {path}: sheet axis is not unit length")):
             FiberField.read(path)
