@@ -4,18 +4,18 @@ One AssemblyPlan per mesh holds everything assembly needs that does not
 depend on the coefficients: the CSR sparsity pattern, the int32 map that
 adds element-local 8x8 blocks into it, the slots of the diagonal (so a
 matrix whose diagonal changes every time step can be updated in place),
-the Jacobian determinants and inverse-transposes at the Gauss points,
-and the lumped mass vector. The Gauss point geometry comes from _hex's
-batched 3x3 kernel, and every contraction over elements is a batched
-matrix product. Set-up memory stays close to what the plan keeps: the
-pattern comes from the element-node incidence product, without sorting
-one key per block entry; the plan keeps J^-T rather than the shape
-gradients, which are 8/3 times larger; and every per-element pass (the
-geometry, the scatter map, the lumped mass, and the gradients, fluxes
-and element matrices of stiffness) runs over blocks of _hex.BLOCK
-elements, writing each block straight into the arrays it fills. No
-whole-mesh temporary is built, and the element matrices are added into
-the data array in element order, as one bincount over all of them would.
+and the lumped mass vector. It keeps no Gauss point geometry: stiffness
+recomputes the Jacobians, determinants and inverses of each block of
+elements from the mesh's own arrays, with _hex's batched 3x3 kernels,
+and every contraction over elements is a batched matrix product. Set-up
+memory stays close to what the plan keeps: the pattern comes from the
+element-node incidence product, without sorting one key per block
+entry; and every per-element pass (the determinants, the scatter map,
+the lumped mass, and the geometry, gradients, fluxes and element
+matrices of stiffness) runs over blocks of _hex.BLOCK elements, writing
+each block straight into the arrays it fills. No whole-mesh temporary
+is built, and the element matrices are added into the data array in
+element order, as one bincount over all of them would.
 `AssemblyPlan.of` builds it on first use and keeps it on the Mesh, so
 the fiber Laplace solve and every simulation on one mesh share it; only
 the conductivity tensors change between them.
@@ -44,16 +44,13 @@ class AssemblyPlan:
 
     Attributes
     ----------
+    nodes, elems : the mesh's own coordinate and connectivity arrays
+        (not copies), from which gradients recomputes the geometry.
     nnz, indices, indptr, shape : the CSR pattern of all node-pair
         couplings.
     entry_slots : (64 n_elems,) int32 data slot of every entry of the
         (n_elems, 8, 8) element matrices.
     diag_slots : data slots of the diagonal, in node order.
-    wdet : (n_elems, 8) Jacobian determinants at the 2x2x2 Gauss points
-        (_hex.GAUSS2, whose weights are all one).
-    inv_t : (n_elems, 8, 3, 3) inverse-transposed Jacobians there, from
-        which gradients builds the physical shape gradients of a block
-        of elements when stiffness needs them.
     lumped_mass : (n_nodes,) read-only row sums of the consistent mass
         matrix, i.e. the integral of each basis function.
 
@@ -62,24 +59,17 @@ class AssemblyPlan:
     """
 
     def __init__(self, mesh: Mesh):
-        elems = mesh.elems
-        n_elems = len(elems)
+        self.nodes, self.elems = mesh.nodes, mesh.elems
         values = _hex.shape_values(_hex.GAUSS2)
-        self.wdet = np.empty((n_elems, 8))
-        # J^-T kept as a transposed view of a C-ordered J^-1: with that
-        # operand contiguous, the matmul in gradients runs 3x faster
-        inv = np.empty((n_elems, 8, 3, 3))
         self.lumped_mass = np.zeros(mesh.n_nodes)
-        for part in _hex.blocks(n_elems):
-            jac = _hex.jacobians(mesh.nodes[elems[part]], _hex.GAUSS2)
-            self.wdet[part], inv_t = _hex.inverse_transposes(
-                jac, "Gauss point", part.start)
-            inv[part] = inv_t.swapaxes(2, 3)
-            np.add.at(self.lumped_mass, elems[part].ravel(),
-                      (self.wdet[part] @ values).ravel())
-        self.inv_t = inv.swapaxes(2, 3)
+        for part in _hex.blocks(len(self.elems)):
+            corners = self.elems[part]
+            wdet = _hex.determinants(
+                _hex.jacobians(self.nodes[corners], _hex.GAUSS2))
+            _hex.require_positive(wdet, "Gauss point", part.start)
+            np.add.at(self.lumped_mass, corners.ravel(), (wdet @ values).ravel())
         self.lumped_mass.flags.writeable = False
-        self._set_pattern(elems, mesh.n_nodes)
+        self._set_pattern(self.elems, mesh.n_nodes)
 
     def _set_pattern(self, elems: np.ndarray, n: int) -> None:
         """The CSR pattern and scatter map. Beyond the pattern's own
@@ -119,16 +109,23 @@ class AssemblyPlan:
             plan = mesh._assembly_plan = cls(mesh)
         return plan
 
-    def gradients(self, block: slice) -> np.ndarray:
-        """Physical shape-function gradients of a block of elements,
-        (k, 8, 8, 3) indexed [element, shape function, Gauss point, axis]
-        so that stiffness contracts each (point, axis) pair in one
-        product."""
-        inv = self.inv_t[block].swapaxes(2, 3)
+    def gradients(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian determinants (k, 8) at the 2x2x2 Gauss points
+        (_hex.GAUSS2, whose weights are all one) of a block of elements,
+        and their physical shape-function gradients, (k, 8, 8, 3) indexed
+        [element, shape function, Gauss point, axis] so that stiffness
+        contracts each (point, axis) pair in one product."""
+        wdet, inv = _hex.inverse_transposes(
+            _hex.jacobians(self.nodes[self.elems[block]], _hex.GAUSS2),
+            "Gauss point", block.start or 0)
+        # J^-T turned into a C-ordered J^-1, each temporary freed when
+        # the next is made: with that operand contiguous, the matmul
+        # runs 3x faster
+        inv = np.ascontiguousarray(inv.swapaxes(2, 3))
         grads = np.empty((len(inv), 8, 8, 3))
         # grads[e, k, q] = J_eq^-T dN_k(q), written as dN_k(q)^T J_eq^-1
         np.matmul(_GAUSS_GRADIENTS, inv, out=grads.transpose(0, 2, 1, 3))
-        return grads
+        return wdet, grads
 
     def stiffness(self, tensors) -> csr_matrix:
         """Stiffness matrix int (D grad phi_j) . grad phi_i for one
@@ -136,7 +133,7 @@ class AssemblyPlan:
         3), taken as given. Its data array is in slot order, so
         diag_slots index its diagonal."""
         tensors = np.asarray(tensors, dtype=float)
-        n_elems = len(self.wdet)
+        n_elems = len(self.elems)
         if tensors.shape == (3, 3):
             tensors = np.broadcast_to(tensors, (n_elems, 3, 3))
         # K_e = sum_q wdet_eq G_eq D_e G_eq^T, with G_eq the (8, 3)
@@ -146,11 +143,11 @@ class AssemblyPlan:
         slots = self.entry_slots.reshape(n_elems, 64)
         matrices = np.empty((_hex.BLOCK, 8, 8))
         for part in _hex.blocks(n_elems):
-            grads = self.gradients(part)
+            wdet, grads = self.gradients(part)
             k = len(grads)
             flux = np.matmul(grads.reshape(k, 64, 3), tensors[part])
             flux = flux.reshape(k, 8, 24)
-            flux *= np.repeat(self.wdet[part], 3, axis=1)[:, None, :]
+            flux *= np.repeat(wdet, 3, axis=1)[:, None, :]
             np.matmul(flux, grads.reshape(k, 8, 24).transpose(0, 2, 1),
                       out=matrices[:k])
             np.add.at(data, slots[part].ravel(), matrices[:k].ravel())

@@ -102,51 +102,59 @@ class Mesh:
         return digest.hexdigest()
 
     def validate(self) -> None:
-        """Run the structural audit; raises InvalidArgumentError on defects.
+        """Run the structural audit, `check_elements` then
+        `check_boundary`; raises InvalidArgumentError on defects."""
+        check_elements(self.nodes, self.elems)
+        check_boundary(len(self.nodes), self.boundary_faces,
+                       self.boundary_tags)
 
-        Checks that there is at least one element, the node ids of the
-        elements and boundary faces, corner distinctness, corner Jacobian
-        positivity, tag alignment and closedness of the boundary surface.
-        """
-        nodes, elems = self.nodes, self.elems
-        if nodes.ndim != 2 or nodes.shape[1] != 3:
-            raise InvalidArgumentError("nodes must have shape (n, 3)")
-        if not np.all(np.isfinite(nodes)):
-            raise InvalidArgumentError("node coordinates contain non-finite values")
-        if elems.ndim != 2 or elems.shape[1] != 8:
-            raise InvalidArgumentError("elems must have shape (m, 8)")
-        if len(elems) == 0:
-            raise InvalidArgumentError("mesh has no elements")
-        if elems.min() < 0 or elems.max() >= len(nodes):
-            raise InvalidArgumentError("element connectivity references unknown nodes")
-        sorted_corners = np.sort(elems, axis=1)
-        if np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1]):
-            bad = int(np.nonzero(np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1], axis=1))[0][0])
-            raise InvalidArgumentError(f"element {bad} has repeated corner nodes")
 
-        for part in _hex.blocks(len(elems)):
-            det = _hex.determinants(_hex.jacobians(nodes[elems[part]],
-                                                   _hex.CORNERS))
-            _hex.require_positive(det, "corner", part.start)
+def check_elements(nodes: np.ndarray, elems: np.ndarray) -> None:
+    """The audit of the volume: node coordinates of shape (n, 3), all
+    finite; at least one element, every corner a known node, no corner
+    repeated within an element, and positive Jacobians at the corners.
+    Raises InvalidArgumentError on the first defect."""
+    if nodes.ndim != 2 or nodes.shape[1] != 3:
+        raise InvalidArgumentError("nodes must have shape (n, 3)")
+    if not np.all(np.isfinite(nodes)):
+        raise InvalidArgumentError("node coordinates contain non-finite values")
+    if elems.ndim != 2 or elems.shape[1] != 8:
+        raise InvalidArgumentError("elems must have shape (m, 8)")
+    if len(elems) == 0:
+        raise InvalidArgumentError("mesh has no elements")
+    if elems.min() < 0 or elems.max() >= len(nodes):
+        raise InvalidArgumentError("element connectivity references unknown nodes")
+    sorted_corners = np.sort(elems, axis=1)
+    if np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1]):
+        bad = int(np.nonzero(np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1], axis=1))[0][0])
+        raise InvalidArgumentError(f"element {bad} has repeated corner nodes")
 
-        quads = self.boundary_faces
-        if np.any((quads < 0) | (quads >= len(nodes))):
-            raise InvalidArgumentError("boundary faces reference unknown nodes")
-        if quads.shape[0] != self.boundary_tags.shape[0]:
-            raise InvalidArgumentError("boundary tags not aligned with boundary faces")
-        known = {int(t) for t in SurfaceTag}
-        if not set(np.unique(self.boundary_tags)).issubset(known):
-            raise InvalidArgumentError("boundary tags contain unknown labels")
+    for part in _hex.blocks(len(elems)):
+        det = _hex.determinants(_hex.jacobians(nodes[elems[part]],
+                                               _hex.CORNERS))
+        _hex.require_positive(det, "corner", part.start)
 
-        # The boundary of a watertight solid is a closed surface: every
-        # edge of the boundary quads must be shared by exactly two quads.
-        edges = np.concatenate([
-            quads[:, [0, 1]], quads[:, [1, 2]], quads[:, [2, 3]], quads[:, [3, 0]],
-        ])
-        edges = np.sort(edges, axis=1)
-        _, counts = np.unique(edges, axis=0, return_counts=True)
-        if np.any(counts != 2):
-            raise InvalidArgumentError("boundary surface is not closed")
+
+def check_boundary(n_nodes: int, quads: np.ndarray, tags: np.ndarray) -> None:
+    """The audit of the boundary of a mesh of n_nodes nodes: every face
+    node known, one known SurfaceTag per face, and a closed surface.
+    Raises InvalidArgumentError on the first defect."""
+    if np.any((quads < 0) | (quads >= n_nodes)):
+        raise InvalidArgumentError("boundary faces reference unknown nodes")
+    if quads.shape[0] != tags.shape[0]:
+        raise InvalidArgumentError("boundary tags not aligned with boundary faces")
+    known = {int(t) for t in SurfaceTag}
+    if not set(np.unique(tags)).issubset(known):
+        raise InvalidArgumentError("boundary tags contain unknown labels")
+
+    # The boundary of a watertight solid is a closed surface: every
+    # edge of the boundary quads must be shared by exactly two quads.
+    # An edge is counted by one int64 key, lo * n_nodes + hi.
+    ends = np.stack([quads, np.roll(quads, -1, axis=1)]).astype(np.int64)
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    _, counts = np.unique(lo * n_nodes + hi, return_counts=True)
+    if np.any(counts != 2):
+        raise InvalidArgumentError("boundary surface is not closed")
 
 
 def _extract_boundary(elems: np.ndarray) -> np.ndarray:

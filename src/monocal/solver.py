@@ -52,7 +52,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, fem, ionic
+from . import __version__, _hex, fem, ionic
 from .errors import InvalidArgumentError, MonocalError
 from .fibers import FiberField
 from .geometry import Mesh
@@ -159,30 +159,37 @@ def build_conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
     three positive values (`SolverParams.sigma`). An averaged fiber
     cannot vanish: its component along corner 0's fiber is the mean of
     |f_k . f_0|, at least 1/8. Only the sheet normal, orthogonalized
-    against it, can degenerate.
+    against it, can degenerate; the element with the shortest one is
+    named. The elements are taken a block of _hex.BLOCK at a time.
     """
 
-    def averaged(vectors):
-        corners = vectors[mesh.elems]
+    def averaged(vectors, part):
+        corners = vectors[mesh.elems[part]]
         sign = np.where(np.einsum("ekd,ed->ek", corners, corners[:, 0]) < 0.0,
                         -1.0, 1.0)
-        mean = np.einsum("ek,ekd->ed", sign, corners) / 8.0
-        return mean
-
-    f = averaged(fiber_field.f)
-    f /= np.linalg.norm(f, axis=1)[:, None]
-    n = averaged(fiber_field.n)
-    n -= np.sum(n * f, axis=1)[:, None] * f
-    norms = np.linalg.norm(n, axis=1)
-    if norms.min() < 1e-8:
-        raise InvalidArgumentError(
-            f"sheet normals degenerate within element {int(np.argmin(norms))}")
-    n /= norms[:, None]
+        return np.einsum("ek,ekd->ed", sign, corners) / 8.0
 
     sf, ss, sn = sigma
-    eye = np.broadcast_to(np.eye(3), (len(mesh.elems), 3, 3))
-    return (ss * eye + (sf - ss) * np.einsum("ei,ej->eij", f, f)
-            + (sn - ss) * np.einsum("ei,ej->eij", n, n))
+    tensors = np.empty((mesh.n_elems, 3, 3))
+    shortest, where = np.inf, 0
+    for part in _hex.blocks(mesh.n_elems):
+        f = averaged(fiber_field.f, part)
+        f /= np.linalg.norm(f, axis=1)[:, None]
+        n = averaged(fiber_field.n, part)
+        n -= np.sum(n * f, axis=1)[:, None] * f
+        norms = np.linalg.norm(n, axis=1)
+        k = int(np.argmin(norms))
+        if norms[k] < shortest:
+            shortest, where = norms[k], part.start + k
+        if shortest < 1e-8:
+            continue  # raised below, once every block is measured
+        n /= norms[:, None]
+        tensors[part] = (ss * np.eye(3) + (sf - ss) * np.einsum("ei,ej->eij", f, f)
+                         + (sn - ss) * np.einsum("ei,ej->eij", n, n))
+    if shortest < 1e-8:
+        raise InvalidArgumentError(
+            f"sheet normals degenerate within element {where}")
+    return tensors
 
 
 class _StimulusSets:

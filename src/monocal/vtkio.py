@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, reported_as
-from .geometry import Mesh
+from .geometry import Mesh, check_boundary, check_elements
 
 _HEADER = "# vtk DataFile Version 3.0"
 _FMT = "%.9g"
@@ -214,7 +214,10 @@ def _read(path, cell_type: int, corners: int, data_kind: str | None = None,
 def read_mesh(path) -> Mesh:
     """Read a volume mesh and its surface file. The mesh size h is the
     title's last `h=` token, which is required and must be a positive
-    finite number."""
+    finite number. The structural audit (`Mesh.validate`) runs in two
+    halves, so a defect is reported with the file at fault: the element
+    checks with the volume file, the face and tag checks with the
+    surface file."""
     with reported_as(f"file {path}"):
         (line, title), points, elems, _ = _read(path, 12, 8)
         sizes = [t[2:] for t in title.split() if t.startswith("h=")]
@@ -227,6 +230,7 @@ def read_mesh(path) -> Mesh:
         if not 0.0 < h < np.inf:
             raise FormatError(f"title token h={sizes[-1]} is not a positive "
                               "finite size", line=line)
+        check_elements(points, elems)
     spath = surface_path(path)
     if not spath.exists():
         raise FormatError(f"missing boundary surface file {spath}")
@@ -236,9 +240,9 @@ def read_mesh(path) -> Mesh:
         if len(spts) != len(points):
             raise FormatError(f"surface file has {len(spts)} points, volume "
                               f"has {len(points)}")
-    mesh = Mesh(points, elems, faces, data["surface_tag"].astype(np.int16), h)
-    mesh.validate()
-    return mesh
+        tags = data["surface_tag"].astype(np.int16)
+        check_boundary(len(points), faces, tags)
+    return Mesh(points, elems, faces, tags, h)
 
 
 def read_fields(path) -> dict[str, np.ndarray]:

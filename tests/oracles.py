@@ -5,8 +5,9 @@ its literal Heaviside form (every switch a float 0/1 array, every switched
 term the blend (1 - H) * a + H * b) with its three currents and a
 single-cell integrator built on it, a planar conduction-velocity fit,
 stimulus plans for one point and for a whole boundary face, one-bincount
-assembly and the consistent mass matrix, rigid transform helpers, and
-element volumes from LAPACK's determinant.
+assembly and the consistent mass matrix, whole-mesh conductivity
+tensors, rigid transform helpers, and element volumes from LAPACK's
+determinant.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy.sparse import csr_matrix
 from monocal import _hex
 from monocal.errors import InvalidArgumentError
 from monocal.fem import AssemblyPlan
+from monocal.fibers import FiberField
 from monocal.geometry import Mesh
 from monocal.ionic import PARAMS, rest_state
 from monocal.registration import RigidTransform
@@ -254,14 +256,42 @@ def assemble(plan: AssemblyPlan, element_blocks: np.ndarray) -> csr_matrix:
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:
-    """Consistent mass matrix int phi_i phi_j, from a fresh plan.
+    """Consistent mass matrix int phi_i phi_j, on a fresh plan's pattern.
 
     The stepper uses only its row sums (AssemblyPlan.lumped_mass); the
     full matrix is the reference those row sums are checked against.
     """
-    plan = AssemblyPlan(mesh)
+    wdet = _hex.determinants(_hex.jacobians(mesh.nodes[mesh.elems],
+                                            _hex.GAUSS2))
     N = _hex.shape_values(_hex.GAUSS2)
-    return assemble(plan, np.matmul(N.T * plan.wdet[:, None, :], N))
+    return assemble(AssemblyPlan(mesh), np.matmul(N.T * wdet[:, None, :], N))
+
+
+def conductivity_tensors(mesh: Mesh, fiber_field: FiberField,
+                         sigma) -> np.ndarray:
+    """solver.build_conductivity_tensors over all elements at once: the
+    reference its blocked passes are checked against, bit for bit."""
+
+    def averaged(vectors):
+        corners = vectors[mesh.elems]
+        sign = np.where(np.einsum("ekd,ed->ek", corners, corners[:, 0]) < 0.0,
+                        -1.0, 1.0)
+        return np.einsum("ek,ekd->ed", sign, corners) / 8.0
+
+    f = averaged(fiber_field.f)
+    f /= np.linalg.norm(f, axis=1)[:, None]
+    n = averaged(fiber_field.n)
+    n -= np.sum(n * f, axis=1)[:, None] * f
+    norms = np.linalg.norm(n, axis=1)
+    if norms.min() < 1e-8:
+        raise InvalidArgumentError(
+            f"sheet normals degenerate within element {int(np.argmin(norms))}")
+    n /= norms[:, None]
+
+    sf, ss, sn = sigma
+    eye = np.broadcast_to(np.eye(3), (len(mesh.elems), 3, 3))
+    return (ss * eye + (sf - ss) * np.einsum("ei,ej->eij", f, f)
+            + (sn - ss) * np.einsum("ei,ej->eij", n, n))
 
 
 def element_volumes(mesh: Mesh) -> np.ndarray:

@@ -133,12 +133,15 @@ class TestValidate:
             mesh.validate()
 
     def test_open_boundary_is_reported(self, unit_cube):
-        mesh = Mesh(nodes=unit_cube.nodes, elems=unit_cube.elems,
-                    boundary_faces=unit_cube.boundary_faces[:-1],
-                    boundary_tags=unit_cube.boundary_tags[:-1],
-                    characteristic_size=1.0)
-        with pytest.raises(InvalidArgumentError, match="not closed"):
-            mesh.validate()
+        # a missing face counts each of its edges once, a duplicated one
+        # each of its edges 4 times
+        for faces in (slice(-1), [0, 1, 2, 3, 4, 5, 5]):
+            mesh = Mesh(nodes=unit_cube.nodes, elems=unit_cube.elems,
+                        boundary_faces=unit_cube.boundary_faces[faces],
+                        boundary_tags=unit_cube.boundary_tags[faces],
+                        characteristic_size=1.0)
+            with pytest.raises(InvalidArgumentError, match="not closed"):
+                mesh.validate()
 
     @pytest.mark.parametrize("old,new", [(0, -1), (7, 8)],
                              ids=["negative", "past_the_last_node"])

@@ -11,8 +11,9 @@ import pytest
 from monocal import _hex, twin
 from monocal.errors import InvalidArgumentError
 from monocal.fem import AssemblyPlan
-from monocal.fibers import nodal_gradients
+from monocal.fibers import FiberField, nodal_gradients
 from monocal.geometry import Mesh, build_lv_mesh
+from monocal.solver import build_conductivity_tensors
 
 from oracles import assemble
 
@@ -212,8 +213,9 @@ class TestAssemblyPlan:
         tensors = _random_spd(twin_mesh.n_elems)
         # the einsum the matmul contraction replaced, on grads indexed
         # [element, Gauss point, shape function, axis]
-        grads = plan.gradients(slice(None)).transpose(0, 2, 1, 3)
-        blocks = np.einsum("eq,eqid,edc,eqjc->eij", plan.wdet, grads,
+        wdet, grads = plan.gradients(slice(None))
+        grads = grads.transpose(0, 2, 1, 3)
+        blocks = np.einsum("eq,eqid,edc,eqjc->eij", wdet, grads,
                            tensors, grads, optimize=True)
         ref = assemble(plan, blocks)
         got = plan.stiffness(tensors)
@@ -228,8 +230,9 @@ class TestAssemblyPlan:
         ref_grads = np.einsum("epab,pkb->ekpa",
                               np.linalg.inv(jac).swapaxes(-1, -2),
                               _hex.shape_gradients(_hex.GAUSS2))
-        assert np.all(np.abs(plan.wdet - ref_det) <= 1e-12 * ref_det)
-        assert (np.abs(plan.gradients(slice(None)) - ref_grads).max()
+        wdet, grads = plan.gradients(slice(None))
+        assert np.all(np.abs(wdet - ref_det) <= 1e-12 * ref_det)
+        assert (np.abs(grads - ref_grads).max()
                 <= 1e-12 * np.abs(ref_grads).max())
         ref_mass = np.bincount(
             twin_mesh.elems.ravel(),
@@ -242,10 +245,10 @@ class TestAssemblyPlan:
         plan = AssemblyPlan(twin_mesh)
         tensors = _random_spd(n_elems, seed=5)
         # the same products over all elements at once
-        grads = plan.gradients(slice(None))
+        wdet, grads = plan.gradients(slice(None))
         flux = np.matmul(grads.reshape(n_elems, 64, 3), tensors)
         flux = flux.reshape(n_elems, 8, 24)
-        flux *= np.repeat(plan.wdet, 3, axis=1)[:, None, :]
+        flux *= np.repeat(wdet, 3, axis=1)[:, None, :]
         ref = assemble(plan, np.matmul(
             flux, grads.reshape(n_elems, 8, 24).transpose(0, 2, 1)))
         got = plan.stiffness(tensors)
@@ -254,25 +257,32 @@ class TestAssemblyPlan:
 
     def test_blocked_geometry_equals_the_unblocked_formula(self, twin_mesh):
         plan = AssemblyPlan(twin_mesh)
-        # the same kernel over all elements at once
-        jac = _hex.jacobians(twin_mesh.nodes[twin_mesh.elems], _hex.GAUSS2)
-        wdet, inv_t = _hex.inverse_transposes(jac, "Gauss point")
-        assert np.array_equal(plan.wdet, wdet)
-        assert np.array_equal(plan.inv_t, inv_t)
+        # the plan keeps the mesh's arrays, not copies, and recomputes
+        # the geometry from them
+        assert plan.nodes is twin_mesh.nodes and plan.elems is twin_mesh.elems
+        # the same kernels over all elements at once
+        wdet, grads = plan.gradients(slice(None))
+        for part in _hex.blocks(twin_mesh.n_elems):
+            got_wdet, got_grads = plan.gradients(part)
+            assert np.array_equal(got_wdet, wdet[part])
+            assert np.array_equal(got_grads, grads[part])
         mass = np.bincount(twin_mesh.elems.ravel(),
                            weights=(wdet @ _hex.shape_values(_hex.GAUSS2)).ravel(),
                            minlength=twin_mesh.n_nodes)
         assert np.array_equal(plan.lumped_mass, mass)
 
     def test_set_up_memory_stays_bounded(self, twin_mesh):
-        # measured on the twin with every per-element pass blocked: 8.7 MB
-        # for the plan (10.0 MB with whole-mesh geometry and int64 slots,
-        # 19.4 MB when it sorted all 64 n_elems block keys and kept the
-        # gradients), 4.1 MB for one stiffness call (5.7 MB with all
-        # element matrices stored, 12.9 MB unblocked), 1.4 MB for the
-        # audit (5.7 MB unblocked) and 1.8 MB for the fiber gradients of
-        # two fields (10.8 MB unblocked)
-        assert _traced_peak_mb(lambda: AssemblyPlan(twin_mesh)) <= 10.0
+        # measured on the twin with every per-element pass blocked: 4.6 MB
+        # for the plan, which keeps no Gauss point geometry (8.7 MB when
+        # it kept det and J^-1, 10.0 MB with whole-mesh geometry and int64
+        # slots, 19.4 MB when it sorted all 64 n_elems block keys and kept
+        # the gradients), 4.3 MB for one stiffness call with its geometry
+        # (4.0 MB reading kept geometry, 5.7 MB with all element matrices
+        # stored, 12.9 MB unblocked), 1.0 MB for the audit (5.7 MB
+        # unblocked), 1.8 MB for the fiber gradients of two fields (10.8
+        # MB unblocked) and 0.6 MB for the conductivity tensors (1.8 MB
+        # unblocked)
+        assert _traced_peak_mb(lambda: AssemblyPlan(twin_mesh)) <= 5.0
         plan = AssemblyPlan(twin_mesh)
         tensors = _random_spd(twin_mesh.n_elems)
         assert _traced_peak_mb(lambda: plan.stiffness(tensors)) <= 5.0
@@ -280,6 +290,9 @@ class TestAssemblyPlan:
         fields = twin_mesh.nodes[:, 0].copy(), twin_mesh.nodes[:, 2].copy()
         assert _traced_peak_mb(
             lambda: nodal_gradients(twin_mesh, *fields)) <= 2.5
+        frames = FiberField.uniform(twin_mesh.n_nodes)
+        assert _traced_peak_mb(lambda: build_conductivity_tensors(
+            twin_mesh, frames, (1.23, 0.25, 0.07))) <= 1.0
 
 
 def test_blocked_fiber_gradients_equal_the_unblocked_formula(twin_mesh):

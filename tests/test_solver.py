@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monocal import cli, vtkio
+from monocal import _hex, cli, vtkio
 from monocal.errors import InvalidArgumentError, MonocalError
 from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
@@ -20,7 +20,8 @@ from monocal.solver import (ACTIVATION_PEAK_FLOOR, PROGRESS_EVERY,
                             StimulusPlan, _StimulusSets,
                             build_conductivity_tensors, simulate)
 
-from oracles import face_plan, measure_planar_cv, run_single_cell, single_plan
+from oracles import (conductivity_tensors, face_plan, measure_planar_cv,
+                     run_single_cell, single_plan)
 
 # face-stimulus launcher that reliably ignites planar waves at the
 # resolutions used below: two node planes, twice the default strength
@@ -59,6 +60,37 @@ class TestConductivityTensors:
                                              (1.23, 0.25, 0.07))
         eigenvalues = np.sort(np.linalg.eigvalsh(tensors), axis=1)
         assert np.allclose(eigenvalues, (0.07, 0.25, 1.23), atol=1e-12)
+
+    def test_blocked_tensors_equal_the_whole_mesh_formula(self, twin_star):
+        mesh = twin_star.mesh
+        assert mesh.n_elems % _hex.BLOCK != 0
+        for field in (twin_star.fiber_field, _random_frames(mesh.n_nodes)):
+            got = build_conductivity_tensors(mesh, field, (1.23, 0.25, 0.07))
+            want = conductivity_tensors(mesh, field, (1.23, 0.25, 0.07))
+            assert np.array_equal(got, want)
+
+    def test_degenerate_normal_names_its_element(self, twin_star):
+        # element BLOCK + 3, the fourth of the second block, gets frames
+        # (f, n) = (e1, e3) at four corners and (e3, e1) at the other
+        # four: its averaged f and n are both along e1 + e3. Every other
+        # node keeps (e2, e3), so no other element degenerates
+        mesh = twin_star.mesh
+        bad = _hex.BLOCK + 3
+        e1, e2, e3 = np.eye(3)
+        f = np.tile(e2, (mesh.n_nodes, 1))
+        s = np.tile(e1, (mesh.n_nodes, 1))
+        n = np.tile(e3, (mesh.n_nodes, 1))
+        lower, upper = mesh.elems[bad, :4], mesh.elems[bad, 4:]
+        f[lower], s[lower], n[lower] = e1, e2, e3
+        f[upper], s[upper], n[upper] = e3, e2, e1
+        field = FiberField(f=f, s=s, n=n,
+                           singular=np.zeros(mesh.n_nodes, dtype=bool))
+        with pytest.raises(InvalidArgumentError,
+                           match=f"degenerate within element {bad}$"):
+            build_conductivity_tensors(mesh, field, (1.23, 0.25, 0.07))
+        with pytest.raises(InvalidArgumentError,
+                           match=f"degenerate within element {bad}$"):
+            conductivity_tensors(mesh, field, (1.23, 0.25, 0.07))
 
     # the tensors take an orthonormal frame and positive conductivities
     # as given: FiberField and SolverParams check them when they are made

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -225,7 +226,22 @@ class TestMeshParseErrors:
         text = path.read_text()
         path.write_text(text[:text.index("CELLS")]
                         + "CELLS 0 0\nCELL_TYPES 0\n")
-        with pytest.raises(InvalidArgumentError, match="no elements"):
+        # the element checks of the audit name the volume file
+        with pytest.raises(FormatError, match=re.escape(
+                f"invalid file {path}: mesh has no elements")):
+            read_mesh(path)
+
+    def test_surface_with_an_unknown_node_fails_the_audit(self, unit_cube,
+                                                          tmp_path):
+        path = tmp_path / "mesh.vtk"
+        # every occurrence is renumbered, so the surface stays closed
+        faces = unit_cube.boundary_faces.copy()
+        faces[faces == 7] = 8
+        write_mesh(path, dataclasses.replace(unit_cube, boundary_faces=faces))
+        # the face checks of the audit name the surface file
+        with pytest.raises(FormatError, match=re.escape(
+                f"invalid file {surface_path(path)}: boundary faces "
+                "reference unknown nodes")):
             read_mesh(path)
 
 
