@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .solver import SimulationOutput
+from .geometry import Mesh
 
 
 class Site(str, Enum):
@@ -32,22 +32,25 @@ class Group(str, Enum):
     VAL_II = "II"
 
 
-def extract_activation_at(output: SimulationOutput, points) -> np.ndarray:
+def extract_activation_at(mesh: Mesh, activation: np.ndarray,
+                          points) -> np.ndarray:
     """Computed activation times at the given locations (ms).
 
-    Locations must coincide with mesh nodes (the registration stage snaps
-    them); non-activated nodes yield NaN, which the statistics below
-    exclude and count.
+    activation is a nodal map of the mesh, as `SimulationOutput.activation`
+    holds it. Locations must coincide with mesh nodes, within a relative
+    1e-6 of the mesh's extent (the registration stage snaps them);
+    non-activated nodes yield NaN, which the statistics below exclude and
+    count.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    idx, dist = output.mesh.nearest_nodes(points)
-    tol = 1e-6 * max(1.0, np.abs(output.mesh.nodes).max())
+    idx, dist = mesh.nearest_nodes(points)
+    tol = 1e-6 * max(1.0, np.abs(mesh.nodes).max())
     if dist.max() > tol:
         j = int(np.argmax(dist))
         raise InvalidArgumentError(
             f"point {j} at {points[j]} is {dist[j]:.3g} cm from the nearest "
             "node; project measurements onto the mesh first")
-    return output.activation[idx]
+    return activation[idx]
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:

@@ -1,11 +1,19 @@
 """Box-constrained direct search for the conductivity triple.
 
-The search is a loop over one evaluator. It simulates a triple once,
-reads the calibration (group I) and validation (group II) times from
-that run and compares group I with the measured times in one
-`activation.ErrorReport`, whose signed residuals give the summed error E
-and the misfit F. A triple the search returns to (every moving component
-clamped) gets its frozen `IterationRecord` again without a simulation.
+Two parts, split between the run and the search. An `Evaluator` is one
+calibration problem's forward model: a mesh, a fiber field, a stimulus
+plan and the run's `SolverParams`. It simulates a triple the first time
+it is asked for, keeps that run's nodal activation map (one float64 per
+node, keyed on the triple's bytes, and nothing else of the run) and reads
+the times at any node-snapped point set from it. So any number of
+searches or studies on one problem simulate each distinct triple once.
+
+`calibrate` is the search: its `CalibrationConfig` holds only search
+settings. Each iteration reads the calibration (group I) and validation
+(group II) times at one triple and compares group I with the measured
+times in one `activation.ErrorReport`, whose signed residuals give the
+summed error E and the misfit F; a triple the search returns to (every
+moving component clamped) gets its record rebuilt from the cached map.
 Each step moves every component along E, taken in seconds, with fixed
 acceleration coefficients (0.45, 0.1, 0.05 for mS/cm) and clamps it to
 the physiological box. Both groups arrive as `registration.RawCloud`s.
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,7 +77,7 @@ class ConductivityBox:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Direct-search settings; solver carries the shared run parameters.
+    """Direct-search settings; the run's parameters belong to the `Evaluator`.
 
     An isotropic search moves the three equal conductivities as one
     value, within the fiber bounds and with the fiber coefficient. Making
@@ -76,7 +85,6 @@ class CalibrationConfig:
     the f bounds, and beta becomes beta_f three times.
     """
 
-    solver: slv.SolverParams = field(default_factory=slv.SolverParams)
     box: ConductivityBox = field(default_factory=ConductivityBox)
     beta: tuple[float, float, float] = DEFAULT_BETA
     initial_sigma: tuple[float, float, float] | None = None
@@ -157,9 +165,50 @@ def update_sigma(sigma, error_sum_ms: float, box: ConductivityBox,
                    box.highs)
 
 
-def calibrate(mesh: Mesh, fiber_field: FiberField | None,
-              stim_plan: slv.StimulusPlan, cal: RawCloud,
-              config: CalibrationConfig, val: RawCloud) -> CalibrationResult:
+class Evaluator:
+    """One calibration problem's forward model: sigma -> activation map.
+
+    solver holds the run's parameters, whose sigma each call replaces.
+    maps holds the nodal activation map of each triple simulated so far,
+    under the triple's float64 bytes.
+    """
+
+    def __init__(self, mesh: Mesh, fiber_field: FiberField | None,
+                 stim_plan: slv.StimulusPlan, solver: slv.SolverParams):
+        self.mesh = mesh
+        self.fiber_field = fiber_field
+        self.stim_plan = stim_plan
+        self.solver = solver
+        self.maps: dict[bytes, np.ndarray] = {}
+
+    def times(self, sigma, points) -> np.ndarray:
+        """Activation times (ms, NaN where not activated) at sigma at
+        node-snapped points."""
+        sigma = np.asarray(sigma, dtype=float)
+        key = sigma.tobytes()
+        if key not in self.maps:
+            params = replace(self.solver, sigma=tuple(sigma))
+            self.maps[key] = slv.simulate(self.mesh, self.fiber_field, params,
+                                          self.stim_plan).activation
+        return act.extract_activation_at(self.mesh, self.maps[key], points)
+
+
+@contextmanager
+def _named(it: int, sigma, group: str | None = None):
+    """Raise a MonocalError met inside again with the iteration, the
+    triple and the point group, if one is given, in front."""
+    try:
+        yield
+    except MonocalError as exc:
+        sig = ", ".join(f"{v:.4f}" for v in sigma)
+        where = f"iteration {it} (sigma=({sig}))"
+        if group is not None:
+            where += f": group {group}"
+        raise MonocalError(f"{where}: {exc}") from exc
+
+
+def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
+              val: RawCloud) -> CalibrationResult:
     """Fit sigma to group I by direct search and validate it on group II.
 
     Stops when the mean per-point signed error falls below tol_ms and
@@ -167,43 +216,31 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
     stagnation / iteration budget (converged False, best-misfit iterate
     kept; an iterate with unactivated points has infinite misfit).
 
-    Each distinct triple is simulated once, and every record carries the
-    times of both groups; the validation report compares the estimate's
-    group-II times with the measured ones. Both clouds must be non-empty.
-    A failed simulation's MonocalError is raised again with the iteration
-    and the triple in front of its message.
+    The evaluator runs each distinct triple once, and every record carries
+    the times of both groups; the validation report compares the
+    estimate's group-II times with the measured ones. Both clouds must be
+    non-empty. A failed simulation's MonocalError, or a group with no
+    activated point, is raised again with the iteration and the triple
+    in front of its message, and the group if one is at fault.
     """
     for name, cloud in (("calibration", cal), ("validation", val)):
         if not len(cloud):
             raise InvalidArgumentError(f"{name} cloud is empty")
     cal = cal.subset(np.lexsort((cal.order, cal.taus))[:config.max_cal_points])
-    # one lookup per simulation gives both groups' times
+    # one lookup per iteration gives both groups' times
     points = np.vstack([cal.points, val.points])
     n_cal = len(cal)
     records: list[IterationRecord] = []
-    evaluated: dict[bytes, IterationRecord] = {}
-
-    def evaluate(sigma: np.ndarray) -> IterationRecord:
-        key = sigma.tobytes()
-        if key not in evaluated:
-            params = replace(config.solver, sigma=tuple(sigma))
-            try:
-                output = slv.simulate(mesh, fiber_field, params, stim_plan)
-            except MonocalError as exc:
-                sig = ", ".join(f"{v:.4f}" for v in sigma)
-                raise MonocalError(f"iteration {len(records)} (sigma=({sig}))"
-                                   f": {exc}") from exc
-            times = act.extract_activation_at(output, points)
-            evaluated[key] = IterationRecord(
-                sigma=sigma, calibration_computed=times[:n_cal],
-                validation_computed=times[n_cal:],
-                report=act.error_stats(times[:n_cal], cal.taus))
-        return evaluated[key]
 
     sigma = config.start_sigma()
     for it in range(config.max_iters):
-        records.append(evaluate(sigma))
-        report = records[-1].report
+        with _named(it, sigma):
+            times = evaluator.times(sigma, points)
+        with _named(it, sigma, "I"):
+            report = act.error_stats(times[:n_cal], cal.taus)
+        records.append(IterationRecord(
+            sigma=sigma, calibration_computed=times[:n_cal],
+            validation_computed=times[n_cal:], report=report))
         e_mean = report.errors.mean()
         logger.info("iter %d sigma=(%.4f, %.4f, %.4f) E=%.3f ms F=%.3f ms^2 "
                     "eI=%.3f%%", it, *sigma, e_mean, report.misfit,
@@ -222,12 +259,15 @@ def calibrate(mesh: Mesh, fiber_field: FiberField | None,
         sigma = update_sigma(sigma, float(report.errors.sum()), config.box,
                              config.beta)
 
-    best = records[-1] if converged else \
-        min(records, key=lambda r: r.report.misfit)
-    return CalibrationResult(
-        iterations=records, best=best, converged=converged,
-        validation=act.error_stats(best.validation_computed, val.taus),
-        calibration=cal)
+    # the last iterate when converged, else the first of lowest misfit
+    misfits = [r.report.misfit for r in records]
+    best_it = len(records) - 1 if converged else misfits.index(min(misfits))
+    best = records[best_it]
+    with _named(best_it, best.sigma, "II"):
+        validation = act.error_stats(best.validation_computed, val.taus)
+    return CalibrationResult(iterations=records, best=best,
+                             converged=converged, validation=validation,
+                             calibration=cal)
 
 
 def write_trace(path, result: CalibrationResult) -> None:

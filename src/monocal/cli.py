@@ -288,6 +288,8 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
 
 
 def _calibration_config(config: dict):
+    """The search settings and the run's solver parameters of a calibrate
+    config, both checked before anything is read or simulated."""
     solver = config.get("solver", {})
     if "sigma" in solver:
         raise InvalidArgumentError(
@@ -297,12 +299,12 @@ def _calibration_config(config: dict):
                                      "max_iters", "isotropic",
                                      "max_cal_points") if k in config}
     return cal.CalibrationConfig(
-        solver=slv.SolverParams(**solver),
-        box=cal.ConductivityBox(**config.get("box", {})), **kwargs)
+        box=cal.ConductivityBox(**config.get("box", {})),
+        **kwargs), slv.SolverParams(**solver)
 
 
 def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
-    cal_config = _calibration_config(config)
+    cal_config, params = _calibration_config(config)
     mesh = _read_mesh(config, "calibrate")
     fiber_field = _load_fiber_field(config, mesh, "calibrate")
     if fiber_field is None and not cal_config.isotropic:
@@ -313,8 +315,8 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
         _existing_path(config, "references", "calibrate"))
     inputs, cal_cloud, val_cloud, plan = reg.split_samples(cloud, groups)
 
-    result = cal.calibrate(mesh, fiber_field, plan, cal_cloud, cal_config,
-                           val_cloud)
+    result = cal.calibrate(cal.Evaluator(mesh, fiber_field, plan, params),
+                           cal_cloud, cal_config, val_cloud)
 
     out = _out_dir(config, "calibrate")
     trace_path = out / "trace.csv"

@@ -5,7 +5,8 @@ catches; InvalidArgumentError, an argument that violates a precondition
 (also a ValueError); and FormatError, a file that could not be parsed,
 with the file line at fault in its message when known. A runtime fault
 raises MonocalError with a message that says where it happened: the
-time step, and in a calibration the iteration and the conductivities.
+time step, and in a calibration the iteration and the conductivities,
+and the point group when none of its points activated.
 
 One naming rule: the function that opens a file names it, by reading
 and parsing it inside `reported_as(f"file {path}")`; `FiberField.read`,

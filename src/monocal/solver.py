@@ -231,7 +231,6 @@ class SimulationOutput:
     peak_u: np.ndarray
     final_u: np.ndarray
     snapshots: dict[float, np.ndarray]
-    mesh: Mesh
     manifest: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -392,7 +391,7 @@ class MonodomainSolver:
         }
         return SimulationOutput(
             activation=activation, peak_u=peak,
-            final_u=u, snapshots=snapshots, mesh=self.mesh, manifest=manifest)
+            final_u=u, snapshots=snapshots, manifest=manifest)
 
 
 def simulate(mesh: Mesh, fiber_field: FiberField | None, params: SolverParams,

@@ -24,7 +24,7 @@ from monocal.fibers import FiberField
 from monocal.geometry import Mesh
 from monocal.ionic import PARAMS, rest_state
 from monocal.registration import RigidTransform
-from monocal.solver import SimulationOutput, StimulusPlan
+from monocal.solver import StimulusPlan
 
 
 # --- membrane model -----------------------------------------------------------
@@ -209,7 +209,7 @@ def face_plan(mesh: Mesh, axis: int = 0, side: str = "min",
     return StimulusPlan(points=pts, onsets=np.full(len(pts), float(onset)))
 
 
-def measure_planar_cv(output: SimulationOutput, axis: int,
+def measure_planar_cv(mesh: Mesh, activation: np.ndarray, axis: int,
                       window: tuple[float, float] | None = None) -> float:
     """Planar-front speed (m/s) from the slope of position vs. time.
 
@@ -218,17 +218,17 @@ def measure_planar_cv(output: SimulationOutput, axis: int,
     interior window gives the speed. The default window spans the central
     60 percent of the axis to skip stimulus and boundary transients.
     """
-    coords = output.mesh.nodes[:, axis]
+    coords = mesh.nodes[:, axis]
     if window is None:
         lo, hi = coords.min(), coords.max()
         span = hi - lo
         window = (lo + 0.2 * span, hi - 0.2 * span)
-    ok = np.isfinite(output.activation) & (coords >= window[0]) & (coords <= window[1])
+    ok = np.isfinite(activation) & (coords >= window[0]) & (coords <= window[1])
     if not ok.any():
         raise InvalidArgumentError("no activated nodes in the measurement window")
 
     positions = np.round(coords[ok], 9)
-    times = output.activation[ok]
+    times = activation[ok]
     planes, inverse = np.unique(positions, return_inverse=True)
     if len(planes) < 4:
         raise InvalidArgumentError(

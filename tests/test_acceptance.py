@@ -17,7 +17,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from monocal import registration as reg
 from monocal.activation import error_stats
-from monocal.calibration import CalibrationConfig, calibrate
+from monocal.calibration import CalibrationConfig, Evaluator, calibrate
 from monocal.fem import AssemblyPlan, gmres_solve
 from monocal.fibers import FiberAngles, generate_fibers
 from monocal.geometry import SurfaceTag, build_slab_mesh
@@ -49,7 +49,8 @@ def planar_speeds():
         output = simulate(mesh, None, params,
                           face_plan(mesh, axis=axis))
         assert output.n_not_activated == 0
-        speeds[axis] = measure_planar_cv(output, axis, window=window)
+        speeds[axis] = measure_planar_cv(mesh, output.activation, axis,
+                                         window=window)
     return speeds
 
 
@@ -82,60 +83,74 @@ def _interpolate_map(source_mesh, source_activation, query_points):
 # --- shared twin recovery studies ---------------------------------------------
 
 
-def _study(mesh, plan, cal_cloud, val_cloud, angles=None,
-           isotropic=False, max_cal_points=None):
+def _evaluator(mesh, plan, angles):
     field = None if angles is None else generate_fibers(mesh, angles)
+    return Evaluator(mesh, field, plan, SolverParams())
+
+
+def _study(evaluator, cal_cloud, val_cloud, isotropic=False,
+           max_cal_points=None):
     config = CalibrationConfig(isotropic=isotropic,
                                max_cal_points=max_cal_points)
-    result = calibrate(mesh, field, plan, cal_cloud, config, val_cloud)
-    cal_error = error_stats(result.best.calibration_computed,
-                            result.calibration.taus)
-    return result, cal_error.mean_rel, result.validation.mean_rel
+    result = calibrate(evaluator, cal_cloud, config, val_cloud)
+    return result, result.best.report.mean_rel, result.validation.mean_rel
 
 
 @pytest.fixture(scope="module")
-def study_base(twin_star, star_problem):
-    cal_cloud, val_cloud, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
-                  FiberAngles())
+def star_evaluator(twin_star, star_problem):
+    """The twin problem with the default fiber model. The studies that
+    calibrate it share it, so each simulates only the triples no other
+    one has run."""
+    _, _, plan = star_problem
+    return _evaluator(twin_star.mesh, plan, FiberAngles())
+
+
+@pytest.fixture(scope="module")
+def study_base(star_evaluator, star_problem):
+    cal_cloud, val_cloud, _ = star_problem
+    return _study(star_evaluator, cal_cloud, val_cloud)
 
 
 @pytest.fixture(scope="module")
 def study_fib45(twin_star, star_problem):
     cal_cloud, val_cloud, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
-                  FiberAngles(45.0, -45.0, -20.0, 20.0))
+    return _study(_evaluator(twin_star.mesh, plan,
+                             FiberAngles(45.0, -45.0, -20.0, 20.0)),
+                  cal_cloud, val_cloud)
 
 
 @pytest.fixture(scope="module")
 def study_fib75(twin_star, star_problem):
     cal_cloud, val_cloud, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
-                  FiberAngles(75.0, -75.0, -20.0, 20.0))
+    return _study(_evaluator(twin_star.mesh, plan,
+                             FiberAngles(75.0, -75.0, -20.0, 20.0)),
+                  cal_cloud, val_cloud)
 
 
 @pytest.fixture(scope="module")
 def study_isotropic(twin_star, star_problem):
     cal_cloud, val_cloud, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
-                  angles=None, isotropic=True)
+    return _study(_evaluator(twin_star.mesh, plan, None), cal_cloud,
+                  val_cloud, isotropic=True)
 
 
 @pytest.fixture(scope="module")
-def study_truncated(twin_star, star_problem):
-    cal_cloud, val_cloud, plan = star_problem
-    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
-                  FiberAngles(), max_cal_points=37)
+def study_truncated(star_evaluator, star_problem):
+    cal_cloud, val_cloud, _ = star_problem
+    return _study(star_evaluator, cal_cloud, val_cloud, max_cal_points=37)
 
 
 @pytest.fixture(scope="module")
-def study_perturbed(twin_star, twin_star_files):
+def study_perturbed(twin_star, twin_star_files, star_evaluator):
     cloud, groups, _ = reg.register(twin_star.mesh,
                                     twin_star_files["measurements"],
                                     twin_star_files["references_perturbed"])
     _, cal_cloud, val_cloud, plan = reg.split_samples(cloud, groups)
-    return _study(twin_star.mesh, plan, cal_cloud, val_cloud,
-                  FiberAngles())
+    # the shared evaluator paces its own plan: calibrating against it is
+    # only this problem if the perturbed registration gives the same one
+    assert np.array_equal(plan.points, star_evaluator.stim_plan.points)
+    assert np.array_equal(plan.onsets, star_evaluator.stim_plan.onsets)
+    return _study(star_evaluator, cal_cloud, val_cloud)
 
 
 # --- planar conduction speeds -------------------------------------------------

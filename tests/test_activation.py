@@ -11,36 +11,25 @@ from monocal.activation import (error_stats, extract_activation_at,
                                 five_number_summary)
 from monocal.errors import InvalidArgumentError
 from monocal.geometry import build_slab_mesh
-from monocal.solver import SimulationOutput
-
-
-def _output_with(mesh, activation):
-    activation = np.asarray(activation, dtype=float)
-    n = mesh.n_nodes
-    return SimulationOutput(
-        activation=activation,
-        peak_u=np.where(np.isfinite(activation), 1.5, 0.0),
-        final_u=np.zeros(n), snapshots={}, mesh=mesh, manifest={})
 
 
 class TestExtract:
     def test_reads_node_values(self, unit_cube):
-        activation = np.arange(8.0)
-        out = _output_with(unit_cube, activation)
-        taus = extract_activation_at(out, unit_cube.nodes[[3, 5]])
+        taus = extract_activation_at(unit_cube, np.arange(8.0),
+                                     unit_cube.nodes[[3, 5]])
         assert np.array_equal(taus, [3.0, 5.0])
 
     def test_nan_passes_through(self, unit_cube):
         activation = np.arange(8.0)
         activation[2] = np.nan
-        out = _output_with(unit_cube, activation)
-        taus = extract_activation_at(out, unit_cube.nodes[[2]])
+        taus = extract_activation_at(unit_cube, activation,
+                                     unit_cube.nodes[[2]])
         assert np.isnan(taus[0])
 
     def test_off_node_point_is_rejected(self, unit_cube):
-        out = _output_with(unit_cube, np.arange(8.0))
         with pytest.raises(InvalidArgumentError, match="project"):
-            extract_activation_at(out, [(0.5, 0.5, 0.5)])
+            extract_activation_at(unit_cube, np.arange(8.0),
+                                  [(0.5, 0.5, 0.5)])
 
 
 def misfit(computed, measured) -> float:

@@ -11,6 +11,7 @@ larger ones.
 
 import csv
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,10 +61,21 @@ def bar_val():
 
 
 def bar_config(**overrides):
-    base = dict(solver=bar_params((1.0, 1.0, 1.0)), beta=BAR_BETA,
-                tol_ms=0.25, max_iters=20)
+    base = dict(beta=BAR_BETA, tol_ms=0.25, max_iters=20)
     base.update(overrides)
     return cal.CalibrationConfig(**base)
+
+
+def run(activation=None):
+    """A stand-in for a simulation's output: the evaluator keeps only its
+    activation map."""
+    return SimpleNamespace(activation=activation)
+
+
+def bar_evaluator(mesh, plan, **overrides):
+    """A fresh evaluator of the bar problem: nothing simulated yet."""
+    return cal.Evaluator(mesh, None, plan, bar_params((1.0, 1.0, 1.0),
+                                                      **overrides))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +91,7 @@ def bar_plan():
 
 def bar_taus(mesh, plan, sigma):
     output = slv.simulate(mesh, None, bar_params(sigma), plan)
-    taus = act.extract_activation_at(output, BAR_POINTS)
+    taus = act.extract_activation_at(mesh, output.activation, BAR_POINTS)
     assert np.isfinite(taus).all()
     return taus
 
@@ -239,8 +251,8 @@ def test_config_start_defaults_to_box_midpoint():
 
 def test_calibrate_converges_immediately_on_self_consistent_data(
         bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
-                           bar_config(tol_ms=1.0),
+    result = cal.calibrate(bar_evaluator(bar, bar_plan),
+                           bar_cloud(midpoint_taus), bar_config(tol_ms=1.0),
                            val=bar_cloud(midpoint_taus[:2]))
     assert result.converged
     assert len(result.iterations) == 1
@@ -259,7 +271,7 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
     mid = cal.ConductivityBox().midpoint()
     star = mid + np.array(cal.DEFAULT_BETA) * (-0.55)
     taus = bar_taus(bar, bar_plan, star)
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+    result = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                            bar_config(), val=bar_val())
     assert result.converged
     assert len(result.iterations) <= 10
@@ -270,7 +282,7 @@ def test_calibrate_recovers_target_on_update_ray(bar, bar_plan):
 
 
 def test_calibrate_iterates_stay_inside_box(bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan,
+    result = cal.calibrate(bar_evaluator(bar, bar_plan),
                            bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8), val=bar_val())
     box = cal.ConductivityBox()
@@ -283,7 +295,7 @@ def test_calibrate_stagnates_at_box_edge_on_unreachable_data(
     # Measurements 500 ms later than anything the model can produce: the
     # signed error stays hugely negative, the triple pins at the box lows
     # and the misfit stops moving, so the search reports failure.
-    result = cal.calibrate(bar, None, bar_plan,
+    result = cal.calibrate(bar_evaluator(bar, bar_plan),
                            bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8), val=bar_val())
     assert not result.converged
@@ -297,7 +309,7 @@ def test_calibrate_stagnates_at_box_edge_on_unreachable_data(
 
 def test_calibrate_keeps_best_misfit_iterate_when_not_converged(
         bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan,
+    result = cal.calibrate(bar_evaluator(bar, bar_plan),
                            bar_cloud(midpoint_taus + 500.0),
                            bar_config(max_iters=8), val=bar_val())
     best = min(result.iterations, key=lambda r: r.report.misfit)
@@ -310,11 +322,12 @@ def test_calibrate_never_converges_with_unactivated_points(
     # the one point that never activated must still block convergence
     taus = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     computed = np.array([np.nan, 20.0, 30.0, 40.0, 50.0])
-    monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: run())
     # the validation point activates at 5 ms
     monkeypatch.setattr(cal.act, "extract_activation_at",
-                        lambda output, points: np.append(computed, 5.0))
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+                        lambda mesh, activation, points:
+                        np.append(computed, 5.0))
+    result = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                            bar_config(max_iters=3), val=bar_val())
     assert not result.converged
     assert len(result.iterations) == 3
@@ -332,9 +345,10 @@ def test_calibrate_compares_once_per_iteration(bar, bar_plan, monkeypatch):
              np.concatenate([taus, val_taus])]
     outputs = iter(range(len(times)))
     monkeypatch.setattr(cal.slv, "simulate",
-                        lambda *args, **kwargs: next(outputs))
+                        lambda *args, **kwargs: run(next(outputs)))
     monkeypatch.setattr(cal.act, "extract_activation_at",
-                        lambda output, points: times[output][:len(points)])
+                        lambda mesh, activation, points:
+                        times[activation][:len(points)])
     calls = []
     original = cal.act.error_stats
 
@@ -343,7 +357,7 @@ def test_calibrate_compares_once_per_iteration(bar, bar_plan, monkeypatch):
         return original(computed, measured)
 
     monkeypatch.setattr(cal.act, "error_stats", counted)
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+    result = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                            bar_config(), val=bar_cloud(val_taus))
     assert result.converged
     assert len(result.iterations) == 2
@@ -372,7 +386,7 @@ def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
         return original(mesh, fiber_field, params, plan)
 
     monkeypatch.setattr(cal.slv, "simulate", counted)
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+    result = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                            bar_config(max_iters=8), val=val)
     monkeypatch.undo()
     assert result.converged == (case == "converged")
@@ -392,10 +406,11 @@ def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
     output = slv.simulate(bar, None, bar_params(result.best.sigma), bar_plan)
     np.testing.assert_array_equal(
         result.best.calibration_computed,
-        act.extract_activation_at(output, result.calibration.points))
+        act.extract_activation_at(bar, output.activation,
+                                  result.calibration.points))
     np.testing.assert_array_equal(
         result.best.validation_computed,
-        act.extract_activation_at(output, val.points))
+        act.extract_activation_at(bar, output.activation, val.points))
     assert result.validation.n_used == 3
 
 
@@ -409,10 +424,11 @@ def test_calibrate_tolerates_an_iterate_without_validation_times(
              np.concatenate([taus, val_taus + 1.0])]
     outputs = iter(range(len(times)))
     monkeypatch.setattr(cal.slv, "simulate",
-                        lambda *args, **kwargs: next(outputs))
+                        lambda *args, **kwargs: run(next(outputs)))
     monkeypatch.setattr(cal.act, "extract_activation_at",
-                        lambda output, points: times[output].copy())
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+                        lambda mesh, activation, points:
+                        times[activation].copy())
+    result = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                            bar_config(), val=bar_cloud(val_taus))
     assert result.converged
     assert len(result.iterations) == 2
@@ -425,13 +441,14 @@ def test_calibrate_tolerates_an_iterate_without_validation_times(
 def test_calibrate_rejects_an_empty_validation_cloud(bar, bar_plan,
                                                     midpoint_taus):
     with pytest.raises(InvalidArgumentError, match="validation cloud"):
-        cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
+        cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(midpoint_taus),
                       bar_config(tol_ms=1.0), val=bar_cloud([]))
 
 
 def test_calibrate_truncates_to_earliest_activation_times(
         bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
+    result = cal.calibrate(bar_evaluator(bar, bar_plan),
+                           bar_cloud(midpoint_taus),
                            bar_config(tol_ms=1.0, max_cal_points=3),
                            val=bar_val())
     kept = sorted(midpoint_taus)[:3]
@@ -443,12 +460,13 @@ def test_calibrate_breaks_time_ties_by_acquisition_order(bar, bar_plan,
     order = np.array([3, 0, 4, 1, 2])
     cloud = RawCloud(points=BAR_POINTS, taus=np.full(5, 20.0),
                      sites=[Site.EPI_VEIN] * 5, order=order)
-    monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: run())
     monkeypatch.setattr(cal.act, "extract_activation_at",
-                        lambda output, points: np.full(len(points), 20.0))
+                        lambda mesh, activation, points:
+                        np.full(len(points), 20.0))
     by_order = BAR_POINTS[np.argsort(order)]
     for k in (None, 2):
-        result = cal.calibrate(bar, None, bar_plan, cloud,
+        result = cal.calibrate(bar_evaluator(bar, bar_plan), cloud,
                                bar_config(max_cal_points=k), val=bar_val())
         kept = np.arange(5)[:k]
         np.testing.assert_array_equal(result.calibration.order, kept)
@@ -458,7 +476,7 @@ def test_calibrate_breaks_time_ties_by_acquisition_order(bar, bar_plan,
 
 def test_calibrate_isotropic_search_keeps_triple_equal(bar, bar_plan):
     taus = bar_taus(bar, bar_plan, (1.0, 1.0, 1.0))
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+    result = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                            bar_config(isotropic=True), val=bar_val())
     assert result.converged
     assert result.best.sigma[0] == result.best.sigma[1] == result.best.sigma[2]
@@ -469,9 +487,9 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
     mid = cal.ConductivityBox().midpoint()
     star = mid + np.array(cal.DEFAULT_BETA) * (-0.55)
     taus = bar_taus(bar, bar_plan, star)
-    first = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+    first = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                           bar_config(max_iters=3), val=bar_val())
-    second = cal.calibrate(bar, None, bar_plan, bar_cloud(taus),
+    second = cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud(taus),
                            bar_config(max_iters=3), val=bar_val())
     np.testing.assert_array_equal(first.best.sigma, second.best.sigma)
     assert [r.report.errors.sum() for r in first.iterations] \
@@ -480,8 +498,8 @@ def test_calibrate_is_deterministic(bar, bar_plan, midpoint_taus):
 
 def test_calibrate_rejects_empty_sample_list(bar, bar_plan):
     with pytest.raises(InvalidArgumentError, match="empty"):
-        cal.calibrate(bar, None, bar_plan, bar_cloud([]), bar_config(),
-                      val=bar_val())
+        cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud([]),
+                      bar_config(), val=bar_val())
 
 
 def test_a_failed_solve_names_its_step_and_iteration(bar, bar_plan,
@@ -502,8 +520,75 @@ def test_a_failed_solve_names_its_step_and_iteration(bar, bar_plan,
     calls.clear()
     with pytest.raises(MonocalError, match=re.escape(
             f"iteration 0 (sigma=(1.4500, 0.3200, 0.0650)): {step}")):
-        cal.calibrate(bar, None, bar_plan, bar_cloud([10.0, 20.0]),
+        cal.calibrate(bar_evaluator(bar, bar_plan), bar_cloud([10.0, 20.0]),
                       bar_config(), val=bar_val())
+
+
+@pytest.mark.parametrize("group", ["I", "II"])
+def test_a_group_with_no_activated_point_names_its_iteration(bar, bar_plan,
+                                                             group):
+    # runs cut at 2 ms activate no point; at 10 ms the three points
+    # nearest the paced end activate, and the search converges on them at
+    # once, but the validation point at x = 0.55 cm has not activated yet
+    t_end, taus, val = {
+        "I": (2.0, [10.0, 20.0], bar_val()),
+        "II": (10.0, [6.925, 7.1, 9.375], bar_cloud([11.0], BAR_POINTS[4:])),
+    }[group]
+    with pytest.raises(MonocalError, match=re.escape(
+            "iteration 0 (sigma=(1.4500, 0.3200, 0.0650)): "
+            f"group {group}: no activated points to compare")):
+        cal.calibrate(bar_evaluator(bar, bar_plan, t_end=t_end),
+                      bar_cloud(taus), bar_config(), val=val)
+
+
+# --- the evaluator ----------------------------------------------------------
+
+
+def test_a_shared_evaluator_simulates_each_triple_once(bar, bar_plan,
+                                                        midpoint_taus,
+                                                        monkeypatch):
+    # the first search converges at the box midpoint; the second starts
+    # there too and pins at the box lows
+    simulated = []
+    original = cal.slv.simulate
+
+    def counted(mesh, fiber_field, params, plan):
+        simulated.append(params.sigma)
+        return original(mesh, fiber_field, params, plan)
+
+    monkeypatch.setattr(cal.slv, "simulate", counted)
+    evaluator = bar_evaluator(bar, bar_plan)
+    first = cal.calibrate(evaluator, bar_cloud(midpoint_taus),
+                          bar_config(tol_ms=1.0), val=bar_val())
+    second = cal.calibrate(evaluator, bar_cloud(midpoint_taus + 500.0),
+                           bar_config(max_iters=8), val=bar_val())
+    box = cal.ConductivityBox()
+    assert len(first.iterations) == 1
+    assert len(second.iterations) == 4
+    assert simulated == [tuple(box.midpoint()), tuple(box.lows)]
+
+
+def test_the_evaluator_caches_one_map_per_distinct_triple(bar, bar_plan,
+                                                          midpoint_taus):
+    evaluator = bar_evaluator(bar, bar_plan)
+    result = cal.calibrate(evaluator, bar_cloud(midpoint_taus + 500.0),
+                           bar_config(max_iters=8), val=bar_val())
+    distinct = {r.sigma.tobytes() for r in result.iterations}
+    assert len(distinct) == 2
+    assert set(evaluator.maps) == distinct
+    for activation in evaluator.maps.values():
+        assert activation.shape == (bar.n_nodes,)
+        assert activation.dtype == np.float64
+
+
+def test_evaluator_times_match_a_fresh_simulation(bar, bar_plan):
+    sigma = np.array([1.1, 0.3, 0.07])
+    evaluator = bar_evaluator(bar, bar_plan)
+    output = slv.simulate(bar, None, bar_params(sigma), bar_plan)
+    expected = act.extract_activation_at(bar, output.activation, BAR_POINTS)
+    for _ in range(2):  # simulated, then read from the cache
+        times = evaluator.times(sigma, BAR_POINTS)
+        assert times.tobytes() == expected.tobytes()
 
 
 def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):
@@ -513,8 +598,9 @@ def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):
 
 
 def test_trace_round_trip(tmp_path, bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar, None, bar_plan, bar_cloud(midpoint_taus),
-                           bar_config(tol_ms=1.0), val=bar_val())
+    result = cal.calibrate(bar_evaluator(bar, bar_plan),
+                           bar_cloud(midpoint_taus), bar_config(tol_ms=1.0),
+                           val=bar_val())
     path = tmp_path / "trace.csv"
     cal.write_trace(path, result)
     with open(path, newline="") as handle:

@@ -387,7 +387,8 @@ def test_nested_null_means_unset_for_calibrate(tmp_path, monkeypatch):
         with pytest.raises(_Parsed):
             cli.main(["calibrate", "--config", str(path)])
     assert parsed[0] == parsed[1]
-    assert parsed[0].box.f == cal.ConductivityBox().f
+    search, _ = parsed[0]
+    assert search.box.f == cal.ConductivityBox().f
 
 
 def _calibrate_fails_before_simulating(tmp_path, monkeypatch, capsys, args,

@@ -79,16 +79,17 @@ def test_traced_calibration_runs_one_simulation_per_iteration(spans):
     # data 0.5 ms later than the start's own times: the search takes
     # both of its iterations without converging
     output = slv.simulate(mesh, None, params, plan)
-    taus = act.extract_activation_at(output, points) + 0.5
+    taus = act.extract_activation_at(mesh, output.activation, points) + 0.5
     cloud = RawCloud(points=points, taus=taus, sites=[act.Site.EPI_VEIN] * 5,
                      order=np.arange(5))
-    config = cal.CalibrationConfig(solver=params, beta=(9.0, 2.0, 1.0),
-                                   max_iters=2, tol_ms=0.01)
+    config = cal.CalibrationConfig(beta=(9.0, 2.0, 1.0), max_iters=2,
+                                   tol_ms=0.01)
 
     tracer = spans.Tracer()
     tracer.install()
     try:
-        cal.calibrate(mesh, None, plan, cloud.subset(np.arange(3)), config,
+        cal.calibrate(cal.Evaluator(mesh, None, plan, params),
+                      cloud.subset(np.arange(3)), config,
                       val=cloud.subset(np.arange(3, 5)))
     finally:
         tracer.restore()

@@ -16,7 +16,7 @@ from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
 from monocal.ionic import rest_state
 from monocal.solver import (ACTIVATION_PEAK_FLOOR, PROGRESS_EVERY,
-                            MonodomainSolver, SimulationOutput, SolverParams,
+                            MonodomainSolver, SolverParams,
                             StimulusPlan, _StimulusSets,
                             build_conductivity_tensors, simulate)
 
@@ -478,33 +478,29 @@ class TestFrontShape:
 
 
 class TestMeasurePlanarCv:
-    def _linear_output(self, mesh, speed_cm_per_ms, axis=0):
-        activation = mesh.nodes[:, axis] / speed_cm_per_ms
-        n = mesh.n_nodes
-        return SimulationOutput(
-            activation=activation, peak_u=np.full(n, 1.5), final_u=np.zeros(n), snapshots={},
-            mesh=mesh, manifest={})
+    def _linear_map(self, mesh, speed_cm_per_ms, axis=0):
+        return mesh.nodes[:, axis] / speed_cm_per_ms
 
     def test_synthetic_linear_field_is_exact(self):
         bar = build_slab_mesh((0.7, 0.07, 0.035), 0.035)
-        out = self._linear_output(bar, 0.063)
-        cv = measure_planar_cv(out, axis=0, window=(0.15, 0.55))
+        activation = self._linear_map(bar, 0.063)
+        cv = measure_planar_cv(bar, activation, axis=0, window=(0.15, 0.55))
         assert np.isclose(cv, 0.63, rtol=1e-12)
 
     def test_too_few_planes_is_rejected(self):
         bar = build_slab_mesh((0.7, 0.07, 0.035), 0.035)
-        out = self._linear_output(bar, 0.063)
+        activation = self._linear_map(bar, 0.063)
         with pytest.raises(InvalidArgumentError,
                            match="only 2 activated planes in the window"):
-            measure_planar_cv(out, axis=0, window=(0.15, 0.21))
+            measure_planar_cv(bar, activation, axis=0, window=(0.15, 0.21))
 
     def test_unactivated_map_is_rejected(self):
         bar = build_slab_mesh((0.7, 0.07, 0.035), 0.035)
-        out = self._linear_output(bar, 0.063)
-        out.activation[:] = np.nan
+        activation = self._linear_map(bar, 0.063)
+        activation[:] = np.nan
         with pytest.raises(InvalidArgumentError,
                            match="no activated nodes in the measurement window"):
-            measure_planar_cv(out, axis=0)
+            measure_planar_cv(bar, activation, axis=0)
 
     def test_quadrupled_conductivity_doubles_the_speed(self):
         # space, mesh size, stimulus radius and conductivity scale
@@ -522,5 +518,6 @@ class TestMeasurePlanarCv:
             out = simulate(bar, None, params,
                            face_plan(bar, axis=0, side="min"))
             cv[scale] = measure_planar_cv(
-                out, axis=0, window=(0.15 * scale, 0.55 * scale))
+                bar, out.activation, axis=0,
+                window=(0.15 * scale, 0.55 * scale))
         assert abs(cv[2.0] / cv[1.0] - 2.0) <= 0.1
