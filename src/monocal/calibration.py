@@ -17,11 +17,12 @@ moving component clamped) gets its record rebuilt from the cached map.
 Each step moves every component along E, taken in seconds, with fixed
 acceleration coefficients (0.45, 0.1, 0.05 for mS/cm) and clamps it to
 the physiological box. Both groups arrive as `registration.RawCloud`s.
+The search returns a `CalibrationResult` and knows no file format: the
+command line writes its trace and validation files.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -38,8 +39,6 @@ from .registration import RawCloud
 logger = logging.getLogger(__name__)
 
 DEFAULT_BETA = (0.45, 0.10, 0.05)
-TRACE_HEADER = ("iter", "sigma_f", "sigma_s", "sigma_n", "E_ms", "F_ms2",
-                "eI_pct")
 # The search stops when the misfit of each of the last two steps changed
 # by less than this fraction of the latest misfit.
 STAGNATION_REL = 1e-3
@@ -269,13 +268,3 @@ def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
                              converged=converged, validation=validation,
                              calibration=cal)
 
-
-def write_trace(path, result: CalibrationResult) -> None:
-    """Iteration trace as CSV with the fixed reporting header."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_HEADER)
-        for i, rec in enumerate(result.iterations):
-            values = (*rec.sigma, rec.report.errors.sum(), rec.report.misfit,
-                      100.0 * rec.report.mean_rel)
-            writer.writerow([i, *(f"{v:.9g}" for v in values)])

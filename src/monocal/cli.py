@@ -10,18 +10,26 @@ epilog, the config check and the flag-over-config merge all derive from
 that table; handlers receive the merged config.
 
 `_COMMANDS` is the one declaration of each key's full type: a scalar, a
-number list (`tuple[float, ...]`), the stimulus points (a list of
-three-number lists), or one of the records `SolverParams` ("solver"),
-`FiberAngles` ("fiber_angles") and `ConductivityBox` ("box"), whose
-fields and their types come from the dataclass. `_parse` checks a
-config against it in one walk under one type rule: an integer counts
-as a float and a boolean never counts as a number. Unknown keys and
-wrong-length fixed tuples are rejected at any depth, and a null value
-means unset at any depth. `report` reads validation.json back with the
-same walk (`_RESULTS`); the fields of `activation.ErrorReport` declare
-its 'validation' block. A failed subcommand prints one `error:` line,
-exits 1 and leaves no partial outputs: it removes what it wrote, so
-reruns start clean.
+number triple (`tuple[float, float, float]`: a sigma, beta, the slab
+extents, the ventricle's semiaxes), a number list (`tuple[float, ...]`:
+onsets and snapshot times), the stimulus points (a list of triples), or
+one of the records `SolverParams` ("solver"), `FiberAngles`
+("fiber_angles") and `ConductivityBox` ("box"), whose fields and their
+types come from the dataclass. `_parse` checks a config against it in
+one walk under one type rule: an integer counts as a float and a
+boolean never counts as a number. Unknown keys and wrong-length fixed
+tuples are rejected at any depth, and a null value means unset at any
+depth. `report` reads validation.json back with the same walk
+(`_RESULTS`); the fields of `activation.ErrorReport` declare its
+'validation' block.
+
+This module lays out `simulate`'s `manifest.json`, from the run's facts
+in `solver.SimulationOutput`, and `calibrate`'s `trace.csv`
+(`write_trace`, `TRACE_HEADER`) next to `report`, which reads it back;
+the solver and the search only return values. Each handler adds
+the paths it is about to write to one list; a failed subcommand prints
+one `error:` line, exits 1, and `main` removes every path on that list,
+so it leaves no partial outputs and reruns start clean.
 
 Relative paths inside a config are resolved against the current working
 directory, which keeps bundled scenario configs usable from any checkout
@@ -35,22 +43,26 @@ import csv
 import json
 import sys
 from contextlib import suppress
-from dataclasses import is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import __version__
 from . import activation as act
 from . import calibration as cal
-from . import fibers, geometry, twin, vtkio
+from . import fibers, geometry, ionic, twin, vtkio
 from . import registration as reg
 from . import solver as slv
 from .errors import (FormatError, InvalidArgumentError, MonocalError,
                      reported_as)
 
 SCENARIOS_DIR = Path(__file__).parent / "scenarios"
-# correlation.csv's header, which calibrate writes and report reads
+# the headers of trace.csv and correlation.csv, which calibrate writes
+# and report reads
+TRACE_HEADER = ("iter", "sigma_f", "sigma_s", "sigma_n", "E_ms", "F_ms2",
+                "eI_pct")
 CORRELATION_HEADER = ("group", "tau_measured_ms", "tau_computed_ms")
 # validation.json's declared types: its 'validation' block is the
 # group-II `ErrorReport` without its residuals
@@ -63,21 +75,6 @@ _RESULTS = {"sigma_hat": tuple[float, float, float], "converged": bool,
 def _fail(message: str) -> "SystemExit":
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(1)
-
-
-class _OutputTracker:
-    """Records files a subcommand writes so failures can undo them."""
-
-    def __init__(self):
-        self.paths: list[Path] = []
-
-    def add(self, *paths) -> None:
-        self.paths.extend(Path(p) for p in paths)
-
-    def discard_all(self) -> None:
-        for p in self.paths:
-            with suppress(OSError):
-                p.unlink(missing_ok=True)
 
 
 def _load_config(path: str | None, keys: dict, command: str) -> dict:
@@ -195,7 +192,7 @@ def _read_mesh(config: dict, command: str):
     return vtkio.read_mesh(_existing_path(config, "mesh", command))
 
 
-def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
+def cmd_gen_mesh(config: dict, outputs: list[Path]) -> None:
     kind = config.get("kind", "slab")
     if kind not in ("slab", "ventricle"):
         raise InvalidArgumentError(
@@ -215,24 +212,24 @@ def cmd_gen_mesh(config: dict, tracker: _OutputTracker) -> None:
             config.get("truncation_height", twin.TRUNCATION_HEIGHT), h)
     out = _out_dir(config, "gen-mesh")
     mesh_path = out / "mesh.vtk"
-    tracker.add(mesh_path, vtkio.surface_path(mesh_path))
+    outputs.extend([mesh_path, vtkio.surface_path(mesh_path)])
     vtkio.write_mesh(mesh_path, mesh)
     print(f"wrote {mesh_path} ({mesh.n_nodes} nodes, {mesh.n_elems} cells)")
 
 
-def cmd_gen_fibers(config: dict, tracker: _OutputTracker) -> None:
+def cmd_gen_fibers(config: dict, outputs: list[Path]) -> None:
     mesh = _read_mesh(config, "gen-fibers")
     angles = fibers.FiberAngles(**{
         k: config[k] for k in ("alpha_endo", "alpha_epi", "beta_endo",
                                "beta_epi") if k in config})
     field = fibers.generate_fibers(mesh, angles)
     path = _out_dir(config, "gen-fibers") / "fibers.vtk"
-    tracker.add(path)
+    outputs.append(path)
     field.write(path, mesh)
     print(f"wrote {path} ({int(field.singular.sum())} singular nodes)")
 
 
-def cmd_register(config: dict, tracker: _OutputTracker) -> None:
+def cmd_register(config: dict, outputs: list[Path]) -> None:
     mesh = _read_mesh(config, "register")
     cloud, groups, stats = reg.register(
         mesh, _existing_path(config, "measurements", "register"),
@@ -240,7 +237,7 @@ def cmd_register(config: dict, tracker: _OutputTracker) -> None:
     out = _out_dir(config, "register")
     csv_path = out / "registered.csv"
     json_path = out / "registration.json"
-    tracker.add(csv_path, json_path)
+    outputs.extend([csv_path, json_path])
     reg.write_measurements(csv_path, cloud, groups=groups)
     _write_json(json_path, stats)
     print(f"wrote {csv_path} and {json_path}")
@@ -250,7 +247,7 @@ def _snapshot_field(t: float) -> str:
     return f"u_{t:g}ms".replace(".", "_")
 
 
-def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
+def cmd_simulate(config: dict, outputs: list[Path]) -> None:
     mesh = _read_mesh(config, "simulate")
     fiber_field = _load_fiber_field(config, mesh, "simulate")
     params = slv.SolverParams(**config.get("solver", {}))
@@ -272,18 +269,24 @@ def cmd_simulate(config: dict, tracker: _OutputTracker) -> None:
     out = _out_dir(config, "simulate")
     act_path = out / "activation.vtk"
     manifest_path = out / "manifest.json"
-    tracker.add(act_path, manifest_path)
+    outputs.extend([act_path, manifest_path])
     vtkio.write_fields(act_path, mesh, {"activation": output.activation,
                                         "peak": output.peak_u})
     if snapshot_times:
         snap_path = out / "snapshots.vtk"
-        tracker.add(snap_path)
+        outputs.append(snap_path)
         vtkio.write_fields(snap_path, mesh, {
             _snapshot_field(t): u
             for t, u in sorted(output.snapshots.items())})
-    manifest = dict(output.manifest)
-    manifest["n_not_activated"] = output.n_not_activated
-    _write_json(manifest_path, manifest)
+    run = asdict(params)
+    del run["stop_when_activated"]
+    run["sigma"] = [float(v) for v in params.sigma]
+    _write_json(manifest_path, {
+        "version": __version__, "mesh_hash": mesh.content_hash(),
+        "n_nodes": mesh.n_nodes, "n_steps": output.n_steps, "params": run,
+        "ionic": ionic.PARAMS.manifest(), "stimulus_sites": len(plan.points),
+        "linear_solver": output.cg,
+        "n_not_activated": output.n_not_activated})
     print(f"wrote {act_path} ({output.n_not_activated} nodes not activated)")
 
 
@@ -303,7 +306,7 @@ def _calibration_config(config: dict):
         **kwargs), slv.SolverParams(**solver)
 
 
-def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
+def cmd_calibrate(config: dict, outputs: list[Path]) -> None:
     cal_config, params = _calibration_config(config)
     mesh = _read_mesh(config, "calibrate")
     fiber_field = _load_fiber_field(config, mesh, "calibrate")
@@ -323,9 +326,10 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
     validation_path = out / "validation.json"
     correlation_path = out / "correlation.csv"
     manifest_path = out / "manifest.json"
-    tracker.add(trace_path, validation_path, correlation_path, manifest_path)
+    outputs.extend([trace_path, validation_path, correlation_path,
+                    manifest_path])
 
-    cal.write_trace(trace_path, result)
+    write_trace(trace_path, result)
     best = result.best
     report = result.validation
     _write_json(validation_path, {
@@ -354,6 +358,17 @@ def cmd_calibrate(config: dict, tracker: _OutputTracker) -> None:
           f"iterations={len(result.iterations)}")
     print(f"validation mean relative error = {100 * report.mean_rel:.2f}%")
     print(f"wrote {trace_path}, {validation_path}, {correlation_path}")
+
+
+def write_trace(path, result: cal.CalibrationResult) -> None:
+    """The search's iterations as CSV under `TRACE_HEADER`, one row each."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TRACE_HEADER)
+        for i, rec in enumerate(result.iterations):
+            values = (*rec.sigma, rec.report.errors.sum(), rec.report.misfit,
+                      100.0 * rec.report.mean_rel)
+            writer.writerow([i, *(f"{v:.9g}" for v in values)])
 
 
 def _validation_lines(validation: dict) -> list[str]:
@@ -385,7 +400,7 @@ def _parse_iteration(text: str, line: int) -> int:
     return int(text)
 
 
-def cmd_report(config: dict, tracker: _OutputTracker) -> None:
+def cmd_report(config: dict, outputs: list[Path]) -> None:
     results = Path(_require(config, "results", "report"))
     trace_path = results / "trace.csv"
     if not trace_path.exists():
@@ -395,10 +410,10 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     lines = ["calibration report", "==================", "",
              "iteration trace (sigma in mS/cm, E in ms, F in ms^2):"]
     with reported_as(f"file {trace_path}"):
-        for line, r in reg.read_rows(trace_path, cal.TRACE_HEADER):
+        for line, r in reg.read_rows(trace_path, TRACE_HEADER):
             it = _parse_iteration(r["iter"], line)
             sf, ss, sn, e, f, ei = (reg.parse_float(r[c], c, line)
-                                    for c in cal.TRACE_HEADER[1:])
+                                    for c in TRACE_HEADER[1:])
             lines.append(f"  {it:>3}  sigma=({sf:.4f}, {ss:.4f}, "
                          f"{sn:.4f})  E={e:+9.3f}  F={f:10.3f}  eI={ei:6.3f}%")
 
@@ -443,12 +458,12 @@ def cmd_report(config: dict, tracker: _OutputTracker) -> None:
     if "out" in config:
         out = _out_dir(config, "report")
         report_path = out / "report.txt"
-        tracker.add(report_path)
+        outputs.append(report_path)
         report_path.write_text(text)
         print(f"wrote {report_path}")
 
 
-def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
+def cmd_gen_twin(config: dict, outputs: list[Path]) -> None:
     perturb_cm = float(config.get("perturb_cm", 0.015))
     # written so that NaN fails the check and infinity the bound
     if not 0.0 <= perturb_cm < float("inf"):
@@ -462,7 +477,7 @@ def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
         sigma=np.asarray(config.get("sigma", twin.TRUE_SIGMA), dtype=float))
     out = _out_dir(config, "gen-twin")
     paths = twin.twin_paths(out)
-    tracker.add(*paths.values(), vtkio.surface_path(paths["mesh"]))
+    outputs.extend([*paths.values(), vtkio.surface_path(paths["mesh"])])
     twin.write_twin(data, out, perturb_cm=perturb_cm, seed=seed)
     print(f"wrote twin fixture to {out} "
           f"({data.mesh.n_nodes} nodes, {len(data.vein_nodes)} vein points)")
@@ -471,7 +486,7 @@ def cmd_gen_twin(config: dict, tracker: _OutputTracker) -> None:
 class _Command(NamedTuple):
     """A subcommand's handler, help line, typed config keys, flag keys."""
 
-    handler: Callable[[dict, _OutputTracker], None]
+    handler: Callable[[dict, list[Path]], None]
     help: str
     keys: dict[str, object]
     flags: tuple[str, ...]
@@ -479,14 +494,15 @@ class _Command(NamedTuple):
 
 # The declared types of the config values that are lists.
 _NUMBERS = tuple[float, ...]
-_POINTS = tuple[tuple[float, float, float], ...]
+_TRIPLE = tuple[float, float, float]
+_POINTS = tuple[_TRIPLE, ...]
 
 
 _COMMANDS = {
     "gen-mesh": _Command(
         cmd_gen_mesh, "Generate a slab or truncated-ellipsoid mesh",
-        {"kind": str, "h": float, "extents": _NUMBERS, "endo_axes": _NUMBERS,
-         "epi_axes": _NUMBERS, "truncation_height": float, "out": str},
+        {"kind": str, "h": float, "extents": _TRIPLE, "endo_axes": _TRIPLE,
+         "epi_axes": _TRIPLE, "truncation_height": float, "out": str},
         ("kind", "h", "out")),
     "gen-fibers": _Command(
         cmd_gen_fibers, "Generate a rule-based fiber field",
@@ -508,7 +524,7 @@ _COMMANDS = {
         {"mesh": str, "fibers": str, "fiber_angles": fibers.FiberAngles,
          "measurements": str, "references": str,
          "solver": slv.SolverParams, "box": cal.ConductivityBox,
-         "beta": _NUMBERS, "initial_sigma": _NUMBERS, "tol_ms": float,
+         "beta": _TRIPLE, "initial_sigma": _TRIPLE, "tol_ms": float,
          "max_iters": int, "isotropic": bool, "max_cal_points": int,
          "out": str},
         ("mesh", "fibers", "measurements", "references", "max_cal_points",
@@ -518,7 +534,7 @@ _COMMANDS = {
         {"results": str, "out": str}, ("results", "out")),
     "gen-twin": _Command(
         cmd_gen_twin, "Generate the synthetic twin fixture",
-        {"h": float, "sigma": _NUMBERS, "perturb_cm": float, "seed": int,
+        {"h": float, "sigma": _TRIPLE, "perturb_cm": float, "seed": int,
          "out": str},
         ("h", "seed", "out")),
 }
@@ -567,14 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
-    tracker = _OutputTracker()
+    outputs: list[Path] = []
     try:
         config = _load_config(args.config, command.keys, args.command)
         config.update({key: getattr(args, key) for key in command.flags
                        if getattr(args, key) is not None})
-        command.handler(config, tracker)
+        command.handler(config, outputs)
     except (MonocalError, OSError) as exc:
-        tracker.discard_all()
+        for path in outputs:
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
         raise _fail(str(exc))
     return 0
 

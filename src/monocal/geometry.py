@@ -112,8 +112,9 @@ class Mesh:
 def check_elements(nodes: np.ndarray, elems: np.ndarray) -> None:
     """The audit of the volume: node coordinates of shape (n, 3), all
     finite; at least one element, every corner a known node, no corner
-    repeated within an element, and positive Jacobians at the corners.
-    Raises InvalidArgumentError on the first defect."""
+    repeated within an element, every node a corner of some element (a
+    free node leaves its matrix row empty), and positive Jacobians at
+    the corners. Raises InvalidArgumentError on the first defect."""
     if nodes.ndim != 2 or nodes.shape[1] != 3:
         raise InvalidArgumentError("nodes must have shape (n, 3)")
     if not np.all(np.isfinite(nodes)):
@@ -128,6 +129,11 @@ def check_elements(nodes: np.ndarray, elems: np.ndarray) -> None:
     if np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1]):
         bad = int(np.nonzero(np.any(sorted_corners[:, 1:] == sorted_corners[:, :-1], axis=1))[0][0])
         raise InvalidArgumentError(f"element {bad} has repeated corner nodes")
+    used = np.zeros(len(nodes), dtype=bool)
+    used[elems] = True
+    if not used.all():
+        raise InvalidArgumentError(
+            f"node {int(np.argmin(used))} belongs to no element")
 
     for part in _hex.blocks(len(elems)):
         det = _hex.determinants(_hex.jacobians(nodes[elems[part]],

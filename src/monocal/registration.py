@@ -277,15 +277,21 @@ def register(mesh: Mesh, measurements_path, references_path
     cloud; vein points are then projected onto the epicardium and septal
     points onto the endocardium. Returns the projected cloud (septal
     points first), its `group_labels` and the registration statistics
-    the command line writes out.
+    the command line writes out. A map without septal or vein points,
+    or with only 1 vein point, raises FormatError naming the measurements
+    file.
     """
     cloud = read_measurements(measurements_path)
     source, target = read_reference_pairs(references_path)
     transform = rigid_from_three_pairs(source, target)
     is_vein = np.array([s is Site.EPI_VEIN for s in cloud.sites])
-    if not is_vein.any() or is_vein.all():
-        raise InvalidArgumentError(
-            "measurements must contain both septum and vein sites")
+    with reported_as(f"file {measurements_path}"):
+        if not is_vein.any() or is_vein.all():
+            raise InvalidArgumentError(
+                "measurements must contain both septum and vein sites")
+        if is_vein.sum() < 2:
+            raise InvalidArgumentError(
+                "1 vein point; the group split needs at least 2")
     cloud.points = transform.apply(cloud.points)
     # septal points first; each group snaps to its own surface
     merged = cloud.subset(np.argsort(is_vein, kind="stable"))

@@ -41,18 +41,22 @@ Two exact shortcuts keep the time loop short:
   can drift from that run by more than the tolerance, most near a
   moving front. Identical activation times are therefore likely but
   not guaranteed.
+
+A run returns a `SimulationOutput`: the activation map, the peak
+potential, the requested snapshots and the run's facts as plain values
+(the steps taken and the conjugate-gradient counts). It writes nothing;
+the command line lays out `manifest.json` from these values.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, _hex, fem, ionic
+from . import _hex, fem, ionic
 from .errors import InvalidArgumentError, MonocalError
 from .fibers import FiberField
 from .geometry import Mesh
@@ -224,14 +228,16 @@ class _StimulusSets:
 
 @dataclass
 class SimulationOutput:
-    """Activation map plus bookkeeping from one monodomain run; NaN in
-    activation marks a node that did not activate."""
+    """Activation map plus the run's facts from one monodomain run; NaN
+    in activation marks a node that did not activate. n_steps counts the
+    steps taken (fewer than t_end/dt after an early stop), and cg holds
+    the linear solves' `calls`, total `iterations` and `max_iterations`."""
 
     activation: np.ndarray
     peak_u: np.ndarray
-    final_u: np.ndarray
     snapshots: dict[float, np.ndarray]
-    manifest: dict[str, Any] = field(default_factory=dict)
+    n_steps: int
+    cg: dict[str, int]
 
     @property
     def n_not_activated(self) -> int:
@@ -373,25 +379,8 @@ class MonodomainSolver:
                 break
 
         activation[peak < ACTIVATION_PEAK_FLOOR] = np.nan
-        manifest = {
-            "version": __version__,
-            "mesh_hash": self.mesh.content_hash(),
-            "n_nodes": int(n),
-            "n_steps": int(n_steps),
-            "params": {
-                "sigma": [float(s) for s in self.params.sigma],
-                "chi": p.chi, "c_m": p.c_m, "dt": p.dt, "t_end": p.t_end,
-                "stimulus_amplitude": p.stimulus_amplitude,
-                "stimulus_radius": p.stimulus_radius,
-                "stimulus_duration": p.stimulus_duration,
-            },
-            "ionic": ionic.PARAMS.manifest(),
-            "stimulus_sites": int(len(stim_plan.points)),
-            "linear_solver": cg,
-        }
-        return SimulationOutput(
-            activation=activation, peak_u=peak,
-            final_u=u, snapshots=snapshots, manifest=manifest)
+        return SimulationOutput(activation=activation, peak_u=peak,
+                                snapshots=snapshots, n_steps=n_steps, cg=cg)
 
 
 def simulate(mesh: Mesh, fiber_field: FiberField | None, params: SolverParams,

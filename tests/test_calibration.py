@@ -9,7 +9,6 @@ activation times near 100 ms, so the five-point bar uses proportionally
 larger ones.
 """
 
-import csv
 import re
 from types import SimpleNamespace
 
@@ -596,18 +595,3 @@ def test_faster_fiber_conductivity_shortens_activation(bar, bar_plan):
             for sf in (0.8, 1.4, 2.0)]
     assert taus[0] > taus[1] > taus[2]
 
-
-def test_trace_round_trip(tmp_path, bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar_evaluator(bar, bar_plan),
-                           bar_cloud(midpoint_taus), bar_config(tol_ms=1.0),
-                           val=bar_val())
-    path = tmp_path / "trace.csv"
-    cal.write_trace(path, result)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert tuple(rows[0]) == cal.TRACE_HEADER
-    assert len(rows) == 1 + len(result.iterations)
-    start = cal.ConductivityBox().midpoint()
-    assert float(rows[1][1]) == pytest.approx(start[0], rel=1e-8)
-    assert float(rows[1][4]) == 0.0
-    assert float(rows[1][5]) == 0.0

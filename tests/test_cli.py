@@ -20,7 +20,7 @@ from monocal import registration as reg
 from monocal import twin
 from monocal import vtkio
 from monocal.activation import error_stats, five_number_summary
-from monocal.calibration import TRACE_HEADER
+from monocal.cli import TRACE_HEADER
 from monocal.fibers import FiberAngles, FiberField, generate_fibers
 from monocal.geometry import build_lv_mesh, build_slab_mesh
 from monocal.solver import SolverParams
@@ -72,6 +72,29 @@ def test_pipeline_trace_matches_iteration_count(pipeline):
     payload = json.loads((_results(pipeline) / "validation.json").read_text())
     assert tuple(rows[0]) == TRACE_HEADER
     assert len(rows) == 1 + payload["iterations"]
+
+
+def test_trace_round_trip(tmp_path, capsys):
+    # one iteration at the box midpoint that matched every measured time
+    start = cal.ConductivityBox().midpoint()
+    taus = np.array([12.0, 15.0, 21.0])
+    record = cal.IterationRecord(sigma=start, calibration_computed=taus,
+                                 validation_computed=taus,
+                                 report=error_stats(taus, taus))
+    result = SimpleNamespace(iterations=[record])
+    path = tmp_path / "trace.csv"
+    cli.write_trace(path, result)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert tuple(rows[0]) == TRACE_HEADER
+    assert len(rows) == 1 + len(result.iterations)
+    assert float(rows[1][1]) == pytest.approx(start[0], rel=1e-8)
+    assert float(rows[1][4]) == 0.0
+    assert float(rows[1][5]) == 0.0
+    # report reads it back
+    assert cli.main(["report", "--results", str(tmp_path)]) == 0
+    assert ("    0  sigma=(1.4500, 0.3200, 0.0650)  E=   +0.000  F=     0.000"
+            "  eI= 0.000%") in capsys.readouterr().out.splitlines()
 
 
 def test_pipeline_manifest_counts_and_registration(pipeline):
@@ -522,21 +545,43 @@ def _append_non_utf8(path):
     path.write_bytes(path.read_bytes() + b"\xff\n")
 
 
+def _add_free_node(path):
+    """Write the mesh back with one more node, which no element uses."""
+    mesh = vtkio.read_mesh(path)
+    vtkio.write_mesh(path, dataclasses.replace(
+        mesh, nodes=np.vstack([mesh.nodes, [1.0, 1.0, 1.0]])))
+
+
+def _drop_last_row(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+
+
 @pytest.mark.parametrize("fault, command, faulty", [
     (_cut_in_half, "gen-fibers", "mesh_surface.vtk"),
     (_cut_in_half, "simulate", "fibers.vtk"),
     (_append_non_utf8, "gen-fibers", "mesh.vtk"),
     (_append_non_utf8, "gen-fibers", "mesh_surface.vtk"),
     (_append_non_utf8, "gen-mesh", "config.json"),
+    (_add_free_node, "simulate", "mesh.vtk"),
+    (_drop_last_row, "register", "meas.csv"),
 ], ids=["cut_surface", "cut_fibers", "non_utf8_mesh", "non_utf8_surface",
-        "non_utf8_config"])
+        "non_utf8_config", "free_node", "one_vein_point"])
 def test_a_bad_input_file_is_named(tmp_path, capsys, fault, command, faulty):
     # a line number alone does not say which file is at fault, and a byte
-    # that is not UTF-8 must not escape as a UnicodeDecodeError
+    # that is not UTF-8 must not escape as a UnicodeDecodeError; a node
+    # that no element uses, or a map with one vein point, must not get
+    # past the readers' checks
     mesh = build_slab_mesh((0.2, 0.1, 0.05), 0.05)
     mesh_path, fibers_path = tmp_path / "mesh.vtk", tmp_path / "fibers.vtk"
     vtkio.write_mesh(mesh_path, mesh)
     FiberField.uniform(mesh.n_nodes).write(fibers_path, mesh)
+    meas_path, refs_path = tmp_path / "meas.csv", tmp_path / "refs.csv"
+    meas_path.write_text("x_mm,y_mm,z_mm,t_ms,site\n0,0,0,0,septum\n"
+                         "2,1,0.5,10,vein\n1,1,0.5,12,vein\n")
+    refs_path.write_text("name,frame,x_mm,y_mm,z_mm\n"
+                         "a,source,0,0,0\nb,source,1,0,0\nc,source,0,1,0\n"
+                         "a,target,0,0,0\nb,target,1,0,0\nc,target,0,1,0\n")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"h": 0.05} if command == "gen-mesh" else {
         "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
@@ -545,7 +590,10 @@ def test_a_bad_input_file_is_named(tmp_path, capsys, fault, command, faulty):
     args = {"gen-mesh": ["--config", str(config)],
             "gen-fibers": ["--mesh", str(mesh_path)],
             "simulate": ["--config", str(config), "--mesh", str(mesh_path),
-                         "--fibers", str(fibers_path)]}[command]
+                         "--fibers", str(fibers_path)],
+            "register": ["--mesh", str(mesh_path), "--measurements",
+                         str(meas_path), "--references",
+                         str(refs_path)]}[command]
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
         cli.main([command, *args, "--out", str(out)])
@@ -617,6 +665,18 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("simulate", {"stimulus_points": [[0, 0, 0], [0, 0]]},
      "'stimulus_points'"),
     ("simulate", {"solver": {"sigma": [1.2, 0.3]}}, "'sigma'"),
+    ("calibrate", {"beta": [0.45, 0.1]},
+     "calibrate config['beta'] must hold 3 values, got 2"),
+    ("calibrate", {"initial_sigma": [1.0, 0.3]},
+     "calibrate config['initial_sigma'] must hold 3 values, got 2"),
+    ("gen-twin", {"sigma": [1.2, 0.3]},
+     "gen-twin config['sigma'] must hold 3 values, got 2"),
+    ("gen-mesh", {"h": 0.5, "extents": [1, 1]},
+     "gen-mesh config['extents'] must hold 3 values, got 2"),
+    ("gen-mesh", {"h": 0.5, "kind": "ventricle", "endo_axes": [0.45, 0.45]},
+     "gen-mesh config['endo_axes'] must hold 3 values, got 2"),
+    ("gen-mesh", {"h": 0.5, "kind": "ventricle", "epi_axes": [0.6, 0.6]},
+     "gen-mesh config['epi_axes'] must hold 3 values, got 2"),
     # an integer that float() cannot take
     ("gen-mesh", {"h": 10 ** 400}, "'h'] is too large for a float"),
 ], ids=["gen_mesh_h", "simulate_solver_dt", "simulate_snapshot_times",
@@ -631,6 +691,9 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         "simulate_snapshot_time_bool", "simulate_stimulus_point_bool",
         "gen_twin_sigma_bool", "calibrate_box_three_bounds",
         "simulate_stimulus_points_ragged", "simulate_solver_sigma_two",
+        "calibrate_beta_two", "calibrate_initial_sigma_two",
+        "gen_twin_sigma_two", "gen_mesh_extents_two",
+        "gen_mesh_endo_axes_two", "gen_mesh_epi_axes_two",
         "gen_mesh_h_huge"])
 def test_mistyped_config_value_is_reported(tmp_path, capsys, command, config,
                                            named):
@@ -664,7 +727,7 @@ def test_every_config_key_rejects_a_value_of_the_wrong_kind(
     wrong = {str: 5, float: "5", int: 1.5, bool: 1}.get(spec.keys[key], "x")
     seen = []
     monkeypatch.setitem(cli._COMMANDS, command, spec._replace(
-        handler=lambda config, tracker: seen.append(config)))
+        handler=lambda config, outputs: seen.append(config)))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: wrong}))
     with pytest.raises(SystemExit) as err:
@@ -697,7 +760,7 @@ def test_flag_overrides_its_config_key(tmp_path, monkeypatch, command, key):
                           float: (1.5, 2.5), int: (3, 4)}[kind]
     seen = []
     monkeypatch.setitem(cli._COMMANDS, command, spec._replace(
-        handler=lambda config, tracker: seen.append(config)))
+        handler=lambda config, outputs: seen.append(config)))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: in_config}))
     flag = "--" + key.replace("_", "-")
@@ -1132,6 +1195,23 @@ def test_simulate_rerun_writes_identical_manifest(tmp_path):
         manifests.append((tmp_path / run / "manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
     assert "timestamp" not in json.loads(manifests[0])
+
+
+def test_simulate_manifest_documents_the_run(tmp_path, small_slab):
+    mesh_path = tmp_path / "mesh.vtk"
+    vtkio.write_mesh(mesh_path, small_slab)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "mesh": str(mesh_path), "solver": {"t_end": 2.0},
+        "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
+        "out": str(tmp_path / "sim")}))
+    assert cli.main(["simulate", "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    # the hash of the mesh simulated, as read back from its file
+    assert manifest["mesh_hash"] == vtkio.read_mesh(mesh_path).content_hash()
+    assert manifest["params"]["sigma"] == list(SolverParams().sigma)
+    assert manifest["stimulus_sites"] == 1
+    assert manifest["n_steps"] == 80
 
 
 def test_gen_fibers_matches_library_field(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,7 +341,9 @@ class TestRegisterStage:
 
     def test_needs_both_septum_and_vein_sites(self, tmp_path, unit_cube):
         files = self._files(tmp_path, "29,9,12,110,vein\n21,9,11,150,vein\n")
-        with pytest.raises(InvalidArgumentError, match="both septum and vein"):
+        with pytest.raises(FormatError, match=re.escape(
+                f"invalid file {files[0]}: measurements must contain both "
+                "septum and vein sites")):
             register(unit_cube, *files)
 
     def test_split_needs_pacing_inputs(self):

@@ -206,8 +206,9 @@ class TestSimulate:
     def test_resting_tissue_stays_at_rest(self, small_slab):
         params = SolverParams(stimulus_amplitude=0.0, t_end=2.5)
         out = simulate(small_slab, None, params,
-                       single_plan((0.0, 0.0, 0.0)))
-        assert np.max(np.abs(out.final_u)) <= 1e-9
+                       single_plan((0.0, 0.0, 0.0)),
+                       snapshot_times=[params.t_end])
+        assert np.max(np.abs(out.snapshots[params.t_end])) <= 1e-9
         assert np.all(np.isnan(out.activation))
         assert out.n_not_activated == small_slab.n_nodes
 
@@ -240,7 +241,7 @@ class TestSimulate:
                        single_plan((0.0, 0.0, 0.0)),
                        snapshot_times=[2.5, 100.0, 140.0])
         assert sorted(out.snapshots) == [2.5, 100.0, 140.0]
-        assert 5600 <= out.manifest["n_steps"] < 6000
+        assert 5600 <= out.n_steps < 6000
 
     def test_snapshot_times_on_one_step_are_all_kept(self, small_slab):
         # at dt = 0.025 ms each pair rounds to one step: 0 (the initial
@@ -301,16 +302,6 @@ class TestSimulate:
                      single_plan((0.0, 0.0, 0.0)),
                      snapshot_times=[when])
 
-    def test_manifest_documents_the_run(self, small_slab):
-        params = SolverParams(t_end=2.0)
-        plan = single_plan((0.0, 0.0, 0.0))
-        out = simulate(small_slab, None, params, plan)
-        manifest = out.manifest
-        assert manifest["mesh_hash"] == small_slab.content_hash()
-        assert manifest["params"]["sigma"] == list(params.sigma)
-        assert manifest["stimulus_sites"] == 1
-        assert manifest["n_steps"] == 80
-
     def test_halving_dt_reduces_the_step_error(self):
         mesh = build_slab_mesh((0.1, 0.1, 0.05), 0.05)
         u0 = np.full(mesh.n_nodes, 0.4)
@@ -370,10 +361,12 @@ def _stepped(solver, plan, initial_state=None, snapshot_times=(),
                            snapshots=snapshots, iterations=iterations)
 
 
-def _assert_same_run(out, oracle):
+def _assert_same_run(out, oracle, t_end):
+    """The same map, peaks, final state (a snapshot at t_end) and
+    snapshots."""
     assert np.array_equal(out.activation, oracle.activation, equal_nan=True)
     assert np.array_equal(out.peak_u, oracle.peak_u)
-    assert np.array_equal(out.final_u, oracle.final_u)
+    assert np.array_equal(out.snapshots[t_end], oracle.final_u)
     assert out.snapshots.keys() == oracle.snapshots.keys()
     for t, u in oracle.snapshots.items():
         assert np.array_equal(out.snapshots[t], u)
@@ -393,15 +386,16 @@ class TestTimeLoop:
     def test_quiet_lead_in_matches_stepping_every_step(self):
         solver = self._bar_solver()
         plan = face_plan(solver.mesh, axis=0, side="min", onset=2.0)
-        times = [0.0, 1.0, 2.0, 6.0]
+        times = [0.0, 1.0, 2.0, 6.0, 20.0]
         out = solver.simulate(plan, snapshot_times=times)
-        _assert_same_run(out, _stepped(solver, plan, snapshot_times=times))
+        _assert_same_run(out, _stepped(solver, plan, snapshot_times=times),
+                         20.0)
         assert out.n_not_activated == 0
         assert np.all(out.snapshots[1.0] == 0.0)
         # steps 2..79 (t < 2 ms) are fast-forwarded, and the count of
         # steps does not change
-        assert out.manifest["n_steps"] == 800
-        assert out.manifest["linear_solver"]["calls"] == 800 - 78
+        assert out.n_steps == 800
+        assert out.cg["calls"] == 800 - 78
 
     @pytest.mark.parametrize("case", ["onset_at_zero", "onset_at_step_two"])
     def test_no_fast_forward_off_the_quiet_state(self, case):
@@ -410,9 +404,11 @@ class TestTimeLoop:
         solver = self._bar_solver(t_end=10.0)
         onset = 0.0 if case == "onset_at_zero" else 2 * solver.params.dt
         plan = face_plan(solver.mesh, axis=0, side="min", onset=onset)
-        out = solver.simulate(plan, snapshot_times=[1.0])
-        _assert_same_run(out, _stepped(solver, plan, snapshot_times=[1.0]))
-        assert out.manifest["linear_solver"]["calls"] == 400
+        times = [1.0, 10.0]
+        out = solver.simulate(plan, snapshot_times=times)
+        _assert_same_run(out, _stepped(solver, plan, snapshot_times=times),
+                         10.0)
+        assert out.cg["calls"] == 400
 
     def test_onset_at_t_end_is_quiet_up_to_the_last_step(self):
         # only step 1 and the last step solve; the last one gets the gate
@@ -421,8 +417,9 @@ class TestTimeLoop:
         plan = face_plan(solver.mesh, axis=0, side="min", onset=10.0)
         times = [solver.params.dt, 5.0, 10.0]
         out = solver.simulate(plan, snapshot_times=times)
-        _assert_same_run(out, _stepped(solver, plan, snapshot_times=times))
-        assert out.manifest["linear_solver"]["calls"] == 2
+        _assert_same_run(out, _stepped(solver, plan, snapshot_times=times),
+                         10.0)
+        assert out.cg["calls"] == 2
 
     def test_quiet_window_logs_its_progress(self, caplog):
         solver = self._bar_solver(t_end=10.0)
@@ -440,7 +437,7 @@ class TestTimeLoop:
         plan = face_plan(solver.mesh, axis=0, side="min", onset=2.0)
         out = solver.simulate(plan)
         plain = _stepped(solver, plan, extrapolate=False)
-        counts = out.manifest["linear_solver"]
+        counts = out.cg
         assert counts["iterations"] < plain.iterations
         assert 0 < counts["max_iterations"] <= counts["iterations"]
         assert np.array_equal(out.activation, plain.activation, equal_nan=True)

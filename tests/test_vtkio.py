@@ -231,6 +231,15 @@ class TestMeshParseErrors:
                 f"invalid file {path}: mesh has no elements")):
             read_mesh(path)
 
+    def test_node_in_no_element_fails_the_audit(self, unit_cube, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        # a ninth node that the one hexahedron does not use
+        nodes = np.vstack([unit_cube.nodes, [2.0, 0.0, 0.0]])
+        write_mesh(path, dataclasses.replace(unit_cube, nodes=nodes))
+        with pytest.raises(FormatError, match=re.escape(
+                f"invalid file {path}: node 8 belongs to no element")):
+            read_mesh(path)
+
     def test_surface_with_an_unknown_node_fails_the_audit(self, unit_cube,
                                                           tmp_path):
         path = tmp_path / "mesh.vtk"
