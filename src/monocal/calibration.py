@@ -18,20 +18,20 @@ Each step moves every component along E, taken in seconds, with fixed
 acceleration coefficients (0.45, 0.1, 0.05 for mS/cm) and clamps it to
 the physiological box. Both groups arrive as `registration.RawCloud`s.
 The search returns a `CalibrationResult` and knows no file format: the
-command line writes its trace and validation files.
+command line writes its trace and validation files. A failed run names
+its iteration, triple and point group through `errors.located`.
 """
 
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import activation as act
 from . import solver as slv
-from .errors import InvalidArgumentError, MonocalError
+from .errors import InvalidArgumentError, located
 from .fibers import FiberField
 from .geometry import Mesh
 from .registration import RawCloud
@@ -42,6 +42,8 @@ DEFAULT_BETA = (0.45, 0.10, 0.05)
 # The search stops when the misfit of each of the last two steps changed
 # by less than this fraction of the latest misfit.
 STAGNATION_REL = 1e-3
+# where a calibration failed, formatted by errors.located
+_AT = "iteration %d (sigma=(%.4f, %.4f, %.4f))"
 
 
 @dataclass(frozen=True)
@@ -192,20 +194,6 @@ class Evaluator:
         return act.extract_activation_at(self.mesh, self.maps[key], points)
 
 
-@contextmanager
-def _named(it: int, sigma, group: str | None = None):
-    """Raise a MonocalError met inside again with the iteration, the
-    triple and the point group, if one is given, in front."""
-    try:
-        yield
-    except MonocalError as exc:
-        sig = ", ".join(f"{v:.4f}" for v in sigma)
-        where = f"iteration {it} (sigma=({sig}))"
-        if group is not None:
-            where += f": group {group}"
-        raise MonocalError(f"{where}: {exc}") from exc
-
-
 def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
               val: RawCloud) -> CalibrationResult:
     """Fit sigma to group I by direct search and validate it on group II.
@@ -219,8 +207,8 @@ def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
     the times of both groups; the validation report compares the
     estimate's group-II times with the measured ones. Both clouds must be
     non-empty. A failed simulation's MonocalError, or a group with no
-    activated point, is raised again with the iteration and the triple
-    in front of its message, and the group if one is at fault.
+    activated point, is raised again by `errors.located` with the
+    iteration, the triple and the group at fault in front of its message.
     """
     for name, cloud in (("calibration", cal), ("validation", val)):
         if not len(cloud):
@@ -233,9 +221,9 @@ def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
 
     sigma = config.start_sigma()
     for it in range(config.max_iters):
-        with _named(it, sigma):
+        with located(_AT, it, *sigma):
             times = evaluator.times(sigma, points)
-        with _named(it, sigma, "I"):
+        with located(_AT + ": group I", it, *sigma):
             report = act.error_stats(times[:n_cal], cal.taus)
         records.append(IterationRecord(
             sigma=sigma, calibration_computed=times[:n_cal],
@@ -262,7 +250,7 @@ def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
     misfits = [r.report.misfit for r in records]
     best_it = len(records) - 1 if converged else misfits.index(min(misfits))
     best = records[best_it]
-    with _named(best_it, best.sigma, "II"):
+    with located(_AT + ": group II", best_it, *best.sigma):
         validation = act.error_stats(best.validation_computed, val.taus)
     return CalibrationResult(iterations=records, best=best,
                              converged=converged, validation=validation,

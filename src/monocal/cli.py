@@ -412,8 +412,10 @@ def cmd_report(config: dict, outputs: list[Path]) -> None:
     with reported_as(f"file {trace_path}"):
         for line, r in reg.read_rows(trace_path, TRACE_HEADER):
             it = _parse_iteration(r["iter"], line)
-            sf, ss, sn, e, f, ei = (reg.parse_float(r[c], c, line)
-                                    for c in TRACE_HEADER[1:])
+            # F is inf where the iterate left a group-I point unactivated
+            sf, ss, sn, e, f, ei = (
+                np.inf if c == "F_ms2" and r[c] == "inf"
+                else reg.parse_float(r[c], c, line) for c in TRACE_HEADER[1:])
             lines.append(f"  {it:>3}  sigma=({sf:.4f}, {ss:.4f}, "
                          f"{sn:.4f})  E={e:+9.3f}  F={f:10.3f}  eI={ei:6.3f}%")
 

@@ -6,7 +6,8 @@ catches; InvalidArgumentError, an argument that violates a precondition
 with the file line at fault in its message when known. A runtime fault
 raises MonocalError with a message that says where it happened: the
 time step, and in a calibration the iteration and the conductivities,
-and the point group when none of its points activated.
+and the point group when none of its points activated. `located` is how
+a run names where it failed, in the solver and in the search alike.
 
 One naming rule: the function that opens a file names it, by reading
 and parsing it inside `reported_as(f"file {path}")`; `FiberField.read`,
@@ -45,3 +46,13 @@ def reported_as(what: str):
         raise FormatError(f"invalid {what}: missing key {exc}") from exc
     except (FormatError, ValueError) as exc:
         raise FormatError(f"invalid {what}: {exc}") from exc
+
+
+@contextmanager
+def located(where: str, *args):
+    """Raise a MonocalError met inside again with `where % args` in front
+    of its message, formatted only then, as `logging` does."""
+    try:
+        yield
+    except MonocalError as exc:
+        raise MonocalError(f"{where % args}: {exc}") from exc

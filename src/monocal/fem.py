@@ -222,9 +222,10 @@ def solve_dirichlet(A: csr_matrix, fixed_ids: np.ndarray,
     """Solve A x = 0 off the fixed nodes, which hold fixed_values.
 
     The constrained rows and columns are eliminated (right-hand side
-    -A[free, fixed] @ fixed_values) and the reduced system, SPD for a
-    stiffness matrix with at least one fixed node per connected part, is
-    solved by conjugate gradients (gmres_solve).
+    -A[free, fixed] @ fixed_values, taken as the free rows of A x with x
+    zero off the fixed nodes) and the reduced system, SPD for a stiffness
+    matrix with at least one fixed node per connected part, is solved by
+    conjugate gradients (gmres_solve).
     """
     n = A.shape[0]
     fixed_ids = np.asarray(fixed_ids, dtype=int)
@@ -237,7 +238,6 @@ def solve_dirichlet(A: csr_matrix, fixed_ids: np.ndarray,
 
     x = np.zeros(n)
     x[fixed_ids] = fixed_values
-    rows = A[free]
-    rhs = -(rows[:, fixed_ids] @ fixed_values)
-    x[free] = gmres_solve(rows[:, free], rhs).x
+    rhs = -(A @ x)[free]
+    x[free] = gmres_solve(A[free][:, free], rhs).x
     return x

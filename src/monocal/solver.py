@@ -45,7 +45,8 @@ Two exact shortcuts keep the time loop short:
 A run returns a `SimulationOutput`: the activation map, the peak
 potential, the requested snapshots and the run's facts as plain values
 (the steps taken and the conjugate-gradient counts). It writes nothing;
-the command line lays out `manifest.json` from these values.
+the command line lays out `manifest.json` from these values. A failed
+step names itself: `errors.located` puts "step k (t=... ms)" in front.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _hex, fem, ionic
-from .errors import InvalidArgumentError, MonocalError
+from .errors import InvalidArgumentError, MonocalError, located
 from .fibers import FiberField
 from .geometry import Mesh
 
@@ -277,26 +278,21 @@ class MonodomainSolver:
         # above the slowest rate that still ignites within the default pulse.
         self.rate_scale = 1e-3 * scale
 
-    def _system(self, u, alpha, beta, stim_rate):
-        """Write this step's reaction term into the matrix diagonal in
-        place; return the right-hand side of the implicit solve and the
-        diagonal written, which the solve's preconditioner reuses."""
-        diag = self.base_diag + self.m_lump * alpha
-        self.matrix.data[self.plan.diag_slots] = diag
-        return self.m_lump * (u / self.params.dt - beta + stim_rate), diag
-
     def step(self, u: np.ndarray, w: np.ndarray, stim_rate: np.ndarray,
              x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, fem.SolveReport]:
         """Advance one dt: gating first, then the linearized potential solve.
 
         stim_rate is the applied current already divided by chi c_m, i.e.
         a potential rate (1/ms), evaluated at the new time level. x0 is
-        the solve's initial guess.
+        the solve's initial guess. The reaction term is written into the
+        matrix diagonal in place; the solve's preconditioner reuses it.
         """
         p = self.params
         w_next = ionic.step_gating(u, w, p.dt)
         alpha, beta = ionic.reaction_coefficients(u, w_next)
-        rhs, diag = self._system(u, alpha, beta, stim_rate)
+        diag = self.base_diag + self.m_lump * alpha
+        self.matrix.data[self.plan.diag_slots] = diag
+        rhs = self.m_lump * (u / p.dt - beta + stim_rate)
         report = fem.gmres_solve(self.matrix, rhs, x0=x0,
                                  rel_tol=LINEAR_REL_TOL, diag=diag)
         return report.x, w_next, report
@@ -340,13 +336,12 @@ class MonodomainSolver:
                 w = ionic.step_gating(u[:1], w[:1], p.dt)
                 iterations = 0
             else:
-                try:
+                with located("step %d (t=%.4g ms)", k, t):
                     u_new, w, report = self.step(
                         u, w, stim.current(t) * self.rate_scale,
                         2.0 * u - u_prev)
-                except MonocalError as exc:
-                    raise MonocalError(
-                        f"step {k} (t={t:.4g} ms): {exc}") from exc
+                    if np.abs(u_new).max() > 5.0:
+                        raise MonocalError("potential magnitude exceeded 5")
                 iterations = report.iterations
                 cg["calls"] += 1
                 cg["iterations"] += iterations
@@ -357,9 +352,6 @@ class MonodomainSolver:
                 best_rate[faster] = rate[faster]
                 activation[faster] = t
                 np.maximum(peak, u_new, out=peak)
-                if np.abs(u_new).max() > 5.0:
-                    raise MonocalError(f"step {k} (t={t:.4g} ms): potential "
-                                       "magnitude exceeded 5")
                 u_prev, u = u, u_new
             for ts in snap_steps.get(k, ()):
                 snapshots[ts] = u.copy()

@@ -177,7 +177,9 @@ def write_twin(data: TwinData, out_dir, perturb_cm: float = 0.015,
     Produces the mesh and fiber files, the device-frame measurement CSV,
     the landmark pairs plus a perturbed variant (landmark readings
     jittered by perturb_cm, seeded), the simulated activation map and a
-    ground-truth JSON for later comparison.
+    ground-truth JSON for later comparison. Its mesh_hash is mesh.vtk's, read
+    back; the map was simulated on the mesh as built, whose coordinates
+    differ from the file's by at most 5.0e-9 cm.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +203,7 @@ def write_twin(data: TwinData, out_dir, perturb_cm: float = 0.015,
         "translation": data.transform.translation.tolist(),
         "septal_onsets_ms": data.septal_onsets.tolist(),
         "n_vein_points": int(len(data.vein_nodes)),
-        "mesh_hash": data.mesh.content_hash(),
+        "mesh_hash": vtkio.read_mesh(paths["mesh"]).content_hash(),
     }
     paths["truth"].write_text(json.dumps(truth, indent=2) + "\n")
     logger.info("twin dataset written to %s", out)

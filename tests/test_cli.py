@@ -97,6 +97,21 @@ def test_trace_round_trip(tmp_path, capsys):
             "  eI= 0.000%") in capsys.readouterr().out.splitlines()
 
 
+def test_report_reads_an_infinite_misfit(tmp_path, capsys):
+    # an iterate that left a group-I point unactivated has F = inf, which
+    # write_trace writes as it is
+    taus = np.array([12.0, 15.0, 21.0])
+    computed = np.array([12.0, np.nan, 21.0])
+    record = cal.IterationRecord(
+        sigma=cal.ConductivityBox().midpoint(), calibration_computed=computed,
+        validation_computed=taus, report=error_stats(computed, taus))
+    assert record.report.n_not_activated == 1
+    cli.write_trace(tmp_path / "trace.csv",
+                    SimpleNamespace(iterations=[record]))
+    assert cli.main(["report", "--results", str(tmp_path)]) == 0
+    assert "F=       inf" in capsys.readouterr().out
+
+
 def test_pipeline_manifest_counts_and_registration(pipeline):
     manifest = json.loads((_results(pipeline) / "manifest.json").read_text())
     assert manifest["n_input"] == 3
@@ -910,7 +925,8 @@ def test_report_rejects_a_non_positive_measured_time(tmp_path, capsys,
 
 @pytest.mark.parametrize("column, value", [
     ("sigma_f", "nan"), ("sigma_n", "inf"), ("E_ms", "-inf"),
-    ("eI_pct", "x"), ("iter", "x"), ("iter", "-1")])
+    ("eI_pct", "x"), ("iter", "x"), ("iter", "-1"), ("F_ms2", "nan"),
+    ("F_ms2", "-inf"), ("eI_pct", "inf")])
 def test_report_names_the_row_and_column_of_a_bad_trace_value(
         tmp_path, capsys, column, value):
     bad = list(_TRACE_ROW)

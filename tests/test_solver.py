@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monocal import _hex, cli, vtkio
+from monocal import _hex, cli, fem, vtkio
 from monocal.errors import InvalidArgumentError, MonocalError
 from monocal.fibers import FiberField
 from monocal.geometry import build_slab_mesh
@@ -256,13 +256,23 @@ class TestSimulate:
             assert np.array_equal(out.snapshots[a], out.snapshots[b])
         assert not np.array_equal(out.snapshots[1.0], out.snapshots[2.0])
 
-    def test_system_returns_the_diagonal_it_writes(self, small_slab):
+    def test_system_returns_the_diagonal_it_writes(self, small_slab,
+                                                   monkeypatch):
+        # step hands the solve the diagonal it wrote into the matrix;
+        # potentials spread over the upstroke vary the reaction term
         solver = MonodomainSolver(small_slab, None, SolverParams())
         n = small_slab.n_nodes
-        alpha = np.random.default_rng(3).uniform(0.0, 5.0, n)
-        _, diag = solver._system(np.zeros(n), alpha, np.zeros(n),
-                                 np.zeros(n))
-        assert np.array_equal(diag, solver.matrix.diagonal())
+        u = np.random.default_rng(3).uniform(0.0, 1.5, n)
+        handed, original = [], fem.gmres_solve
+
+        def solve(A, b, **kwargs):
+            handed.append(kwargs["diag"])
+            return original(A, b, **kwargs)
+
+        monkeypatch.setattr(fem, "gmres_solve", solve)
+        solver.step(u, rest_state(n)[1], np.zeros(n), u)
+        assert len(handed) == 1
+        assert np.array_equal(handed[0], solver.matrix.diagonal())
 
     def test_early_stop_does_not_change_activation_times(self):
         bar = build_slab_mesh((0.35, 0.07, 0.035), 0.035)
