@@ -3,11 +3,13 @@
 One binary with subcommands covering the whole workflow: mesh and fiber
 generation, measurement registration, forward simulation, conductivity
 calibration, result reporting and synthetic fixture generation. Each
-subcommand is one `_COMMANDS` entry: handler, help line, config keys
-with their types, and the keys that are also flags (`--max-cal-points`
-sets `max_cal_points`, typed like the key). The parser, the `--help`
-epilog, the config check and the flag-over-config merge all derive from
-that table; handlers receive the merged config.
+subcommand is one `_COMMANDS` entry: handler, help line, and config
+keys with their types; a key with a `_FLAG_HELP` line is also a flag
+(`--max-cal-points` sets `max_cal_points`, typed like the key). The
+parser, the `--help` epilog, the config check and the flag-over-config
+merge all derive from that table; handlers receive the merged config.
+The search settings and fiber angles a handler passes on are the fields
+of `CalibrationConfig` and `FiberAngles`, not a list kept here.
 
 `_COMMANDS` is the one declaration of each key's full type: a scalar, a
 number triple (`tuple[float, float, float]`: a sigma, beta, the slab
@@ -16,12 +18,13 @@ onsets and snapshot times), the stimulus points (a list of triples), or
 one of the records `SolverParams` ("solver"), `FiberAngles`
 ("fiber_angles") and `ConductivityBox` ("box"), whose fields and their
 types come from the dataclass. `_parse` checks a config against it in
-one walk under one type rule: an integer counts as a float and a
-boolean never counts as a number. Unknown keys and wrong-length fixed
-tuples are rejected at any depth, and a null value means unset at any
-depth. `report` reads validation.json back with the same walk
-(`_RESULTS`); the fields of `activation.ErrorReport` declare its
-'validation' block.
+one walk under one type rule: an integer counts as a float and leaves
+as one, so a value reaches a handler and a manifest in its declared
+type however the config spelled it; a boolean never counts as a number.
+Unknown keys and wrong-length fixed tuples are rejected at any depth,
+and a null value means unset at any depth. `report` reads
+validation.json back with the same walk (`_RESULTS`); the fields of
+`activation.ErrorReport` declare its 'validation' block.
 
 This module lays out `simulate`'s `manifest.json`, from the run's facts
 in `solver.SimulationOutput`, and `calibrate`'s `trace.csv`
@@ -43,7 +46,7 @@ import csv
 import json
 import sys
 from contextlib import suppress
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -83,11 +86,12 @@ def _load_config(path: str | None, keys: dict, command: str) -> dict:
     keys holds each key's declared type (`_COMMANDS`): a scalar, a number
     list, the stimulus points or a dataclass record. `_parse` checks the
     whole object against them under the one type rule (an integer counts
-    as a float, a boolean never counts as a number); unknown keys are
-    rejected and a null value means unset, at any depth, and lists come
-    back as tuples. A name that does not exist on disk but matches a
-    bundled scenario file resolves to the copy shipped inside the package.
-    Any fault in the file's bytes, JSON or values is reported with its path.
+    as, and comes back as, a float; a boolean never counts as a number);
+    unknown keys are rejected and a null value means unset, at any depth,
+    and lists come back as tuples. A name that does not exist on disk but
+    matches a bundled scenario file resolves to the copy shipped inside
+    the package. Any fault in the file's bytes, JSON or values is
+    reported with its path.
     """
     if path is None:
         return {}
@@ -108,13 +112,13 @@ def _parse(value, hint, what: str):
     a JSON object and returns a dict without its null-valued keys: a dict
     of key hints (a whole config or validation.json) or a dataclass,
     whose field types come from `get_type_hints`. The one type rule: an
-    integer counts as a float (if float() takes it; it is returned as it
-    is), and a boolean never counts as a number.
+    integer counts as, and is returned as, a float (if float() takes it),
+    and a boolean never counts as a number.
     """
-    fields = hint if isinstance(hint, dict) else (
+    members = hint if isinstance(hint, dict) else (
         get_type_hints(hint) if is_dataclass(hint) else None)
     items = get_args(hint) if get_origin(hint) is tuple else None
-    kind = dict if fields is not None else list if items is not None else hint
+    kind = dict if members is not None else list if items is not None else hint
     accepted = (int, float) if kind is float else kind
     if (isinstance(value, bool) and kind is not bool) \
             or not isinstance(value, accepted):
@@ -122,17 +126,17 @@ def _parse(value, hint, what: str):
                                    f"got {type(value).__name__}")
     if kind is float and isinstance(value, int):
         try:
-            float(value)
+            value = float(value)
         except OverflowError:
             raise InvalidArgumentError(
                 f"{what} is too large for a float") from None
-    if fields is not None:
-        unknown = sorted(set(value) - set(fields))
+    if members is not None:
+        unknown = sorted(set(value) - set(members))
         if unknown:
             raise InvalidArgumentError(
                 f"unknown key(s) in {what}: {', '.join(unknown)}; "
-                f"allowed: {', '.join(sorted(fields))}")
-        return {key: _parse(item, fields[key], f"{what}['{key}']")
+                f"allowed: {', '.join(sorted(members))}")
+        return {key: _parse(item, members[key], f"{what}['{key}']")
                 for key, item in value.items() if item is not None}
     if items is None:
         return value
@@ -201,7 +205,7 @@ def cmd_gen_mesh(config: dict, outputs: list[Path]) -> None:
                 if kind == "slab" else ("extents",)):
         if key in config:
             raise InvalidArgumentError(f"{key} is not a key of a {kind} mesh")
-    h = float(_require(config, "h", "gen-mesh"))
+    h = _require(config, "h", "gen-mesh")
     if kind == "slab":
         mesh = geometry.build_slab_mesh(
             config.get("extents", (1.0, 1.0, 0.5)), h)
@@ -220,8 +224,8 @@ def cmd_gen_mesh(config: dict, outputs: list[Path]) -> None:
 def cmd_gen_fibers(config: dict, outputs: list[Path]) -> None:
     mesh = _read_mesh(config, "gen-fibers")
     angles = fibers.FiberAngles(**{
-        k: config[k] for k in ("alpha_endo", "alpha_epi", "beta_endo",
-                               "beta_epi") if k in config})
+        f.name: config[f.name] for f in fields(fibers.FiberAngles)
+        if f.name in config})
     field = fibers.generate_fibers(mesh, angles)
     path = _out_dir(config, "gen-fibers") / "fibers.vtk"
     outputs.append(path)
@@ -254,7 +258,7 @@ def cmd_simulate(config: dict, outputs: list[Path]) -> None:
     plan = slv.StimulusPlan(
         points=_require(config, "stimulus_points", "simulate"),
         onsets=_require(config, "stimulus_onsets", "simulate"))
-    snapshot_times = [float(t) for t in config.get("snapshot_times", ())]
+    snapshot_times = config.get("snapshot_times", ())
     names: dict[str, float] = {}
     # a NaN or infinite time is left to the solver's range check
     for t in sorted(set(filter(np.isfinite, snapshot_times))):
@@ -280,7 +284,6 @@ def cmd_simulate(config: dict, outputs: list[Path]) -> None:
             for t, u in sorted(output.snapshots.items())})
     run = asdict(params)
     del run["stop_when_activated"]
-    run["sigma"] = [float(v) for v in params.sigma]
     _write_json(manifest_path, {
         "version": __version__, "mesh_hash": mesh.content_hash(),
         "n_nodes": mesh.n_nodes, "n_steps": output.n_steps, "params": run,
@@ -298,12 +301,10 @@ def _calibration_config(config: dict):
         raise InvalidArgumentError(
             "calibrate chooses the solver's sigma itself; set the search's "
             "start point with 'initial_sigma'")
-    kwargs = {k: config[k] for k in ("beta", "initial_sigma", "tol_ms",
-                                     "max_iters", "isotropic",
-                                     "max_cal_points") if k in config}
-    return cal.CalibrationConfig(
-        box=cal.ConductivityBox(**config.get("box", {})),
-        **kwargs), slv.SolverParams(**solver)
+    search = {f.name: config[f.name] for f in fields(cal.CalibrationConfig)
+              if f.name in config}
+    search["box"] = cal.ConductivityBox(**config.get("box", {}))
+    return cal.CalibrationConfig(**search), slv.SolverParams(**solver)
 
 
 def cmd_calibrate(config: dict, outputs: list[Path]) -> None:
@@ -349,10 +350,11 @@ def cmd_calibrate(config: dict, outputs: list[Path]) -> None:
             val = "" if not np.isfinite(computed) else f"{computed:.9g}"
             writer.writerow((group, f"{tau:.9g}", val))
 
-    manifest = {"registration": reg_stats, "mesh_hash": mesh.content_hash(),
-                "n_input": len(inputs), "n_cal": len(cal_cloud),
-                "n_val": len(val_cloud)}
-    _write_json(manifest_path, manifest)
+    # sigma_hat is the effective conductivity of this mesh, so name its h
+    _write_json(manifest_path, {
+        "registration": reg_stats, "mesh_hash": mesh.content_hash(),
+        "h": mesh.characteristic_size, "n_input": len(inputs),
+        "n_cal": len(cal_cloud), "n_val": len(val_cloud)})
     sig = ", ".join(f"{v:.4f}" for v in best.sigma)
     print(f"sigma_hat = ({sig})  converged={result.converged}  "
           f"iterations={len(result.iterations)}")
@@ -466,7 +468,7 @@ def cmd_report(config: dict, outputs: list[Path]) -> None:
 
 
 def cmd_gen_twin(config: dict, outputs: list[Path]) -> None:
-    perturb_cm = float(config.get("perturb_cm", 0.015))
+    perturb_cm = config.get("perturb_cm", 0.015)
     # written so that NaN fails the check and infinity the bound
     if not 0.0 <= perturb_cm < float("inf"):
         raise InvalidArgumentError(
@@ -474,9 +476,8 @@ def cmd_gen_twin(config: dict, outputs: list[Path]) -> None:
     seed = config.get("seed", 7)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    data = twin.build_twin(
-        h=float(config.get("h", twin.DEFAULT_H)),
-        sigma=np.asarray(config.get("sigma", twin.TRUE_SIGMA), dtype=float))
+    data = twin.build_twin(h=config.get("h", twin.DEFAULT_H),
+                           sigma=config.get("sigma", twin.TRUE_SIGMA))
     out = _out_dir(config, "gen-twin")
     paths = twin.twin_paths(out)
     outputs.extend([*paths.values(), vtkio.surface_path(paths["mesh"])])
@@ -486,12 +487,16 @@ def cmd_gen_twin(config: dict, outputs: list[Path]) -> None:
 
 
 class _Command(NamedTuple):
-    """A subcommand's handler, help line, typed config keys, flag keys."""
+    """A subcommand's handler, help line and typed config keys; its flags
+    are the keys that have a `_FLAG_HELP` line, in table order."""
 
     handler: Callable[[dict, list[Path]], None]
     help: str
     keys: dict[str, object]
-    flags: tuple[str, ...]
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return tuple(key for key in self.keys if key in _FLAG_HELP)
 
 
 # The declared types of the config values that are lists.
@@ -504,23 +509,19 @@ _COMMANDS = {
     "gen-mesh": _Command(
         cmd_gen_mesh, "Generate a slab or truncated-ellipsoid mesh",
         {"kind": str, "h": float, "extents": _TRIPLE, "endo_axes": _TRIPLE,
-         "epi_axes": _TRIPLE, "truncation_height": float, "out": str},
-        ("kind", "h", "out")),
+         "epi_axes": _TRIPLE, "truncation_height": float, "out": str}),
     "gen-fibers": _Command(
         cmd_gen_fibers, "Generate a rule-based fiber field",
         {"mesh": str, "alpha_endo": float, "alpha_epi": float,
-         "beta_endo": float, "beta_epi": float, "out": str},
-        ("mesh", "alpha_endo", "alpha_epi", "beta_endo", "beta_epi", "out")),
+         "beta_endo": float, "beta_epi": float, "out": str}),
     "register": _Command(
         cmd_register, "Register measurements onto a mesh",
-        {"mesh": str, "measurements": str, "references": str, "out": str},
-        ("mesh", "measurements", "references", "out")),
+        {"mesh": str, "measurements": str, "references": str, "out": str}),
     "simulate": _Command(
         cmd_simulate, "Run a paced monodomain simulation",
         {"mesh": str, "fibers": str, "fiber_angles": fibers.FiberAngles,
          "solver": slv.SolverParams, "stimulus_points": _POINTS,
-         "stimulus_onsets": _NUMBERS, "snapshot_times": _NUMBERS, "out": str},
-        ("mesh", "fibers", "out")),
+         "stimulus_onsets": _NUMBERS, "snapshot_times": _NUMBERS, "out": str}),
     "calibrate": _Command(
         cmd_calibrate, "Estimate conductivities from measurements",
         {"mesh": str, "fibers": str, "fiber_angles": fibers.FiberAngles,
@@ -528,20 +529,17 @@ _COMMANDS = {
          "solver": slv.SolverParams, "box": cal.ConductivityBox,
          "beta": _TRIPLE, "initial_sigma": _TRIPLE, "tol_ms": float,
          "max_iters": int, "isotropic": bool, "max_cal_points": int,
-         "out": str},
-        ("mesh", "fibers", "measurements", "references", "max_cal_points",
-         "out")),
+         "out": str}),
     "report": _Command(
         cmd_report, "Summarize a calibration result directory",
-        {"results": str, "out": str}, ("results", "out")),
+        {"results": str, "out": str}),
     "gen-twin": _Command(
         cmd_gen_twin, "Generate the synthetic twin fixture",
         {"h": float, "sigma": _TRIPLE, "perturb_cm": float, "seed": int,
-         "out": str},
-        ("h", "seed", "out")),
+         "out": str}),
 }
 
-# Help text of each key that is a flag of some subcommand.
+# Help text of each key that is also a flag (`_Command.flags`).
 _FLAG_HELP = {
     "alpha_endo": "fiber helix angle on the endocardium (deg)",
     "alpha_epi": "fiber helix angle on the epicardium (deg)",

@@ -21,6 +21,8 @@ the fiber Laplace solve and every simulation on one mesh share it; only
 the conductivity tensors change between them.
 Every system this package builds is symmetric positive definite, and
 one Jacobi-preconditioned conjugate-gradient solver handles them all.
+Its dot products go through _dot, which sums a long vector in fixed
+chunks, so a solve gives the same bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .geometry import Mesh
 
 
 _GAUSS_GRADIENTS = _hex.shape_gradients(_hex.GAUSS2)
+# below the 10,000 entries above which OpenBLAS splits ddot across
+# threads, and above the 7,556 unknowns of the h = 0.05 twin
+_DOT_CHUNK = 8192
 
 
 class AssemblyPlan:
@@ -154,6 +159,22 @@ class AssemblyPlan:
         return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b for 1-D arrays, with bits that do not depend on the number of
+    BLAS threads.
+
+    Up to _DOT_CHUNK entries this is a @ b itself. A longer product is
+    the sum, left to right, of a @ b over fixed _DOT_CHUNK-entry chunks.
+    The guarantee rests on numpy's bundled OpenBLAS, whose ddot splits a
+    vector across threads (and so sums it in another order) only above
+    10,000 entries; a BLAS that splits shorter vectors breaks it.
+    """
+    if len(a) <= _DOT_CHUNK:
+        return a @ b
+    return sum(a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK]
+               for i in range(0, len(a), _DOT_CHUNK))
+
+
 @dataclass
 class SolveReport:
     """Outcome of a converged solve: the solution and the iterations it
@@ -182,7 +203,7 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
     if not np.all(diag > 0.0):
         raise InvalidArgumentError("CG needs a positive diagonal (SPD matrix)")
     minv = 1.0 / diag
-    norm_b = math.sqrt(b @ b)
+    norm_b = math.sqrt(_dot(b, b))
     if norm_b == 0.0:
         return SolveReport(x=np.zeros(len(b)), iterations=0)
     tol = rel_tol * norm_b
@@ -190,7 +211,7 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
     iterations = 0
     while True:
         r = b - A @ x
-        residual = math.sqrt(r @ r)
+        residual = math.sqrt(_dot(r, r))
         if residual <= tol:
             return SolveReport(x=x, iterations=iterations)
         if iterations >= max_iter:
@@ -199,10 +220,10 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
                 f"(residual {residual:.3e})")
         z = minv * r
         p = z
-        rz = r @ z
+        rz = _dot(r, z)
         while iterations < max_iter:
             q = A @ p
-            pq = p @ q
+            pq = _dot(p, q)
             if pq <= 0.0:
                 raise InvalidArgumentError(
                     f"CG found p^T A p = {pq:.3e} <= 0: the matrix is not SPD")
@@ -210,10 +231,10 @@ def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
             x += step * p
             r -= step * q
             iterations += 1
-            if math.sqrt(r @ r) <= tol:
+            if math.sqrt(_dot(r, r)) <= tol:
                 break
             z = minv * r
-            rz, rz_old = r @ z, rz
+            rz, rz_old = _dot(r, z), rz
             p = z + (rz / rz_old) * p
 
 

@@ -9,7 +9,8 @@ import csv
 import dataclasses
 import json
 import os
-from types import SimpleNamespace
+from types import SimpleNamespace, UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ def test_pipeline_manifest_counts_and_registration(pipeline):
     assert manifest["n_input"] == 3
     assert manifest["n_cal"] == 61
     assert manifest["n_val"] == 60
+    assert manifest["h"] == twin.DEFAULT_H
     stats = manifest["registration"]
     assert stats["landmark_rms_cm"] < 1e-6
     assert stats["septum"]["max_displacement_cm"] < 1e-6
@@ -766,6 +768,27 @@ _FLAGS = [(name, key) for name, command in cli._COMMANDS.items()
           for key in command.flags]
 
 
+def _declared(hint):
+    """A dataclass field's type as a config key declares it: T for
+    `T | None`, since a null config value means unset."""
+    return next(t for t in get_args(hint) if t is not type(None)) \
+        if isinstance(hint, UnionType) else hint
+
+
+@pytest.mark.parametrize("command,record", [
+    ("calibrate", cal.CalibrationConfig), ("gen-fibers", FiberAngles)])
+def test_record_fields_are_keys_of_their_declared_type(command, record):
+    # the handler passes on every field the config sets, by name
+    keys = cli._COMMANDS[command].keys
+    for name, hint in get_type_hints(record).items():
+        assert keys[name] == _declared(hint), name
+
+
+def test_every_flag_help_line_names_a_key():
+    keys = {key for command in cli._COMMANDS.values() for key in command.keys}
+    assert set(cli._FLAG_HELP) <= keys
+
+
 @pytest.mark.parametrize("command,key", _FLAGS,
                          ids=[f"{name}--{key}" for name, key in _FLAGS])
 def test_flag_overrides_its_config_key(tmp_path, monkeypatch, command, key):
@@ -1211,6 +1234,26 @@ def test_simulate_rerun_writes_identical_manifest(tmp_path):
         manifests.append((tmp_path / run / "manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
     assert "timestamp" not in json.loads(manifests[0])
+
+
+def test_manifest_does_not_depend_on_how_a_number_is_spelled(
+        tmp_path, small_slab):
+    # 2 and 2.0 are the same t_end, and chi 1000 is the default: each
+    # value reaches the manifest as the float it declares
+    mesh_path = tmp_path / "mesh.vtk"
+    vtkio.write_mesh(mesh_path, small_slab)
+    manifests = []
+    for run, solver in (("ints", {"t_end": 2, "chi": 1000,
+                                  "sigma": [2, 1, 1]}),
+                        ("floats", {"t_end": 2.0, "sigma": [2.0, 1.0, 1.0]})):
+        config = tmp_path / f"{run}.json"
+        config.write_text(json.dumps({
+            "mesh": str(mesh_path), "solver": solver,
+            "stimulus_points": [[0.0, 0.0, 0.0]], "stimulus_onsets": [0.0],
+            "out": str(tmp_path / run)}))
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        manifests.append((tmp_path / run / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_simulate_manifest_documents_the_run(tmp_path, small_slab):

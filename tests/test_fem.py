@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,6 +231,35 @@ class TestGmres:
         A = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(InvalidArgumentError, match="SPD"):
             gmres_solve(A, np.array([1.0, -1.0]))
+
+    def test_dot_is_the_plain_product_up_to_one_chunk(self):
+        # every h = 0.05 system (7,556 unknowns on the twin) keeps its bits
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7556, fem._DOT_CHUNK):
+            a, b = rng.normal(size=(2, n))
+            assert fem._dot(a, b) == a @ b, n
+        c = fem._DOT_CHUNK
+        a, b = rng.normal(size=(2, 2 * c + 5))
+        assert fem._dot(a, b) == (a[:c] @ b[:c] + a[c:2 * c] @ b[c:2 * c]
+                                  + a[2 * c:] @ b[2 * c:])
+
+    def test_solve_bits_do_not_depend_on_blas_threads(self):
+        # 13,125 nodes, over 10,000 of them free: OpenBLAS splits a plain
+        # ddot of that length across threads, summing in another order
+        src = str(Path(fem.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import hashlib; import numpy as np; "
+                "from monocal import fem, fibers, geometry; "
+                "m = geometry.build_slab_mesh((1.2, 1.2, 1.0), 0.05); "
+                "laplace = fem.AssemblyPlan.of(m).stiffness(np.eye(3)); "
+                "x = fibers.solve_transmural(m, laplace); "
+                "print(m.n_nodes, hashlib.sha256(x.tobytes()).hexdigest())")
+        runs = [subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": n})
+                .stdout.split() for n in ("1", "2")]
+        assert runs[0][0] == "13125"
+        assert runs[0] == runs[1]
 
 
 class TestSolveDirichlet:
