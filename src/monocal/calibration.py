@@ -9,11 +9,13 @@ the times at any node-snapped point set from it. So any number of
 searches or studies on one problem simulate each distinct triple once.
 
 `calibrate` is the search: its `CalibrationConfig` holds only search
-settings. Each iteration reads the calibration (group I) and validation
-(group II) times at one triple and compares group I with the measured
-times in one `activation.ErrorReport`, whose signed residuals give the
-summed error E and the misfit F; a triple the search returns to (every
-moving component clamped) gets its record rebuilt from the cached map.
+settings, and it fits the group-I cloud it is given, in its order; a
+short map is cut from the head of the ranked group I by the caller.
+Each iteration reads the calibration (group I) and validation (group
+II) times at one triple and compares group I with the measured times in
+one `activation.ErrorReport`, whose signed residuals give the summed
+error E and the misfit F; a triple the search returns to (every moving
+component clamped) gets its record rebuilt from the cached map.
 Each step moves every component along E, taken in seconds, with fixed
 acceleration coefficients (0.45, 0.1, 0.05 for mS/cm) and clamps it to
 the physiological box. Both groups arrive as `registration.RawCloud`s.
@@ -92,7 +94,6 @@ class CalibrationConfig:
     tol_ms: float = 1.0
     max_iters: int = 20
     isotropic: bool = False
-    max_cal_points: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.tol_ms < np.inf or self.max_iters < 1:
@@ -102,9 +103,6 @@ class CalibrationConfig:
         if beta.shape != (3,) or not np.isfinite(beta).all():
             raise InvalidArgumentError(
                 f"beta must be three finite values, got {self.beta}")
-        if self.max_cal_points is not None and self.max_cal_points < 1:
-            raise InvalidArgumentError(
-                f"max_cal_points must be >= 1, got {self.max_cal_points}")
         if self.isotropic:
             object.__setattr__(self, "box", replace(self.box, s=self.box.f,
                                                     n=self.box.f))
@@ -140,17 +138,15 @@ class CalibrationResult:
 
     iterations has one record per trace row, a revisited triple's record
     again. best is the last iterate when converged, else the first of
-    lowest misfit. calibration is the group-I cloud as used: ordered by
-    time, then acquisition order, and cut to max_cal_points. The records'
-    times follow it and the validation cloud given. validation compares
-    best's group-II times with the measured ones.
+    lowest misfit. The records' times follow the rows of the calibration
+    and validation clouds given. validation compares best's group-II
+    times with the measured ones.
     """
 
     iterations: list[IterationRecord]
     best: IterationRecord
     converged: bool
     validation: act.ErrorReport
-    calibration: RawCloud
 
 
 def update_sigma(sigma, error_sum_ms: float, box: ConductivityBox,
@@ -213,7 +209,6 @@ def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
     for name, cloud in (("calibration", cal), ("validation", val)):
         if not len(cloud):
             raise InvalidArgumentError(f"{name} cloud is empty")
-    cal = cal.subset(np.lexsort((cal.order, cal.taus))[:config.max_cal_points])
     # one lookup per iteration gives both groups' times
     points = np.vstack([cal.points, val.points])
     n_cal = len(cal)
@@ -253,6 +248,5 @@ def calibrate(evaluator: Evaluator, cal: RawCloud, config: CalibrationConfig,
     with located(_AT + ": group II", best_it, *best.sigma):
         validation = act.error_stats(best.validation_computed, val.taus)
     return CalibrationResult(iterations=records, best=best,
-                             converged=converged, validation=validation,
-                             calibration=cal)
+                             converged=converged, validation=validation)
 

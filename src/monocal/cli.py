@@ -10,6 +10,8 @@ parser, the `--help` epilog, the config check and the flag-over-config
 merge all derive from that table; handlers receive the merged config.
 The search settings and fiber angles a handler passes on are the fields
 of `CalibrationConfig` and `FiberAngles`, not a list kept here.
+`max_cal_points` (K) is no search setting: the search gets the first K
+points of the ranked group I from `registration.split_samples`.
 
 `_COMMANDS` is the one declaration of each key's full type: a scalar, a
 number triple (`tuple[float, float, float]`: a sigma, beta, the slab
@@ -301,6 +303,9 @@ def _calibration_config(config: dict):
         raise InvalidArgumentError(
             "calibrate chooses the solver's sigma itself; set the search's "
             "start point with 'initial_sigma'")
+    k = config.get("max_cal_points")
+    if k is not None and k < 1:
+        raise InvalidArgumentError(f"max_cal_points must be >= 1, got {k}")
     search = {f.name: config[f.name] for f in fields(cal.CalibrationConfig)
               if f.name in config}
     search["box"] = cal.ConductivityBox(**config.get("box", {}))
@@ -318,9 +323,11 @@ def cmd_calibrate(config: dict, outputs: list[Path]) -> None:
         mesh, _existing_path(config, "measurements", "calibrate"),
         _existing_path(config, "references", "calibrate"))
     inputs, cal_cloud, val_cloud, plan = reg.split_samples(cloud, groups)
+    # the short map: the K earliest group-I points
+    short = cal_cloud.subset(slice(config.get("max_cal_points")))
 
     result = cal.calibrate(cal.Evaluator(mesh, fiber_field, plan, params),
-                           cal_cloud, cal_config, val_cloud)
+                           short, cal_config, val_cloud)
 
     out = _out_dir(config, "calibrate")
     trace_path = out / "trace.csv"
@@ -342,13 +349,12 @@ def cmd_calibrate(config: dict, outputs: list[Path]) -> None:
     with open(correlation_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CORRELATION_HEADER)
-        rows = [("I", tau, c) for tau, c in
-                zip(result.calibration.taus, best.calibration_computed)]
-        rows += [("II", tau, c) for tau, c in
-                 zip(val_cloud.taus, best.validation_computed)]
-        for group, tau, computed in rows:
-            val = "" if not np.isfinite(computed) else f"{computed:.9g}"
-            writer.writerow((group, f"{tau:.9g}", val))
+        for group, taus, computed in (
+                (act.Group.CAL_I, short.taus, best.calibration_computed),
+                (act.Group.VAL_II, val_cloud.taus, best.validation_computed)):
+            for tau, c in zip(taus, computed):
+                val = "" if not np.isfinite(c) else f"{c:.9g}"
+                writer.writerow((group.value, f"{tau:.9g}", val))
 
     # sigma_hat is the effective conductivity of this mesh, so name its h
     _write_json(manifest_path, {
@@ -432,9 +438,10 @@ def cmd_report(config: dict, outputs: list[Path]) -> None:
     if correlation_path.exists():
         with reported_as(f"file {correlation_path}"):
             rows = []
+            vein = (act.Group.CAL_I.value, act.Group.VAL_II.value)
             for line, r in reg.read_rows(correlation_path,
                                          CORRELATION_HEADER):
-                if r["group"] not in ("I", "II"):
+                if r["group"] not in vein:
                     raise FormatError(f"unknown group {r['group']!r}",
                                       line=line)
                 measured = reg.parse_float(r["tau_measured_ms"],
@@ -446,7 +453,7 @@ def cmd_report(config: dict, outputs: list[Path]) -> None:
                     computed = reg.parse_float(r["tau_computed_ms"],
                                                "tau_computed_ms", line)
                     rows.append((r["group"], computed, measured))
-        for label, keep in (("pooled", ("I", "II")), ("group I", ("I",))):
+        for label, keep in (("pooled", vein), ("group I", vein[:1])):
             pairs = [(c, m) for group, c, m in rows if group in keep]
             if len(pairs) >= 3:
                 stats = act.error_stats(*zip(*pairs))

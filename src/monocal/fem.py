@@ -42,6 +42,7 @@ _GAUSS_GRADIENTS = _hex.shape_gradients(_hex.GAUSS2)
 # below the 10,000 entries above which OpenBLAS splits ddot across
 # threads, and above the 7,556 unknowns of the h = 0.05 twin
 _DOT_CHUNK = 8192
+CG_REL_TOL = 1e-10  # relative true-residual tolerance of every solve
 
 
 class AssemblyPlan:
@@ -185,7 +186,7 @@ class SolveReport:
 
 
 def gmres_solve(A, b: np.ndarray, x0: np.ndarray | None = None,
-                rel_tol: float = 1e-10, max_iter: int = 2000,
+                rel_tol: float = CG_REL_TOL, max_iter: int = 2000,
                 diag: np.ndarray | None = None) -> SolveReport:
     """Jacobi-preconditioned conjugate gradients for an SPD system A x = b.
 

@@ -9,11 +9,14 @@ accepts only maps with septal points and 2 or more vein points, so both
 halves are non-empty. `nns_project` is the one surface snap: it returns
 node ids by `Mesh.nearest_nodes` (the lowest id of equally near nodes),
 and the twin snaps its septal and vein points with it too. A measured
-map is one `RawCloud` throughout: `register` returns the projected
-cloud with one group label per point (`input`, `I`, `II`), and
-`split_samples` cuts it into the three group clouds plus the stimulus
-plan, the stage the command line runs. Every CSV file is read by
-`read_rows`, its numeric cells by `parse_float`.
+map is one `RawCloud` throughout, its rows in acquisition order:
+`register` returns the projected cloud (septal points first) with one
+group label per point (`input`, `I`, `II`), and `split_samples` cuts it
+into the three group clouds plus the stimulus plan, the stage the
+command line runs. `_ranking` (by time, ties by row) is the one ranking
+of vein points: groups I and II are its halves and group I comes in it,
+so a short map is its head. Every CSV file is read by `read_rows`, its
+numeric cells by `parse_float`.
 """
 
 from __future__ import annotations
@@ -34,23 +37,19 @@ REFERENCE_COLUMNS = ("name", "frame", "x_mm", "y_mm", "z_mm")
 
 @dataclass
 class RawCloud:
-    """Measured activation points (cm, ms) with site tags.
-
-    order holds the acquisition index of each point, which makes the
-    group split stable under ties.
-    """
+    """Measured activation points (cm, ms) with site tags, one row per
+    point in acquisition order."""
 
     points: np.ndarray
     taus: np.ndarray
     sites: list[Site]
-    order: np.ndarray
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         self.taus = np.asarray(self.taus, dtype=float)
         n = len(self.points)
         if self.points.shape != (n, 3) or self.taus.shape != (n,) \
-                or len(self.sites) != n or len(self.order) != n:
+                or len(self.sites) != n:
             raise InvalidArgumentError("cloud arrays have mismatched lengths")
         if not np.isfinite(self.points).all() or not np.isfinite(self.taus).all():
             raise InvalidArgumentError("cloud contains non-finite values")
@@ -61,11 +60,10 @@ class RawCloud:
         return len(self.taus)
 
     def subset(self, index) -> "RawCloud":
-        """The points a boolean mask or an index array (in its order) picks."""
-        index = np.arange(len(self))[np.asarray(index)]
+        """The points a mask, index array (in its order) or slice picks."""
+        index = np.arange(len(self))[index]
         return RawCloud(points=self.points[index], taus=self.taus[index],
-                        sites=[self.sites[i] for i in index],
-                        order=self.order[index])
+                        sites=[self.sites[i] for i in index])
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,7 @@ def read_measurements(path) -> RawCloud:
             sites.append(site)
         if not points:
             raise FormatError("no measurement rows found")
-    return RawCloud(points=np.array(points), taus=np.array(taus), sites=sites,
-                    order=np.arange(len(points)))
+    return RawCloud(points=np.array(points), taus=np.array(taus), sites=sites)
 
 
 def write_measurements(path, cloud: RawCloud, groups=None) -> None:
@@ -244,16 +241,18 @@ def nns_project(points, mesh: Mesh, tag) -> tuple[np.ndarray, np.ndarray]:
     return mesh.nearest_nodes(points, candidates)
 
 
-def split_groups(taus, order) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the early (calibration) and late (validation) halves.
+def _ranking(taus) -> np.ndarray:
+    """Row indices by activation time, ties by row (acquisition order)."""
+    return np.argsort(taus, kind="stable")
 
-    Sorted ascending by activation time, ties broken by order (each
-    sample's acquisition index); the first ceil(N/2) points form group I.
-    """
+
+def split_groups(taus) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the early (calibration) and late (validation) halves,
+    each in `_ranking` order; the first ceil(N/2) points form group I."""
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) < 2:
         raise InvalidArgumentError("group split needs at least 2 samples")
-    ranking = np.lexsort((np.asarray(order), taus))
+    ranking = _ranking(taus)
     n_cal = -(-len(taus) // 2)
     return ranking[:n_cal], ranking[n_cal:]
 
@@ -263,7 +262,7 @@ def group_labels(cloud: RawCloud) -> np.ndarray:
     vein points (at least 2) split into non-empty group I and II halves."""
     labels = np.full(len(cloud), Group.INPUT.value)
     vein = np.nonzero([s is Site.EPI_VEIN for s in cloud.sites])[0]
-    cal, val = split_groups(cloud.taus[vein], cloud.order[vein])
+    cal, val = split_groups(cloud.taus[vein])
     labels[vein[cal]] = Group.CAL_I.value
     labels[vein[val]] = Group.VAL_II.value
     return labels
@@ -314,9 +313,11 @@ def register(mesh: Mesh, measurements_path, references_path
 def split_samples(cloud: RawCloud, groups):
     """Pacing inputs, calibration (group I) and validation (group II)
     clouds, plus the stimulus plan that paces at the inputs' sites and
-    times (which rejects a cloud without inputs)."""
+    times (which rejects a cloud without inputs). Group I comes in
+    `_ranking` order, the others in the cloud's row order."""
     groups = np.asarray(groups)
     inputs, cal, val = (cloud.subset(groups == g.value)
                         for g in (Group.INPUT, Group.CAL_I, Group.VAL_II))
+    cal = cal.subset(_ranking(cal.taus))
     return inputs, cal, val, StimulusPlan(points=inputs.points,
                                           onsets=inputs.taus)

@@ -68,8 +68,6 @@ logger = logging.getLogger(__name__)
 # that never reach this floor (midway between the fast-current threshold
 # and the plateau) saw no wavefront and are reported as not activated.
 ACTIVATION_PEAK_FLOOR = 0.5
-# Relative true-residual tolerance of each time step's linear solve.
-LINEAR_REL_TOL = 1e-10
 # Log one progress line every this many steps.
 PROGRESS_EVERY = 100
 _PROGRESS = "step %d/%d  t=%.3f ms  max u=%.4f  cg iters=%d"
@@ -293,8 +291,7 @@ class MonodomainSolver:
         diag = self.base_diag + self.m_lump * alpha
         self.matrix.data[self.plan.diag_slots] = diag
         rhs = self.m_lump * (u / p.dt - beta + stim_rate)
-        report = fem.gmres_solve(self.matrix, rhs, x0=x0,
-                                 rel_tol=LINEAR_REL_TOL, diag=diag)
+        report = fem.gmres_solve(self.matrix, rhs, x0=x0, diag=diag)
         return report.x, w_next, report
 
     def simulate(self, stim_plan: StimulusPlan,

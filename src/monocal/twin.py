@@ -123,8 +123,7 @@ class TwinData:
         taus = np.concatenate([self.septal_onsets, self.vein_taus])
         sites = ([Site.SEPTUM] * len(self.septal_nodes)
                  + [Site.EPI_VEIN] * len(self.vein_nodes))
-        return RawCloud(points=points, taus=taus, sites=sites,
-                        order=np.arange(len(taus)))
+        return RawCloud(points=points, taus=taus, sites=sites)
 
 
 def build_twin(h: float = DEFAULT_H, sigma=TRUE_SIGMA) -> TwinData:

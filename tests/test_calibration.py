@@ -18,6 +18,7 @@ import pytest
 from monocal import activation as act
 from monocal import calibration as cal
 from monocal import fem, geometry
+from monocal import registration as reg
 from monocal import solver as slv
 from monocal.activation import Site
 from monocal.errors import InvalidArgumentError, MonocalError
@@ -45,8 +46,7 @@ def bar_cloud(taus, points=BAR_POINTS):
     """Vein points at the first len(taus) of the given locations."""
     taus = np.asarray(taus, dtype=float)
     return RawCloud(points=points[:len(taus)], taus=taus,
-                    sites=[Site.EPI_VEIN] * len(taus),
-                    order=np.arange(len(taus)))
+                    sites=[Site.EPI_VEIN] * len(taus))
 
 
 # A bar node between the stimulated end and the calibration points: it
@@ -191,9 +191,6 @@ def test_config_rejects_bad_tolerance_and_budget():
         cal.CalibrationConfig(tol_ms=0.0)
     with pytest.raises(InvalidArgumentError):
         cal.CalibrationConfig(max_iters=0)
-    for k in (0, -3):
-        with pytest.raises(InvalidArgumentError, match="max_cal_points"):
-            cal.CalibrationConfig(max_cal_points=k)
 
 
 @pytest.mark.parametrize("name", ["f", "s", "n"])
@@ -405,8 +402,7 @@ def test_calibrate_reuses_the_estimates_simulation(bar, bar_plan,
     output = slv.simulate(bar, None, bar_params(result.best.sigma), bar_plan)
     np.testing.assert_array_equal(
         result.best.calibration_computed,
-        act.extract_activation_at(bar, output.activation,
-                                  result.calibration.points))
+        act.extract_activation_at(bar, output.activation, BAR_POINTS))
     np.testing.assert_array_equal(
         result.best.validation_computed,
         act.extract_activation_at(bar, output.activation, val.points))
@@ -444,33 +440,62 @@ def test_calibrate_rejects_an_empty_validation_cloud(bar, bar_plan,
                       bar_config(tol_ms=1.0), val=bar_cloud([]))
 
 
+def short_map(vein_taus, rows, k):
+    """The group I that `split_samples` ranks from a cloud of one septal
+    input, the bar points (in the given row order, with the given times)
+    and the validation point, cut to its first k points as `calibrate`'s
+    command does."""
+    cloud = RawCloud(points=np.vstack([np.zeros((1, 3)), BAR_POINTS[rows],
+                                       VAL_POINT]),
+                     taus=np.concatenate([[0.0], vein_taus, [5.0]]),
+                     sites=[Site.SEPTUM] + [Site.EPI_VEIN] * (len(rows) + 1))
+    groups = ["input"] + ["I"] * len(rows) + ["II"]
+    _, group_one, val, _ = reg.split_samples(cloud, groups)
+    return group_one.subset(slice(k)), val
+
+
 def test_calibrate_truncates_to_earliest_activation_times(
         bar, bar_plan, midpoint_taus):
-    result = cal.calibrate(bar_evaluator(bar, bar_plan),
-                           bar_cloud(midpoint_taus),
-                           bar_config(tol_ms=1.0, max_cal_points=3),
-                           val=bar_val())
-    kept = sorted(midpoint_taus)[:3]
-    assert result.calibration.taus.tolist() == kept
+    # the bar points in reverse acquisition order: the cut keeps the three
+    # earliest times, not the first three rows
+    rows = np.arange(5)[::-1]
+    short, val = short_map(midpoint_taus[rows], rows, 3)
+    assert short.taus.tolist() == sorted(midpoint_taus)[:3]
+    result = cal.calibrate(bar_evaluator(bar, bar_plan), short,
+                           bar_config(tol_ms=1.0), val=val)
+    assert all(len(r.calibration_computed) == 3 for r in result.iterations)
+    np.testing.assert_array_equal(result.best.report.errors,
+                                  result.best.calibration_computed
+                                  - short.taus)
 
 
 def test_calibrate_breaks_time_ties_by_acquisition_order(bar, bar_plan,
                                                          monkeypatch):
-    order = np.array([3, 0, 4, 1, 2])
-    cloud = RawCloud(points=BAR_POINTS, taus=np.full(5, 20.0),
-                     sites=[Site.EPI_VEIN] * 5, order=order)
+    # tied times at the bar points acquired in a permuted order: group I
+    # keeps that order, and the search fits its first k points
+    rows = np.array([3, 0, 4, 1, 2])
     monkeypatch.setattr(cal.slv, "simulate", lambda *args, **kwargs: run())
+    # each point's computed time is its x coordinate
     monkeypatch.setattr(cal.act, "extract_activation_at",
-                        lambda mesh, activation, points:
-                        np.full(len(points), 20.0))
-    by_order = BAR_POINTS[np.argsort(order)]
+                        lambda mesh, activation, points: points[:, 0].copy())
     for k in (None, 2):
-        result = cal.calibrate(bar_evaluator(bar, bar_plan), cloud,
-                               bar_config(max_cal_points=k), val=bar_val())
-        kept = np.arange(5)[:k]
-        np.testing.assert_array_equal(result.calibration.order, kept)
-        np.testing.assert_array_equal(result.calibration.points,
-                                      by_order[kept])
+        short, val = short_map(np.full(5, 20.0), rows, k)
+        result = cal.calibrate(bar_evaluator(bar, bar_plan), short,
+                               bar_config(max_iters=1), val=val)
+        np.testing.assert_array_equal(short.points, BAR_POINTS[rows][:k])
+        np.testing.assert_array_equal(result.best.calibration_computed,
+                                      BAR_POINTS[rows][:k, 0])
+
+
+def test_calibrate_keeps_the_order_it_is_given(bar, bar_plan, midpoint_taus):
+    evaluator = bar_evaluator(bar, bar_plan)
+    forward, backward = (
+        cal.calibrate(evaluator, cloud, bar_config(max_iters=1),
+                      val=bar_val())
+        for cloud in (bar_cloud(midpoint_taus),
+                      bar_cloud(midpoint_taus[::-1], BAR_POINTS[::-1])))
+    np.testing.assert_array_equal(backward.best.calibration_computed,
+                                  forward.best.calibration_computed[::-1])
 
 
 def test_calibrate_isotropic_search_keeps_triple_equal(bar, bar_plan):

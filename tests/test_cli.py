@@ -455,9 +455,11 @@ def _calibrate_fails_before_simulating(tmp_path, monkeypatch, capsys, args,
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_calibrate_rejects_max_cal_points_below_one(tmp_path, monkeypatch,
                                                     capsys, value):
+    # checked with the search settings, before the mesh is read
+    monkeypatch.setattr(cli.vtkio, "read_mesh", None)
     message = _calibrate_fails_before_simulating(
         tmp_path, monkeypatch, capsys, ["--max-cal-points", value])
-    assert "max_cal_points must be >= 1" in message
+    assert message == f"error: max_cal_points must be >= 1, got {value}\n"
 
 
 def test_calibrate_rejects_solver_sigma(tmp_path, monkeypatch, capsys):

@@ -80,8 +80,7 @@ def test_traced_calibration_runs_one_simulation_per_iteration(spans):
     # both of its iterations without converging
     output = slv.simulate(mesh, None, params, plan)
     taus = act.extract_activation_at(mesh, output.activation, points) + 0.5
-    cloud = RawCloud(points=points, taus=taus, sites=[act.Site.EPI_VEIN] * 5,
-                     order=np.arange(5))
+    cloud = RawCloud(points=points, taus=taus, sites=[act.Site.EPI_VEIN] * 5)
     config = cal.CalibrationConfig(beta=(9.0, 2.0, 1.0), max_iters=2,
                                    tol_ms=0.01)
 

@@ -46,7 +46,6 @@ class TestReadMeasurements:
         assert np.allclose(cloud.points[1], (-0.5, 0.0, 0.25), rtol=1e-12)
         assert np.array_equal(cloud.taus, [110.0, 152.0])
         assert cloud.sites == [Site.EPI_VEIN, Site.SEPTUM]
-        assert np.array_equal(cloud.order, [0, 1])
 
     def test_crlf_line_endings_parse_identically(self, tmp_path):
         body = MEASUREMENT_HEADER + "\n10,20,30,110,vein\n"
@@ -106,8 +105,7 @@ class TestReadMeasurements:
     def test_write_read_round_trip_with_groups(self, tmp_path):
         cloud = RawCloud(points=np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
                          taus=np.array([110.0, 152.0]),
-                         sites=[Site.SEPTUM, Site.EPI_VEIN],
-                         order=np.array([0, 1]))
+                         sites=[Site.SEPTUM, Site.EPI_VEIN])
         path = tmp_path / "out.csv"
         write_measurements(path, cloud, groups=["input", "I"])
         header = path.read_text().splitlines()[0]
@@ -273,26 +271,26 @@ class TestNnsProject:
 
 class TestSplitGroups:
     def test_hand_example(self):
-        cal, val = split_groups(np.array([157.0, 110.0, 179.0, 152.0]),
-                                np.arange(4))
+        cal, val = split_groups(np.array([157.0, 110.0, 179.0, 152.0]))
         assert np.array_equal(np.sort(cal), [1, 3])
         assert np.array_equal(np.sort(val), [0, 2])
 
     def test_odd_count_gives_the_extra_point_to_calibration(self):
         taus = np.linspace(100.0, 200.0, 37)
-        cal, val = split_groups(taus, np.arange(37))
+        cal, val = split_groups(taus)
         assert len(cal) == 19
         assert len(val) == 18
 
     def test_ties_break_by_acquisition_order(self):
-        taus = np.full(4, 120.0)
-        cal, val = split_groups(taus, order=np.array([3, 1, 2, 0]))
-        assert np.array_equal(cal, [3, 1])
-        assert np.array_equal(val, [2, 0])
+        # rows are acquisition order: the 120 ms ties rank by row
+        taus = np.array([120.0, 120.0, 110.0, 120.0])
+        cal, val = split_groups(taus)
+        assert np.array_equal(cal, [2, 0])
+        assert np.array_equal(val, [1, 3])
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidArgumentError):
-            split_groups(np.array([100.0]), np.arange(1))
+            split_groups(np.array([100.0]))
 
 
 class TestGroupLabels:
@@ -300,8 +298,7 @@ class TestGroupLabels:
         cloud = RawCloud(
             points=np.arange(15.0).reshape(5, 3),
             taus=np.array([30.0, 157.0, 110.0, 179.0, 152.0]),
-            sites=[Site.SEPTUM] + [Site.EPI_VEIN] * 4,
-            order=np.arange(5))
+            sites=[Site.SEPTUM] + [Site.EPI_VEIN] * 4)
         assert group_labels(cloud).tolist() == ["input", "II", "I", "II",
                                                 "I"]
 
@@ -335,7 +332,7 @@ class TestRegisterStage:
         inputs, cal, val, plan = split_samples(cloud, groups)
         assert (len(inputs), len(cal), len(val)) == (1, 2, 1)
         assert cal.taus.tolist() == [110.0, 130.0]
-        assert cal.order.tolist() == [0, 3]
+        assert cal.points.tolist() == [[1, 1, 1], [1, 0, 1]]
         assert np.array_equal(plan.points, [[0.0, 0.0, 0.0]])
         assert np.array_equal(plan.onsets, [30.0])
 
@@ -348,7 +345,7 @@ class TestRegisterStage:
 
     def test_split_needs_pacing_inputs(self):
         cloud = RawCloud(points=np.zeros((2, 3)), taus=np.array([110.0, 150.0]),
-                         sites=[Site.EPI_VEIN] * 2, order=np.arange(2))
+                         sites=[Site.EPI_VEIN] * 2)
         with pytest.raises(InvalidArgumentError,
                            match="at least one stimulus site"):
             split_samples(cloud, group_labels(cloud))
@@ -358,7 +355,8 @@ class TestRegisterStage:
     def test_every_split_has_both_vein_groups(self, data):
         # what calibrate relies on: a cloud with k septal and N >= 2 vein
         # points gives k inputs, ceil(N/2) group-I and floor(N/2) >= 1
-        # group-II points, group I ranking first by (time, acquisition)
+        # group-II points, group I ranking first by (time, row), the
+        # row being the acquisition order
         k = data.draw(st.integers(1, 4), label="k")
         n = data.draw(st.integers(2, 40), label="N")
         taus = (data.draw(st.lists(st.sampled_from([0.0, 5.0]), min_size=k,
@@ -368,13 +366,35 @@ class TestRegisterStage:
                             label="vein times"))
         sites = [Site.SEPTUM] * k + [Site.EPI_VEIN] * n
         rows = data.draw(st.permutations(range(k + n)), label="rows")
-        order = data.draw(st.permutations(range(k + n)), label="order")
-        cloud = RawCloud(points=np.zeros((k + n, 3)),
-                         taus=np.array(taus)[rows],
-                         sites=[sites[i] for i in rows], order=np.array(order))
+        # each point's x coordinate is its row
+        points = np.zeros((k + n, 3))
+        points[:, 0] = np.arange(k + n)
+        cloud = RawCloud(points=points, taus=np.array(taus)[rows],
+                         sites=[sites[i] for i in rows])
 
         inputs, cal, val, plan = split_samples(cloud, group_labels(cloud))
         assert (len(inputs), len(cal), len(val)) == (k, -(-n // 2), n // 2)
         assert len(val) >= 1
-        assert max(zip(cal.taus, cal.order)) < min(zip(val.taus, val.order))
+        assert max(zip(cal.taus, cal.points[:, 0])) \
+            < min(zip(val.taus, val.points[:, 0]))
         assert len(plan.points) == k
+
+    def test_group_one_comes_ranked_and_the_others_keep_their_rows(self):
+        # rows are acquisition order, and each point's x coordinate is its
+        # row; the vein times 30, 10, 20, 10, 40, 20 sit in rows 1, 2, 4-7
+        taus = np.array([5.0, 30.0, 10.0, 0.0, 20.0, 10.0, 40.0, 20.0])
+        sites = [Site.SEPTUM, Site.EPI_VEIN, Site.EPI_VEIN, Site.SEPTUM] \
+            + [Site.EPI_VEIN] * 4
+        points = np.zeros((8, 3))
+        points[:, 0] = np.arange(8)
+        cloud = RawCloud(points=points, taus=taus, sites=sites)
+        inputs, cal, val, plan = split_samples(cloud, group_labels(cloud))
+        # group I: the three earliest, by time and then by row
+        assert cal.taus.tolist() == [10.0, 10.0, 20.0]
+        assert cal.points[:, 0].tolist() == [2, 5, 4]
+        # the inputs and group II keep their rows, and the cloud is as given
+        assert inputs.points[:, 0].tolist() == [0, 3]
+        assert val.points[:, 0].tolist() == [1, 6, 7]
+        assert val.taus.tolist() == [30.0, 40.0, 20.0]
+        assert cloud.points[:, 0].tolist() == list(range(8))
+        assert np.array_equal(cloud.taus, taus)

@@ -80,8 +80,6 @@ def test_measurement_cloud_frames_are_rigidly_related(twin_star):
     np.testing.assert_array_equal(
         device_cloud.taus,
         np.concatenate([twin_star.septal_onsets, twin_star.vein_taus]))
-    np.testing.assert_array_equal(device_cloud.order,
-                                  np.arange(len(device_cloud.taus)))
 
 
 def test_write_twin_emits_complete_dataset(twin_star_files):
